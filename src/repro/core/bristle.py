@@ -20,7 +20,8 @@ with address resolution.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -246,6 +247,7 @@ class BristleNetwork:
 
         # --- nodes ----------------------------------------------------------
         cap_gen = self.rng.stream("capacities")
+        self._mobile_set = set(self.mobile_keys)
         self.nodes: Dict[int, BristleNode] = {}
         for key in self.stationary_keys + self.mobile_keys:
             if capacities is not None and key in capacities:
@@ -254,14 +256,12 @@ class BristleNetwork:
                 cap = float(cap_gen.integers(1, max_capacity + 1))
             node = BristleNode(
                 key=key,
-                mobile=key in set(self.mobile_keys),
+                mobile=key in self._mobile_set,
                 capacity=cap,
                 space=self.space,
             )
             node.address = self.placement.attach(key)
             self.nodes[key] = node
-        # Recompute mobile membership cheaply (set built once).
-        self._mobile_set = set(self.mobile_keys)
 
         # --- overlays -------------------------------------------------------
         proximity = self.network_distance_between_keys
@@ -331,6 +331,9 @@ class BristleNetwork:
         # capacities and workloads, not addresses.
         self._ldt_cache: Dict[int, Tuple[tuple, LDTree]] = {}
         self._group_ldt_cache: Dict[Tuple[int, ...], Tuple[tuple, int, LDTree]] = {}
+        #: member key → cached groups containing it, so a leave evicts its
+        #: groups without scanning the whole group cache.
+        self._groups_of: Dict[int, Set[Tuple[int, ...]]] = {}
         # Every node (mobile ones included) starts published so discovery
         # succeeds from time zero.
         for key in self.mobile_keys:
@@ -423,6 +426,13 @@ class BristleNetwork:
         replication (the §2.3.1 default interest relation)."""
         return self.registrations.register_from_overlay(self.mobile_layer)
 
+    def _all_keys_index(self, key: int) -> int:
+        """Index of member ``key`` in ``stationary_keys + mobile_keys``
+        (both sorted), the candidate order the registration setups share."""
+        if self.nodes[key].mobile:
+            return len(self.stationary_keys) + bisect_left(self.mobile_keys, key)
+        return bisect_left(self.stationary_keys, key)
+
     def setup_random_registrations(
         self,
         registry_size: Optional[int] = None,
@@ -438,11 +448,17 @@ class BristleNetwork:
         size = registry_size if registry_size is not None else self.registry_size_for(0)
         all_keys = self.stationary_keys + self.mobile_keys
         targets = list(only_keys) if only_keys is not None else self.mobile_keys
+        # Sampling ``size`` of the other N-1 members: draw indices into
+        # ``all_keys`` with the target's own slot skipped, instead of
+        # materialising the N-1 element pool per target.
+        others = len(all_keys) - 1
+        draws = min(size, others)
+        gen = self.rng.stream("registrations")
+        register = self.registrations.register
         for mk in targets:
-            pool = [k for k in all_keys if k != mk]
-            chosen = self.rng.sample("registrations", pool, min(size, len(pool)))
-            for c in chosen:
-                self.registrations.register(c, mk, now=self.now)
+            own = self._all_keys_index(mk)
+            for i in gen.choice(others, size=draws, replace=False).tolist():
+                register(all_keys[i if i < own else i + 1], mk, now=self.now)
 
     def setup_local_registrations(
         self,
@@ -459,20 +475,14 @@ class BristleNetwork:
         all_keys = self.stationary_keys + self.mobile_keys
         routers = np.asarray([self.placement.router_of(k) for k in all_keys])
         targets = list(only_keys) if only_keys is not None else self.mobile_keys
+        register = self.registrations.register
         for mk in targets:
-            my_router = self.placement.router_of(mk)
-            dists = self.oracle.distances_from(my_router)[routers]
+            own = self._all_keys_index(mk)
+            dists = self.oracle.distances_from(self.placement.router_of(mk))[routers]
             order = np.argsort(dists, kind="stable")
-            chosen: List[int] = []
-            for idx in order:
-                cand = all_keys[int(idx)]
-                if cand == mk:
-                    continue
-                chosen.append(cand)
-                if len(chosen) >= size:
-                    break
-            for c in chosen:
-                self.registrations.register(c, mk, now=self.now)
+            # ``size < 1`` still registers the closest candidate, as it always has.
+            for i in order[order != own][: max(size, 1)].tolist():
+                register(all_keys[i], mk, now=self.now)
 
     # ------------------------------------------------------------------
     # Mobility (update operation, §2.3.1)
@@ -773,6 +783,8 @@ class BristleNetwork:
         m.counter("ldt.cache_misses").inc()
         rep, tree = self.build_ldt_for_group(list(group))
         self._group_ldt_cache[group] = (fp, rep, tree)
+        for k in group:
+            self._groups_of.setdefault(k, set()).add(group)
         return rep, tree
 
     # ------------------------------------------------------------------
@@ -931,8 +943,7 @@ class BristleNetwork:
         node = BristleNode(key=key, mobile=True, capacity=capacity, space=self.space)
         node.address = self.placement.attach(key)
         self.nodes[key] = node
-        self.mobile_keys.append(key)
-        self.mobile_keys.sort()
+        insort(self.mobile_keys, key)
         self._mobile_set.add(key)
         self.num_mobile += 1
         self.mobile_layer.add_node(key)
@@ -973,11 +984,14 @@ class BristleNetwork:
         for registrant in list(node.registry):
             self.registrations.unregister(registrant, key)
         self._ldt_cache.pop(key, None)
-        for g in [g for g in self._group_ldt_cache if key in g]:
+        for g in self._groups_of.pop(key, ()):
             del self._group_ldt_cache[g]
+            for other in g:
+                if other != key:
+                    self._groups_of[other].discard(g)
         self.mobile_layer.remove_node(key)
         self.placement.detach(key)
-        self.mobile_keys.remove(key)
+        del self.mobile_keys[bisect_left(self.mobile_keys, key)]
         self._mobile_set.discard(key)
         self.num_mobile -= 1
         del self.nodes[key]

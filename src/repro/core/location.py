@@ -444,10 +444,8 @@ class RegistrationManager:
         registration.  Returns True when the registration is new.
         """
         reg = self._nodes[registrant]
-        tgt = self._nodes[target]
-        is_new = registrant not in tgt.registry
-        tgt.register(
-            RegistryEntry(key=registrant, capacity=reg.capacity, registered_at=now)
+        is_new = self._nodes[target].register(
+            RegistryEntry(registrant, reg.capacity, now)
         )
         reg.subscriptions.add(target)
         if not is_new:

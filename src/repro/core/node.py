@@ -109,8 +109,9 @@ class BristleNode:
     # ------------------------------------------------------------------
     # Registration (§2.3.1)
     # ------------------------------------------------------------------
-    def register(self, entry: RegistryEntry) -> None:
-        """Admit ``entry`` into ``R(self)`` (idempotent per key)."""
+    def register(self, entry: RegistryEntry) -> bool:
+        """Admit ``entry`` into ``R(self)`` (idempotent per key); True when
+        its key was not registered before."""
         if entry.key == self.key:
             raise ValueError("a node does not register to itself")
         prev = self.registry.get(entry.key)
@@ -118,6 +119,7 @@ class BristleNode:
         # A pure timestamp refresh leaves the dissemination tree intact.
         if prev is None or prev.capacity != entry.capacity:
             self.ldt_epoch += 1
+        return prev is None
 
     def unregister(self, key: int) -> None:
         """Remove ``key`` from ``R(self)`` if present."""

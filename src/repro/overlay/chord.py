@@ -72,6 +72,38 @@ class ChordOverlay(Overlay):
         self._fingers.clear()
         self._successors.clear()
 
+    def _build_all(self) -> None:
+        """Every member's fingers and successor list in one pass.
+
+        One 2-D ``searchsorted`` over ``keys[:, None] + 2**i`` replaces the
+        per-node kernels of :meth:`_build_node` (kept for churn repair and
+        as the parity reference); successor lists are index arithmetic on
+        the sorted ring.
+        """
+        if self._finger_steps is None:
+            super()._build_all()
+            return
+        keys = self._keys
+        n = keys.size
+        starts = (keys[:, None] + self._finger_steps) % np.uint64(self.space.size)
+        idx = np.searchsorted(keys, starts) % n
+        # Finger starts sweep clockwise from the node, so their successors
+        # never step backwards and the node itself can only close the row:
+        # "not self, not the previous candidate" is the scalar path's filter.
+        own = np.arange(n)[:, None]
+        keep = idx != own
+        keep[:, 1:] &= idx[:, 1:] != idx[:, :-1]
+        flat = keys[idx[keep]].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        members = keys.tolist()
+        begin = 0
+        for key, end in zip(members, ends):
+            self._fingers[key] = flat[begin:end]
+            begin = end
+        hops = np.arange(1, min(self.successor_list_size, n - 1) + 1)
+        succ = keys[(own + hops) % n].tolist()
+        self._successors.update(zip(members, succ))
+
     def _build_node(self, key: int) -> None:
         size = self.space.size
         fingers: List[int] = []
@@ -96,7 +128,7 @@ class ChordOverlay(Overlay):
                     last = f
         self._fingers[key] = fingers
         # Successor list: the next r members clockwise.
-        idx = int(np.searchsorted(self._keys, key))
+        idx = int(np.searchsorted(self._keys, np.uint64(key)))
         n = self._keys.size
         succs = []
         for j in range(1, min(self.successor_list_size, n - 1) + 1):

@@ -1,8 +1,13 @@
 """Tests for repro.core.bristle — the two-layer network facade."""
 
+import time
+
 import pytest
 
 from repro.core import BristleConfig, BristleNetwork
+from repro.net.underlay import build_underlay
+
+from .oracles.setup import pool_random_registrations
 
 
 class TestBuild:
@@ -254,6 +259,84 @@ class TestRegistrationSetups:
             assert len(small_net.nodes[mk].registry) == 4
         for mk in small_net.mobile_keys[3:]:
             assert len(small_net.nodes[mk].registry) == 0
+
+    @pytest.mark.parametrize("seed", [3, 7, 19])
+    @pytest.mark.parametrize("naming", ["clustered", "scrambled"])
+    @pytest.mark.parametrize("size", [None, 1, 6, 500])
+    def test_random_registrations_match_pool_sampling(self, seed, naming, size):
+        """Index draws with the target's slot skipped pick who the
+        materialised N-1 pool picked, in the same order, and leave the
+        ``"registrations"`` stream where it left it."""
+        nets = [
+            BristleNetwork(BristleConfig(seed=seed, naming=naming), 40, 25, router_count=100)
+            for _ in range(2)
+        ]
+        subset = nets[0].mobile_keys[::4] + nets[0].stationary_keys[:2]
+        for only_keys in (None, subset):
+            nets[0].setup_random_registrations(size, only_keys=only_keys)
+            pool_random_registrations(nets[1], size, only_keys=only_keys)
+            for key in nets[0].nodes:
+                assert list(nets[0].nodes[key].registry) == list(
+                    nets[1].nodes[key].registry
+                )
+        assert (
+            nets[0].rng.stream("registrations").random()
+            == nets[1].rng.stream("registrations").random()
+        )
+
+    def test_local_registrations_skip_only_the_target(self, small_net):
+        small_net.setup_local_registrations(registry_size=99)
+        mk = small_net.mobile_keys[5]
+        assert set(small_net.nodes[mk].registry) == set(small_net.nodes) - {mk}
+
+
+class TestMembershipBookkeeping:
+    def test_mobile_keys_stay_sorted_across_churn(self, small_net):
+        joiners = [1, small_net.space.size - 1, small_net.mobile_keys[7] + 1]
+        joiners = [k for k in joiners if k not in small_net.nodes]
+        for k in joiners:
+            small_net.join_mobile_node(k)
+        for k in (small_net.mobile_keys[0], small_net.mobile_keys[-1], joiners[-1]):
+            small_net.leave_mobile_node(k)
+        assert small_net.mobile_keys == sorted(small_net._mobile_set)
+        assert small_net.num_mobile == len(small_net.mobile_keys)
+
+    def test_leave_evicts_exactly_its_cached_groups(self, small_net):
+        small_net.setup_random_registrations(registry_size=4)
+        a, b, c, d = small_net.mobile_keys[:4]
+        for group in ([a, b], [a, c, d], [c, d]):
+            small_net.ldt_for_group(group)
+        small_net.leave_mobile_node(a)
+        assert list(small_net._group_ldt_cache) == [(c, d)]
+        cached = small_net._group_ldt_cache[(c, d)][2]
+        assert small_net.ldt_for_group([d, c])[1] is cached
+        small_net.leave_mobile_node(d)
+        assert not small_net._group_ldt_cache
+        assert not any(small_net._groups_of.values())
+
+
+class TestSetupScaling:
+    def test_setup_time_grows_linearly_with_population(self):
+        """Four times the nodes may cost about four times the set-up (the
+        registry is ⌈log₂ N⌉, so a little more), never the sixteen times
+        of an O(N·M) expression.  A ratio of best-of-three times on one
+        shared underlay, so it holds on a slow or busy machine too."""
+        underlay = build_underlay(5, 400)
+
+        def best_of_three(stationary: int, mobile: int) -> float:
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                net = BristleNetwork(
+                    BristleConfig(seed=5), stationary, mobile, underlay=underlay
+                )
+                net.setup_random_registrations()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        small = best_of_three(2000, 1000)
+        large = best_of_three(8000, 4000)
+        assert large / small < 8, f"{small:.3f} s -> {large:.3f} s"
 
 
 class TestClock:

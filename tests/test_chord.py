@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.overlay import ChordOverlay
+from repro.overlay import ChordOverlay, KeySpace
 from repro.sim import RngStreams
 
 
@@ -84,3 +84,60 @@ class TestConfig:
             nbrs = ov.neighbors_of(k)
             assert len(nbrs) == len(set(nbrs))
             assert k not in nbrs
+
+
+def _ring_cases(space):
+    """Key sets that stress the bulk kernel's index arithmetic."""
+    top = space.size - 1
+    rng = np.random.default_rng(12)
+    dense = rng.integers(0, space.size, 300).tolist()
+    return {
+        "random": dense,
+        "duplicates": dense[:40] * 3,
+        "wrap-around": [0, 1, 2, top, top - 1, top - 5, space.size // 2],
+        "clustered": list(range(1000, 1040)) + [top],
+        "pair": [5, top],
+        "single": [77],
+    }
+
+
+def _assert_bulk_matches_per_node(space, keys, successors=4):
+    bulk = ChordOverlay(space, successor_list_size=successors)
+    bulk.build(keys)
+    reference = ChordOverlay(space, successor_list_size=successors)
+    reference.build(keys, bulk=False)
+    assert bulk._fingers == reference._fingers
+    assert list(bulk._fingers) == list(reference._fingers)
+    assert bulk._successors == reference._successors
+    return bulk
+
+
+class TestBulkBuildParity:
+    """``_build_all`` must leave exactly the state ``_build_node`` does:
+    same fingers in the same order, same successor lists."""
+
+    @pytest.mark.parametrize(
+        "case", ["random", "duplicates", "wrap-around", "clustered", "pair", "single"]
+    )
+    @pytest.mark.parametrize("successors", [1, 4, 64])
+    def test_same_state_as_per_node_build(self, space, case, successors):
+        _assert_bulk_matches_per_node(space, _ring_cases(space)[case], successors)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_random_rings(self, seed):
+        rng = np.random.default_rng(seed)
+        space = KeySpace(bits=int(rng.choice([8, 16, 32, 60])), digit_bits=4)
+        n = int(rng.integers(1, min(200, space.size)))
+        _assert_bulk_matches_per_node(space, rng.integers(0, space.size, n).tolist())
+
+    def test_full_width_ring(self):
+        """63 bits is the widest ring the uint64 kernel takes (and past
+        2**53 the per-node path must not locate keys through float64)."""
+        space = KeySpace(bits=63, digit_bits=7)
+        keys = [0, 1, space.size - 1, space.size // 2, space.size // 2 + 1]
+        _assert_bulk_matches_per_node(space, keys)
+
+    def test_wide_ring_falls_back_to_scalar_path(self):
+        space = KeySpace(bits=64, digit_bits=4)
+        keys = [3, 1 << 40, (1 << 63) + 9, (1 << 64) - 2]
+        assert _assert_bulk_matches_per_node(space, keys)._finger_steps is None

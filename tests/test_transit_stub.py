@@ -3,7 +3,10 @@
 import pytest
 
 from repro.net import TransitStubParams, generate_transit_stub, params_for_router_count
+from repro.net import transit_stub
 from repro.sim import RngStreams
+
+from .oracles.setup import connect_domain_pairwise, topology_digest
 
 
 class TestParams:
@@ -109,3 +112,33 @@ class TestParamsForRouterCount:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             params_for_router_count(4)
+
+
+class TestDrawForDrawParity:
+    """The array replay of the ``"topology"`` stream in ``_connect_domain``
+    must wire the edges the scalar loop did, with the weights it drew."""
+
+    #: recorded at the parent of issue 12 (per-pair ``has_edge`` loop)
+    GOLDEN = [
+        (1, params_for_router_count(1200), "b5c33458ccb39202"),
+        (2, TransitStubParams(), "0601559b1ae7409e"),
+        (3, params_for_router_count(300), "20ee3de534feb336"),
+    ]
+
+    @pytest.mark.parametrize("seed,params,digest", GOLDEN)
+    def test_golden_edge_lists(self, seed, params, digest):
+        topo = generate_transit_stub(params, RngStreams(seed))
+        assert topology_digest(topo) == digest
+
+    @pytest.mark.parametrize("seed,domain", [(11, 1), (12, 2), (13, 7), (14, 30)])
+    @pytest.mark.parametrize("prob", [0.0, 0.05, 0.4, 0.95, 1.0])
+    def test_matches_pairwise_loop(self, monkeypatch, seed, domain, prob):
+        params = TransitStubParams(stub_nodes_per_domain=domain, intra_edge_prob=prob)
+        fast_rng = RngStreams(seed)
+        fast = generate_transit_stub(params, fast_rng)
+        monkeypatch.setattr(transit_stub, "_connect_domain", connect_domain_pairwise)
+        slow_rng = RngStreams(seed)
+        slow = generate_transit_stub(params, slow_rng)
+        assert list(fast.graph.edges()) == list(slow.graph.edges())
+        # ... and the stream is left where the loop left it.
+        assert fast_rng.stream("topology").random() == slow_rng.stream("topology").random()
