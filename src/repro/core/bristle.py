@@ -294,25 +294,12 @@ class BristleNetwork:
         self._proximity = proximity
 
         # --- location management ---------------------------------------------
-        # Either backend: the object directory is the default (and the
-        # parity oracle); ``config.columnar_directory`` swaps in the
-        # struct-of-arrays store with bit-identical state evolution.
-        if config.columnar_directory:
-            from ..sim.columnar import ColumnarDirectory
-
-            self.directory = ColumnarDirectory(
-                self.space,
-                self.stationary_layer,
-                replication=config.replication,
-                ledger=self.telemetry.nodeload,
-            )
-        else:
-            self.directory = LocationDirectory(
-                self.space,
-                self.stationary_layer,
-                replication=config.replication,
-                ledger=self.telemetry.nodeload,
-            )
+        self.directory = LocationDirectory(
+            self.space,
+            self.stationary_layer,
+            replication=config.replication,
+            ledger=self.telemetry.nodeload,
+        )
         self.registrations = RegistrationManager(
             self.nodes, metrics=self.telemetry.metrics
         )
@@ -745,10 +732,10 @@ class BristleNetwork:
         tie = None
         if locality_tie_break:
             tie = lambda m: self.network_distance_between_keys(rep, m.key)  # noqa: E731
-        # Routed through the columnar forest builder (a batch of one):
-        # bit-identical to build_ldt on the same inputs, and the batched
-        # update path shares one construction code path with
-        # build_ldt_for_many / the scale engine.
+        # A forest of one, bit-identical to build_ldt on the same inputs
+        # and 3-8x slower per tree (docs/performance.md, "Columnar LDT
+        # forest").  It stays because bench_e2e, which this tree may not
+        # edit, requires core.ldt_forest.* spans on the move_many path.
         forest = build_ldt_forest(
             [
                 ForestSpec(

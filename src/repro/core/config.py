@@ -56,13 +56,6 @@ class BristleConfig:
         Optional routing policy that dodges unresolved (mobile) fingers
         when a resolved one also makes progress; off by default to match
         the paper's naming-oblivious greedy routing.
-    columnar_directory:
-        Back the location directory with the struct-of-arrays
-        :class:`repro.sim.columnar.ColumnarDirectory` instead of the
-        per-object :class:`repro.core.location.LocationDirectory`.  Both
-        backends evolve bit-identical state (the object model is the
-        parity oracle); the columnar one trades per-record objects for
-        NumPy columns and vectorised kernels.
     seed:
         Master seed for all randomness.
     """
@@ -79,7 +72,6 @@ class BristleConfig:
     replication: int = 3
     p_stale: float = 1.0
     prefer_resolved_next_hop: bool = False
-    columnar_directory: bool = False
     seed: int = 1
 
     def __post_init__(self) -> None:

@@ -16,6 +16,7 @@ Two cooperating pieces implement §2.1/§2.3:
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -23,12 +24,12 @@ import numpy as np
 from ..net.address import NetworkAddress
 from ..overlay.base import Overlay
 from ..overlay.keyspace import KeySpace
-from ..sim.columnar import ExpiryHeap
 from ..sim.metrics import MetricsRegistry
 from ..sim.nodestats import NodeLoadLedger
 from .node import BristleNode, RegistryEntry
 
 __all__ = [
+    "ExpiryHeap",
     "LocationRecord",
     "LocationDirectory",
     "RegistrationManager",
@@ -59,7 +60,7 @@ def shared_multicast_hops(
     if not hs:
         return 0
     start = int(entry) if entry is not None else hs[0]
-    pos = int(np.searchsorted(np.asarray(hs, dtype=np.uint64), start))
+    pos = int(np.searchsorted(np.asarray(hs, dtype=np.uint64), np.uint64(start)))
     ordered = [hs[(pos + j) % len(hs)] for j in range(len(hs))]
     hops = 0
     if ordered[0] != start:
@@ -120,6 +121,40 @@ class BatchPublishResult:
         return len(self.holder_batches)
 
 
+class ExpiryHeap:
+    """Min-expiry index of the location directory (lazy deletion).
+
+    ``push`` records ``(expires_at, key)``; ``pop_expired`` pops every
+    entry strictly below ``now``.  Re-published or withdrawn keys leave
+    stale entries behind, which the directory rejects against its record
+    table.  Expiry cost is O(expired · log K) instead of an O(total
+    records) full scan.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, expires_at: float, key: int) -> None:
+        """Record that ``key``'s current lease lapses at ``expires_at``."""
+        heapq.heappush(self._heap, (float(expires_at), int(key)))
+
+    def clear(self) -> None:
+        """Drop every entry (callers re-push on a full re-placement)."""
+        self._heap.clear()
+
+    def pop_expired(self, now: float) -> List[Tuple[float, int]]:
+        """Pop every entry with ``expires_at < now`` (stale ones included;
+        the caller validates against its own record table)."""
+        out: List[Tuple[float, int]] = []
+        heap = self._heap
+        while heap and heap[0][0] < now:
+            out.append(heapq.heappop(heap))
+        return out
+
+
 class LocationDirectory:
     """Distributed location store over the stationary layer.
 
@@ -154,8 +189,7 @@ class LocationDirectory:
         # name a *different* holder set once the stationary membership has
         # churned, so removal must consult where records really live.
         self._holders_by_key: Dict[int, Tuple[int, ...]] = {}
-        #: Min-expiry index (shared kernel with the columnar store): lease
-        #: expiry pops the overdue prefix in O(expired · log K) instead of
+        #: Min-expiry index: lease expiry pops the overdue prefix in O(expired · log K) instead of
         #: the O(total records) ``fresh(now)`` sweep it replaces.
         self._expiry_heap = ExpiryHeap()
         self.publish_count = 0
@@ -194,7 +228,7 @@ class LocationDirectory:
         (bounded by the layer size).
         """
         owner = self.overlay.owner_of(key)
-        idx = int(np.searchsorted(self.overlay.keys, owner))
+        idx = int(np.searchsorted(self.overlay.keys, np.uint64(owner)))
         return self._holders_near(owner, idx)
 
     def holders_for_many(self, keys: Iterable[int]) -> Dict[int, List[int]]:
@@ -330,8 +364,7 @@ class LocationDirectory:
         — and validates each entry against the live record table (lazy
         deletion: a re-published or withdrawn key leaves a stale heap entry
         behind, recognised by a missing record or a different expiry).
-        Returns the expired keys, ascending — bit-identical to the columnar
-        store's sorted-expiry prefix sweep.
+        Returns the expired keys, ascending.
         """
         expired: List[int] = []
         for expiry, key in self._expiry_heap.pop_expired(now):
@@ -398,7 +431,7 @@ class LocationDirectory:
     def snapshot(self) -> Tuple[tuple, ...]:
         """Canonical state: (key, holder, router, port, epoch, published,
         ttl) rows sorted by (key, holder) — the parity contract shared with
-        ``ColumnarDirectory.snapshot``."""
+        ``ColumnarStore.snapshot_rows``."""
         rows = []
         for holder, recs in self._stores.items():
             for key, rec in recs.items():

@@ -103,7 +103,7 @@ class DataStore:
         n = int(keys.size)
         count = min(self.replication, n)
         owner = overlay.owner_of(key)
-        idx = int(np.searchsorted(keys, owner))
+        idx = int(np.searchsorted(keys, np.uint64(owner)))
         holders = [owner]
         step = 1
         while len(holders) < count:

@@ -383,7 +383,6 @@ class _FactsVisitor:
                         self._datetime_names.add(bound)
                     if module.endswith("columnar") and alias.name in (
                         "ColumnarStore",
-                        "StatePairColumns",
                         "ColumnarDirectory",
                     ):
                         self._columnar_ctors.add(bound)

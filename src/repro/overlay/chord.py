@@ -145,8 +145,8 @@ class ChordOverlay(Overlay):
         if a == b:
             return []
         keys = self._keys
-        ia = int(np.searchsorted(keys, a, side="right"))
-        ib = int(np.searchsorted(keys, b, side="right"))
+        ia = int(np.searchsorted(keys, np.uint64(a), side="right"))
+        ib = int(np.searchsorted(keys, np.uint64(b), side="right"))
         if a < b:
             idx = range(ia, ib)
         else:  # wraps past zero
@@ -163,7 +163,7 @@ class ChordOverlay(Overlay):
         """
         size = self.space.size
         keys = self._keys
-        idx = int(np.searchsorted(keys, key))
+        idx = int(np.searchsorted(keys, np.uint64(key)))
         n = keys.size
         # Predecessor in the *current* membership (key itself may or may
         # not be present; both callers arrange the membership first).

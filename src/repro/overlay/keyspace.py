@@ -190,7 +190,7 @@ class KeySpace:
         """
         if sorted_keys.size == 0:
             raise ValueError("empty key array")
-        idx = int(np.searchsorted(sorted_keys, target))
+        idx = int(np.searchsorted(sorted_keys, np.uint64(target)))
         n = sorted_keys.size
         candidates = {sorted_keys[idx % n], sorted_keys[(idx - 1) % n]}
         best = min(candidates, key=lambda k: (self.ring_distance(int(k), target), int(k)))
@@ -200,7 +200,7 @@ class KeySpace:
         """First key clockwise at-or-after ``target`` (Chord's successor)."""
         if sorted_keys.size == 0:
             raise ValueError("empty key array")
-        idx = int(np.searchsorted(sorted_keys, target))
+        idx = int(np.searchsorted(sorted_keys, np.uint64(target)))
         return int(sorted_keys[idx % sorted_keys.size])
 
     def is_closer(self, candidate: int, incumbent: int, target: int) -> bool:

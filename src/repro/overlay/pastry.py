@@ -67,7 +67,7 @@ class PastryOverlay(Overlay):
         self._table[key] = self._compute_table(key)
 
     def _compute_leaves(self, key: int) -> List[int]:
-        idx = int(np.searchsorted(self._keys, key))
+        idx = int(np.searchsorted(self._keys, np.uint64(key)))
         n = self._keys.size
         half = self.leaf_set_size // 2
         leaves: List[int] = []

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from .. import sanitize as _sanitize
 from ..net.address import NetworkAddress
 from .keyspace import KeySpace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..sim.columnar import StatePairColumns
 
 __all__ = ["StatePair", "StateTable"]
 
@@ -138,47 +135,6 @@ class StateTable:
         for k in dead:
             del self._entries[k]
         return dead
-
-    # ------------------------------------------------------------------
-    # Columnar bridge
-    # ------------------------------------------------------------------
-    def to_columns(self) -> "StatePairColumns":
-        """This table's entries as one struct-of-arrays column set
-        (:class:`repro.sim.columnar.StatePairColumns` rows keyed by this
-        node), so the columnar lease kernels can run over it."""
-        from ..sim.columnar import StatePairColumns
-
-        return StatePairColumns.from_tables({self.owner_key: self})
-
-    def load_columns(self, columns: "StatePairColumns") -> int:
-        """Replace this table's entries with ``columns``' rows for this
-        node (the inverse of :meth:`to_columns`); returns the entry count.
-
-        An address triple of ``(-1, -1, -1)`` round-trips back to an
-        unresolved (``None``) address.
-        """
-        self._entries.clear()
-        count = 0
-        for row in columns.rows():
-            registrant, key, router, port, epoch, refreshed, ttl, capacity = row
-            if registrant != self.owner_key:
-                continue
-            addr = (
-                None
-                if (router, port, epoch) == (-1, -1, -1)
-                else NetworkAddress(router=router, port=port, epoch=epoch)
-            )
-            self.insert(
-                StatePair(
-                    key=key,
-                    addr=addr,
-                    ttl=ttl,
-                    refreshed_at=refreshed,
-                    capacity=capacity,
-                )
-            )
-            count += 1
-        return count
 
     # ------------------------------------------------------------------
     # Lookup

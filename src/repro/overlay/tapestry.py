@@ -58,10 +58,11 @@ class TapestryOverlay(PastryOverlay):
             for bump in range(base):
                 digit = (want + bump) % base
                 cand_prefix = (prefix << b) | digit
-                lo = int(np.searchsorted(keys[lo_idx:hi_idx], cand_prefix << shift)) + lo_idx
-                hi = int(
-                    np.searchsorted(keys[lo_idx:hi_idx], ((cand_prefix + 1) << shift) - 1, side="right")
-                ) + lo_idx
+                window = keys[lo_idx:hi_idx]
+                first = np.uint64(cand_prefix << shift)
+                last = np.uint64(((cand_prefix + 1) << shift) - 1)
+                lo = int(np.searchsorted(window, first)) + lo_idx
+                hi = int(np.searchsorted(window, last, side="right")) + lo_idx
                 if hi > lo:
                     prefix = cand_prefix
                     lo_idx, hi_idx = lo, hi

@@ -1,34 +1,30 @@
-"""Columnar (struct-of-arrays) state engine for million-node simulation.
+"""Columnar (struct-of-arrays) state engine for the million-node scenarios.
 
-The object model tops out around N = 4096: every node is a Python object
-and every event touches one lease at a time.  This module keeps the hot
-per-node state in parallel NumPy columns instead and processes whole
-event batches with vectorised kernels:
+The object model (:class:`repro.core.bristle.BristleNetwork` over
+:class:`repro.core.location.LocationDirectory`) is the one engine every
+figure and the public API run on.  This module is the array-only
+counterpart for the keyspace-sharded scale scenarios, which never build
+an overlay or a node object and process whole event batches with
+vectorised kernels:
 
 * :class:`ColumnarStore` — the location-record table as sorted parallel
   columns (key, address triple, lease times, replica holders) with a
   precomputed expiry ordering, so a TTL sweep slices off the expired
   prefix instead of checking every lease;
-* :class:`ColumnarDirectory` — a drop-in
-  :class:`repro.core.location.LocationDirectory` backend over that store.
-  The object directory stays on as the **parity oracle**: on any seeded
-  scenario both must produce bit-identical :meth:`snapshot` tuples (the
-  oracle-vs-bulk pattern the batched-update and churn-repair PRs
-  established);
+* :class:`ColumnarDirectory` — the §2.3.2 directory over that store for
+  a static stationary membership column: batched publish, withdraw,
+  lease sweep and bulk resolve.  On a ring-nearest overlay its
+  ``store.snapshot_rows()`` are bit-identical to
+  ``LocationDirectory.snapshot()`` for the same event sequence;
 * placement kernels — :func:`ring_nearest` (vectorised
   ``KeySpace.nearest_key``) and :func:`expand_holders` (vectorised
   replica placement, exact replica order of
   ``LocationDirectory._holders_near``);
-* :func:`ldt_fanout` — closed-form batched Fig-4 dissemination fanout
-  (message count and tree depth for many LDTs at once, validated against
-  ``build_ldt`` on uniform-capacity registries);
-* :class:`StatePairColumns` — registration/state-pair tables as columns
-  (registrant, key, address, lease), bridged to/from the per-node
-  :class:`repro.overlay.state.StateTable` object model;
-* :func:`run_scale_shard` — one keyspace shard of the million-node
-  churn+traffic scenario.  Every per-key event stream is derived by
-  hashing the key itself (:func:`mix64`), so any shard partition of the
-  key population replays bit-identically to the serial run; the driver
+* :func:`run_scale_shard` / :func:`run_traffic_shard` — one keyspace
+  shard of the churn+lookup and Zipf traffic-mix scenarios.  Every
+  per-key event stream is derived by hashing the key itself
+  (:func:`mix64`), so any shard partition of the key population replays
+  bit-identically to the serial run; the driver
   (``repro.experiments.ext_scaling``) fans shards out through
   ``sweep_map`` and merges snapshots by concatenation.
 
@@ -40,8 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,11 +49,8 @@ __all__ = [
     "ring_nearest",
     "replica_offsets",
     "expand_holders",
-    "ldt_fanout",
-    "ExpiryHeap",
     "ColumnarStore",
     "ColumnarDirectory",
-    "StatePairColumns",
     "OWNED_COLUMNS",
     "ScaleShardParams",
     "ScaleShardResult",
@@ -73,8 +65,8 @@ __all__ = [
 #: than 63 bits would overflow the ring-distance arithmetic.
 MAX_COLUMNAR_BITS = 63
 
-#: Every column attribute owned by this module's struct-of-arrays tables
-#: (:class:`ColumnarStore` rows plus :class:`StatePairColumns.COLUMNS`).
+#: Every column attribute owned by this module's struct-of-arrays table
+#: (:class:`ColumnarStore` rows).
 #: The whole-program linter (BRS013, :mod:`repro.lint.wholeprogram`)
 #: flags any store to one of these attributes on a columnar table
 #: outside this kernel module: column invariants (sort order, expiry
@@ -90,10 +82,6 @@ OWNED_COLUMNS = (
     "expiry",
     "holders",
     "holder_count",
-    "registrant",
-    "key",
-    "refreshed",
-    "capacity",
     # LDT forest columns (repro.core.ldt_forest — the other columnar
     # kernel module): level-synchronous build invariants only hold when
     # these are written by build_forest_columns/build_ldt_forest.
@@ -194,83 +182,12 @@ def expand_holders(
     return keys[idx]
 
 
-def ldt_fanout(
-    registry_sizes: np.ndarray,
-    root_k: np.ndarray,
-    member_k: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched Fig-4 dissemination cost for many LDTs at once.
-
-    For uniform-capacity registries the Fig-4 recursion is closed-form:
-    a root with capacity for ``k`` partitions splits its ``R`` members
-    round-robin, each partition head (capacity ``member_k``) recurses on
-    its partition minus itself.  Messages are always ``R`` (every member
-    receives the advertisement exactly once); depth follows the shrinking
-    recursion ``R → ceil(R / k) − 1``.
-
-    Parameters are per-tree columns: registry size, the root's partition
-    count ``max(1, floor(Avail_root / v))`` and the members' shared
-    partition count.  Returns ``(messages, depth)`` columns, validated
-    against ``repro.core.ldt.build_ldt`` in the parity tests.
-    """
-    sizes = registry_sizes.astype(_I64, copy=True)
-    rk = np.maximum(root_k.astype(_I64, copy=False), 1)
-    mk = np.maximum(member_k.astype(_I64, copy=False), 1)
-    messages = sizes.copy()
-    depth = np.zeros_like(sizes)
-    remaining = sizes.copy()
-    k = rk.copy()
-    active = remaining > 0
-    while np.any(active):
-        depth[active] += 1
-        rem = remaining[active]
-        kk = k[active]
-        remaining[active] = -(-rem // kk) - 1  # ceil(rem / k) − 1
-        k[active] = mk[active]
-        active = remaining > 0
-    return messages, depth
-
-
 def snapshot_checksum(rows: Sequence[tuple]) -> str:
     """SHA-256 over a canonical snapshot (the cross-run identity)."""
     h = hashlib.sha256()
     for row in rows:
         h.update(repr(row).encode())
     return h.hexdigest()
-
-
-class ExpiryHeap:
-    """Min-expiry index shared by both directory backends (lazy deletion).
-
-    ``push`` records ``(expires_at, key)``; ``pop_expired`` pops every
-    entry strictly below ``now`` and hands each to a validity callback
-    (re-published or withdrawn keys leave stale entries behind, which the
-    callback rejects).  Expiry cost is O(expired · log K) instead of the
-    O(total records) full scan it replaces.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, expires_at: float, key: int) -> None:
-        """Record that ``key``'s current lease lapses at ``expires_at``."""
-        heapq.heappush(self._heap, (float(expires_at), int(key)))
-
-    def clear(self) -> None:
-        """Drop every entry (callers re-push on a full re-placement)."""
-        self._heap.clear()
-
-    def pop_expired(self, now: float) -> List[Tuple[float, int]]:
-        """Pop every entry with ``expires_at < now`` (stale ones included;
-        the caller validates against its own record table)."""
-        out: List[Tuple[float, int]] = []
-        heap = self._heap
-        while heap and heap[0][0] < now:
-            out.append(heapq.heappop(heap))
-        return out
 
 
 class ColumnarStore:
@@ -444,201 +361,86 @@ class ColumnarStore:
 
 
 class ColumnarDirectory:
-    """Struct-of-arrays drop-in for ``LocationDirectory``.
+    """The §2.3.2 location directory over a static membership column.
 
-    Same public surface and bit-identical state evolution (the object
-    directory is the parity oracle); storage and bulk paths run on
-    :class:`ColumnarStore` columns.  Owner resolution has two modes:
-
-    * **overlay mode** (``stationary_overlay=``) delegates to the
-      overlay's own ``owner_of`` — exact for all five substrate
-      geometries (ring-nearest, Chord successor, Tapestry surrogate,
-      CAN zones), which is what the cross-overlay parity tests need;
-    * **array mode** (``stationary_keys=``) uses the vectorised
-      :func:`ring_nearest` kernel over a static membership column — the
-      million-node scale engine path, no overlay objects at all.
+    Owner resolution is the vectorised :func:`ring_nearest` kernel over
+    ``stationary_keys`` — no overlay objects at all — and every operation
+    takes and returns whole columns.  State evolution matches
+    :class:`repro.core.location.LocationDirectory` on a ring-nearest
+    overlay of the same members (``store.snapshot_rows()`` against its
+    ``snapshot()``); the public :class:`BristleNetwork` API does not use
+    this class, only the shard scenarios below do.
     """
 
     def __init__(
-        self,
-        space,
-        stationary_overlay=None,
-        replication: int = 3,
-        ledger=None,
-        *,
-        stationary_keys: Optional[np.ndarray] = None,
+        self, space, *, stationary_keys: np.ndarray, replication: int = 3
     ) -> None:
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        if (stationary_overlay is None) == (stationary_keys is None):
-            raise ValueError(
-                "pass exactly one of stationary_overlay= or stationary_keys="
-            )
         if space.bits > MAX_COLUMNAR_BITS:
             raise ValueError(
                 f"ColumnarDirectory supports key_bits <= {MAX_COLUMNAR_BITS}"
             )
         self.space = space
-        self.overlay = stationary_overlay
-        self._static_keys = (
-            None
-            if stationary_keys is None
-            else np.sort(stationary_keys.astype(_U64, copy=False))
-        )
+        self._members = np.sort(stationary_keys.astype(_U64, copy=False))
         self.replication = replication
-        self.ledger = ledger
         self.store = ColumnarStore(replication)
         self.publish_count = 0
         self.batch_publish_count = 0
         self.resolve_count = 0
 
-    # ------------------------------------------------------------------
-    # Holder selection
-    # ------------------------------------------------------------------
-    @property
-    def _member_keys(self) -> np.ndarray:
-        if self._static_keys is not None:
-            return self._static_keys
-        return self.overlay.keys.astype(_U64, copy=False)
-
-    def _owner_indices(self, keys: np.ndarray) -> np.ndarray:
-        """Sorted member index of each key's responsible owner."""
-        members = self._member_keys
-        if self._static_keys is not None:
-            idx, _ = ring_nearest(members, keys, self.space.bits)
-            return idx
-        owners = np.fromiter(
-            (self.overlay.owner_of(int(k)) for k in keys), dtype=_U64, count=keys.size
-        )
-        return np.searchsorted(members, owners).astype(_I64)
-
-    def holders_matrix(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def holders_matrix(self, keys: np.ndarray) -> Tuple[np.ndarray, int]:
         """Vectorised holder sets: ``(holders (Q, count), count)``."""
-        members = self._member_keys
-        owner_idx = self._owner_indices(keys)
-        mat = expand_holders(members, owner_idx, self.replication)
+        owner_idx, _ = ring_nearest(self._members, keys, self.space.bits)
+        mat = expand_holders(self._members, owner_idx, self.replication)
         return mat, mat.shape[1]
 
-    def holders_for(self, key: int) -> List[int]:
-        """Stationary nodes storing ``key``'s record (owner + neighbours)."""
-        mat, _ = self.holders_matrix(np.asarray([key], dtype=_U64))
-        return [int(h) for h in mat[0]]
-
-    def holders_for_many(self, keys) -> Dict[int, List[int]]:
-        """Batched :meth:`holders_for` (same shape as the oracle's)."""
-        key_list = [int(k) for k in keys]
-        if not key_list:
-            return {}
-        mat, _ = self.holders_matrix(np.asarray(key_list, dtype=_U64))
-        return {
-            k: [int(h) for h in mat[i]] for i, k in enumerate(key_list)
-        }
-
-    # ------------------------------------------------------------------
-    # Publish / resolve / withdraw
-    # ------------------------------------------------------------------
-    def _publish_batch(
-        self, items: List[Tuple[int, "NetworkAddress"]], now: float, ttl: float
-    ) -> Tuple[np.ndarray, int]:
-        """Vectorised store update for ascending ``(key, addr)`` pairs;
-        returns the holder matrix and per-row holder count."""
-        keys = np.asarray([k for k, _ in items], dtype=_U64)
+    def publish_batch(
+        self,
+        keys: np.ndarray,
+        router: np.ndarray,
+        port: np.ndarray,
+        epoch,
+        now: float,
+        ttl,
+    ) -> int:
+        """Store ``keys[i] → (router[i], port[i], epoch)`` at every holder,
+        leased from ``now`` for ``ttl`` (``epoch`` and ``ttl`` may be
+        scalars or per-key columns; batch keys must be unique).  Returns
+        the replicas written — one update message each."""
+        b = int(keys.size)
+        if not b:
+            return 0
         mat, count = self.holders_matrix(keys)
-        b = len(items)
         self.store.upsert(
             keys=keys,
-            router=np.asarray([a.router for _, a in items], dtype=_I64),
-            port=np.asarray([a.port for _, a in items], dtype=_I64),
-            epoch=np.asarray([a.epoch for _, a in items], dtype=_I64),
+            router=router,
+            port=port,
+            epoch=np.broadcast_to(np.asarray(epoch, dtype=_I64), (b,)),
             published=np.full(b, float(now), dtype=_F64),
-            ttl=np.full(b, float(ttl), dtype=_F64),
+            ttl=np.broadcast_to(np.asarray(ttl, dtype=_F64), (b,)),
             holders=mat,
             holder_count=np.full(b, count, dtype=_I64),
         )
-        if self.ledger is not None:
-            self.ledger.add_many("registrations", mat.reshape(-1).tolist())
-        return mat, count
-
-    def publish(self, key: int, addr, now: float, ttl: float) -> List[int]:
-        """Store ``key → addr`` at every holder; returns the holder keys."""
-        mat, _ = self._publish_batch([(int(key), addr)], now, ttl)
-        self.publish_count += 1
-        return [int(h) for h in mat[0]]
-
-    def publish_many(self, updates, now: float, ttl: float):
-        """Batched publish, same result contract as the oracle's."""
-        from ..core.location import BatchPublishResult
-
-        items = sorted((int(k), addr) for k, addr in updates.items())
-        mat, _ = self._publish_batch(items, now, ttl)
-        holders_map: Dict[int, List[int]] = {}
-        holder_batches: Dict[int, List[int]] = {}
-        for i, (key, _) in enumerate(items):
-            row = [int(h) for h in mat[i]]
-            holders_map[key] = row
-            for h in row:
-                holder_batches.setdefault(h, []).append(key)
-        self.publish_count += len(items)
+        self.publish_count += b
         self.batch_publish_count += 1
-        return BatchPublishResult(holders=holders_map, holder_batches=holder_batches)
-
-    def _address_at(self, row: int):
-        from ..net.address import NetworkAddress
-
-        return NetworkAddress(
-            router=int(self.store.router[row]),
-            port=int(self.store.port[row]),
-            epoch=int(self.store.epoch[row]),
-        )
-
-    def resolve(self, key: int, now: float):
-        """Freshest record among ``key``'s *current* holders.
-
-        All replicas of a key share one record, so this reduces to: the
-        row exists, its lease is fresh, and at least one of the holders
-        that store it is still a current holder for the key.
-        """
-        self.resolve_count += 1
-        rows, hit = self.store.resolve_many(np.asarray([key], dtype=_U64), now)
-        if not bool(hit[0]):
-            return None
-        row = int(rows[0])
-        stored = set(
-            int(h)
-            for h in self.store.holders[row, : int(self.store.holder_count[row])]
-        )
-        if stored.isdisjoint(self.holders_for(int(key))):
-            return None
-        return self._address_at(row)
-
-    def resolve_at(self, holder: int, key: int, now: float):
-        """Lookup at one specific holder (discovery route terminus)."""
-        rows, hit = self.store.resolve_many(np.asarray([key], dtype=_U64), now)
-        if not bool(hit[0]):
-            return None
-        row = int(rows[0])
-        stored = self.store.holders[row, : int(self.store.holder_count[row])]
-        if not bool(np.any(stored == _U64(int(holder)))):
-            return None
-        return self._address_at(row)
+        return b * count
 
     def resolve_array(
         self, keys: np.ndarray, now: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bulk lookup resolution for the scale engine: one searchsorted
-        over the full key column.  Returns ``(hit, router, port, epoch)``
-        columns; counts every query in ``resolve_count``."""
+        """Bulk lookup resolution: one searchsorted over the full key
+        column.  Returns ``(hit, router, port, epoch)`` columns; counts
+        every query in ``resolve_count``."""
         self.resolve_count += int(keys.size)
         rows, hit = self.store.resolve_many(keys, now)
-        router = np.where(hit, self.store.router[rows], -1)
-        port = np.where(hit, self.store.port[rows], -1)
-        epoch = np.where(hit, self.store.epoch[rows], -1)
-        return hit, router, port, epoch
+        live = rows[hit]
 
-    def withdraw(self, key: int) -> int:
-        """Remove all records for ``key``; returns replicas removed."""
-        counts = self.store.remove(np.asarray([key], dtype=_U64))
-        return int(counts.sum())
+        def column(values: np.ndarray) -> np.ndarray:
+            out = np.full(hit.size, -1, dtype=_I64)  # misses read -1
+            out[hit] = values[live]
+            return out
+
+        s = self.store
+        return hit, column(s.router), column(s.port), column(s.epoch)
 
     def withdraw_many(self, keys: np.ndarray) -> int:
         """Bulk withdrawal; returns total replicas removed."""
@@ -649,171 +451,6 @@ class ColumnarDirectory:
         """Drop every record whose lease lapsed before ``now`` — the
         sorted-expiry prefix sweep.  Returns the expired keys, ascending."""
         return [int(k) for k in self.store.expire(now)]
-
-    # ------------------------------------------------------------------
-    # Introspection / maintenance
-    # ------------------------------------------------------------------
-    def records_at(self, holder: int) -> Dict[int, "LocationRecord"]:
-        """All records a holder currently stores (object view for parity
-        with the oracle's per-holder responsibility accounting)."""
-        from ..core.location import LocationRecord
-
-        s = self.store
-        # Only the first holder_count slots of a row are live; the rest is
-        # zero padding that must not match a real holder key of 0.
-        valid = np.arange(s.holders.shape[1])[None, :] < s.holder_count[:, None]
-        mask = np.any((s.holders == _U64(int(holder))) & valid, axis=1)
-        out: Dict[int, LocationRecord] = {}
-        for row in np.nonzero(mask)[0]:
-            r = int(row)
-            key = int(s.keys[r])
-            out[key] = LocationRecord(
-                key=key,
-                addr=self._address_at(r),
-                published_at=float(s.published[r]),
-                ttl=float(s.ttl[r]),
-            )
-        return out
-
-    def holder_load(self) -> Dict[int, int]:
-        """Record count per stationary holder (live holders only)."""
-        s = self.store
-        if not len(s):
-            return {}
-        valid = np.arange(s.holders.shape[1])[None, :] < s.holder_count[:, None]
-        uniq, counts = np.unique(s.holders[valid], return_counts=True)
-        return {int(k): int(c) for k, c in zip(uniq, counts)}
-
-    def rebalance_after_membership_change(self, all_keys, now: float) -> None:
-        """Re-place every live, fresh record on the holders implied by the
-        current membership (same survivors as the oracle's rebalance)."""
-        s = self.store
-        if not len(s):
-            return
-        keep = s.expiry >= now
-        if all_keys is not None:
-            live = np.asarray(sorted({int(k) for k in all_keys}), dtype=_U64)
-            keep &= np.isin(s.keys, live)
-        cols = s._select(keep)
-        keys = cols["keys"]
-        self.store = ColumnarStore(self.replication)
-        if not keys.size:
-            return
-        mat, count = self.holders_matrix(keys)
-        self.store.upsert(
-            keys=keys,
-            router=cols["router"],
-            port=cols["port"],
-            epoch=cols["epoch"],
-            published=cols["published"],
-            ttl=cols["ttl"],
-            holders=mat,
-            holder_count=np.full(keys.size, count, dtype=_I64),
-        )
-        if self.ledger is not None:
-            self.ledger.add_many("registrations", mat.reshape(-1).tolist())
-
-    def snapshot(self) -> Tuple[tuple, ...]:
-        """Canonical state: (key, holder, router, port, epoch, published,
-        ttl) rows sorted by (key, holder) — must be bit-identical to the
-        oracle's ``LocationDirectory.snapshot`` on any seeded scenario."""
-        return tuple(self.store.snapshot_rows())
-
-
-class StatePairColumns:
-    """Registration/state-pair tables as parallel columns.
-
-    Rows are (registrant, key) pairs — "registrant holds a leased
-    state-pair for key" — sorted lexicographically, with address triple,
-    lease times and the advertised capacity alongside.  Bridges to and
-    from the per-node ``StateTable`` object model so parity tests can
-    check the columnar lease kernels against the scalar ones.
-    """
-
-    COLUMNS = (
-        "registrant",
-        "key",
-        "router",
-        "port",
-        "epoch",
-        "refreshed",
-        "ttl",
-        "capacity",
-    )
-
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        missing = set(self.COLUMNS) - set(columns)
-        if missing:
-            raise ValueError(f"missing columns: {sorted(missing)}")
-        order = np.lexsort((columns["key"], columns["registrant"]))
-        for name in self.COLUMNS:
-            setattr(self, name, np.asarray(columns[name])[order])
-
-    def __len__(self) -> int:
-        return int(self.registrant.size)
-
-    @classmethod
-    def from_tables(cls, tables: Dict[int, "StateTable"]) -> "StatePairColumns":
-        """Flatten many nodes' state tables into one column set."""
-        cols: Dict[str, List] = {name: [] for name in cls.COLUMNS}
-        for owner in sorted(tables):
-            for pair in tables[owner]:
-                cols["registrant"].append(owner)
-                cols["key"].append(pair.key)
-                cols["router"].append(pair.addr.router if pair.addr else -1)
-                cols["port"].append(pair.addr.port if pair.addr else -1)
-                cols["epoch"].append(pair.addr.epoch if pair.addr else -1)
-                cols["refreshed"].append(pair.refreshed_at)
-                cols["ttl"].append(pair.ttl)
-                cols["capacity"].append(pair.capacity)
-        return cls(
-            {
-                "registrant": np.asarray(cols["registrant"], dtype=_U64),
-                "key": np.asarray(cols["key"], dtype=_U64),
-                "router": np.asarray(cols["router"], dtype=_I64),
-                "port": np.asarray(cols["port"], dtype=_I64),
-                "epoch": np.asarray(cols["epoch"], dtype=_I64),
-                "refreshed": np.asarray(cols["refreshed"], dtype=_F64),
-                "ttl": np.asarray(cols["ttl"], dtype=_F64),
-                "capacity": np.asarray(cols["capacity"], dtype=_F64),
-            }
-        )
-
-    def expire(self, now: float) -> "StatePairColumns":
-        """Columnar lease sweep: drop every pair with
-        ``refreshed + ttl < now`` (exactly ``StatePair.is_fresh``'s
-        complement) in one vectorised pass."""
-        keep = (self.refreshed + self.ttl) >= now
-        return StatePairColumns(
-            {name: getattr(self, name)[keep] for name in self.COLUMNS}
-        )
-
-    def refresh_keys(self, keys: np.ndarray, now: float) -> int:
-        """Bulk lease renewal for every pair referencing ``keys``; returns
-        the number of pairs refreshed."""
-        hit = np.isin(self.key, keys.astype(_U64, copy=False))
-        self.refreshed = np.where(hit, float(now), self.refreshed)
-        return int(hit.sum())
-
-    def registry_sizes(self) -> Dict[int, int]:
-        """Pairs per referenced key — |R(i)| over the whole population."""
-        uniq, counts = np.unique(self.key, return_counts=True)
-        return {int(k): int(c) for k, c in zip(uniq, counts)}
-
-    def rows(self) -> List[tuple]:
-        """Canonical (registrant, key, router, port, epoch, refreshed,
-        ttl, capacity) tuples, ascending — the parity contract."""
-        out = []
-        for i in range(len(self)):  # repro-lint: disable=BRS009 canonical export walks rows by design
-            out.append(
-                tuple(
-                    (float if name in ("refreshed", "ttl", "capacity") else int)(
-                        getattr(self, name)[i]
-                    )
-                    for name in self.COLUMNS
-                )
-            )
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -864,16 +501,13 @@ def _draw_unique_keys(seed: int, name: str, count: int, bits: int) -> np.ndarray
     return keys[:count]
 
 
-def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
-    """Run one keyspace shard of the scale scenario, fully vectorised.
-
-    Per round: a one-pass TTL expiry sweep, a batched republish of every
-    mobile key whose (key-hashed) schedule says it moves, a batched
-    withdrawal of leaving keys, the Fig-4 advertisement trees of the
-    movers materialised as one columnar forest
-    (:func:`repro.core.ldt_forest.build_forest_columns`), and this
-    shard's slice of the global lookup stream resolved in one kernel
-    call.
+def _shard_setup(
+    p, tag: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, ColumnarDirectory]:
+    """What both shard scenarios start from: the (deterministic, per-``tag``)
+    stationary and mobile key draws, the shard of every mobile key, this
+    shard's keys and an empty directory over the stationary membership.
+    Returns ``(mobile, shard_of, keys, directory)``.
     """
     if not 0 <= p.shard < p.shards:
         raise ValueError("shard index out of range")
@@ -881,21 +515,82 @@ def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
 
     digit_bits = 4 if p.key_bits % 4 == 0 else 1
     space = KeySpace(bits=p.key_bits, digit_bits=digit_bits)
-    stationary = _draw_unique_keys(p.seed, "scale|stationary", p.num_stationary, p.key_bits)
-    mobile = _draw_unique_keys(p.seed, "scale|mobile", p.num_mobile, p.key_bits)
+    stationary = _draw_unique_keys(
+        p.seed, f"{tag}|stationary", p.num_stationary, p.key_bits
+    )
+    mobile = _draw_unique_keys(p.seed, f"{tag}|mobile", p.num_mobile, p.key_bits)
 
     # Keyspace sharding: a mobile key belongs to the shard owning its ring
     # position, a pure function of (key, membership) — shard-invariant.
     pos = np.searchsorted(stationary, mobile) % p.num_stationary  # ring wrap
-    shard_of = (pos.astype(np.int64) * p.shards) // p.num_stationary
-    mine = shard_of == p.shard
-    keys = mobile[mine]
-
+    shard_of = (pos.astype(_I64) * p.shards) // p.num_stationary
     directory = ColumnarDirectory(
-        space,
-        stationary_keys=stationary,
-        replication=p.replication,
+        space, stationary_keys=stationary, replication=p.replication
     )
+    return mobile, shard_of, mobile[shard_of == p.shard], directory
+
+
+def _publish_hashed(
+    directory: ColumnarDirectory,
+    stats: Dict[str, int],
+    batch: np.ndarray,
+    ttl: np.ndarray,
+    addr_salt: int,
+    epoch: int,
+    now: float,
+) -> None:
+    """Republish ``batch`` at addresses hashed from the keys themselves
+    (lease ``ttl`` per key) and account the update messages."""
+    hb = mix64(batch, addr_salt)
+    written = directory.publish_batch(
+        batch,
+        (hb & _U64(0xFFFF)).astype(_I64),
+        ((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64),
+        epoch,
+        now,
+        ttl,
+    )
+    stats["published"] += int(batch.size)
+    stats["replica_messages"] += written
+
+
+def _advertise_forest(
+    stats: Dict[str, int],
+    offsets: np.ndarray,
+    member_avail: np.ndarray,
+    root_avail: np.ndarray,
+) -> None:
+    """One advertisement wave: materialise the movers' Fig-4 trees as one
+    columnar forest (:func:`repro.core.ldt_forest.build_forest_columns`)
+    and account it — every member row receives the update exactly once."""
+    unit = np.ones(root_avail.size, dtype=_F64)
+    level, assigned, parent_row = build_forest_columns(
+        offsets, member_avail, root_avail, unit
+    )
+    total = int(offsets[-1])
+    stats["ldt_trees"] += int(root_avail.size)
+    stats["ldt_messages"] += total
+    stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
+    stats["multicast_deliveries"] += total
+    if _sanitize.ACTIVE:
+        _sanitize.check_ldt_forest(
+            forest_from_columns(
+                offsets, member_avail, root_avail, unit,
+                level, assigned, parent_row,
+            )
+        )
+
+
+def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
+    """Run one keyspace shard of the scale scenario, fully vectorised.
+
+    Per round: a one-pass TTL expiry sweep, a batched republish of every
+    mobile key whose (key-hashed) schedule says it moves, a batched
+    withdrawal of leaving keys, the Fig-4 advertisement trees of the
+    movers materialised as one columnar forest, and this shard's slice of
+    the global lookup stream resolved in one kernel call.
+    """
+    mobile, shard_of, keys, directory = _shard_setup(p, "scale")
 
     # Per-key event schedules, hashed from the keys themselves.
     h_move = mix64(keys, derive_seed(p.seed, "scale|moves"))
@@ -904,6 +599,8 @@ def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
     leaves = (h_attr % _U64(8)) == 0  # ~1/8 of keys leave mid-run
     leave_round = ((h_attr >> _U64(8)) % _U64(max(p.rounds, 1))).astype(_I64)
     ttl = p.base_ttl * (1.0 + (h_attr >> _U64(16)) % _U64(3)).astype(_F64) / 2.0
+    addr_salt = derive_seed(p.seed, "scale|addr")
+    caps_salt = derive_seed(p.seed, "scale|caps")
 
     # The global lookup stream (every shard derives the same one and keeps
     # its own targets, so any partition replays the serial stream).
@@ -927,30 +624,8 @@ def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
         "multicast_deliveries": 0,
     }
 
-    def publish_batch(batch: np.ndarray, now: float, epoch_val: int) -> None:
-        if not batch.size:
-            return
-        hb = mix64(batch, derive_seed(p.seed, "scale|addr"))
-        items_router = (hb & _U64(0xFFFF)).astype(_I64)
-        items_port = ((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64)
-        mat, count = directory.holders_matrix(batch)
-        bt = ttl[np.searchsorted(keys, batch)]
-        directory.store.upsert(
-            keys=batch,
-            router=items_router,
-            port=items_port,
-            epoch=np.full(batch.size, epoch_val, dtype=_I64),
-            published=np.full(batch.size, now, dtype=_F64),
-            ttl=bt,
-            holders=mat,
-            holder_count=np.full(batch.size, count, dtype=_I64),
-        )
-        directory.publish_count += int(batch.size)
-        stats["published"] += int(batch.size)
-        stats["replica_messages"] += int(batch.size) * count
-
     departed = np.zeros(keys.size, dtype=bool)
-    publish_batch(keys, 0.0, 0)
+    _publish_hashed(directory, stats, keys, ttl, addr_salt, epoch=0, now=0.0)
 
     for r in range(p.rounds):
         now = (r + 1) * p.round_dt
@@ -965,34 +640,16 @@ def run_scale_shard(p: ScaleShardParams) -> ScaleShardResult:
             ((move_mask >> _U64(r % 64)) & _U64(1)).astype(bool) & ~departed
         )
         move_keys = keys[movers]
-        publish_batch(move_keys, now, r + 1)
+        _publish_hashed(
+            directory, stats, move_keys, ttl[movers], addr_salt, epoch=r + 1, now=now
+        )
         if move_keys.size:
-            # Materialised columnar LDTs (one forest per move batch): the
-            # uniform-capacity registries of the scale scenario keep the
-            # closed-form ``ldt_fanout`` as a parity oracle — messages are
-            # always R and the forest's depths match it bit-identically.
-            hc = mix64(move_keys, derive_seed(p.seed, "scale|caps"))
-            caps = ((hc % _U64(15)) + _U64(1)).astype(_F64)
+            # Uniform registries: every member shares its root's capacity.
+            caps = ((mix64(move_keys, caps_salt) % _U64(15)) + _U64(1)).astype(_F64)
             sizes = np.full(move_keys.size, p.registry_size, dtype=_I64)
             offsets = np.zeros(move_keys.size + 1, dtype=_I64)
             np.cumsum(sizes, out=offsets[1:])
-            member_avail = np.repeat(caps, sizes)
-            unit = np.ones(move_keys.size, dtype=_F64)
-            level, assigned, parent_row = build_forest_columns(
-                offsets, member_avail, caps, unit
-            )
-            stats["ldt_trees"] += int(move_keys.size)
-            stats["ldt_messages"] += int(sizes.sum())
-            stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
-            # Every member receives the advertisement exactly once.
-            stats["multicast_deliveries"] += int(level.size)
-            if _sanitize.ACTIVE:
-                _sanitize.check_ldt_forest(
-                    forest_from_columns(
-                        offsets, member_avail, caps, unit,
-                        level, assigned, parent_row,
-                    )
-                )
+            _advertise_forest(stats, offsets, np.repeat(caps, sizes), caps)
 
         in_round = lookup_round == r
         q = target_keys[lk_mine & in_round]
@@ -1044,21 +701,7 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
     wave — every member row is one delivery), and this shard's slice of
     the popularity-weighted lookup stream.
     """
-    if not 0 <= p.shard < p.shards:
-        raise ValueError("shard index out of range")
-    from ..overlay.keyspace import KeySpace
-
-    digit_bits = 4 if p.key_bits % 4 == 0 else 1
-    space = KeySpace(bits=p.key_bits, digit_bits=digit_bits)
-    stationary = _draw_unique_keys(
-        p.seed, "traffic|stationary", p.num_stationary, p.key_bits
-    )
-    mobile = _draw_unique_keys(p.seed, "traffic|mobile", p.num_mobile, p.key_bits)
-
-    pos = np.searchsorted(stationary, mobile) % p.num_stationary
-    shard_of = (pos.astype(_I64) * p.shards) // p.num_stationary
-    mine = shard_of == p.shard
-    keys = mobile[mine]
+    mobile, shard_of, keys, directory = _shard_setup(p, "traffic")
 
     # Popularity: rank 0 is the hottest key.  The rank permutation is
     # hashed from the key population itself, so it is shard-invariant.
@@ -1071,15 +714,12 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
         np.int64(p.min_registry),
         (p.max_registry / np.sqrt(rank + 1.0)).astype(_I64),
     )
-    reg_sizes = registry_sizes[mine]
-
-    directory = ColumnarDirectory(
-        space, stationary_keys=stationary, replication=p.replication
-    )
+    reg_sizes = registry_sizes[shard_of == p.shard]
 
     h_move = mix64(keys, derive_seed(p.seed, "traffic|moves"))
     h_attr = mix64(keys, derive_seed(p.seed, "traffic|attrs"))
     ttl = p.base_ttl * (1.0 + (h_attr >> _U64(16)) % _U64(3)).astype(_F64) / 2.0
+    addr_salt = derive_seed(p.seed, "traffic|addr")
 
     # Lookup skew: the global stream draws targets Zipf(s) by rank.
     weights = (rank.astype(_F64) + 1.0) ** (-p.zipf_s)
@@ -1087,7 +727,6 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
     lgen = np.random.default_rng(derive_seed(p.seed, "traffic|lookups"))
     target_idx = lgen.choice(p.num_mobile, size=p.lookups, p=weights)
     lookup_round = (np.arange(p.lookups, dtype=_I64) * p.rounds) // max(p.lookups, 1)
-    target_keys = mobile[target_idx]
     lk_mine = shard_of[target_idx] == p.shard
 
     stats = {
@@ -1106,62 +745,31 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
     # Hot-set accounting: lookups landing on the top 1% of ranks.
     hot_cut = max(p.num_mobile // 100, 1)
 
-    def publish_batch(batch: np.ndarray, now: float, epoch_val: int) -> None:
+    def advertise(batch: np.ndarray, sz: np.ndarray) -> None:
+        """The movers' LDTs: registry sizes ``sz``, member capacities
+        hashed per (key, member slot)."""
         if not batch.size:
             return
-        hb = mix64(batch, derive_seed(p.seed, "traffic|addr"))
-        mat, count = directory.holders_matrix(batch)
-        directory.store.upsert(
-            keys=batch,
-            router=(hb & _U64(0xFFFF)).astype(_I64),
-            port=((hb >> _U64(16)) & _U64(0xFFFF)).astype(_I64),
-            epoch=np.full(batch.size, epoch_val, dtype=_I64),
-            published=np.full(batch.size, now, dtype=_F64),
-            ttl=ttl[np.searchsorted(keys, batch)],
-            holders=mat,
-            holder_count=np.full(batch.size, count, dtype=_I64),
-        )
-        directory.publish_count += int(batch.size)
-        stats["published"] += int(batch.size)
-        stats["replica_messages"] += int(batch.size) * count
-
-    def advertise_batch(batch: np.ndarray) -> None:
-        """Materialise the movers' LDTs as one columnar forest."""
-        if not batch.size:
-            return
-        sz = reg_sizes[np.searchsorted(keys, batch)]
         offsets = np.zeros(batch.size + 1, dtype=_I64)
         np.cumsum(sz, out=offsets[1:])
-        total = int(offsets[-1])
         base = mix64(batch, derive_seed(p.seed, "traffic|members"))
         with np.errstate(over="ignore"):
             member_slot = (
                 np.repeat(base, sz)
-                + np.arange(total, dtype=_U64)
+                + np.arange(int(offsets[-1]), dtype=_U64)
                 - np.repeat(offsets[:-1].astype(_U64), sz)
             )
         hm = mix64(member_slot, derive_seed(p.seed, "traffic|mcaps"))
-        member_avail = ((hm % _U64(15)) + _U64(1)).astype(_F64)
         hr = mix64(batch, derive_seed(p.seed, "traffic|caps"))
-        root_avail = ((hr % _U64(15)) + _U64(1)).astype(_F64)
-        unit = np.ones(batch.size, dtype=_F64)
-        level, assigned, parent_row = build_forest_columns(
-            offsets, member_avail, root_avail, unit
+        _advertise_forest(
+            stats,
+            offsets,
+            ((hm % _U64(15)) + _U64(1)).astype(_F64),
+            ((hr % _U64(15)) + _U64(1)).astype(_F64),
         )
-        stats["ldt_trees"] += int(batch.size)
-        stats["ldt_messages"] += total
-        stats["ldt_depth_sum"] += int(forest_depths(offsets, level).sum())
-        stats["multicast_deliveries"] += total
-        if _sanitize.ACTIVE:
-            _sanitize.check_ldt_forest(
-                forest_from_columns(
-                    offsets, member_avail, root_avail, unit,
-                    level, assigned, parent_row,
-                )
-            )
 
-    publish_batch(keys, 0.0, 0)
-    advertise_batch(keys)
+    _publish_hashed(directory, stats, keys, ttl, addr_salt, epoch=0, now=0.0)
+    advertise(keys, reg_sizes)
 
     for r in range(p.rounds):
         now = (r + 1) * p.round_dt
@@ -1169,8 +777,10 @@ def run_traffic_shard(p: TrafficMixParams) -> ScaleShardResult:
 
         movers = ((h_move >> _U64(r % 64)) & _U64(1)).astype(bool)
         move_keys = keys[movers]
-        publish_batch(move_keys, now, r + 1)
-        advertise_batch(move_keys)
+        _publish_hashed(
+            directory, stats, move_keys, ttl[movers], addr_salt, epoch=r + 1, now=now
+        )
+        advertise(move_keys, reg_sizes[movers])
 
         in_round = lookup_round == r
         q_idx = target_idx[lk_mine & in_round]

@@ -17,6 +17,7 @@ from repro.core import (
     EarlyBinding,
     LocationDirectory,
 )
+from repro.core.location import shared_multicast_hops
 from repro.net import NetworkAddress
 from repro.overlay import ChordOverlay
 from repro.sim import RngStreams
@@ -113,6 +114,22 @@ class TestMoveMany:
         }
         assert report.ldt is not None
         assert report.ldt.num_members == len(union)
+
+    def test_shared_multicast_hops_accounting(self, net):
+        ov = net.stationary_layer
+        group = _group(net, size=6)
+        holders = net.directory.holders_for_many(group)
+        distinct = sorted({h for hs in holders.values() for h in hs})
+        entry = ov.owner_of(group[0])
+        shared = shared_multicast_hops(ov, distinct, entry=entry)
+        per_holder = sum(ov.route(entry, h).hop_count for h in distinct)
+        # One traversal plus near-neighbour legs never exceeds one full
+        # traversal per holder.
+        assert 0 < shared <= max(per_holder, len(distinct))
+        assert shared == shared_multicast_hops(ov, distinct, entry=entry)
+        assert shared_multicast_hops(ov, [], entry=entry) == 0
+        # move_many reports exactly this traversal for its batched publish.
+        assert net.move_many(group).multicast_hops == shared
 
     def test_rejects_stationary_and_empty(self, net):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Tests for repro.core.bristle — the two-layer network facade."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,6 +11,24 @@ from repro.core import BristleConfig, BristleNetwork
 from repro.net.underlay import build_underlay
 
 from .oracles.setup import pool_random_registrations
+
+
+def test_public_engine_does_not_load_columnar_module():
+    """The object directory is the only backend of the public API: the
+    array engine of the shard scenarios must not ride along on import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        "import sys, repro.core.bristle\n"
+        "print('repro.sim.columnar' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False", out.stderr
 
 
 class TestBuild:

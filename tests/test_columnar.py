@@ -1,11 +1,12 @@
-"""Parity tests for the columnar state engine (``repro.sim.columnar``).
+"""Tests for the columnar state engine (``repro.sim.columnar``).
 
-The object model (``LocationDirectory``, ``StateTable``) is the oracle:
-every columnar kernel must reproduce its state evolution bit-for-bit on
-randomized seeded scenarios — same snapshots, same expiry order, same
-holder sets, same LDT costs — across all five stationary overlays.  The
-keyspace-sharded scale path must additionally merge to results identical
-to a serial run for any shard count.
+The object model (``LocationDirectory`` over a ring-nearest overlay) is
+the oracle: the array-mode directory must reproduce its state evolution
+bit-for-bit on randomized seeded interleavings — same snapshots, same
+expiry lists, same lookup hits — and the placement kernels must match
+their scalar counterparts.  The keyspace-sharded scale path must
+additionally merge to results identical to a serial run for any shard
+count.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bristle import BristleNetwork
-from repro.core.config import BristleConfig
-from repro.core.ldt import LDTMember, build_ldt
-from repro.core.location import LocationDirectory, shared_multicast_hops
+from repro.core.location import ExpiryHeap, LocationDirectory
 from repro.experiments.ext_scaling import ColumnarScaleParams, run_columnar_scale
 from repro.experiments.manifest import (
     ManifestError,
@@ -25,23 +23,18 @@ from repro.experiments.manifest import (
     validate_manifest,
 )
 from repro.net.address import NetworkAddress
-from repro.overlay import OVERLAY_NAMES, KeySpace, make_overlay
-from repro.overlay.state import StatePair, StateTable
+from repro.overlay import KeySpace, make_overlay
 from repro.sim import RngStreams
 from repro.sim.columnar import (
     ColumnarDirectory,
-    ExpiryHeap,
     ScaleShardParams,
-    StatePairColumns,
     expand_holders,
-    ldt_fanout,
     merge_shard_results,
     mix64,
     replica_offsets,
     ring_nearest,
     run_scale_shard,
     run_traffic_shard,
-    snapshot_checksum,
     TrafficMixParams,
 )
 from repro.sim.telemetry import Telemetry
@@ -100,26 +93,6 @@ class TestKernels:
             for n in range(count, count + 5):
                 assert len({int(o) % n for o in offs}) == count
 
-    def test_ldt_fanout_matches_build_ldt(self):
-        sizes, roots, members = [], [], []
-        expected = []
-        for size in (1, 2, 3, 7, 20, 64):
-            for cap in (1, 2, 3, 8, 15):
-                registry = [
-                    LDTMember(key=i + 1, capacity=cap) for i in range(size)
-                ]
-                tree = build_ldt(LDTMember(key=0, capacity=cap), registry)
-                sizes.append(size)
-                roots.append(cap)
-                members.append(cap)
-                expected.append((tree.message_count, tree.depth))
-        msgs, depth = ldt_fanout(
-            np.asarray(sizes, dtype=np.int64),
-            np.asarray(roots, dtype=np.int64),
-            np.asarray(members, dtype=np.int64),
-        )
-        assert list(zip(msgs.tolist(), depth.tolist())) == expected
-
     def test_mix64_deterministic_and_salted(self):
         keys = np.arange(1000, dtype=np.uint64)
         a = mix64(keys, 5)
@@ -167,123 +140,84 @@ class TestExpiryHeap:
 
 
 # ----------------------------------------------------------------------
-# Directory parity: randomized interleavings, all five overlays
+# Directory parity: randomized interleavings against the object directory
 # ----------------------------------------------------------------------
-def _build_pair(space, name: str, seed: int, members: int = 48):
+def _build_pair(space, seed: int, members: int = 48):
+    """The object directory on a ring-nearest overlay (Pastry — the owner
+    rule array mode implements) and the array directory over the same
+    stationary keys."""
     rng = RngStreams(seed)
-    keys = sorted(int(k) for k in space.random_keys(rng, f"members|{name}", members))
-    ov = make_overlay(name, space)
+    keys = sorted(int(k) for k in space.random_keys(rng, "members", members))
+    ov = make_overlay("pastry", space)
     ov.build(keys)
     oracle = LocationDirectory(space, ov, replication=3)
-    columnar = ColumnarDirectory(space, ov, replication=3)
-    return ov, oracle, columnar
-
-
-def _assert_same_state(oracle, columnar, ov, now):
-    assert columnar.snapshot() == oracle.snapshot()
-    assert snapshot_checksum(list(columnar.snapshot())) == snapshot_checksum(
-        list(oracle.snapshot())
+    columnar = ColumnarDirectory(
+        space, stationary_keys=np.asarray(keys, dtype=np.uint64), replication=3
     )
-    # The oracle keeps empty per-holder dicts for holders that lost all
-    # records; the columnar store reports live holders only.
-    oracle_load = {h: c for h, c in oracle.holder_load().items() if c}
-    assert columnar.holder_load() == oracle_load
-    for h in list(oracle_load)[:5]:
-        o_recs = oracle.records_at(h)
-        c_recs = columnar.records_at(h)
-        assert sorted(c_recs) == sorted(o_recs)
-        for k in o_recs:
-            assert c_recs[k].addr == o_recs[k].addr
-            assert c_recs[k].published_at == o_recs[k].published_at
+    return oracle, columnar
 
 
-@pytest.mark.parametrize("overlay_name", OVERLAY_NAMES)
-def test_directory_parity_randomized(space, overlay_name):
-    ov, oracle, columnar = _build_pair(space, overlay_name, seed=321)
-    gen = np.random.default_rng(99)
-    population = [int(k) for k in gen.integers(0, 1 << 32, size=120, dtype=np.uint64)]
-    now = 0.0
-    for step in range(250):
-        now += float(gen.uniform(0.0, 4.0))
-        op = int(gen.integers(0, 6))
-        if op == 0:
-            k = population[int(gen.integers(len(population)))]
-            a = addr(gen)
-            ttl = float(gen.uniform(5.0, 40.0))
-            assert columnar.publish(k, a, now=now, ttl=ttl) == oracle.publish(
-                k, a, now=now, ttl=ttl
-            )
-        elif op == 1:
-            count = int(gen.integers(1, 12))
-            picks = gen.choice(len(population), size=count, replace=False)
-            updates = {population[int(i)]: addr(gen) for i in picks}
-            ttl = float(gen.uniform(5.0, 40.0))
-            got = columnar.publish_many(updates, now=now, ttl=ttl)
-            want = oracle.publish_many(updates, now=now, ttl=ttl)
-            assert got.holders == want.holders
-            assert got.holder_batches == want.holder_batches
-            assert got.message_count == want.message_count
-        elif op == 2:
-            k = population[int(gen.integers(len(population)))]
-            assert columnar.withdraw(k) == oracle.withdraw(k)
-        elif op == 3:
-            assert columnar.expire_leases(now) == oracle.expire_leases(now)
-        elif op == 4:
-            k = population[int(gen.integers(len(population)))]
-            assert columnar.resolve(k, now) == oracle.resolve(k, now)
-            h = oracle.holders_for(k)[0]
-            assert columnar.resolve_at(h, k, now) == oracle.resolve_at(h, k, now)
-        else:
-            assert columnar.holders_for_many(population[:7]) == oracle.holders_for_many(
-                population[:7]
-            )
-        if step % 25 == 0:
-            _assert_same_state(oracle, columnar, ov, now)
-    _assert_same_state(oracle, columnar, ov, now)
-    assert columnar.publish_count == oracle.publish_count
-    assert columnar.batch_publish_count == oracle.batch_publish_count
+def _publish_both(oracle, columnar, keys, gen, now, ttl) -> None:
+    """One ``publish_batch`` of ``keys`` at random addresses, mirrored as
+    per-key publishes on the oracle (``ttl`` scalar or per-key)."""
+    router = gen.integers(0, 1 << 16, size=keys.size)
+    port = gen.integers(0, 1 << 16, size=keys.size)
+    epoch = gen.integers(0, 8, size=keys.size)
+    written = columnar.publish_batch(keys, router, port, epoch, now, ttl)
+    ttls = np.broadcast_to(ttl, keys.shape)
+    holders = 0
+    for i, k in enumerate(keys):
+        a = NetworkAddress(router=int(router[i]), port=int(port[i]), epoch=int(epoch[i]))
+        holders += len(oracle.publish(int(k), a, now=now, ttl=float(ttls[i])))
+    assert written == holders
 
 
-def test_directory_parity_through_rebalance(space):
-    ov, oracle, columnar = _build_pair(space, "chord", seed=77)
-    gen = np.random.default_rng(7)
-    population = [int(k) for k in gen.integers(0, 1 << 32, size=60, dtype=np.uint64)]
-    for k in population:
-        a = addr(gen)
-        oracle.publish(k, a, now=1.0, ttl=30.0)
-        columnar.publish(k, a, now=1.0, ttl=30.0)
-    # Stationary churn: add + drop members, then rebalance both stores
-    # against the surviving keys at a time where some leases lapsed.
-    ov.add_node(123456789)
-    ov.remove_node(ov.keys_list()[0] if hasattr(ov, "keys_list") else int(ov.keys[0]))
-    live = population[:40]
-    oracle.rebalance_after_membership_change(live, now=20.0)
-    columnar.rebalance_after_membership_change(live, now=20.0)
-    assert columnar.snapshot() == oracle.snapshot()
-    oracle_load = {h: c for h, c in oracle.holder_load().items() if c}
-    assert columnar.holder_load() == oracle_load
-
-
-def test_resolve_array_matches_scalar(space):
-    ov, oracle, columnar = _build_pair(space, "pastry", seed=13)
-    gen = np.random.default_rng(5)
-    population = np.unique(gen.integers(0, 1 << 32, size=80, dtype=np.uint64))
-    for k in population[:50]:
-        a = addr(gen)
-        oracle.publish(int(k), a, now=0.0, ttl=15.0)
-        columnar.publish(int(k), a, now=0.0, ttl=15.0)
-    hit, router, port, epoch = columnar.resolve_array(population, 10.0)
-    for i, k in enumerate(population):
-        want = oracle.resolve(int(k), 10.0)
-        if want is None:
-            assert not hit[i]
-        else:
-            assert hit[i]
+def _assert_resolves_alike(oracle, columnar, keys, now) -> None:
+    hit, router, port, epoch = columnar.resolve_array(keys, now)
+    for i, k in enumerate(keys):
+        want = oracle.resolve(int(k), now)
+        assert bool(hit[i]) == (want is not None)
+        if want is not None:
             assert (int(router[i]), int(port[i]), int(epoch[i])) == (
                 want.router,
                 want.port,
                 want.epoch,
             )
+
+
+def test_array_directory_parity_randomized(space):
+    oracle, columnar = _build_pair(space, seed=321)
+    gen = np.random.default_rng(99)
+    population = np.unique(gen.integers(0, 1 << 32, size=120, dtype=np.uint64))
+    now = 0.0
+    for _ in range(250):
+        now += float(gen.uniform(0.0, 4.0))
+        op = int(gen.integers(0, 4))
+        batch = gen.choice(population, size=int(gen.integers(1, 12)), replace=False)
+        if op == 0:
+            ttl = gen.uniform(5.0, 40.0, size=batch.size if gen.random() < 0.5 else None)
+            _publish_both(oracle, columnar, batch, gen, now, ttl)
+        elif op == 1:
+            removed = sum(oracle.withdraw(int(k)) for k in batch)
+            assert columnar.withdraw_many(batch) == removed
+        elif op == 2:
+            assert columnar.expire_leases(now) == oracle.expire_leases(now)
+        else:
+            _assert_resolves_alike(oracle, columnar, population, now)
+        assert tuple(columnar.store.snapshot_rows()) == oracle.snapshot()
+    assert columnar.publish_count == oracle.publish_count
+    assert columnar.resolve_count == oracle.resolve_count
+
+
+def test_resolve_array_matches_scalar(space):
+    oracle, columnar = _build_pair(space, seed=13)
+    gen = np.random.default_rng(5)
+    population = np.unique(gen.integers(0, 1 << 32, size=80, dtype=np.uint64))
+    _publish_both(oracle, columnar, population[:50], gen, now=0.0, ttl=15.0)
+    _assert_resolves_alike(oracle, columnar, population, 10.0)
+    # Past the lease every stored record is a miss, exactly as the
+    # unpublished keys are.
+    assert not columnar.resolve_array(population, 15.5)[0].any()
 
 
 # ----------------------------------------------------------------------
@@ -383,118 +317,6 @@ class TestTrafficMix:
             run_traffic_shard(
                 TrafficMixParams(shard=3, shards=3, **self.PARAMS)
             )
-
-
-# ----------------------------------------------------------------------
-# State-pair columns bridge
-# ----------------------------------------------------------------------
-class TestStatePairColumns:
-    def _table(self, space, owner: int, seed: int) -> StateTable:
-        gen = np.random.default_rng(seed)
-        table = StateTable(space, owner)
-        for k in gen.integers(1, 1 << 32, size=25, dtype=np.uint64):
-            if int(k) == owner:
-                continue
-            a = None if gen.uniform() < 0.3 else addr(gen)
-            table.insert(
-                StatePair(
-                    key=int(k),
-                    addr=a,
-                    ttl=float(gen.uniform(5.0, 50.0)),
-                    refreshed_at=float(gen.uniform(0.0, 10.0)),
-                    capacity=float(gen.integers(1, 9)),
-                )
-            )
-        return table
-
-    def test_round_trip(self, space):
-        table = self._table(space, owner=42, seed=3)
-        cols = table.to_columns()
-        restored = StateTable(space, 42)
-        assert restored.load_columns(cols) == len(table)
-        assert [
-            (p.key, p.addr, p.ttl, p.refreshed_at, p.capacity) for p in restored
-        ] == [(p.key, p.addr, p.ttl, p.refreshed_at, p.capacity) for p in table]
-
-    def test_columnar_expiry_matches_object_sweep(self, space):
-        tables = {o: self._table(space, o, seed=o) for o in (7, 8, 9)}
-        cols = StatePairColumns.from_tables(tables)
-        now = 30.0
-        survivors = cols.expire(now)
-        for o, table in tables.items():
-            table.expire(now)
-            check = StateTable(space, o)
-            check.load_columns(survivors)
-            assert check.keys() == table.keys()
-
-    def test_registry_sizes(self, space):
-        tables = {o: self._table(space, o, seed=11) for o in (5, 6)}
-        cols = StatePairColumns.from_tables(tables)
-        sizes = cols.registry_sizes()
-        # Both tables were drawn from the same seed, so every key is
-        # referenced by both registrants.
-        assert set(sizes.values()) == {2}
-
-    def test_refresh_keys_bulk(self, space):
-        table = self._table(space, owner=4, seed=6)
-        cols = table.to_columns()
-        keys = cols.key[:5].copy()
-        assert cols.refresh_keys(keys, now=100.0) == 5
-        # Un-refreshed pairs (refreshed <= 10, ttl <= 50) all lapse by
-        # t=101; the five renewed ones (ttl >= 5) all survive.
-        survivors = cols.expire(101.0)
-        assert len(survivors) == 5
-        assert sorted(survivors.key.tolist()) == sorted(keys.tolist())
-
-
-# ----------------------------------------------------------------------
-# Network-level backend switch + shared multicast accounting
-# ----------------------------------------------------------------------
-class TestColumnarBackend:
-    def _nets(self):
-        nets = []
-        for columnar in (False, True):
-            cfg = BristleConfig(seed=23, naming="clustered", columnar_directory=columnar)
-            nets.append(
-                BristleNetwork(cfg, num_stationary=50, num_mobile=30, router_count=100)
-            )
-        return nets
-
-    def test_backend_selected_by_config(self):
-        obj_net, col_net = self._nets()
-        assert isinstance(obj_net.directory, LocationDirectory)
-        assert isinstance(col_net.directory, ColumnarDirectory)
-
-    def test_network_parity_and_multicast_accounting(self):
-        obj_net, col_net = self._nets()
-        group = obj_net.mobile_keys[:8]
-        r_obj = obj_net.move_many(group)
-        r_col = col_net.move_many(group)
-        assert r_col.publish.holder_batches == r_obj.publish.holder_batches
-        assert r_col.total_messages == r_obj.total_messages
-        assert r_col.multicast_hops == r_obj.multicast_hops
-        assert r_obj.multicast_hops > 0
-        assert obj_net.directory.snapshot() == col_net.directory.snapshot()
-        src = obj_net.stationary_keys[0]
-        for mk in group[:3]:
-            assert (
-                obj_net.discover(src, mk).found == col_net.discover(src, mk).found
-            )
-
-    def test_shared_multicast_hops_accounting(self):
-        obj_net, _ = self._nets()
-        ov = obj_net.stationary_layer
-        holders = obj_net.directory.holders_for_many(obj_net.mobile_keys[:6])
-        distinct = sorted({h for hs in holders.values() for h in hs})
-        entry = ov.owner_of(obj_net.mobile_keys[0])
-        shared = shared_multicast_hops(ov, distinct, entry=entry)
-        per_holder = sum(ov.route(entry, h).hop_count for h in distinct)
-        assert shared >= 0
-        # One traversal plus near-neighbour legs never exceeds one full
-        # traversal per holder.
-        assert shared <= max(per_holder, len(distinct))
-        assert shared == shared_multicast_hops(ov, distinct, entry=entry)
-        assert shared_multicast_hops(ov, [], entry=entry) == 0
 
 
 # ----------------------------------------------------------------------

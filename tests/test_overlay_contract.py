@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.overlay import make_overlay
+from repro.overlay import KeySpace, make_overlay
 from repro.overlay.factory import OVERLAY_NAMES
 from repro.sim import RngStreams
 
@@ -280,3 +280,40 @@ class TestChurnSequenceParity:
                 assert ov.owner_of(t) == fresh.owner_of(t), (
                     f"stale memoised owner for target {t} after event {i}"
                 )
+
+
+class TestWideKeyChurnRepair:
+    """Keys above 2**53 do not survive a trip through float64: a scalar
+    ``np.searchsorted(uint64_keys, python_int)`` converts both sides and
+    misplaces members that sit closer together than the float spacing.
+    Incremental join/leave repair must still equal a from-scratch build
+    on a ring with such a cluster."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("bits,digit_bits", [(60, 4), (63, 7)])
+    @pytest.mark.parametrize("name", ["chord", "pastry"])
+    def test_join_leave_matches_rebuild(self, name, bits, digit_bits, seed):
+        space = KeySpace(bits=bits, digit_bits=digit_bits)
+        gen = np.random.default_rng(seed)
+        # 44 keys inside one 2**(bits-50)-wide window (float64 resolves
+        # 2**(bits-52) there) plus 24 spread over the whole ring.
+        base = (1 << (bits - 1)) + (1 << (bits - 3))
+        window = 1 << (bits - 50)
+        cluster = [base + int(o) for o in gen.choice(window, size=44, replace=False)]
+        spread = {int(k) for k in gen.integers(0, space.size, size=24, dtype=np.uint64)}
+        members = sorted(spread | set(cluster[:24]))
+        joiners = cluster[24:]
+        ov = build(name, space, list(members))
+        for event in range(20):
+            if event % 2 == 0:
+                newcomer = joiners.pop()
+                ov.add_node(newcomer)
+                members.append(newcomer)
+                members.sort()
+            else:
+                present = [k for k in cluster if k in members]
+                victim = present[int(gen.integers(len(present)))]
+                members.remove(victim)
+                ov.remove_node(victim)
+            fresh = build(name, space, list(members))
+            _assert_same_state(ov, fresh, space, RngStreams(seed), routes=10)
