@@ -71,7 +71,7 @@ class TypeAHSP2P:
     ) -> None:
         self.space = space
         self.rng = rng
-        self.oracle = PathOracle(topology.graph)
+        self.oracle = PathOracle(topology.graph, domain_of=topology.router_domain)
         self.placement = Placement(topology, rng)
         #: host id → current key
         self.key_of: Dict[int, int] = dict(host_keys)

@@ -61,7 +61,7 @@ class TypeBMobileIPHSP2P:
     ) -> None:
         self.space = space
         self.rng = rng
-        self.oracle = PathOracle(topology.graph)
+        self.oracle = PathOracle(topology.graph, domain_of=topology.router_domain)
         self.placement = Placement(topology, rng)
         self.key_of: Dict[int, int] = dict(host_keys)
         self.host_of: Dict[int, int] = {k: h for h, k in host_keys.items()}

@@ -240,7 +240,7 @@ class BristleNetwork:
                 topology = generate_transit_stub(
                     params_for_router_count(routers), self.rng
                 )
-            self.oracle = PathOracle(topology.graph)
+            self.oracle = PathOracle(topology.graph, domain_of=topology.router_domain)
         self.topology = topology
         self.underlay = underlay
         self.placement = Placement(topology, self.rng)

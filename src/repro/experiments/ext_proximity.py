@@ -48,7 +48,7 @@ def run_proximity_routing(
     rng = RngStreams(p.seed)
     space = KeySpace()
     topo = generate_transit_stub(params_for_router_count(p.router_count), rng)
-    oracle = PathOracle(topo.graph)
+    oracle = PathOracle(topo.graph, domain_of=topo.router_domain)
     placement = Placement(topo, rng)
     keys = [int(k) for k in space.random_keys(rng, "keys", p.num_nodes)]
     for k in keys:

@@ -86,7 +86,7 @@ def build_underlay(seed: int, router_count: int) -> UnderlayBundle:
         seed=seed,
         router_count=router_count,
         topology=topology,
-        oracle=PathOracle(topology.graph),
+        oracle=PathOracle(topology.graph, domain_of=topology.router_domain),
     )
 
 
@@ -167,7 +167,9 @@ def shared_underlay_cache() -> UnderlayCache:
 
 
 #: Counters that accumulate monotonically and therefore difference cleanly.
-_DELTA_KEYS = ("hits", "misses", "evictions", "dijkstra_runs", "batch_calls")
+_DELTA_KEYS = (
+    "hits", "misses", "evictions", "dijkstra_runs", "batch_calls", "segment_fills",
+)
 
 
 def cache_stats_delta(

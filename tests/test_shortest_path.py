@@ -3,10 +3,18 @@ cross-validation against networkx."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import Graph, PathOracle, dijkstra_csr, reconstruct_path
-from repro.net.transit_stub import TransitStubParams, generate_transit_stub
+from repro.net.transit_stub import (
+    TransitStubParams,
+    generate_transit_stub,
+    params_for_router_count,
+)
 from repro.sim import RngStreams
+
+from .oracles.paths import FullRowOracle
 
 
 def line_graph(n: int) -> Graph:
@@ -100,6 +108,13 @@ class TestPathOracle:
         assert oracle.dijkstra_runs == 1
         oracle.distance(7, 2)  # symmetric reuse of source 2
         assert oracle.dijkstra_runs == 1
+        # Predecessors are computed on first use; that is not a new source
+        # and leaves the distances as they were.
+        before = oracle.distance(2, 30)
+        assert oracle.path(2, 30)
+        assert oracle.dijkstra_runs == 1
+        assert oracle.distance(2, 30) == before
+        assert list(oracle._parent_cache) == [2]
 
     def test_cache_eviction_bound(self, graph):
         oracle = PathOracle(graph, max_cached_sources=2)
@@ -213,6 +228,14 @@ class TestLRUPromotion:
             assert p, "transit-stub graph is connected"
         assert set(oracle._dist_cache) == set(oracle._parent_cache)
         assert oracle.cached_sources <= 2
+        # Distance queries hold no predecessors, and a source evicted by
+        # them takes its predecessors along.
+        oracle.distance(10, 11)
+        assert len(oracle._parent_cache) == 1
+        assert set(oracle._parent_cache) < set(oracle._dist_cache)
+        oracle.distance(12, 13)
+        assert not oracle._parent_cache
+        assert oracle.cached_sources == 2
 
     def test_bound_must_be_positive(self, graph):
         with pytest.raises(ValueError):
@@ -360,3 +383,287 @@ class TestBackendParity:
                     assert pf[0] == ps[0] == s and pf[-1] == ps[-1] == t
                     assert path_cost(pf) == pytest.approx(path_cost(ps))
                     assert path_cost(pf) == pytest.approx(fast.distance(s, t))
+
+
+class TestVertexRange:
+    """Vertex ids outside ``[0, n)`` raise instead of wrapping around
+    (``row[-1]`` is the last vertex) or caching a phantom source."""
+
+    @pytest.fixture
+    def oracle(self):
+        topo = generate_transit_stub(TransitStubParams(), RngStreams(5))
+        return PathOracle(topo.graph, domain_of=topo.router_domain)
+
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_every_query_rejects_it(self, oracle, bad):
+        n = oracle.graph.num_vertices
+        bad = min(bad, n)
+        for call in (
+            lambda: oracle.distance(0, bad),
+            lambda: oracle.distance(bad, 0),
+            lambda: oracle.route_costs([(0, 1), (0, bad)]),
+            lambda: oracle.route_costs([(bad, 0)]),
+            lambda: oracle.distances_many([0, bad]),
+            lambda: oracle.prewarm([bad]),
+            lambda: oracle.distances_from(bad),
+            lambda: oracle.path(0, bad),
+            lambda: oracle.path(bad, 0),
+            lambda: oracle.hop_count(bad, 0),
+        ):
+            with pytest.raises(IndexError, match="out of range"):
+                call()
+        assert bad not in oracle._dist_cache
+        assert not oracle._parent_cache
+
+    def test_last_vertex_is_still_reachable(self, oracle):
+        n = oracle.graph.num_vertices
+        assert oracle.distance(0, n - 1) == dijkstra_csr(oracle.graph, 0)[0][n - 1]
+
+
+class TestRouteCostsGather:
+    def test_ten_thousand_pairs_over_two_thousand_sources(self):
+        """One gather prices what the per-pair loop priced: same values,
+        same sources charged (the symmetry swap), same counters."""
+        n = 2048
+        gen = np.random.default_rng(15)
+        g = Graph()
+        g.add_vertices(n)
+        for i in range(n):
+            g.add_edge(i, (i + 1) % n, float(gen.uniform(1.0, 4.0)))
+        for a, b in gen.integers(0, n, size=(n, 2)).tolist():
+            if a != b and not g.has_edge(a, b):
+                g.add_edge(a, b, float(gen.uniform(1.0, 9.0)))
+        g.freeze()
+        pool = gen.choice(n, size=2000, replace=False)
+        us = gen.permutation(np.concatenate([pool, gen.choice(pool, size=8000)]))
+        pairs = np.stack([us, gen.integers(0, n, size=10_000)], axis=1).tolist()
+        oracle = PathOracle(g)
+        model = FullRowOracle(g, row=PathOracle(g).distances_from)
+        # Some second endpoints are cached beforehand, so their pairs swap.
+        for _, v in pairs[:40]:
+            assert oracle.distance(v, 0) == model.distance(v, 0)
+        costs = oracle.route_costs(pairs)
+        assert np.array_equal(costs, model.route_costs(pairs))
+        assert oracle.batch_calls == 1
+        assert {k: oracle.cache_stats()[k] for k in model.counters()} == model.counters()
+        assert list(oracle._dist_cache) == list(model.cached)
+        assert oracle.cached_sources > 1950  # a few pool sources were swapped away
+
+
+def _weighted(n, edges):
+    g = Graph()
+    g.add_vertices(n)
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    g.freeze()
+    return g
+
+
+class TestDomainHint:
+    """The domain map is a hint: the oracle keeps a domain only when the
+    arcs show it hangs off the core by exactly one edge."""
+
+    # 0-1-2 core triangle; {3, 4} hangs off 0; {5, 6} hangs off 2.
+    EDGES = [
+        (0, 1, 1.0), (1, 2, 2.0), (0, 2, 2.5),
+        (3, 4, 1.5), (3, 0, 4.0),
+        (5, 6, 0.5), (6, 2, 3.0),
+    ]
+    HINT = [-1, -1, -1, 7, 7, 2, 2]
+
+    def pieces(self, edges, hint, n=7):
+        g = _weighted(n, edges)
+        oracle = PathOracle(g, domain_of=np.asarray(hint))
+        for s in range(n):
+            want = dijkstra_csr(g, s)[0]
+            got = [PathOracle(g, domain_of=np.asarray(hint)).distance(s, t) for t in range(n)]
+            assert got == list(want)
+            assert np.array_equal(oracle.distances_from(s), want)
+        return len(oracle._pieces) - 1
+
+    def test_pendant_domains_are_kept(self):
+        assert self.pieces(self.EDGES, self.HINT) == 2
+
+    def test_multi_homed_domain_is_core(self):
+        assert self.pieces(self.EDGES + [(4, 1, 1.0)], self.HINT) == 1
+
+    def test_wrong_member_demotes_its_domain(self):
+        hint = list(self.HINT)
+        hint[1] = 7  # a core router hinted into domain 7
+        assert self.pieces(self.EDGES, hint) == 1
+
+    def test_domains_hanging_off_each_other_are_core(self):
+        edges = [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 2.0), (3, 4, 1.0)]
+        assert self.pieces(edges, [-1, -1, 0, 0, 1, 1], n=6) == 0
+
+    def test_domain_behind_a_demoted_domain_is_kept(self):
+        # {3, 4} is multi-homed, so it is core — and {5, 6} hangs off it.
+        edges = [
+            (0, 1, 1.0), (1, 2, 2.0),
+            (3, 4, 1.5), (3, 0, 4.0), (4, 1, 1.0),
+            (5, 6, 0.5), (5, 4, 3.0),
+        ]
+        assert self.pieces(edges, self.HINT) == 1
+
+    def test_detached_domain_is_core_and_unreachable(self):
+        edges = [e for e in self.EDGES if e != (6, 2, 3.0)]
+        assert self.pieces(edges, self.HINT) == 1
+        oracle = PathOracle(_weighted(7, edges), domain_of=np.asarray(self.HINT))
+        assert oracle.distance(0, 5) == np.inf
+        assert oracle.distance(3, 6) == np.inf
+
+    def test_no_hint_is_one_core(self):
+        g = _weighted(7, self.EDGES)
+        oracle = PathOracle(g)
+        assert len(oracle._pieces) == 1
+        assert oracle.distance(4, 6) == dijkstra_csr(g, 4)[0][6]
+
+    @pytest.mark.parametrize("hint", [[0, 1], [0.0] * 7, [[-1] * 7]])
+    def test_malformed_hint_rejected(self, hint):
+        with pytest.raises(ValueError, match="domain_of"):
+            PathOracle(_weighted(7, self.EDGES), domain_of=np.asarray(hint))
+
+
+_INT_WEIGHTS = st.integers(1, 3).map(float)
+_FLOAT_WEIGHTS = st.floats(0.125, 16.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pendant_cases(draw):
+    """A core plus hinted domains — pendant, chained behind another
+    domain, multi-homed or detached, members not always connected, ids
+    shuffled, labels arbitrary, sometimes one vertex mislabelled — and a
+    sequence of oracle calls on it."""
+    weight = draw(st.sampled_from((_INT_WEIGHTS, _FLOAT_WEIGHTS)))
+    sizes = [draw(st.integers(1, 8))] + draw(st.lists(st.integers(1, 8), max_size=6))
+    n = sum(sizes)
+    ids = list(draw(st.permutations(range(n))))
+    groups = [ids[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+    edges = {}
+
+    def connect(a, b):
+        if a != b:
+            edges[min(a, b), max(a, b)] = draw(weight)
+
+    for group in groups:
+        if draw(st.booleans()):
+            for a, b in zip(group, group[1:]):
+                connect(a, b)
+        member = st.sampled_from(group)
+        for a, b in draw(st.lists(st.tuples(member, member), max_size=2 * len(group))):
+            connect(a, b)
+    labels = draw(
+        st.lists(st.integers(0, 40), min_size=len(groups) - 1, max_size=len(groups) - 1, unique=True)
+    )
+    hint = np.full(n, draw(st.sampled_from((-1, -7))), dtype=np.int64)
+    for label, group in zip(labels, groups[1:]):
+        hint[group] = label
+        outside = st.sampled_from(sorted(set(ids) - set(group)))
+        kind = draw(st.sampled_from(("pendant", "pendant", "chained", "multi-homed", "detached")))
+        if kind == "pendant":
+            connect(draw(st.sampled_from(group)), draw(st.sampled_from(groups[0])))
+        elif kind != "detached":
+            for _ in range(1 if kind == "chained" else 2):
+                connect(draw(st.sampled_from(group)), draw(outside))
+    if labels and draw(st.booleans()):
+        hint[draw(st.integers(0, n - 1))] = draw(st.sampled_from(labels + [-1]))
+    vertex = st.integers(0, n - 1)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("distance"), vertex, vertex),
+                st.tuples(st.just("distance"), vertex, vertex),  # twice as likely
+                st.tuples(st.just("route_costs"), st.lists(st.tuples(vertex, vertex), max_size=6)),
+                st.tuples(st.just("prewarm"), st.lists(vertex, max_size=4)),
+                st.tuples(st.just("distances_from"), vertex),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return _weighted(n, [(u, v, w) for (u, v), w in edges.items()]), hint, ops
+
+
+class TestDomainLazyParity:
+    """Whatever part of a row the oracle computes, every value equals the
+    full ``dijkstra_csr`` row's, and hits, misses, evictions, runs and LRU
+    order are those of an oracle that keeps full rows."""
+
+    @pytest.mark.parametrize("use_scipy", [True, False])
+    @given(case=pendant_cases(), bound=st.sampled_from((None, 1, 2)))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_rows(self, use_scipy, case, bound):
+        graph, hint, ops = case
+        oracle = PathOracle(
+            graph, max_cached_sources=bound, use_scipy=use_scipy, domain_of=hint
+        )
+        model = FullRowOracle(graph, max_cached_sources=bound)
+        for name, *args in ops:
+            got = getattr(oracle, name)(*args)
+            want = getattr(model, name)(*args)
+            assert np.array_equal(got, want), (name, args)
+        stats = oracle.cache_stats()
+        assert {k: stats[k] for k in model.counters()} == model.counters()
+        assert list(oracle._dist_cache) == list(model.cached)
+        everyone = list(range(graph.num_vertices))
+        assert np.array_equal(
+            oracle.distances_many(everyone), np.stack([model.row(s) for s in everyone])
+        )
+
+    @given(case=pendant_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gateway_and_core_targets_from_every_source(self, case):
+        """Every (source, target) pair on a fresh oracle each: core sources,
+        gateways as targets, unreachable domains."""
+        graph, hint, _ = case
+        n = graph.num_vertices
+        for s in range(n):
+            oracle = PathOracle(graph, domain_of=hint)
+            want = dijkstra_csr(graph, s)[0]
+            assert [oracle.distance(s, t) for t in range(n)] == list(want)
+            assert oracle.dijkstra_runs == min(n - 1, 1)
+
+
+class TestFullSizeParity:
+    """The benchmark's 7504-router underlay, both benchmark seeds."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def topo(self, request):
+        return generate_transit_stub(
+            params_for_router_count(7500), RngStreams(request.param)
+        )
+
+    def test_random_pairs_equal_full_rows(self, topo):
+        sparse = pytest.importorskip("scipy.sparse")
+        g = topo.graph
+        n = g.num_vertices
+        indptr, indices, weights = g.csr()
+        matrix = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
+        model = FullRowOracle(
+            g,
+            row=lambda s: sparse.csgraph.dijkstra(matrix, directed=False, indices=s),
+        )
+        oracle = PathOracle(g, domain_of=topo.router_domain)
+        assert len(oracle._pieces) == 1 + len(topo.domains)
+        gen = np.random.default_rng(n)
+        pool = gen.choice(n, size=120, replace=False)
+        us = gen.choice(pool, size=3000)
+        vs = np.where(
+            gen.random(3000) < 0.3, gen.choice(pool, size=3000), gen.integers(0, n, size=3000)
+        )
+        for u, v in zip(us.tolist(), vs.tolist()):
+            assert oracle.distance(u, v) == model.distance(u, v)
+        stats = oracle.cache_stats()
+        assert {k: stats[k] for k in model.counters()} == model.counters()
+        assert stats["segment_fills"] > 0
+
+    def test_cold_cost_does_not_grow_with_router_count(self, topo):
+        oracle = PathOracle(topo.graph, domain_of=topo.router_domain)
+        ends = np.random.default_rng(7).choice(topo.num_routers, size=400, replace=False)
+        for u, v in ends.reshape(200, 2).tolist():
+            oracle.distance(u, v)
+        assert oracle.dijkstra_runs == 200
+        largest = max(len(members) for members in topo.domains.values())
+        skeleton = len(topo.transit_routers) + len(topo.domains)
+        assert oracle.dijkstra_vertices <= 200 * 2 * (largest + skeleton)
+        assert oracle.dijkstra_vertices < 200 * topo.num_routers // 10
