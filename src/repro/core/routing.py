@@ -51,25 +51,26 @@ def _record_route_telemetry(
     m.histogram("route.resolutions").observe(trace.resolutions)
     if not trace.success:
         m.counter("route.failures").inc()
+    # One pass over the hops feeds the detour breakdown and the ledger.
+    detour_cost = 0.0
+    detour_hops = 0
+    forwarders: List[int] = []
+    holders: List[int] = []
+    for r in trace.records:
+        forwarders.append(r.src)
+        if r.kind != "direct":
+            detour_cost += r.cost
+            detour_hops += 1
+            if r.kind == "deliver":
+                holders.append(r.src)
     if trace.resolutions:
-        detour_cost = 0.0
-        detour_hops = 0
-        for r in trace.records:
-            if r.kind != "direct":
-                detour_cost += r.cost
-                detour_hops += 1
         m.histogram("discovery.detour_cost").observe(detour_cost)
         m.histogram("discovery.detour_hops").observe(detour_hops)
     ledger = net.telemetry.nodeload
-    if trace.records:
-        ledger.add_many("routed", (r.src for r in trace.records))
-        if trace.success:
-            ledger.add("terminated", trace.records[-1].dst)
-        for r in trace.records:
-            if r.kind == "deliver":
-                ledger.add("detour", r.src)
-    elif trace.success:
-        ledger.add("terminated", trace.source)
+    ledger.add_many("routed", forwarders)
+    if trace.success:
+        ledger.add("terminated", trace.records[-1].dst if forwarders else trace.source)
+    ledger.add_many("detour", holders)
     if span_id:
         net.telemetry.tracer.span_end(
             net.now,
@@ -135,6 +136,48 @@ class RouteTrace:
         return [[r.src, r.dst, r.kind, r.cost] for r in self.records]
 
 
+def _address_is_stale(
+    net: BristleNetwork, key: int, p_stale: float, stale_stream: str
+) -> bool:
+    """Whether the cached address of next hop ``key`` needs resolution:
+    never for a stationary node, else with probability ``p_stale`` (one
+    draw from ``stale_stream`` unless the answer is certain)."""
+    return (
+        net.is_mobile(key)
+        and p_stale > 0.0
+        and (p_stale >= 1.0 or net.rng.random(stale_stream) < p_stale)
+    )
+
+
+def _detour(net: BristleNetwork, records: List["HopRecord"], a: int, b: int) -> None:
+    """Append the discovery detour for the stale hop ``a → b``:
+    a → entry → ... → holder Z → b  (Fig 2's ``_discovery`` plus Z
+    forwarding the packet to the destination, §2.2: "Once Z determines the
+    network address of k ... it forwards the message to the destination
+    node Y")."""
+    dist = net.network_distance_between_keys
+    stationary = net.stationary_layer
+    entry = stationary.owner_of(a) if net.is_mobile(a) else a
+    if entry != a:
+        records.append(HopRecord(a, entry, "inject", dist(a, entry)))
+    stat_hops = stationary.route(entry, b).hops
+    for sa, sb in zip(stat_hops, stat_hops[1:]):
+        records.append(HopRecord(sa, sb, "stationary", dist(sa, sb)))
+    holder = stat_hops[-1]
+    net.resolution_load[holder] = net.resolution_load.get(holder, 0) + 1
+    records.append(HopRecord(holder, b, "deliver", dist(holder, b)))
+    tracer = net.telemetry.tracer
+    if tracer.enabled:
+        tracer.emit(
+            net.now,
+            "discovery.detour",
+            at=a,
+            next_hop=b,
+            holder=holder,
+            stationary_hops=len(stat_hops) - 1,
+        )
+
+
 def route_with_resolution(
     net: BristleNetwork,
     source: int,
@@ -174,48 +217,13 @@ def route_with_resolution(
     records: List[HopRecord] = []
     resolutions = 0
     dist = net.network_distance_between_keys
-
-    for a, b in zip(overlay_route.hops, overlay_route.hops[1:]):
-        needs_resolution = (
-            net.is_mobile(b)
-            and p_stale > 0.0
-            and (p_stale >= 1.0 or net.rng.random(stale_stream) < p_stale)
-        )
-        if not needs_resolution:
-            records.append(HopRecord(src=a, dst=b, kind="direct", cost=dist(a, b)))
-            continue
-
-        resolutions += 1
-        # Discovery detour: a → entry → ... → holder Z → b  (Fig 2's
-        # _discovery plus Z forwarding the packet to the destination,
-        # §2.2: "Once Z determines the network address of k ... it
-        # forwards the message to the destination node Y").
-        entry = (
-            a if not net.is_mobile(a) else net.stationary_layer.owner_of(a)
-        )
-        if entry != a:
-            records.append(
-                HopRecord(src=a, dst=entry, kind="inject", cost=dist(a, entry))
-            )
-        stat_route = net.stationary_layer.route(entry, b)
-        for sa, sb in zip(stat_route.hops, stat_route.hops[1:]):
-            records.append(
-                HopRecord(src=sa, dst=sb, kind="stationary", cost=dist(sa, sb))
-            )
-        holder = stat_route.terminus
-        net.resolution_load[holder] = net.resolution_load.get(holder, 0) + 1
-        records.append(
-            HopRecord(src=holder, dst=b, kind="deliver", cost=dist(holder, b))
-        )
-        if tracer.enabled:
-            tracer.emit(
-                net.now,
-                "discovery.detour",
-                at=a,
-                next_hop=b,
-                holder=holder,
-                stationary_hops=len(stat_route.hops) - 1,
-            )
+    hops = overlay_route.hops
+    for a, b in zip(hops, hops[1:]):
+        if _address_is_stale(net, b, p_stale, stale_stream):
+            resolutions += 1
+            _detour(net, records, a, b)
+        else:
+            records.append(HopRecord(a, b, "direct", dist(a, b)))
 
     return _record_route_telemetry(
         net,
@@ -301,49 +309,11 @@ def route_preferring_resolved(
                         break
                 if nxt is None:
                     break
-        needs_resolution = (
-            net.is_mobile(nxt)
-            and p_stale > 0.0
-            and (p_stale >= 1.0 or net.rng.random(stale_stream) < p_stale)
-        )
-        if needs_resolution:
+        if _address_is_stale(net, nxt, p_stale, stale_stream):
             resolutions += 1
-            entry = (
-                current
-                if not net.is_mobile(current)
-                else net.stationary_layer.owner_of(current)
-            )
-            if entry != current:
-                records.append(
-                    HopRecord(src=current, dst=entry, kind="inject", cost=dist(current, entry))
-                )
-            stat_route = net.stationary_layer.route(entry, nxt)
-            for sa, sb in zip(stat_route.hops, stat_route.hops[1:]):
-                records.append(
-                    HopRecord(src=sa, dst=sb, kind="stationary", cost=dist(sa, sb))
-                )
-            net.resolution_load[stat_route.terminus] = (
-                net.resolution_load.get(stat_route.terminus, 0) + 1
-            )
-            records.append(
-                HopRecord(
-                    src=stat_route.terminus, dst=nxt, kind="deliver",
-                    cost=dist(stat_route.terminus, nxt),
-                )
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    net.now,
-                    "discovery.detour",
-                    at=current,
-                    next_hop=nxt,
-                    holder=stat_route.terminus,
-                    stationary_hops=len(stat_route.hops) - 1,
-                )
+            _detour(net, records, current, nxt)
         else:
-            records.append(
-                HopRecord(src=current, dst=nxt, kind="direct", cost=dist(current, nxt))
-            )
+            records.append(HopRecord(current, nxt, "direct", dist(current, nxt)))
         seen.add(nxt)
         current = nxt
         if len(seen) > overlay.MAX_ROUTE_HOPS:

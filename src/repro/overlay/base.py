@@ -81,8 +81,9 @@ class Overlay(abc.ABC):
     """Base class for hash-structured overlays.
 
     Subclasses populate per-node routing state in :meth:`_build_node` and
-    pick the next hop in :meth:`next_hop`; the shared :meth:`route` loop,
-    membership bookkeeping and owner resolution live here.
+    pick the next hop in :meth:`_hop`; the shared :meth:`route` loop with
+    its per-hop guards, membership bookkeeping and owner resolution live
+    here.
     """
 
     #: Guard against routing loops; honest overlays of 2^20 nodes route in
@@ -90,8 +91,8 @@ class Overlay(abc.ABC):
     MAX_ROUTE_HOPS = 512
 
     #: Cap on the owner-resolution memo (cleared wholesale when full).
-    #: Ownership is a pure function of the member set, and routing asks for
-    #: the same owner ~5 times per hop; membership changes evict only the
+    #: Ownership is a pure function of the member set and lookups repeat
+    #: targets (every node key is one); membership changes evict only the
     #: entries the change can actually divert (:meth:`_invalidate_owner_memo_add`
     #: / :meth:`_invalidate_owner_memo_remove`).
     OWNER_MEMO_MAX = 1 << 17
@@ -294,35 +295,50 @@ class Overlay(abc.ABC):
         return self.space.nearest_key(self._keys, key)
 
     def progress_key(self, node: int, target: int):
-        """Totally-ordered progress measure; strictly decreases per hop.
+        """Totally-ordered progress measure; strictly decreases per hop
+        (see :meth:`_progress` for each overlay's measure)."""
+        return self._progress(node, target, self.owner_of(target))
 
-        The default (ring distance, key) suits numeric-closeness overlays;
-        Chord overrides with clockwise distance, prefix overlays with
-        (digit mismatch, ring distance).
+    def next_hop(self, current: int, target: int) -> Optional[int]:
+        """The neighbour of ``current`` to forward toward ``target``.
+
+        A member key whose :meth:`progress_key` toward ``target`` is
+        strictly smaller than ``current``'s (or, in the prefix overlays'
+        leaf-set delivery mode, one ring-closer to the owner); ``None``
+        at the owner or when no such neighbour is known.  Raises
+        ``KeyError`` when ``current`` is not a member.
         """
-        return (self.space.ring_distance(node, target), node)
+        owner = self.owner_of(target)
+        if current == owner:
+            return None
+        return self._hop(current, target, owner)
 
     def route(self, source: int, target: int) -> RouteResult:
         """Greedily route from member ``source`` toward key ``target``.
 
-        Returns the hop sequence ending at the owner of ``target``.  Raises
-        :class:`RoutingError` on a loop or dead end (which indicates a bug
-        in the overlay's state — greedy routing on correct state always
-        terminates).
+        Returns the hop sequence ending at the owner of ``target``.  The
+        owner is resolved once and handed to the overlay's hop kernel;
+        every hop it proposes is checked here (member, unvisited, closer)
+        and a violation raises :class:`RoutingError` / ``KeyError`` — it
+        indicates a bug in the overlay's state, greedy routing on correct
+        state always terminates at the owner.
         """
-        if not self.is_member(source):
+        if source not in self._member_set:
             raise ValueError(f"source {source} is not a member")
         self.space.validate(target)
         owner = self.owner_of(target)
         hops = [source]
+        hop, progress = self._hop, self._progress
+        ring_distance = self.space.ring_distance
         current = source
+        current_pk = progress(source, target, owner)
         seen = {source}
         while current != owner:
-            nxt = self.next_hop(current, target)
+            nxt = hop(current, target, owner)
             if nxt is None:
-                # No strictly-closer neighbour: greedy termination. Correct
-                # overlays only hit this at the owner; elsewhere it's a gap.
-                return RouteResult(target=target, hops=hops, success=current == owner)
+                # A dead end short of the owner (a gap in the routing
+                # state): the route ends here, unsuccessfully.
+                return RouteResult(target=target, hops=hops, success=False)
             if nxt in seen:
                 raise RoutingError(
                     f"routing loop at node {nxt} while targeting {target}"
@@ -330,18 +346,16 @@ class Overlay(abc.ABC):
             # A hop must make progress: either by the overlay's own measure
             # (prefix/clockwise) or by ring distance toward the owner (the
             # leaf-set delivery mode of prefix overlays).
-            progressed = self.progress_key(nxt, target) < self.progress_key(
-                current, target
-            ) or self.space.ring_distance(nxt, owner) < self.space.ring_distance(
-                current, owner
-            )
-            if not progressed:
+            nxt_pk = progress(nxt, target, owner)
+            if not nxt_pk < current_pk and not ring_distance(
+                nxt, owner
+            ) < ring_distance(current, owner):
                 raise RoutingError(
                     f"non-monotone hop {current}->{nxt} targeting {target}"
                 )
             hops.append(nxt)
             seen.add(nxt)
-            current = nxt
+            current, current_pk = nxt, nxt_pk
             if len(hops) > self.MAX_ROUTE_HOPS:
                 raise RoutingError(f"route exceeded {self.MAX_ROUTE_HOPS} hops")
         return RouteResult(target=target, hops=hops, success=True)
@@ -350,13 +364,17 @@ class Overlay(abc.ABC):
     # Subclass interface
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def next_hop(self, current: int, target: int) -> Optional[int]:
-        """The neighbour of ``current`` to forward toward ``target``.
+    def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
+        """The hop kernel behind :meth:`next_hop` and :meth:`route`.
 
-        Must return a member key whose :meth:`progress_key` toward
-        ``target`` is strictly smaller than ``current``'s, or ``None`` when
-        no such neighbour is known (routing terminates).
+        Called with ``owner == owner_of(target)`` already resolved and
+        ``current != owner``; must raise ``KeyError`` when ``current`` has
+        no routing state.
         """
+
+    @abc.abstractmethod
+    def _progress(self, node: int, target: int, owner: int):
+        """The measure behind :meth:`progress_key`, owner resolved."""
 
     @abc.abstractmethod
     def neighbors_of(self, key: int) -> List[int]:

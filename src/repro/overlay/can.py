@@ -535,11 +535,11 @@ class CANOverlay(Overlay):
             node = node.lo if point[node.axis] < node.mid else node.hi
         return node.owner
 
-    def progress_key(self, node: int, target: int):
+    def _progress(self, node: int, target: int, owner: int):
         """(zone L1 distance to the target point, key)."""
         return (self.zone_distance(node, self.point_of(target)), node)
 
-    def next_hop(self, current: int, target: int) -> Optional[int]:
+    def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
         """Face neighbour strictly closer to the target point."""
         if current not in self._zone_boxes:
             raise KeyError(f"{current} is not a member")

@@ -7,10 +7,16 @@ by ``successor(k)`` — the first member key clockwise at-or-after ``k``.
 Routing forwards to the closest *preceding* finger, so the clockwise
 distance to the target strictly decreases each hop, giving the familiar
 ``O(log N)`` bound.
+
+Routing only ever asks a node one thing — "which of my neighbours sits
+furthest clockwise without passing the owner?" — so a node's fingers and
+successor list are kept as **one row**: the clockwise offsets of all of
+them, deduplicated and ascending.  The question is then one ``bisect``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -38,11 +44,16 @@ class ChordOverlay(Overlay):
         if successor_list_size < 1:
             raise ValueError("successor_list_size must be >= 1")
         self.successor_list_size = successor_list_size
-        self._fingers: Dict[int, List[int]] = {}
-        self._successors: Dict[int, List[int]] = {}
+        #: member -> ascending clockwise offsets of its fingers ∪ successor
+        #: list (neighbour key = ``(member + offset) mod ρ``).  The first
+        #: ``successor_list_size`` entries are the successor list (the
+        #: nearest members), and ``finger[i]`` is the first entry
+        #: ``>= 2**i`` — both are views of the row, not separate state.
+        self._rows: Dict[int, List[int]] = {}
+        self._mask = space.size - 1
         # Finger-start offsets 2**i, precomputed for the vectorised build.
         # uint64 arithmetic holds key + 2**i without overflow up to 63 bits;
-        # wider rings fall back to the scalar per-finger path.
+        # wider rings compute the starts with Python integers.
         self._finger_steps: Optional[np.ndarray] = (
             np.array([1 << i for i in range(space.bits)], dtype=np.uint64)
             if space.bits <= 63
@@ -56,84 +67,70 @@ class ChordOverlay(Overlay):
         """Chord stores key k at successor(k)."""
         return self.space.successor_key(self._keys, key)
 
-    def progress_key(self, node: int, target: int):
+    def _progress(self, node: int, target: int, owner: int):
         """(clockwise distance to the owner, key)."""
         # Clockwise distance from node to the *owner* (successor of target):
         # the quantity Chord's closest-preceding-finger rule strictly
         # decreases.  Measuring to the owner rather than the raw target key
         # keeps the final hop (onto the successor, which sits at-or-after
         # the target) monotone as well.
-        return (self.space.clockwise_distance(node, self.owner_of(target)), node)
+        return ((owner - node) & self._mask, node)
 
     # ------------------------------------------------------------------
     # State construction
     # ------------------------------------------------------------------
     def _reset_state(self) -> None:
-        self._fingers.clear()
-        self._successors.clear()
+        self._rows.clear()
 
-    def _build_all(self) -> None:
-        """Every member's fingers and successor list in one pass.
+    def _finger_positions(self, own: np.ndarray) -> np.ndarray:
+        """Insertion points in the member array of ``own[j] + 2**i``, one
+        line per member, ``i`` ascending (``n`` where the start lies past
+        the last member, i.e. wraps to the first)."""
+        if self._finger_steps is not None:
+            starts = (own[:, None] + self._finger_steps) & np.uint64(self._mask)
+        else:
+            starts = np.array(
+                [[(k + (1 << i)) & self._mask for i in range(self.space.bits)]
+                 for k in own.tolist()],
+                dtype=np.uint64,
+            )
+        return np.searchsorted(self._keys, starts)
 
-        One 2-D ``searchsorted`` over ``keys[:, None] + 2**i`` replaces the
-        per-node kernels of :meth:`_build_node` (kept for churn repair and
-        as the parity reference); successor lists are index arithmetic on
-        the sorted ring.
-        """
-        if self._finger_steps is None:
-            super()._build_all()
-            return
+    def _build_rows(self, positions: np.ndarray) -> None:
+        """(Re)build the rows of the members at sorted ``positions``, all
+        at once: one 2-D ``searchsorted`` for the fingers, index
+        arithmetic for the successor lists, one line-wise sort and one
+        filter."""
         keys = self._keys
         n = keys.size
-        starts = (keys[:, None] + self._finger_steps) % np.uint64(self.space.size)
-        idx = np.searchsorted(keys, starts) % n
-        # Finger starts sweep clockwise from the node, so their successors
-        # never step backwards and the node itself can only close the row:
-        # "not self, not the previous candidate" is the scalar path's filter.
-        own = np.arange(n)[:, None]
-        keep = idx != own
-        keep[:, 1:] &= idx[:, 1:] != idx[:, :-1]
-        flat = keys[idx[keep]].tolist()
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        members = keys.tolist()
+        own = keys[positions]
+        ranks = np.arange(1, min(self.successor_list_size, n - 1) + 1)
+        neighbours = np.concatenate(
+            [self._finger_positions(own), positions[:, None] + ranks], axis=1
+        )
+        neighbours %= n
+        offsets = keys[neighbours]
+        offsets -= own[:, None]
+        offsets &= np.uint64(self._mask)
+        offsets.sort(axis=1)
+        # Drop repeats, and the 0 of a finger start that wraps all the way
+        # round to the member itself.
+        keep = offsets != 0
+        keep[:, 1:] &= offsets[:, 1:] != offsets[:, :-1]
+        flat = offsets[keep].tolist()
         begin = 0
-        for key, end in zip(members, ends):
-            self._fingers[key] = flat[begin:end]
+        for key, end in zip(own.tolist(), np.cumsum(keep.sum(axis=1)).tolist()):
+            self._rows[key] = flat[begin:end]
             begin = end
-        hops = np.arange(1, min(self.successor_list_size, n - 1) + 1)
-        succ = keys[(own + hops) % n].tolist()
-        self._successors.update(zip(members, succ))
+
+    def _position_of(self, members: List[int]) -> np.ndarray:
+        return np.searchsorted(self._keys, np.array(members, dtype=np.uint64))
+
+    def _build_all(self) -> None:
+        self._build_rows(np.arange(self._key_count))
 
     def _build_node(self, key: int) -> None:
-        size = self.space.size
-        fingers: List[int] = []
-        last = None
-        if self._finger_steps is not None:
-            # One batched searchsorted for all m finger starts instead of m
-            # scalar successor_key calls; candidate order (ascending i) and
-            # the consecutive-duplicate filter match the scalar path exactly.
-            starts = (np.uint64(key) + self._finger_steps) % np.uint64(size)
-            idx = np.searchsorted(self._keys, starts) % self._keys.size
-            for f in self._keys[idx].tolist():
-                f = int(f)
-                if f != key and f != last:
-                    fingers.append(f)
-                    last = f
-        else:
-            for i in range(self.space.bits):
-                start = (key + (1 << i)) % size
-                f = self.space.successor_key(self._keys, start)
-                if f != key and f != last:
-                    fingers.append(f)
-                    last = f
-        self._fingers[key] = fingers
-        # Successor list: the next r members clockwise.
-        idx = int(np.searchsorted(self._keys, np.uint64(key)))
-        n = self._keys.size
-        succs = []
-        for j in range(1, min(self.successor_list_size, n - 1) + 1):
-            succs.append(int(self._keys[(idx + j) % n]))
-        self._successors[key] = succs
+        self._build_rows(self._position_of([key]))
 
     def _keys_in_cw_interval(self, a: int, b: int) -> List[int]:
         """Member keys in the clockwise half-open interval (a, b].
@@ -167,10 +164,7 @@ class ChordOverlay(Overlay):
         n = keys.size
         # Predecessor in the *current* membership (key itself may or may
         # not be present; both callers arrange the membership first).
-        if self.is_member(key):
-            pred = int(keys[(idx - 1) % n])
-        else:
-            pred = int(keys[(idx - 1) % n]) if idx > 0 else int(keys[-1])
+        pred = int(keys[(idx - 1) % n])
         affected = set()
         for i in range(self.space.bits):
             step = 1 << i
@@ -184,22 +178,18 @@ class ChordOverlay(Overlay):
         return sorted(affected)
 
     def _on_add(self, key: int) -> None:
-        # Exact targeted repair: build the newcomer's state, then
-        # recompute precisely the members whose fingers/successors the
-        # newcomer takes over.  The contract tests assert equivalence
-        # with a from-scratch oracle build.
-        self._build_node(key)
+        # Exact targeted repair: the newcomer's row, and those of precisely
+        # the members whose fingers/successors the newcomer takes over.
+        # The contract tests assert equivalence with a from-scratch build.
         affected = self._affected_by(key)
-        for member in affected:
-            self._build_node(member)
+        self._build_rows(self._position_of([key, *affected]))
         self._record_repair(len(affected) + 1)
 
     def _on_remove(self, key: int) -> None:
-        self._fingers.pop(key, None)
-        self._successors.pop(key, None)
+        self._rows.pop(key, None)
         affected = self._affected_by(key)
-        for member in affected:
-            self._build_node(member)
+        if affected:
+            self._build_rows(self._position_of(affected))
         self._record_repair(len(affected))
 
     # ------------------------------------------------------------------
@@ -207,31 +197,22 @@ class ChordOverlay(Overlay):
     # ------------------------------------------------------------------
     def successor(self, key: int) -> int:
         """The immediate successor member of member ``key``."""
-        succs = self._successors.get(key)
-        if not succs:
+        row = self._rows.get(key)
+        if not row:
             raise KeyError(f"{key} is not a member or overlay is trivial")
-        return succs[0]
+        return (key + row[0]) & self._mask
 
-    def next_hop(self, current: int, target: int) -> Optional[int]:
-        """Closest preceding finger toward the owner."""
-        if current not in self._fingers:
+    def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
+        """Closest preceding finger: the neighbour furthest clockwise that
+        does not pass the owner (never overshoot)."""
+        row = self._rows.get(current)
+        if row is None:
             raise KeyError(f"{current} is not a member")
-        owner = self.owner_of(target)
-        if current == owner:
-            return None
-        # Closest preceding finger: the neighbour with the largest clockwise
-        # position still strictly before the owner (never overshoot).
-        best: Optional[int] = None
-        best_cw = -1
-        my_cw_owner = self.space.clockwise_distance(current, owner)
-        for f in self._fingers[current] + self._successors[current]:
-            cw = self.space.clockwise_distance(current, f)
-            if 0 < cw <= my_cw_owner and cw > best_cw:
-                best, best_cw = f, cw
-        return best
+        i = bisect_right(row, (owner - current) & self._mask)
+        return (current + row[i - 1]) & self._mask if i else None
 
     def neighbors_of(self, key: int) -> List[int]:
         """Fingers plus successor list, deduplicated."""
-        if key not in self._fingers:
+        if key not in self._rows:
             raise KeyError(f"{key} is not a member")
-        return sorted(set(self._fingers[key]) | set(self._successors[key]))
+        return sorted((key + offset) & self._mask for offset in self._rows[key])

@@ -43,6 +43,12 @@ class KeySpace:
 
     bits: int = 32
     digit_bits: int = 4
+    #: Ring size ρ = 2**bits.
+    size: int = dataclasses.field(init=False, repr=False, compare=False)
+    #: Number of base-``2**digit_bits`` digits in a key.
+    num_digits: int = dataclasses.field(init=False, repr=False, compare=False)
+    #: The digit alphabet size ``2**digit_bits``.
+    digit_base: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits <= 0 or self.bits > 160:
@@ -51,24 +57,10 @@ class KeySpace:
             raise ValueError(
                 f"digit_bits ({self.digit_bits}) must divide bits ({self.bits})"
             )
-
-    # ------------------------------------------------------------------
-    # Basic properties
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Ring size ρ = 2**bits."""
-        return 1 << self.bits
-
-    @property
-    def num_digits(self) -> int:
-        """Number of base-``2**digit_bits`` digits in a key."""
-        return self.bits // self.digit_bits
-
-    @property
-    def digit_base(self) -> int:
-        """The digit alphabet size ``2**digit_bits``."""
-        return 1 << self.digit_bits
+        # Derived once: routing reads these several times per hop.
+        object.__setattr__(self, "size", 1 << self.bits)
+        object.__setattr__(self, "num_digits", self.bits // self.digit_bits)
+        object.__setattr__(self, "digit_base", 1 << self.digit_bits)
 
     def contains(self, key: int) -> bool:
         """True when ``key`` is a valid identifier."""
@@ -188,13 +180,17 @@ class KeySpace:
         ``sorted_keys`` must be an ascending array of valid keys.  Ties
         break toward the numerically smaller key, deterministically.
         """
-        if sorted_keys.size == 0:
+        n = sorted_keys.size
+        if n == 0:
             raise ValueError("empty key array")
         idx = int(np.searchsorted(sorted_keys, np.uint64(target)))
-        n = sorted_keys.size
-        candidates = {sorted_keys[idx % n], sorted_keys[(idx - 1) % n]}
-        best = min(candidates, key=lambda k: (self.ring_distance(int(k), target), int(k)))
-        return int(best)
+        above = int(sorted_keys[idx % n])
+        below = int(sorted_keys[idx - 1])
+        d_above = self.ring_distance(above, target)
+        d_below = self.ring_distance(below, target)
+        if d_above != d_below:
+            return above if d_above < d_below else below
+        return min(above, below)
 
     def successor_key(self, sorted_keys: np.ndarray, target: int) -> int:
         """First key clockwise at-or-after ``target`` (Chord's successor)."""

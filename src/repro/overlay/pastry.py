@@ -11,10 +11,14 @@ Each node keeps:
 A key is owned by the ring-nearest member.  Each routing step either
 lengthens the shared prefix with the target or (within the leaf set)
 shrinks numeric distance, giving ``O(log_{2^b} N)`` hops.
+
+A table is stored as ``{row * 2**b + digit: member}`` — routing asks it
+for exactly one slot per hop, computed with two shifts and a mask.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -52,7 +56,9 @@ class PastryOverlay(Overlay):
         if leaf_set_size < 2 or leaf_set_size % 2 != 0:
             raise ValueError("leaf_set_size must be an even integer >= 2")
         self.leaf_set_size = leaf_set_size
-        self._table: Dict[int, Dict[Tuple[int, int], int]] = {}
+        #: member -> {slot: member}, slot = ``row * digit_base + digit``
+        self._table: Dict[int, Dict[int, int]] = {}
+        #: member -> its leaf set, ascending
         self._leaves: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -76,7 +82,7 @@ class PastryOverlay(Overlay):
             leaves.append(int(self._keys[(idx - j) % n]))  # counter-clockwise
         return sorted(set(leaves) - {key})
 
-    def _compute_table(self, key: int) -> Dict[Tuple[int, int], int]:
+    def _compute_table(self, key: int) -> Dict[int, int]:
         """Routing table rows for ``key``.
 
         For every (row, digit) slot we scan the members sharing exactly the
@@ -84,15 +90,15 @@ class PastryOverlay(Overlay):
         each member lands in exactly one slot (its first digit of
         difference from ``key``).
         """
-        table: Dict[Tuple[int, int], int] = {}
+        table: Dict[int, int] = {}
+        base = self.space.digit_base
         # candidates[slot] -> chosen member (resolve ties by proximity or key)
         for other in self._keys:
             o = int(other)
             if o == key:
                 continue
             row = self.space.shared_prefix_length(key, o)
-            col = self.space.digit(o, row)
-            slot = (row, col)
+            slot = row * base + self.space.digit(o, row)
             cur = table.get(slot)
             if cur is None or self._slot_prefer(key, o, cur):
                 table[slot] = o
@@ -171,7 +177,7 @@ class PastryOverlay(Overlay):
         keys = self._keys
         n = int(keys.size)
         kl = keys.tolist()
-        tables: Dict[int, Dict[Tuple[int, int], int]] = {k: {} for k in kl}
+        tables: Dict[int, Dict[int, int]] = {k: {} for k in kl}
         b = np.uint64(self.space.digit_bits)
         digit_mask = np.uint64(self.space.digit_base - 1)
         for row in range(self.space.num_digits):
@@ -180,7 +186,7 @@ class PastryOverlay(Overlay):
             if nblocks == 1:
                 continue  # every member shares this row's digit: no entries
             parents = codes >> b
-            cols = (codes & digit_mask).astype(np.int64)
+            slots = (codes & digit_mask).astype(np.int64) + (row << int(b))
             # contiguous runs of blocks under the same parent prefix
             pchange = np.flatnonzero(parents[1:] != parents[:-1]) + 1
             gstarts = np.concatenate([np.zeros(1, dtype=np.int64), pchange])
@@ -208,10 +214,9 @@ class PastryOverlay(Overlay):
             pair_block = pair_block[~own]
             winners = self._bulk_pair_winners(keys, starts, ends, pair_node, pair_block)
             node_keys = keys[pair_node].tolist()
-            col_list = cols[pair_block].tolist()
-            winner_list = winners.tolist()
-            for nk, col, win in zip(node_keys, col_list, winner_list):
-                tables[nk][(row, col)] = win
+            slot_list = slots[pair_block].tolist()
+            for nk, slot, win in zip(node_keys, slot_list, winners.tolist()):
+                tables[nk][slot] = win
         self._table.update(tables)
 
     # ------------------------------------------------------------------
@@ -230,6 +235,13 @@ class PastryOverlay(Overlay):
                 out.add(k)
         return sorted(out)
 
+    def _slots_facing(self, key: int) -> List[int]:
+        """Per member, in member order: the slot of its table that ``key``
+        competes for — ``(spl(member, key), digit(key, spl))``."""
+        spl = _prefix.shared_prefix_lengths(self.space, self._keys, key)
+        cols = _prefix.digits_at(self.space, np.uint64(key), spl)
+        return (spl * self.space.digit_base + cols.astype(np.int64)).tolist()
+
     def _on_add(self, key: int) -> None:
         if not self._vectorisable():
             super()._on_add(key)
@@ -246,13 +258,10 @@ class PastryOverlay(Overlay):
         # 3. Tables: the newcomer challenges exactly one slot per member —
         #    (spl(member, key), digit(key, spl)).  The slot rule is a total
         #    order, so winner-vs-challenger equals a fresh argmin.
-        spl = _prefix.shared_prefix_lengths(self.space, keys, key)
-        cols = _prefix.digits_at(self.space, np.uint64(key), spl)
         repaired = set(touched)
-        for member, row, col in zip(keys.tolist(), spl.tolist(), cols.tolist()):
+        for member, slot in zip(keys.tolist(), self._slots_facing(key)):
             if member == key:
                 continue
-            slot = (int(row), int(col))
             table = self._table[member]
             cur = table.get(slot)
             if cur is None or self._slot_prefer(member, key, cur):
@@ -289,26 +298,24 @@ class PastryOverlay(Overlay):
         # 2. Tables: only slots that referenced the departed key change, and
         #    every member referencing it at row r draws replacements from the
         #    same block — the members sharing the key's first r+1 digits.
-        spl = _prefix.shared_prefix_lengths(self.space, keys, key)
-        cols = _prefix.digits_at(self.space, np.uint64(key), spl)
         block_range: Dict[int, Tuple[int, int]] = {}
         winner_cache: Dict[int, int] = {}
         repaired = set(touched)
-        for member, row, col in zip(keys.tolist(), spl.tolist(), cols.tolist()):
-            slot = (int(row), int(col))
+        for member, slot in zip(keys.tolist(), self._slots_facing(key)):
             table = self._table[member]
             if table.get(slot) != key:
                 continue
-            rng = block_range.get(int(row))
+            row = slot >> self.space.digit_bits
+            rng = block_range.get(row)
             if rng is None:
-                rng = _prefix.prefix_block_range(self.space, keys, key, int(row))
-                block_range[int(row)] = rng
+                rng = _prefix.prefix_block_range(self.space, keys, key, row)
+                block_range[row] = rng
             lo, hi = rng
             if hi <= lo:
                 del table[slot]
             else:
                 table[slot] = self._repair_slot_winner(
-                    member, int(row), lo, hi, winner_cache
+                    member, row, lo, hi, winner_cache
                 )
             repaired.add(member)
         self._record_repair(len(repaired))
@@ -316,61 +323,89 @@ class PastryOverlay(Overlay):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def progress_key(self, node: int, target: int):
-        """(digit mismatch depth, ring distance, key)."""
-        # Lexicographic (digit mismatch depth, ring distance, key): each
-        # Pastry step grows the shared prefix or shrinks numeric distance.
+    def _progress(self, node: int, target: int, owner: int):
+        """(digit mismatch depth, ring distance, key) toward ``target``."""
+        # Lexicographic: each Pastry step grows the shared prefix or
+        # shrinks numeric distance.  The depth is the number of trailing
+        # digits from the first mismatch on: ceil(bit_length(xor) / b).
+        b = self.space.digit_bits
         return (
-            self.space.num_digits - self.space.shared_prefix_length(node, target),
+            ((node ^ target).bit_length() + b - 1) // b,
             self.space.ring_distance(node, target),
             node,
         )
 
-    def next_hop(self, current: int, target: int) -> Optional[int]:
-        """Leaf-set delivery, else the routing-table prefix entry."""
-        if current not in self._table:
+    def _slot_toward(self, current: int, key: int) -> int:
+        """The slot of ``current``'s table for members sharing one more
+        digit with ``key`` than ``current`` does (``current != key``)."""
+        space = self.space
+        b = space.digit_bits
+        row = (space.bits - (current ^ key).bit_length()) // b
+        digit = (key >> (space.bits - b * (row + 1))) & (space.digit_base - 1)
+        return (row << b) | digit
+
+    def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
+        """Leaf-set delivery, else the routing-table prefix entry.
+
+        1. The owner is a leaf: deliver.  (It is the ring-closest member
+           overall, so it is the best leaf exactly when it is a leaf.)
+        2. The table slot matching one more digit of the target.  A slot
+           ``(row, d)`` only ever holds members sharing ``row`` digits with
+           ``current`` and digit ``d`` next, so on exact tables the entry
+           is strictly closer by prefix: nothing to check.
+        3. That slot is empty, i.e. no member at all shares ``row + 1``
+           digits with the target — how most routes end (the population
+           only fills about ``log_{2^b} N`` digits) and most hops toward a
+           key outside the populated range: the known node closest by
+           (prefix, ring distance, key), if one beats ``current``.
+        4. Leaf-set delivery mode: walk the ring toward the owner through
+           the leaf set.  Exact state never gets here — members between
+           ``current`` and the target win step 2 or 3, and once they run
+           out the owner is ``current``'s ring neighbour, delivered to by
+           step 1 even across an aligned digit boundary (the route guard
+           accepts that hop by ring distance).  Kept for a leaf set that
+           predates a membership change.
+        """
+        table = self._table.get(current)
+        if table is None:
             raise KeyError(f"{current} is not a member")
-        owner = self.owner_of(target)
-        if current == owner:
-            return None
-        cur_key = self.progress_key(current, target)
-
-        # 1. Leaf set covers the target → jump straight to the best leaf.
         leaves = self._leaves[current]
-        best_leaf: Optional[int] = None
-        for leaf in leaves:
-            if best_leaf is None or self.space.is_closer(leaf, best_leaf, target):
-                best_leaf = leaf
-        if best_leaf is not None and best_leaf == owner:
-            return best_leaf
+        if owner in leaves:
+            return owner
 
-        # 2. Routing table: entry matching one more digit of the target.
-        row = self.space.shared_prefix_length(current, target)
-        col = self.space.digit(target, row)
-        entry = self._table[current].get((row, col))
-        if entry is not None and self.progress_key(entry, target) < cur_key:
+        slot = self._slot_toward(current, target)
+        entry = table.get(slot)
+        if entry is not None:
             return entry
 
-        # 3. Rare case: no exact slot — any known node strictly closer.
-        best: Optional[int] = None
-        best_key = cur_key
-        for cand in list(leaves) + list(self._table[current].values()):
-            pk = self.progress_key(cand, target)
-            if pk < best_key:
-                best, best_key = cand, pk
-        if best is not None:
+        space = self.space
+        b, size = space.digit_bits, space.size
+        mask, half, round_up = size - 1, size >> 1, b - 1
+        best = current
+        best_depth = space.num_digits - (slot >> b)
+        best_dist = space.ring_distance(current, target)
+        for cand in chain(leaves, table.values()):
+            depth = ((cand ^ target).bit_length() + round_up) // b
+            if depth > best_depth:
+                continue
+            dist = (cand - target) & mask
+            if dist > half:
+                dist = size - dist
+            if depth == best_depth and (
+                dist > best_dist or (dist == best_dist and cand >= best)
+            ):
+                continue
+            best, best_depth, best_dist = cand, depth, dist
+        if best != current:
             return best
 
-        # 4. Leaf-set delivery mode: no prefix progress possible (the
-        # numerically-nearest member shares a shorter prefix than we do —
-        # e.g. the owner sits just across an aligned digit boundary).  Walk
-        # the ring toward the owner through the leaf set.
-        cur_ring = self.space.ring_distance(current, owner)
+        nearer: Optional[int] = None
+        best_dist = space.ring_distance(current, owner)
         for leaf in leaves:
-            d = self.space.ring_distance(leaf, owner)
-            if d < cur_ring:
-                best, cur_ring = leaf, d
-        return best
+            dist = space.ring_distance(leaf, owner)
+            if dist < best_dist:
+                nearer, best_dist = leaf, dist
+        return nearer
 
     def neighbors_of(self, key: int) -> List[int]:
         """Leaf set plus routing-table entries, deduplicated."""
@@ -387,4 +422,5 @@ class PastryOverlay(Overlay):
 
     def routing_table(self, key: int) -> Dict[Tuple[int, int], int]:
         """The (row, digit) → member routing table of ``key``."""
-        return dict(self._table[key])
+        base = self.space.digit_base
+        return {divmod(slot, base): m for slot, m in self._table[key].items()}

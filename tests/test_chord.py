@@ -6,6 +6,8 @@ import pytest
 from repro.overlay import ChordOverlay, KeySpace
 from repro.sim import RngStreams
 
+from .oracles.routing import chord_fingers, chord_successors
+
 
 @pytest.fixture
 def chord(space):
@@ -106,15 +108,23 @@ def _assert_bulk_matches_per_node(space, keys, successors=4):
     bulk.build(keys)
     reference = ChordOverlay(space, successor_list_size=successors)
     reference.build(keys, bulk=False)
-    assert bulk._fingers == reference._fingers
-    assert list(bulk._fingers) == list(reference._fingers)
-    assert bulk._successors == reference._successors
+    assert bulk._rows == reference._rows
+    assert list(bulk._rows) == list(reference._rows)
+    # ... and the rows hold exactly the fingers and successors of the
+    # definitions, as clockwise offsets in ascending order.
+    for key, row in bulk._rows.items():
+        successors_of_key = chord_successors(bulk, key)
+        expected = set(chord_fingers(bulk, key)) | set(successors_of_key)
+        assert row == sorted(space.clockwise_distance(key, f) for f in expected)
+        assert bulk.neighbors_of(key) == sorted(expected)
+        if successors_of_key:
+            assert bulk.successor(key) == successors_of_key[0]
     return bulk
 
 
 class TestBulkBuildParity:
     """``_build_all`` must leave exactly the state ``_build_node`` does:
-    same fingers in the same order, same successor lists."""
+    the same row for every member, members in the same order."""
 
     @pytest.mark.parametrize(
         "case", ["random", "duplicates", "wrap-around", "clustered", "pair", "single"]
