@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from ..overlay.keyspace import KeySpace
 from ..sim.rng import RngStreams
 from ..sim.telemetry import Telemetry, active_telemetry
 from .config import BristleConfig
-from .ldt import LDTMember, LDTree, build_ldt, merge_registry_members
+from .ldt import LDTMember, LDTree, build_ldt
 from .ldt_forest import ForestSpec, build_ldt_forest
 from .location import (
     BatchPublishResult,
@@ -311,11 +312,11 @@ class BristleNetwork:
         #: "infrastructure load" counter (comparable to Type B's per-agent
         #: packet counts).
         self.resolution_load: Dict[int, int] = {}
-        # Cached dissemination trees (see :meth:`ldt_for`).  Each entry maps
-        # a mobile key (or a co-hosted key group) to the fingerprint it was
-        # built under plus the tree; a fingerprint mismatch triggers a
-        # rebuild.  Moves never invalidate: trees depend on registries,
-        # capacities and workloads, not addresses.
+        # Dissemination trees kept across waves (see :meth:`_current_ldt`).
+        # Each entry maps a mobile key (or a co-hosted key group) to the
+        # fingerprint it was built under plus the tree; a fingerprint
+        # mismatch triggers a rebuild.  Moves never invalidate: trees
+        # depend on registries, capacities and workloads, not addresses.
         self._ldt_cache: Dict[int, Tuple[tuple, LDTree]] = {}
         self._group_ldt_cache: Dict[Tuple[int, ...], Tuple[tuple, int, LDTree]] = {}
         #: member key → cached groups containing it, so a leave evicts its
@@ -514,7 +515,10 @@ class BristleNetwork:
 
         ldt: Optional[LDTree] = None
         if advertise and node.registry:
-            ldt = self.build_ldt_for(key)
+            # The address never enters Fig 4: the wave reuses the node's
+            # tree while its inputs stand, and is counted all the same.
+            ldt = self._current_ldt(key)[0]
+            self._ldt_metrics(ldt)
         report = MoveReport(
             key=key,
             new_address=new_addr,
@@ -550,42 +554,45 @@ class BristleNetwork:
         self, key: int, *, locality_tie_break: bool = False
     ) -> LDTree:
         """Construct the advertisement tree for mobile node ``key`` from
-        its current registry (Fig 4).
+        its current registry (Fig 4) and count it as one wave.
 
-        Stays on the sequential recursion — this is the parity oracle the
-        forest builder is tested against; batch call sites go through
-        :meth:`build_ldt_for_many`.
+        Always a fresh derivation by the scalar kernel; :meth:`move` and
+        :meth:`ldt_for` keep the tree while its inputs stand, and batch
+        call sites go through :meth:`build_ldt_for_many`.
         """
-        spec = self._ldt_spec_for(key, locality_tie_break=locality_tie_break)
-        tree = build_ldt(
-            spec.root,
-            spec.registry,
-            unit_cost=spec.unit_cost,
-            tie_break=spec.tie_break,
+        tree = self._build_ldt(
+            self._ldt_spec(key, locality_tie_break=locality_tie_break)
         )
         self._ldt_metrics(tree)
         return tree
 
-    def _ldt_spec_for(
-        self, key: int, *, locality_tie_break: bool = False
+    @staticmethod
+    def _build_ldt(spec: ForestSpec) -> LDTree:
+        return build_ldt(
+            spec.root, spec.registry, unit_cost=spec.unit_cost, tie_break=spec.tie_break
+        )
+
+    def _ldt_spec(
+        self,
+        root: int,
+        registrants: Optional[Sequence[int]] = None,
+        *,
+        locality_tie_break: bool = False,
     ) -> ForestSpec:
-        """The Fig-4 inputs of ``key``'s tree as one forest spec."""
-        node = self.nodes[key]
-        root = LDTMember(key=key, capacity=node.capacity, used=node.used)
-        members = [
-            LDTMember(
-                key=e.key,
-                capacity=self.nodes[e.key].capacity,
-                used=self.nodes[e.key].used,
-            )
-            for e in node.registry_entries()
-        ]
+        """The Fig-4 inputs of a wave from ``root`` over ``registrants``
+        (default: its own registry, key-sorted), read from the nodes' live
+        capacities and workloads."""
+        nodes = self.nodes
+        if registrants is None:
+            registrants = sorted(nodes[root].registry)
         tie = None
         if locality_tie_break:
-            tie = lambda m: self.network_distance_between_keys(key, m.key)  # noqa: E731
+            tie = lambda m: self.network_distance_between_keys(root, m.key)  # noqa: E731
         return ForestSpec(
-            root=root,
-            registry=members,
+            root=LDTMember(root, nodes[root].capacity, nodes[root].used),
+            registry=[
+                LDTMember(r, nodes[r].capacity, nodes[r].used) for r in registrants
+            ],
             unit_cost=self.config.unit_advertise_cost,
             tie_break=tie,
         )
@@ -596,15 +603,15 @@ class BristleNetwork:
         """Construct the advertisement trees of many mobile keys in one
         vectorised pass through :func:`build_ldt_forest`.
 
-        Bit-identical to calling :meth:`build_ldt_for` per key (the forest
+        Equal to calling :meth:`build_ldt_for` per key (the forest
         builder's parity guarantee), with the capacity sort and the Fig-4
-        recursion amortised across the whole batch; per-tree telemetry is
+        schedule amortised across the whole batch; per-tree telemetry is
         recorded in ``keys`` order, exactly as the sequential loop would.
         """
         key_list = [int(k) for k in keys]
         forest = build_ldt_forest(
             [
-                self._ldt_spec_for(k, locality_tie_break=locality_tie_break)
+                self._ldt_spec(k, locality_tie_break=locality_tie_break)
                 for k in key_list
             ]
         )
@@ -615,86 +622,92 @@ class BristleNetwork:
             out[key] = tree
         return out
 
-    def ldt_for_many(self, keys: Sequence[int]) -> Dict[int, LDTree]:
-        """Cached batch variant of :meth:`ldt_for`.
-
-        Every key pays the same fingerprint check (and the same
-        ``ldt.cache_hits``/``ldt.cache_misses`` accounting) as the scalar
-        path; the cache misses are then rebuilt together through the
-        forest builder instead of one recursion per key.
-        """
-        m = self.telemetry.metrics
-        out: Dict[int, LDTree] = {}
-        misses: List[int] = []
-        fingerprints: Dict[int, tuple] = {}
-        for key in keys:
-            key = int(key)
-            node = self.nodes[key]
-            fp = (
-                node.ldt_epoch,
-                tuple(self.nodes[r].ldt_epoch for r in sorted(node.registry)),
-            )
-            cached = self._ldt_cache.get(key)
-            if cached is not None and cached[0] == fp:
-                m.counter("ldt.cache_hits").inc()
-                out[key] = cached[1]
-                continue
-            m.counter("ldt.cache_misses").inc()
-            fingerprints[key] = fp
-            misses.append(key)
-        if misses:
-            rebuilt = self.build_ldt_for_many(misses)
-            for key in misses:
-                tree = rebuilt[key]
-                self._ldt_cache[key] = (fingerprints[key], tree)
-                out[key] = tree
-        return out
-
     def _ldt_metrics(self, tree: LDTree) -> None:
+        """Account one advertisement wave over ``tree`` — depth, messages,
+        and the copies each interior node serves (Fig 4 fan-out, charged
+        to the ledger) — from the summary the tree computed once."""
         m = self.telemetry.metrics
         m.counter("ldt.built").inc()
         m.histogram("ldt.depth").observe(tree.depth)
         m.histogram("ldt.messages").observe(tree.message_count)
-        m.histogram("ldt.fanout").observe_many(
-            len(n.children) for n in tree.nodes.values() if n.children
-        )
-        # Ledger: each interior node serves one advertisement copy per
-        # child when this tree disseminates (Fig 4 fan-out served).
-        # Counted once at build time so cached-tree reuse and repeated
-        # waves do not inflate the per-node structural load.
+        m.histogram("ldt.fanout").observe_many(tree.fanouts)
         ledger = self.telemetry.nodeload
-        for n in tree.nodes.values():
-            if n.children:
-                ledger.add("ldt_fanout", n.key, len(n.children))
+        ledger.add_many("ldt_fanout", tree.interior_keys, tree.fanouts)
         if _sanitize.ACTIVE:
             _sanitize.check_ldt(tree, self.config.unit_advertise_cost)
 
-    def ldt_for(self, key: int) -> LDTree:
-        """Cached variant of :meth:`build_ldt_for`.
+    # -- trees kept across waves ----------------------------------------
+    def _ldt_fingerprint(
+        self, roots: Iterable[int], registrants: Iterable[int]
+    ) -> tuple:
+        """Everything a Fig-4 tree from ``roots`` over ``registrants`` is
+        derived from — who is registered, every participant's capacity and
+        workload — as one comparable value.  Addresses and lease timestamps
+        are not in it, so a move or a refresh leaves it equal.
 
-        The tree is re-derived only when its Fig-4 inputs changed: the
-        fingerprint covers the root's ``ldt_epoch`` (registry membership,
-        registrant capacities, own workload) and every current registrant's
-        epoch (their capacity/workload), so a pure movement or timestamp
-        refresh hits the cache.  Periodic refreshers
-        (:class:`~repro.core.statebinding.EarlyBinding`) use this to avoid
-        rebuilding an unchanged tree every period; :meth:`move` keeps
-        building fresh trees so its accounting is self-contained.
+        The values themselves, not a change counter beside them:
+        ``capacity`` and ``used`` are plain attributes that callers assign
+        directly, and a counter is only as good as every writer's
+        discipline.  The price is three ``|R|``-tuples per kept tree.
         """
-        node = self.nodes[key]
-        fp = (
-            node.ldt_epoch,
-            tuple(self.nodes[r].ldt_epoch for r in sorted(node.registry)),
+        nodes = self.nodes
+        audience = tuple(registrants)
+        members = [nodes[k] for k in chain(roots, audience)]
+        return (
+            audience,
+            tuple([n.capacity for n in members]),
+            tuple([n.used for n in members]),
         )
+
+    def _current_ldt(self, key: int) -> Tuple[LDTree, bool]:
+        """``key``'s tree, re-derived only when its fingerprint moved;
+        returns ``(tree, rebuilt)``."""
+        fp = self._ldt_fingerprint((key,), self.nodes[key].registry)
         cached = self._ldt_cache.get(key)
-        m = self.telemetry.metrics
         if cached is not None and cached[0] == fp:
-            m.counter("ldt.cache_hits").inc()
-            return cached[1]
-        m.counter("ldt.cache_misses").inc()
-        tree = self.build_ldt_for(key)
+            return cached[1], False
+        tree = self._build_ldt(self._ldt_spec(key))
         self._ldt_cache[key] = (fp, tree)
+        return tree, True
+
+    def ldt_for(self, key: int) -> LDTree:
+        """``key``'s tree for a periodic refresher, counted once per
+        derivation: :class:`~repro.core.statebinding.EarlyBinding`
+        re-advertises every period over a tree that rarely changes, so
+        unlike :meth:`move` — which shares the cache but accounts every
+        wave — a hit here only bumps ``ldt.cache_hits``."""
+        tree, rebuilt = self._current_ldt(key)
+        outcome = "ldt.cache_misses" if rebuilt else "ldt.cache_hits"
+        self.telemetry.metrics.counter(outcome).inc()
+        if rebuilt:
+            self._ldt_metrics(tree)
         return tree
+
+    def ldt_for_many(self, keys: Sequence[int]) -> Dict[int, LDTree]:
+        """Batch variant of :meth:`ldt_for`.
+
+        Every key pays the same fingerprint check (and the same
+        ``ldt.cache_hits``/``ldt.cache_misses`` accounting) as the scalar
+        path; the misses are then rebuilt together through the forest
+        builder instead of one kernel call per key.
+        """
+        m = self.telemetry.metrics
+        out: Dict[int, LDTree] = {}
+        stale: Dict[int, tuple] = {}
+        for key in map(int, keys):
+            fp = self._ldt_fingerprint((key,), self.nodes[key].registry)
+            cached = self._ldt_cache.get(key)
+            if cached is not None and cached[0] == fp:
+                m.counter("ldt.cache_hits").inc()
+                out[key] = cached[1]
+            else:
+                m.counter("ldt.cache_misses").inc()
+                stale[key] = fp
+        if stale:
+            for key, tree in self.build_ldt_for_many(list(stale)).items():
+                self._ldt_cache[key] = (stale[key], tree)
+                out[key] = tree
+        return out
 
     def build_ldt_for_group(
         self, keys: Sequence[int], *, locality_tie_break: bool = False
@@ -713,36 +726,14 @@ class BristleNetwork:
         if not group:
             raise ValueError("build_ldt_for_group needs at least one key")
         rep = max(group, key=lambda k: (self.nodes[k].available, -k))
-        rep_node = self.nodes[rep]
-        root = LDTMember(key=rep, capacity=rep_node.capacity, used=rep_node.used)
-        members = merge_registry_members(
-            (
-                [
-                    LDTMember(
-                        key=e.key,
-                        capacity=self.nodes[e.key].capacity,
-                        used=self.nodes[e.key].used,
-                    )
-                    for e in self.nodes[k].registry_entries()
-                ]
-                for k in group
-            ),
-            exclude=group,
-        )
-        tie = None
-        if locality_tie_break:
-            tie = lambda m: self.network_distance_between_keys(rep, m.key)  # noqa: E731
-        # A forest of one, bit-identical to build_ldt on the same inputs
-        # and 3-8x slower per tree (docs/performance.md, "Columnar LDT
-        # forest").  It stays because bench_e2e, which this tree may not
-        # edit, requires core.ldt_forest.* spans on the move_many path.
+        # A forest of one: equal to build_ldt on the same inputs, and
+        # what bench_e2e's core.ldt_forest.* spans measure on this path.
         forest = build_ldt_forest(
             [
-                ForestSpec(
-                    root=root,
-                    registry=members,
-                    unit_cost=self.config.unit_advertise_cost,
-                    tie_break=tie,
+                self._ldt_spec(
+                    rep,
+                    self._group_audience(group),
+                    locality_tie_break=locality_tie_break,
                 )
             ]
         )
@@ -750,18 +741,20 @@ class BristleNetwork:
         self._ldt_metrics(tree)
         return rep, tree
 
+    def _group_audience(self, group: Sequence[int]) -> List[int]:
+        """Union of the group's registries, key-sorted; the group's own
+        members are left out — they share the host."""
+        registries = (self.nodes[k].registry for k in group)
+        return sorted(set().union(*registries).difference(group))
+
     def ldt_for_group(self, keys: Sequence[int]) -> Tuple[int, LDTree]:
-        """Cached variant of :meth:`build_ldt_for_group` (same epoch
-        fingerprinting as :meth:`ldt_for`, extended over the group and the
-        union of its registrants)."""
+        """Cached variant of :meth:`build_ldt_for_group` (the fingerprint
+        of :meth:`ldt_for`, extended over the group and the union of its
+        registrants)."""
         group = tuple(sorted({int(k) for k in keys}))
         if not group:
             raise ValueError("ldt_for_group needs at least one key")
-        union = sorted({r for k in group for r in self.nodes[k].registry})
-        fp = (
-            tuple(self.nodes[k].ldt_epoch for k in group),
-            tuple(self.nodes[r].ldt_epoch for r in union),
-        )
+        fp = self._ldt_fingerprint(group, self._group_audience(group))
         cached = self._group_ldt_cache.get(group)
         m = self.telemetry.metrics
         if cached is not None and cached[0] == fp:
@@ -775,7 +768,7 @@ class BristleNetwork:
         return rep, tree
 
     # ------------------------------------------------------------------
-    # Batched mobility (update_many, ROADMAP item 3)
+    # Batched mobility (update_many)
     # ------------------------------------------------------------------
     def move_many(
         self,

@@ -2,9 +2,10 @@
 
 Every mobile node is associated with one LDT whose members are the nodes
 registered to it (§2.3).  When the mobile node moves, its new address is
-multicast down the tree.  The tree is *not* stored — it is the recursion
-structure of the state-advertisement algorithm of Fig 4, re-derived from
-the registry's capacities and workloads at each advertisement:
+multicast down the tree.  In the protocol the tree is *not* stored — it is
+the recursion structure of the state-advertisement algorithm of Fig 4,
+re-derived from the registry's capacities and workloads at each
+advertisement:
 
 1. sort ``R(i)`` by capacity, decreasing;
 2. if the advertising node is overloaded (``Avail_i − v ≤ 0``), hand the
@@ -15,17 +16,32 @@ the registry's capacities and workloads at each advertisement:
    are the ``k`` highest-capacity nodes), send the new address to each
    head together with its partition remainder, and recurse.
 
-The module represents one advertisement wave as an explicit
+The simulator represents one advertisement wave as an explicit, immutable
 :class:`LDTree` so experiments can measure structure (Fig 8a: level
 distribution), load balance (Fig 8b: partition sizes vs capacity) and cost
-(Fig 9: per-edge network cost).
+(Fig 9: per-edge network cost); and since a node's address never enters
+Fig 4, ``BristleNetwork.move`` keeps a tree while its inputs stand.
+
+Why one sort and no recursion reproduce Fig 4 exactly
+-----------------------------------------------------
+Python's ``sorted`` is stable, so after the first sort by
+``(-capacity, secondary)`` every recursive re-sort of a subset is the
+identity, and the pending set handed to any sender is an arithmetic
+progression of positions in that order: round-robin partition ``j`` of the
+progression ``(start a, stride s, count c)`` split ``k`` ways is the
+progression ``(a + j·s, k·s, ⌊(c−j−1)/k⌋ + 1)``, and the overloaded
+delegation is the ``k = 1`` case.  :func:`build_ldt` walks the sorted
+positions once on that identity, :mod:`repro.core.ldt_forest` a whole
+batch of registries one level per array pass; the literal recursion is
+the reference in ``tests/oracles/ldt.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +50,6 @@ __all__ = [
     "LDTNode",
     "LDTree",
     "build_ldt",
-    "merge_registry_members",
     "ldt_depth_bound",
 ]
 
@@ -57,20 +72,16 @@ class LDTMember:
     capacity: float
     used: float = 0.0
 
-    @property
-    def available(self) -> float:
-        return self.capacity - self.used
-
 
 @dataclasses.dataclass
 class LDTNode:
-    """One node's position in a constructed LDT.
+    """One node's position in an LDT, as :attr:`LDTree.nodes` presents it.
 
     ``level`` is 0 for the root (the mobile node); registry members start
     at level 1 — Fig 8(a)'s "level-1 node" is thus the first member tier.
     ``assigned`` is the size of the partition handed to this node
     (including itself), i.e. Fig 8(b)'s "Number of Nodes Assigned";
-    non-head members have ``assigned == 0``.
+    the root has ``assigned == 0``.
     """
 
     member: LDTMember
@@ -84,74 +95,136 @@ class LDTNode:
         return self.member.key
 
 
-@dataclasses.dataclass
-class LDTree:
-    """A materialised advertisement tree.
+#: The columns of an :class:`LDTree`, one entry per row each.
+_COLUMNS = ("keys", "parent_rows", "levels", "assigned", "capacities", "used")
 
-    Attributes
-    ----------
-    root_key:
-        The mobile node's key.
-    nodes:
-        key → :class:`LDTNode` for the root and every registry member.
-    edges:
-        ``(parent_key, child_key)`` pairs — each is one ``_send`` message.
+
+class LDTree:
+    """One advertisement tree as a compact immutable columnar record.
+
+    Row 0 is the root (the mobile node); rows ``1..n`` are the registry
+    members in Fig-4 attach order — the DFS pre-order in which the
+    recursion sends its messages.  Six parallel tuples hold the rows:
+    ``keys``; ``parent_rows``, the row of the sender that reached each
+    node (``-1`` for the root); ``levels`` (root 0); ``assigned``, the
+    partition size handed to each node (root 0); ``capacities``; ``used``.
+
+    What a wave's accounting reads is derived once, at construction:
+    ``depth``, ``message_count`` (one per member), and the forwarding
+    nodes with how many children each sends to, in row order
+    (``interior_keys``, ``fanouts``).  The object views — :attr:`nodes`,
+    :attr:`edges`, :meth:`children_of` — are built only when asked for.
     """
 
-    root_key: int
-    nodes: Dict[int, LDTNode]
-    edges: List[Tuple[int, int]]
-    #: Derived-value cache — trees are immutable after build, so cached
-    #: levels/depth/message counts are never invalidated.  Excluded from
-    #: equality/repr so cached and fresh trees still compare equal.
-    _cache: Dict[str, Any] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False
+    __slots__ = _COLUMNS + (
+        "depth", "message_count", "interior_keys", "fanouts", "_nodes",
     )
 
-    def _level_array(self) -> np.ndarray:
-        """Member levels as one cached int64 array (root included)."""
-        levels = self._cache.get("levels")
-        if levels is None:
-            levels = np.fromiter(
-                (n.level for n in self.nodes.values()),
-                dtype=np.int64,
-                count=len(self.nodes),
-            )
-            self._cache["levels"] = levels
-        return levels
+    def __init__(
+        self,
+        keys: Sequence[int],
+        parent_rows: Sequence[int],
+        levels: Sequence[int],
+        assigned: Sequence[int],
+        capacities: Sequence[float],
+        used: Sequence[float],
+    ) -> None:
+        self.keys = tuple(keys)
+        self.parent_rows = tuple(parent_rows)
+        self.levels = tuple(levels)
+        self.assigned = tuple(assigned)
+        self.capacities = tuple(capacities)
+        self.used = tuple(used)
+        self.depth = max(self.levels)
+        self.message_count = len(self.keys) - 1
+        sent = [0] * len(self.keys)
+        for row in self.parent_rows[1:]:
+            sent[row] += 1
+        self.interior_keys = tuple([k for k, c in zip(self.keys, sent) if c])
+        self.fanouts = tuple([c for c in sent if c])
+        self._nodes: Optional[Dict[int, LDTNode]] = None
+
+    @classmethod
+    def from_sorted(
+        cls,
+        keys: Sequence[int],
+        parents: Sequence[int],
+        levels: Sequence[int],
+        assigned: Sequence[int],
+        capacities: Sequence[float],
+        used: Sequence[float],
+    ) -> "LDTree":
+        """The tree whose columns are given in *capacity-sort* order:
+        index 0 the root, index ``p + 1`` the member at sort position
+        ``p``, ``parents`` the sender indices in the same numbering.
+
+        A sender precedes the heads it reaches and reaches them in
+        ascending index, and ``assigned`` is a head's subtree size, so one
+        ascending pass numbers the rows in DFS pre-order: a head takes its
+        sender's next free row, which then skips the head's partition.
+        """
+        size = len(keys)
+        rows = [0] * size
+        free = [1] * size  # next unnumbered row under each sender
+        for i in range(1, size):
+            sender = parents[i]
+            rows[i] = row = free[sender]
+            free[sender] = row + assigned[i]
+            free[i] = row + 1
+        order = sorted(range(size), key=rows.__getitem__)
+        senders = [-1] + [rows[p] for p in parents[1:]]
+        columns = (keys, senders, levels, assigned, capacities, used)
+        return cls(*[[column[i] for i in order] for column in columns])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LDTree):
+            return NotImplemented
+        return all(getattr(self, c) == getattr(other, c) for c in _COLUMNS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        members, depth = self.message_count, self.depth
+        return f"LDTree(root_key={self.keys[0]}, {members=}, {depth=})"
 
     @property
-    def depth(self) -> int:
-        """Maximum member level (0 when the tree has no members)."""
-        depth = self._cache.get("depth")
-        if depth is None:
-            levels = self._level_array()
-            depth = int(levels.max()) if levels.size else 0
-            self._cache["depth"] = depth
-        return depth
+    def root_key(self) -> int:
+        """The mobile node's key."""
+        return self.keys[0]
 
     @property
     def num_members(self) -> int:
         """Registry members reached (excludes the root)."""
-        return len(self.nodes) - 1
+        return self.message_count
 
     @property
-    def message_count(self) -> int:
-        """Advertisement messages sent (one per edge)."""
-        count = self._cache.get("messages")
-        if count is None:
-            count = len(self.edges)
-            self._cache["messages"] = count
-        return count
+    def nodes(self) -> Dict[int, LDTNode]:
+        """key → :class:`LDTNode` for the root and every member, in attach
+        order (built on first use)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = {}
+            for key, sender, level, assigned, capacity, used in zip(
+                *[getattr(self, c) for c in _COLUMNS]
+            ):
+                parent = self.keys[sender] if sender >= 0 else None
+                nodes[key] = LDTNode(
+                    LDTMember(key, capacity, used), level, parent, assigned=assigned
+                )
+                if parent is not None:
+                    nodes[parent].children.append(key)
+        return nodes
+
+    @property
+    def edges(self) -> List[Tuple[int, int]]:
+        """``(parent_key, child_key)`` pairs in send order — each is one
+        ``_send`` message."""
+        keys = self.keys
+        return [(keys[s], k) for s, k in zip(self.parent_rows[1:], keys[1:])]
 
     def level_histogram(self) -> Dict[int, int]:
         """member count per level (root level 0 excluded)."""
-        counts = np.bincount(self._level_array())
-        return {
-            level: int(count)
-            for level, count in enumerate(counts)
-            if level > 0 and count > 0
-        }
+        return dict(sorted(Counter(self.levels[1:]).items()))
 
     def children_of(self, key: int) -> List[int]:
         """Child keys of ``key`` in the tree."""
@@ -170,12 +243,13 @@ class LDTree:
         edges in one multi-source Dijkstra pass instead of one scalar
         ``distance(a, b)`` query per edge.
         """
-        if not self.edges:
+        edges = self.edges
+        if not edges:
             return []
         route_costs = getattr(distance, "route_costs", None)
         if route_costs is not None:
-            return [float(c) for c in np.asarray(route_costs(self.edges), dtype=float)]
-        return [distance(a, b) for a, b in self.edges]
+            return [float(c) for c in np.asarray(route_costs(edges), dtype=float)]
+        return [distance(a, b) for a, b in edges]
 
     def total_cost(self, distance: Callable[[int, int], float]) -> float:
         """Sum of all edge costs under ``distance`` (batched when the
@@ -183,38 +257,62 @@ class LDTree:
         return float(sum(self.edge_costs(distance)))
 
     def validate(self) -> None:
-        """Internal consistency checks (used by property tests).
-
-        Every member appears exactly once, every edge links a parent one
-        level above its child, and the structure is a tree rooted at
-        ``root_key``.
-        """
-        assert self.root_key in self.nodes, "root missing from node map"
-        assert self.nodes[self.root_key].level == 0, "root must be level 0"
-        seen_children = set()
-        for a, b in self.edges:
-            na, nb = self.nodes[a], self.nodes[b]
-            assert nb.level == na.level + 1, f"edge {a}->{b} skips levels"
-            assert nb.parent == a, f"child {b} disagrees about its parent"
-            assert b not in seen_children, f"node {b} has two parents"
-            seen_children.add(b)
-        member_keys = {k for k in self.nodes if k != self.root_key}
-        assert seen_children == member_keys, "every member must have exactly one parent"
+        """Internal consistency checks (used by property tests): every
+        member appears exactly once, every member's sender sits one level
+        above it, and the structure is a tree rooted at row 0."""
+        size = len(self.keys)
+        assert all(len(getattr(self, c)) == size for c in _COLUMNS), "ragged columns"
+        assert self.parent_rows[0] == -1, "row 0 must be the root"
+        assert self.levels[0] == 0, "root must be level 0"
+        assert len(set(self.keys)) == size, "a node appears in two rows"
+        for row in range(1, size):
+            sender = self.parent_rows[row]
+            assert 0 <= sender < size, f"row {row} has no sender in the tree"
+            assert self.levels[row] == self.levels[sender] + 1, (
+                f"edge {self.keys[sender]}->{self.keys[row]} skips levels"
+            )
 
 
-def _round_robin_partitions(items: Sequence[LDTMember], k: int) -> List[List[LDTMember]]:
-    """Split a capacity-sorted list into ``k`` near-equal partitions.
+def _fig4_columns(
+    avail: Sequence[float], unit_cost: float
+) -> Tuple[List[int], List[int], List[int]]:
+    """The Fig-4 schedule over capacity-sorted availabilities (root at
+    index 0, sort position ``p`` at ``p + 1``) as ``(parents, levels,
+    assigned)`` — the scalar twin of ``ldt_forest.build_forest_columns``.
 
-    Round-robin over a decreasing list: partition ``j`` receives items
-    ``j, j+k, j+2k, ...`` — sizes differ by at most one (the Fig-4
-    guarantee "the numbers of registry nodes of different disjoint subsets
-    are nearly equal") and each partition's head is among the ``k``
-    highest-capacity nodes.
+    A sender at index ``i`` with stride ``s`` still has to reach the
+    ``pending[i]`` members at ``i + s, i + 2s, ...`` (module docstring);
+    it precedes them all, so one ascending walk meets every sender after
+    whoever reached it.
     """
-    parts: List[List[LDTMember]] = [[] for _ in range(k)]
-    for idx, item in enumerate(items):
-        parts[idx % k].append(item)
-    return [p for p in parts if p]
+    size = len(avail)
+    parents = [-1] * size
+    levels = [0] * size
+    assigned = [0] * size
+    pending = [0] * size
+    strides = [1] * size
+    pending[0] = size - 1
+    for i in range(size):
+        count = pending[i]
+        if not count:
+            continue
+        a = avail[i]
+        if a - unit_cost <= 0:
+            k = 1  # overloaded: delegate everything to the strongest node
+        else:
+            k = max(1, min(int(math.floor(a / unit_cost)), count))
+        stride = strides[i]
+        level = levels[i] + 1
+        head = i
+        for j in range(k):
+            head += stride
+            part = (count - j - 1) // k + 1
+            parents[head] = i
+            levels[head] = level
+            assigned[head] = part
+            pending[head] = part - 1
+            strides[head] = k * stride
+    return parents, levels, assigned
 
 
 def build_ldt(
@@ -224,7 +322,7 @@ def build_ldt(
     *,
     tie_break: Optional[Callable[[LDTMember], float]] = None,
 ) -> LDTree:
-    """Run the Fig-4 advertisement recursion and materialise the tree.
+    """Schedule one Fig-4 advertisement and return its tree.
 
     Parameters
     ----------
@@ -247,73 +345,19 @@ def build_ldt(
     """
     if unit_cost <= 0:
         raise ValueError("unit_cost must be positive")
-    keys = [m.key for m in registry]
-    if len(set(keys)) != len(keys):
+    seen = {m.key for m in registry}
+    if len(seen) != len(registry):
         raise ValueError("registry contains duplicate keys")
-    if root.key in set(keys):
+    if root.key in seen:
         raise ValueError("the root must not appear in its own registry")
 
-    nodes: Dict[int, LDTNode] = {root.key: LDTNode(member=root, level=0, parent=None)}
-    edges: List[Tuple[int, int]] = []
-
-    def sort_key(m: LDTMember) -> Tuple[float, float]:
-        secondary = tie_break(m) if tie_break is not None else float(m.key)
-        return (-m.capacity, secondary)
-
-    def advertise(sender: LDTMember, sender_level: int, pending: List[LDTMember]) -> None:
-        """``sender`` forwards the update to ``pending`` (Fig 4)."""
-        if not pending:
-            return
-        ordered = sorted(pending, key=sort_key)
-        avail = sender.available
-        if avail - unit_cost <= 0:
-            # Overloaded: delegate everything to the strongest node.
-            head, rest = ordered[0], ordered[1:]
-            _attach(head, sender, sender_level, assigned=len(ordered))
-            advertise(head, sender_level + 1, rest)
-            return
-        k = int(math.floor(avail / unit_cost))
-        k = max(1, min(k, len(ordered)))
-        for part in _round_robin_partitions(ordered, k):
-            head, rest = part[0], part[1:]
-            _attach(head, sender, sender_level, assigned=len(part))
-            advertise(head, sender_level + 1, rest)
-
-    def _attach(child: LDTMember, parent: LDTMember, parent_level: int, assigned: int) -> None:
-        nodes[child.key] = LDTNode(
-            member=child, level=parent_level + 1, parent=parent.key, assigned=assigned
-        )
-        nodes[parent.key].children.append(child.key)
-        edges.append((parent.key, child.key))
-
-    advertise(root, 0, list(registry))
-    tree = LDTree(root_key=root.key, nodes=nodes, edges=edges)
-    return tree
-
-
-def merge_registry_members(
-    groups: Iterable[Sequence[LDTMember]],
-    *,
-    exclude: Optional[Iterable[int]] = None,
-) -> List[LDTMember]:
-    """Union of several registries as one deduplicated member list.
-
-    The batched-update path coalesces the LDT dissemination of co-hosted
-    mobile keys: one wave over the union of their registries reaches every
-    interested node exactly once, instead of one wave per key re-visiting
-    the shared registrants.  Keys in ``exclude`` (the co-hosted group
-    itself — already informed by construction) are dropped; the first
-    occurrence of a duplicated registrant wins, and the output is sorted by
-    key so construction stays deterministic regardless of group order.
-    """
-    banned = set(exclude) if exclude is not None else set()
-    merged: Dict[int, LDTMember] = {}
-    for group in groups:
-        for member in group:
-            if member.key in banned or member.key in merged:
-                continue
-            merged[member.key] = member
-    return [merged[k] for k in sorted(merged)]
+    secondary = tie_break or (lambda m: float(m.key))
+    ordered = sorted(registry, key=lambda m: (-m.capacity, secondary(m)))
+    ordered.insert(0, root)
+    capacities = [m.capacity for m in ordered]
+    used = [m.used for m in ordered]
+    schedule = _fig4_columns([c - u for c, u in zip(capacities, used)], unit_cost)
+    return LDTree.from_sorted([m.key for m in ordered], *schedule, capacities, used)
 
 
 def ldt_depth_bound(registry_size: int, branching: int) -> float:

@@ -1,28 +1,17 @@
 """Columnar LDT forest — batch construction of Fig-4 trees as flat arrays.
 
-:func:`repro.core.ldt.build_ldt` runs the Fig-4 advertisement recursion
-one registry at a time: a Python ``sorted`` per recursion step, list
-slicing per partition, one ``LDTNode`` allocation per member.  At the
+:func:`repro.core.ldt.build_ldt` schedules one registry per call.  At the
 scales of the columnar state engine (§ "Columnar state & million-node
 scale" in docs/performance.md) the network advertises thousands of trees
-per round, so this module rebuilds the same recursion as a
-struct-of-arrays **forest**: every registry in the batch is one slice of
-flat numpy columns and the whole batch advances level by level with
-array kernels.
-
-Why a level-synchronous kernel can reproduce the recursion exactly
-------------------------------------------------------------------
-Fig 4 sorts the registry once by ``(-capacity, secondary)`` and then
-only ever re-sorts *subsets in original order* — Python's sort is
-stable, so every recursive ``sorted`` call is the identity.  After the
-single sort, the pending set handed to any sender is an arithmetic
-progression of positions in the sorted order: round-robin partition
-``j`` of a progression ``(start a, stride s, count c)`` split ``k`` ways
-is itself the progression ``(a + j·s, k·s, ⌊(c−j−1)/k⌋ + 1)``, and the
-overloaded delegation step is exactly the ``k = 1`` case.  A "task" is
-therefore three integers plus the sender's availability, and one level
-of the whole forest is a handful of ``repeat``/``cumsum`` operations
-over the task arrays — no per-member Python.
+per round, so this module builds them as a struct-of-arrays **forest**:
+every registry in the batch is one slice of flat numpy columns, sorted by
+one ``np.lexsort``, and the whole batch advances level by level with array
+kernels.  It rests on the identity :mod:`repro.core.ldt`'s docstring
+proves — after the one stable sort, every pending set is an arithmetic
+progression of sort positions — so a "task" is three integers plus the
+sender's availability, and one level of the whole forest is a handful of
+``repeat``/``cumsum`` operations over the task arrays, no per-member
+Python.
 
 Column layout
 -------------
@@ -46,13 +35,12 @@ assigned   int64   partition size handed to this member (≥ 1)
 Canonical edge order
 --------------------
 :meth:`LDTForest.edge_arrays` emits edges **level-major**: grouped by
-tree, then by child level, then by the child's capacity-sort position.
-This is the natural order the level-synchronous kernel produces them
-in.  :meth:`LDTForest.tree` instead replays the sequential recursion's
-DFS pre-order, so the materialised :class:`~repro.core.ldt.LDTree` is
-bit-identical to ``build_ldt`` — same ``nodes`` insertion order, same
-``edges`` list, same ``children`` order (the parity guarantee the test
-suite enforces).
+tree, then by child level, then by the child's capacity-sort position —
+the order the level-synchronous kernel produces them in.
+:meth:`LDTForest.tree` renumbers one tree's rows into the recursion's
+send order (DFS pre-order), so the :class:`~repro.core.ldt.LDTree` it
+returns equals ``build_ldt``'s on the same spec (the parity guarantee
+the test suite enforces).
 """
 
 from __future__ import annotations
@@ -60,11 +48,11 @@ from __future__ import annotations
 import dataclasses
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ldt import LDTMember, LDTNode, LDTree
+from .ldt import LDTMember, LDTree
 
 __all__ = [
     "ForestSpec",
@@ -301,55 +289,20 @@ class LDTForest:
         return self.parent[order], self.key[order]
 
     def tree(self, index: int) -> LDTree:
-        """Materialise tree ``index`` bit-identically to ``build_ldt``.
-
-        Replays the recursion's DFS pre-order (children in ascending
-        capacity-sort position) so the resulting ``nodes`` insertion
-        order, ``edges`` list and ``children`` lists match the
-        sequential builder exactly.
-        """
-        lo = int(self.tree_offsets[index])
-        hi = int(self.tree_offsets[index + 1])
-        root = LDTMember(
-            key=int(self.root_key[index]),
-            capacity=float(self.root_capacity[index]),
-            used=float(self.root_used[index]),
+        """Tree ``index`` as an :class:`~repro.core.ldt.LDTree`, equal to
+        ``build_ldt`` on the same spec: the tree's column slices, handed
+        to the one pre-order pass both builders share."""
+        lo, hi = self.tree_offsets[index : index + 2].tolist()
+        # Global parent rows → indices local to the tree, root at 0.
+        parents = np.maximum(self.parent_row[lo:hi] - (lo - 1), 0)
+        return LDTree.from_sorted(
+            [int(self.root_key[index])] + self.key[lo:hi].tolist(),
+            [-1] + parents.tolist(),
+            [0] + self.level[lo:hi].tolist(),
+            [0] + self.assigned[lo:hi].tolist(),
+            [float(self.root_capacity[index])] + self.capacity[lo:hi].tolist(),
+            [float(self.root_used[index])] + self.used[lo:hi].tolist(),
         )
-        nodes = {root.key: LDTNode(member=root, level=0, parent=None)}
-        edges: List[Tuple[int, int]] = []
-        if hi > lo:
-            parents = self.parent_row[lo:hi]
-            # Group children by parent row: stable argsort keeps siblings
-            # in ascending row order == ascending partition index.
-            order = np.argsort(parents, kind="stable")
-            grouped = parents[order]
-
-            def child_rows(sender_row: int) -> np.ndarray:
-                """Local indices of ``sender_row``'s children (global row)."""
-                i0 = int(np.searchsorted(grouped, sender_row, side="left"))
-                i1 = int(np.searchsorted(grouped, sender_row, side="right"))
-                return order[i0:i1]
-
-            stack = list(child_rows(-1)[::-1])
-            while stack:
-                local = int(stack.pop())
-                row = lo + local
-                key = int(self.key[row])
-                parent_key = int(self.parent[row])
-                nodes[key] = LDTNode(
-                    member=LDTMember(
-                        key=key,
-                        capacity=float(self.capacity[row]),
-                        used=float(self.used[row]),
-                    ),
-                    level=int(self.level[row]),
-                    parent=parent_key,
-                    assigned=int(self.assigned[row]),
-                )
-                nodes[parent_key].children.append(key)
-                edges.append((parent_key, key))
-                stack.extend(child_rows(row)[::-1])
-        return LDTree(root_key=root.key, nodes=nodes, edges=edges)
 
     def trees(self) -> Iterator[LDTree]:
         """Materialise every tree in batch order."""

@@ -130,7 +130,8 @@ def build_non_member_tree(
         recruited forwarder.
     """
     rendezvous = stationary_overlay.owner_of(root_key)
-    parent: Dict[int, int] = {rendezvous: root_key}
+    # A root that is itself a stationary member is its own rendezvous.
+    parent: Dict[int, int] = {} if rendezvous == root_key else {rendezvous: root_key}
     on_tree: Set[int] = {root_key, rendezvous}
     member_set: Set[int] = set()
     forwarders: Set[int] = set()

@@ -74,12 +74,6 @@ class BristleNode:
         self.address: Optional[NetworkAddress] = None
         #: movement counter (mirrors the address epoch).
         self.moves = 0
-        #: bumped whenever anything a Fig-4 LDT depends on changes —
-        #: registry membership, capacity of a registrant, or this node's
-        #: workload.  Cached dissemination trees compare epochs instead of
-        #: rebuilding (moves alone never invalidate a tree: it does not
-        #: depend on addresses).
-        self.ldt_epoch = 0
 
     # ------------------------------------------------------------------
     # Capacity / workload
@@ -93,18 +87,13 @@ class BristleNode:
         """Account ``amount`` of workload (may push the node to overload)."""
         if amount < 0:
             raise ValueError("workload amount must be non-negative")
-        if amount > 0:
-            self.used += amount
-            self.ldt_epoch += 1
+        self.used += amount
 
     def release(self, amount: float) -> None:
         """Release previously-consumed workload."""
         if amount < 0:
             raise ValueError("workload amount must be non-negative")
-        released = min(amount, self.used)
-        if released > 0:
-            self.used -= released
-            self.ldt_epoch += 1
+        self.used -= min(amount, self.used)
 
     # ------------------------------------------------------------------
     # Registration (§2.3.1)
@@ -114,17 +103,13 @@ class BristleNode:
         its key was not registered before."""
         if entry.key == self.key:
             raise ValueError("a node does not register to itself")
-        prev = self.registry.get(entry.key)
+        is_new = entry.key not in self.registry
         self.registry[entry.key] = entry
-        # A pure timestamp refresh leaves the dissemination tree intact.
-        if prev is None or prev.capacity != entry.capacity:
-            self.ldt_epoch += 1
-        return prev is None
+        return is_new
 
     def unregister(self, key: int) -> None:
         """Remove ``key`` from ``R(self)`` if present."""
-        if self.registry.pop(key, None) is not None:
-            self.ldt_epoch += 1
+        self.registry.pop(key, None)
 
     def registry_entries(self) -> list:
         """``R(self)`` in deterministic (key-sorted) order."""

@@ -158,9 +158,9 @@ def run_fig3_tree_sizes(
             # Member-only tree (Fig 4).
             tree = net.build_ldt_for(mk)
             member_sizes.append(tree.num_members)
-            for node in tree.nodes.values():
-                if node.level > 0 and not net.is_mobile(node.key):
-                    member_duty[node.key] = member_duty.get(node.key, 0) + 1
+            for key in tree.keys[1:]:
+                if not net.is_mobile(key):
+                    member_duty[key] = member_duty.get(key, 0) + 1
             # Non-member-only (Scribe-style) tree over the stationary layer.
             nm = build_non_member_tree(mk, registry_keys, net.stationary_layer)
             non_member_sizes.append(nm.size)

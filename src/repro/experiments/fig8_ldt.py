@@ -137,9 +137,9 @@ def sample_tree_profiles(
         tree = build_random_ldt(
             registry_size, max_capacity, rng, unit_cost=unit_cost, stream=f"fig8b.{t}"
         )
-        members = [n for k, n in tree.nodes.items() if k != tree.root_key]
-        members.sort(key=lambda n: (-n.member.capacity, n.member.key))
-        profiles.append([(n.member.capacity, n.assigned) for n in members])
+        members = list(zip(tree.capacities, tree.keys, tree.assigned))[1:]
+        members.sort(key=lambda m: (-m[0], m[1]))
+        profiles.append([(capacity, assigned) for capacity, _, assigned in members])
     return profiles
 
 
@@ -204,11 +204,8 @@ def run_fig8_workload(
                 stream=f"fig8w.{frac}",
             )
             depths.append(tree.depth)
-            interior = [n for n in tree.nodes.values() if n.children]
-            if interior:
-                branchings.append(
-                    float(np.mean([len(n.children) for n in interior]))
-                )
+            if tree.fanouts:
+                branchings.append(float(np.mean(tree.fanouts)))
         table.add_row(
             **{
                 "used (%)": round(100 * frac, 1),

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -187,36 +188,36 @@ def check_ldt(tree: "LDTree", unit_cost: float = 1.0) -> None:
         tree.validate()
     except AssertionError as exc:
         raise _violation(f"LDT structure invalid: {exc}") from None
-    limit = len(tree.nodes)
-    for node in tree.nodes.values():
+    keys, senders = tree.keys, tree.parent_rows
+    for row in range(1, len(keys)):
         steps = 0
-        cursor = node
-        while cursor.parent is not None:
-            cursor = tree.nodes[cursor.parent]
+        cursor = row
+        while senders[cursor] >= 0:
+            cursor = senders[cursor]
             steps += 1
-            if steps > limit:
+            if steps > len(keys):
                 raise _violation(
-                    f"LDT parent chain from {node.key} exceeds tree size: "
+                    f"LDT parent chain from {keys[row]} exceeds tree size: "
                     "cycle in parent pointers"
                 )
-        if cursor.key != tree.root_key:
+        if cursor != 0:
             raise _violation(
-                f"LDT parent chain from {node.key} terminates at "
-                f"{cursor.key}, not the root"
+                f"LDT parent chain from {keys[row]} terminates at "
+                f"{keys[cursor]}, not the root"
             )
-        if node.children:
-            avail = node.member.available
-            allowed = (
-                1
-                if avail - unit_cost <= 0
-                else max(1, int(math.floor(avail / unit_cost)))
+    for row, fanout in Counter(senders[1:]).items():
+        avail = tree.capacities[row] - tree.used[row]
+        allowed = (
+            1
+            if avail - unit_cost <= 0
+            else max(1, int(math.floor(avail / unit_cost)))
+        )
+        if fanout > allowed:
+            raise _violation(
+                f"LDT node {keys[row]} fans out to {fanout} "
+                f"children but Avail={avail} permits {allowed} "
+                f"(unit cost {unit_cost})"
             )
-            if len(node.children) > allowed:
-                raise _violation(
-                    f"LDT node {node.key} fans out to {len(node.children)} "
-                    f"children but Avail={avail} permits {allowed} "
-                    f"(unit cost {unit_cost})"
-                )
 
 
 def check_ldt_forest(forest: "LDTForest") -> None:

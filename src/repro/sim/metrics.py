@@ -59,6 +59,12 @@ TAIL_QUANTILES: Tuple[Tuple[str, float], ...] = (
 #: bucketing cannot distinguish them anyway).
 _MIN_TRACKABLE = 1e-12
 
+#: Batch size from which :meth:`QuantileSketch.observe_many` buckets with
+#: numpy.  Measured: the array pass costs 25-30 µs at any size up to 64
+#: (``asarray``/``isfinite``/``log``/``unique`` set-up), scalar ``observe``
+#: ~0.42 µs a value — level at 64.  An LDT wave feeds about five fan-outs.
+_VECTOR_MIN = 64
+
 
 class Counter:
     """Monotonic (or signed) event counter."""
@@ -151,7 +157,22 @@ class QuantileSketch:
             self._collapse(buckets)
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Record a batch of samples — one vectorised bucketing pass."""
+        """Record a batch of samples — one vectorised bucketing pass, or
+        one :meth:`observe` per value for a short batch of whole numbers.
+
+        Only whole numbers, because only they leave the same state either
+        way: their sums are exact in any association, while a running sum
+        of fractions can differ in the last bit from numpy's pairwise
+        ``sum`` and BLAS ``dot``.
+        """
+        if (
+            isinstance(values, (list, tuple))
+            and len(values) < _VECTOR_MIN
+            and all([float(v).is_integer() for v in values])
+        ):
+            for v in values:
+                self.observe(v)
+            return
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return

@@ -17,7 +17,8 @@ workers (bucket addition commutes with recording order).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,22 +169,25 @@ class NodeLoadLedger:
         row = self._row(int(key))
         self._counts[row, self._col(kind)] += int(amount)
 
-    def add_many(self, kind: str, keys: Iterable[int]) -> None:
-        """Charge one unit of ``kind`` per entry of ``keys`` (repeats
-        accumulate) — a single vectorised scatter-add."""
+    def add_many(
+        self, kind: str, keys: Iterable[int], amounts: Optional[Sequence[int]] = None
+    ) -> None:
+        """Charge ``kind`` to every entry of ``keys`` (repeats accumulate)
+        — one unit each, or ``amounts[i]`` to ``keys[i]`` — as a single
+        vectorised scatter-add."""
         key_list = [int(k) for k in keys]
         if not key_list:
             return
         col = self._col(kind)
         if len(key_list) < _SCATTER_MIN:
-            for k in key_list:
+            for k, amount in zip(key_list, repeat(1) if amounts is None else amounts):
                 row = self._row(k)
-                self._counts[row, col] += 1
+                self._counts[row, col] += amount
             return
         rows = np.fromiter(
             (self._row(k) for k in key_list), dtype=np.intp, count=len(key_list)
         )
-        np.add.at(self._counts[:, col], rows, 1)
+        np.add.at(self._counts[:, col], rows, 1 if amounts is None else amounts)
 
     def total(self, kind: str) -> int:
         """Total load of ``kind`` across every node."""

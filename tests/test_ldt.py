@@ -149,10 +149,15 @@ class TestLevelsAndCosts:
         assert tree.level_histogram() == manual
 
     def test_depth_and_message_count_cached(self):
+        """The wave summary is derived once, at construction, and agrees
+        with the object views materialised afterwards."""
         tree = build_ldt(LDTMember(0, 3.0), members([2] * 9))
-        d1, m1 = tree.depth, tree.message_count
-        assert tree.depth == d1 and tree.message_count == m1
-        assert "depth" in tree._cache and "messages" in tree._cache
+        assert tree._nodes is None  # nothing materialised yet
+        assert tree.depth == max(tree.levels)
+        assert tree.message_count == 9 == sum(tree.fanouts)
+        interior = [(k, len(n.children)) for k, n in tree.nodes.items() if n.children]
+        assert list(zip(tree.interior_keys, tree.fanouts)) == interior
+        assert tree.message_count == len(tree.edges)
 
     def test_tie_break_changes_order(self):
         """Equal capacities: the tie-break callable decides head choice."""

@@ -1,10 +1,10 @@
 """Tests for repro.core.ldt_forest — the columnar batch LDT builder.
 
-The forest engine's contract is bit-identity with the sequential Fig-4
-recursion (``build_ldt``): for every spec in a batch,
-``forest.tree(i)`` must equal the oracle's tree exactly — node
-insertion order, edge DFS pre-order, children order, levels and
-assigned counts included.
+The forest engine's contract is equality with the scalar builder
+(``build_ldt``): for every spec in a batch, ``forest.tree(i)`` must equal
+its tree exactly — node insertion order, edge DFS pre-order, children
+order, levels and assigned counts included.  Both builders against the
+Fig-4 recursion itself: ``tests/test_ldt_parity.py``.
 """
 
 import numpy as np
@@ -341,31 +341,22 @@ class TestNetworkBatchPaths:
             assert again[mk] is batch[mk] or again[mk] == batch[mk]
 
     def test_build_ldt_for_group_matches_direct(self):
-        from repro.core.ldt import merge_registry_members
-
         net = self._net(seed=27)
         group = sorted(
             mk for mk in net.mobile_keys if net.nodes[mk].registry
         )[:4]
         root_key, tree = net.build_ldt_for_group(group)
-        # Rebuild the same coalesced inputs and run the sequential oracle.
+        # Rebuild the same coalesced inputs — the union of the registries,
+        # each registrant once, the co-hosted keys themselves left out —
+        # and run the scalar builder.
         rep_node = net.nodes[root_key]
         root = LDTMember(
             key=root_key, capacity=rep_node.capacity, used=rep_node.used
         )
-        merged = merge_registry_members(
-            (
-                [
-                    LDTMember(
-                        key=e.key,
-                        capacity=net.nodes[e.key].capacity,
-                        used=net.nodes[e.key].used,
-                    )
-                    for e in net.nodes[k].registry_entries()
-                ]
-                for k in group
-            ),
-            exclude=group,
-        )
+        audience = {e.key for k in group for e in net.nodes[k].registry_entries()}
+        merged = [
+            LDTMember(key=r, capacity=net.nodes[r].capacity, used=net.nodes[r].used)
+            for r in sorted(audience - set(group))
+        ]
         expected = build_ldt(root, merged, net.config.unit_advertise_cost)
         assert_tree_equal(tree, expected)

@@ -83,13 +83,16 @@ class TestLedger:
         assert stats["gini"] == pytest.approx(0.0)
 
     def test_add_many_matches_loop(self):
-        keys = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
-        a = NodeLoadLedger()
-        a.add_many("ldt_fanout", keys)
-        b = NodeLoadLedger()
-        for k in keys:
-            b.add("ldt_fanout", k)
-        assert a.export_state() == b.export_state()
+        for size in (1, 11, 15, 16, 40):  # the scatter takes over at 16
+            keys = ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5] * 4)[:size]
+            for amounts in (None, [1 + i % 4 for i in range(size)]):
+                a = NodeLoadLedger()
+                a.add_many("ldt_fanout", keys, amounts)
+                b = NodeLoadLedger()
+                for i, k in enumerate(keys):
+                    b.add("ldt_fanout", k, amounts[i] if amounts else 1)
+                # counts and key registration order
+                assert a.export_state() == b.export_state(), (size, amounts)
 
     def test_register_nodes_zero_load_counts_in_population(self):
         led = NodeLoadLedger()

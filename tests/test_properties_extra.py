@@ -3,7 +3,7 @@ non-member trees, and the engine's ordering guarantees."""
 
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClusteredNaming, build_non_member_tree
@@ -100,6 +100,7 @@ class TestNonMemberTreeProperties:
         ),
         root=KEYS16,
     )
+    @example(member_idx=[0], root=5112)  # the root is itself an overlay member
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_tree_always_valid(self, member_idx, root):

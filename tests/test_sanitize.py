@@ -18,7 +18,7 @@ import pytest
 from repro import sanitize
 from repro.core.bristle import BristleNetwork
 from repro.core.config import BristleConfig
-from repro.core.ldt import LDTMember, build_ldt
+from repro.core.ldt import _COLUMNS, LDTMember, LDTree, build_ldt
 from repro.overlay.factory import make_overlay
 from repro.overlay.keyspace import KeySpace
 from repro.overlay.state import StatePair
@@ -155,32 +155,43 @@ class TestLDTChecks:
         sanitize.check_ldt(tree, unit_cost=1.0)
         assert sanitizer.counts()["ldt"] == 1
 
+    @staticmethod
+    def corrupted(tree, **columns):
+        """``tree`` with some columns replaced — a record is immutable, so
+        corruption means building another one."""
+        return LDTree(*(columns.get(n, getattr(tree, n)) for n in _COLUMNS))
+
     def test_capacity_overshoot_raises(self, sanitizer):
         # An overloaded root (Avail - v <= 0) must chain through a single
-        # head; hand-corrupt the tree so it fans out to two children.
+        # head; re-hang the chain's second member under the root so it
+        # fans out to two children.
         tree = build_ldt(LDTMember(key=1, capacity=1.0), self.members(2))
-        root = tree.nodes[1]
-        assert len(root.children) == 1  # the honest chain step
-        orphan_key = next(
-            k for k, n in tree.nodes.items() if k != 1 and n.parent != 1
-        )
-        orphan = tree.nodes[orphan_key]
-        old_parent = tree.nodes[orphan.parent]
-        old_parent.children.remove(orphan_key)
-        tree.edges.remove((orphan.parent, orphan_key))
-        orphan.parent = 1
-        orphan.level = 1
-        root.children.append(orphan_key)
-        tree.edges.append((1, orphan_key))
+        assert tree.parent_rows == (-1, 0, 1)  # the honest chain step
+        bad = self.corrupted(tree, parent_rows=(-1, 0, 0), levels=(0, 1, 1))
+        assert bad.fanouts == (2,)
         with pytest.raises(SanitizerViolation, match="fans out"):
-            sanitize.check_ldt(tree, unit_cost=1.0)
+            sanitize.check_ldt(bad, unit_cost=1.0)
 
     def test_structural_corruption_raises(self, sanitizer):
         tree = build_ldt(LDTMember(key=1, capacity=5.0), self.members(6))
-        victim = next(k for k in tree.nodes if k != 1)
-        tree.nodes[victim].parent = victim  # self-parent: not a tree
+        senders = list(tree.parent_rows)
+        senders[3] = 3  # self-parent: not a tree
         with pytest.raises(SanitizerViolation):
-            sanitize.check_ldt(tree, unit_cost=1.0)
+            sanitize.check_ldt(self.corrupted(tree, parent_rows=senders))
+
+    def test_parent_cycle_raises(self, sanitizer):
+        # Rows 1 and 2 of a chain name each other as sender.
+        tree = build_ldt(LDTMember(key=1, capacity=1.0), self.members(3))
+        bad = self.corrupted(tree, parent_rows=(-1, 2, 1, 2))
+        with pytest.raises(SanitizerViolation):
+            sanitize.check_ldt(bad)
+
+    def test_node_in_two_rows_raises(self, sanitizer):
+        tree = build_ldt(LDTMember(key=1, capacity=5.0), self.members(4))
+        keys = list(tree.keys)
+        keys[2] = keys[1]  # one node reached twice: two parents
+        with pytest.raises(SanitizerViolation, match="two rows"):
+            sanitize.check_ldt(self.corrupted(tree, keys=keys))
 
 
 # ----------------------------------------------------------------------

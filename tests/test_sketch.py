@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.parallel import SweepConfig, sweep_map, sweep_session
 from repro.sim.metrics import (
+    _VECTOR_MIN,
     TAIL_QUANTILES,
     Histogram,
     MetricsRegistry,
@@ -87,6 +88,64 @@ class TestAccuracy:
         sk = QuantileSketch()
         assert math.isnan(sk.quantile(50))
         assert sk.count == 0
+
+
+class TestShortBatchesTakeTheScalarRoute:
+    """``observe_many`` feeds a short batch of whole numbers through
+    ``observe`` (numpy's set-up costs more than the loop below
+    ``_VECTOR_MIN`` values); the sketch must end in the state the array
+    pass leaves — buckets, zero count, count, sum, sum of squares, min and
+    max, i.e. all of ``export_state()`` — bit for bit, on every route a
+    batch can take."""
+
+    SIZES = (1, 2, 5, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 300)
+
+    @staticmethod
+    def both_routes(batches):
+        """Each batch as a list (routed by size and content) and as an
+        ndarray (always the array pass)."""
+        routed, array = QuantileSketch(), QuantileSketch()
+        for batch in batches:
+            routed.observe_many(batch)
+            array.observe_many(np.asarray(batch, dtype=np.float64))
+        return routed, array
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_whole_numbers(self, size):
+        gen = np.random.default_rng(size)
+        batches = [
+            [float(v) for v in gen.integers(-3, 40, size)] for _ in range(20)
+        ] + [gen.integers(1, 16, size).tolist()]  # ints, as LDT fan-outs arrive
+        routed, array = self.both_routes(batches)
+        assert routed.export_state() == array.export_state()
+
+    def test_every_whole_number_lands_in_the_same_bucket(self):
+        # math.log and np.log differ in the last bit on some inputs; no
+        # whole number sits close enough to a bucket edge to notice.
+        scalar, array = QuantileSketch(), QuantileSketch()
+        values = [float(v) for v in range(1, 100_001)]
+        for v in values:
+            scalar.observe(v)
+        array.observe_many(values)  # 100 000 values: the array pass
+        assert scalar.export_state() == array.export_state()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_fractions_keep_the_array_pass(self, size):
+        # A running scalar sum of fractions can differ in the last bit
+        # from numpy's pairwise sum / BLAS dot, so they are never rerouted.
+        gen = np.random.default_rng(1000 + size)
+        batches = [gen.lognormal(0.0, 2.0, size).tolist() for _ in range(20)]
+        batches.append([1.0] * (size - 1) + [0.1])
+        routed, array = self.both_routes(batches)
+        assert routed.export_state() == array.export_state()
+
+    def test_histogram_feeds_list_and_sketch_alike(self):
+        short, one_by_one = Histogram("h"), Histogram("h")
+        short.observe_many((3, 1, 4, 1, 5))
+        for v in (3, 1, 4, 1, 5):
+            one_by_one.observe(v)
+        assert short.samples.tolist() == one_by_one.samples.tolist()
+        assert short.sketch.export_state() == one_by_one.sketch.export_state()
 
 
 class TestMemoryBound:
