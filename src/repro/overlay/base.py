@@ -200,9 +200,10 @@ class Overlay(abc.ABC):
         if key in self._member_set:
             raise ValueError(f"key {key} is already a member")
         self._member_set.add(key)
-        self._insert_key(key)
-        self._invalidate_owner_memo_add(key)
-        self._on_add(key)
+        # The key's index is resolved once and handed to every hook.
+        idx = self._insert_key(key)
+        self._invalidate_owner_memo_add(key, idx)
+        self._on_add(key, idx)
         if _sanitize.ACTIVE:
             _sanitize.check_overlay_consistency(self, key)
 
@@ -213,9 +214,9 @@ class Overlay(abc.ABC):
         if len(self._member_set) == 1:
             raise ValueError("cannot remove the last member")
         self._member_set.remove(key)
-        self._delete_key(key)
+        idx = self._delete_key(key)
         self._invalidate_owner_memo_remove(key)
-        self._on_remove(key)
+        self._on_remove(key, idx)
         if _sanitize.ACTIVE:
             _sanitize.check_overlay_consistency(self, key)
 
@@ -256,7 +257,7 @@ class Overlay(abc.ABC):
             if memo.get(target) == owner:
                 del memo[target]
 
-    def _invalidate_owner_memo_add(self, key: int) -> None:
+    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
         """Evict memo entries an admission of ``key`` can divert.
 
         Under the default ring-nearest storage rule a new member only steals
@@ -266,8 +267,8 @@ class Overlay(abc.ABC):
         with a non-local :meth:`_compute_owner` (e.g. CAN's zones, Tapestry's
         surrogate descent) must override this alongside it.
 
-        Called with the membership already updated (``key`` is in
-        :attr:`keys`).
+        Called with the membership already updated (``key`` sits at
+        ``keys[idx]``).
         """
         keys = self._keys
         n = int(keys.size)
@@ -275,8 +276,7 @@ class Overlay(abc.ABC):
             self._owner_memo.clear()
             self._memo_owners.clear()
             return
-        idx = int(np.searchsorted(keys, np.uint64(key)))
-        self._evict_owner_group(int(keys[(idx - 1) % n]))
+        self._evict_owner_group(int(keys[idx - 1]))
         self._evict_owner_group(int(keys[(idx + 1) % n]))
 
     def _invalidate_owner_memo_remove(self, key: int) -> None:
@@ -398,8 +398,9 @@ class Overlay(abc.ABC):
         for k in self._keys.tolist():
             self._build_node(int(k))
 
-    def _on_add(self, key: int) -> None:
-        """Repair state after ``key`` joined; default rebuilds everything.
+    def _on_add(self, key: int, idx: int) -> None:
+        """Repair state after ``key`` joined at ``keys[idx]``; default
+        rebuilds everything.
 
         Subclasses override with targeted repairs (and report their cost
         through :meth:`_record_repair`); the default is correct but
@@ -410,8 +411,9 @@ class Overlay(abc.ABC):
             self._build_node(int(k))
         self._record_repair(len(self._member_set))
 
-    def _on_remove(self, key: int) -> None:
-        """Repair state after ``key`` left; default rebuilds everything."""
+    def _on_remove(self, key: int, idx: int) -> None:
+        """Repair state after ``key`` left position ``idx`` (now its
+        successor's, or ``n``); default rebuilds everything."""
         self._reset_state()
         for k in self._member_set:
             self._build_node(int(k))

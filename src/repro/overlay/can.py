@@ -481,7 +481,7 @@ class CANOverlay(Overlay):
                     lst.append(c)
                     lst.sort()
 
-    def _on_add(self, key: int) -> None:
+    def _on_add(self, key: int, idx: int) -> None:
         assert self._root is not None
         point = self.point_of(key)
         changed: Set[int] = set()
@@ -494,7 +494,7 @@ class CANOverlay(Overlay):
         self._repair_neighbors(changed)
         self._record_repair(len(changed))
 
-    def _on_remove(self, key: int) -> None:
+    def _on_remove(self, key: int, idx: int) -> None:
         assert self._root is not None
         point = self.point_of(key)
         changed: Set[int] = set()
@@ -503,7 +503,7 @@ class CANOverlay(Overlay):
         self._repair_neighbors(changed, removed=key)
         self._record_repair(len(changed))
 
-    def _invalidate_owner_memo_add(self, key: int) -> None:
+    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
         # Zone ownership is not ring-local; eviction happens in _on_add
         # once the set of owners losing territory is known.  (Departures
         # only re-home keys the departed member owned, so the base rule

@@ -12,12 +12,20 @@ Routing only ever asks a node one thing — "which of my neighbours sits
 furthest clockwise without passing the owner?" — so a node's fingers and
 successor list are kept as **one row**: the clockwise offsets of all of
 them, deduplicated and ascending.  The question is then one ``bisect``.
+
+**The row predicate.**  Write ``off_n(x)`` for the clockwise offset of ``x``
+from ``n``.  A member ``m`` is in ``row(n)`` iff it is among ``n``'s ``r``
+nearest successors, or some finger start ``2**i`` lies in
+``(off_n(pred(m)), off_n(m)]`` — i.e. ``off_n(m) >> off_n(pred(m)).bit_length()``
+is non-zero.  ``_build_rows`` is the only code that constructs a row from
+the member array; a join or leave finds the members that hold the key and
+edits their rows in place under this predicate, at most three entries each.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -82,23 +90,23 @@ class ChordOverlay(Overlay):
     def _reset_state(self) -> None:
         self._rows.clear()
 
-    def _finger_positions(self, own: np.ndarray) -> np.ndarray:
-        """Insertion points in the member array of ``own[j] + 2**i``, one
-        line per member, ``i`` ascending (``n`` where the start lies past
-        the last member, i.e. wraps to the first)."""
+    def _ring_points(self, own: np.ndarray, sign: int) -> np.ndarray:
+        """``own[j] + sign * 2**i`` on the ring, one line per entry of
+        ``own``, ``i`` ascending."""
         if self._finger_steps is not None:
-            starts = (own[:, None] + self._finger_steps) & np.uint64(self._mask)
-        else:
-            starts = np.array(
-                [[(k + (1 << i)) & self._mask for i in range(self.space.bits)]
-                 for k in own.tolist()],
-                dtype=np.uint64,
-            )
-        return np.searchsorted(self._keys, starts)
+            steps = self._finger_steps
+            points = own[:, None] + steps if sign > 0 else own[:, None] - steps
+            return points & np.uint64(self._mask)
+        return np.array(
+            [[(k + sign * (1 << i)) & self._mask for i in range(self.space.bits)]
+             for k in own.tolist()],
+            dtype=np.uint64,
+        )
 
     def _build_rows(self, positions: np.ndarray) -> None:
         """(Re)build the rows of the members at sorted ``positions``, all
-        at once: one 2-D ``searchsorted`` for the fingers, index
+        at once: one 2-D ``searchsorted`` for the fingers (``n`` where a
+        start lies past the last member, i.e. wraps to the first), index
         arithmetic for the successor lists, one line-wise sort and one
         filter."""
         keys = self._keys
@@ -106,7 +114,11 @@ class ChordOverlay(Overlay):
         own = keys[positions]
         ranks = np.arange(1, min(self.successor_list_size, n - 1) + 1)
         neighbours = np.concatenate(
-            [self._finger_positions(own), positions[:, None] + ranks], axis=1
+            [
+                np.searchsorted(keys, self._ring_points(own, 1)),
+                positions[:, None] + ranks,
+            ],
+            axis=1,
         )
         neighbours %= n
         offsets = keys[neighbours]
@@ -123,73 +135,79 @@ class ChordOverlay(Overlay):
             self._rows[key] = flat[begin:end]
             begin = end
 
-    def _position_of(self, members: List[int]) -> np.ndarray:
-        return np.searchsorted(self._keys, np.array(members, dtype=np.uint64))
-
     def _build_all(self) -> None:
         self._build_rows(np.arange(self._key_count))
 
     def _build_node(self, key: int) -> None:
-        self._build_rows(self._position_of([key]))
+        self._build_rows(np.searchsorted(self._keys, np.array([key], dtype=np.uint64)))
 
-    def _keys_in_cw_interval(self, a: int, b: int) -> List[int]:
-        """Member keys in the clockwise half-open interval (a, b].
+    # ------------------------------------------------------------------
+    # Churn repair: edit the affected rows under the row predicate (see
+    # the module docstring)
+    # ------------------------------------------------------------------
+    def _affected_positions(self, key: int, idx: int) -> Set[int]:
+        """Positions of the members whose row a join/leave of ``key`` at
+        ``keys[idx]`` changes — exactly those that hold (or held) ``key``.
 
-        Empty when ``a == b``; handles wrap-around.  Used by the targeted
-        churn repairs to find exactly the nodes whose state a membership
-        change can touch.
+        ``key`` is ``finger[i]`` of ``n`` iff ``n + 2**i`` lies in
+        ``(pred(key), key]``, i.e. ``n ∈ (pred − 2**i, key − 2**i]``: one
+        ``searchsorted`` over the 2·m interval ends; it is in the successor
+        list of the ``r`` members before it.  Called with the membership
+        already updated (a joiner's own position may be among them).
         """
-        if a == b:
-            return []
         keys = self._keys
-        ia = int(np.searchsorted(keys, np.uint64(a), side="right"))
-        ib = int(np.searchsorted(keys, np.uint64(b), side="right"))
-        if a < b:
-            idx = range(ia, ib)
-        else:  # wraps past zero
-            idx = list(range(ia, keys.size)) + list(range(0, ib))
-        return [int(keys[i]) for i in idx]
-
-    def _affected_by(self, key: int) -> List[int]:
-        """Members whose routing state a join/leave of ``key`` can change.
-
-        A finger entry of node ``n`` at level ``i`` is ``successor(n + 2**i)``
-        and only changes when ``n + 2**i`` lies in ``(pred(key), key]`` —
-        i.e. ``n ∈ (pred(key) − 2**i, key − 2**i]``.  Successor lists only
-        change for the ``r`` members preceding ``key``.
-        """
-        size = self.space.size
-        keys = self._keys
-        idx = int(np.searchsorted(keys, np.uint64(key)))
         n = keys.size
-        # Predecessor in the *current* membership (key itself may or may
-        # not be present; both callers arrange the membership first).
-        pred = int(keys[(idx - 1) % n])
-        affected = set()
-        for i in range(self.space.bits):
-            step = 1 << i
-            lo = (pred - step) % size
-            hi = (key - step) % size
-            affected.update(self._keys_in_cw_interval(lo, hi))
-        # Successor-list holders: the r members counter-clockwise of key.
-        for j in range(1, min(self.successor_list_size, n - 1) + 1):
-            affected.add(int(keys[(idx - j) % n]))
-        affected.discard(key)
-        return sorted(affected)
+        ends = self._ring_points(np.array([keys[idx - 1], key], dtype=np.uint64), -1)
+        first, last = np.searchsorted(keys, ends, side="right")
+        last += n * (ends[0] > ends[1])  # the interval wraps past zero
+        found = set(range(idx - self.successor_list_size, idx))
+        for a, b in zip(first.tolist(), last.tolist()):
+            found.update(range(a, b))
+        return {p % n for p in found}
 
-    def _on_add(self, key: int) -> None:
-        # Exact targeted repair: the newcomer's row, and those of precisely
-        # the members whose fingers/successors the newcomer takes over.
-        # The contract tests assert equivalence with a from-scratch build.
-        affected = self._affected_by(key)
-        self._build_rows(self._position_of([key, *affected]))
+    def _on_add(self, key: int, idx: int) -> None:
+        keys, r, mask, rows = self._keys, self.successor_list_size, self._mask, self._rows
+        affected = self._affected_positions(key, idx)
+        affected.discard(idx)
+        self._build_rows(np.array([idx]))
+        # The newcomer enters the row; the one entry whose standing it can
+        # change is its successor (predecessor now the newcomer) or, from
+        # inside the successor list, the member pushed to rank r+1.
+        for member in keys[list(affected)].tolist():
+            row = rows[member]
+            offset = (key - member) & mask
+            j = bisect_right(row, offset)
+            row.insert(j, offset)
+            t = j + 1 if j >= r else r
+            if t < len(row) and not row[t] >> row[t - 1].bit_length():
+                del row[t]
         self._record_repair(len(affected) + 1)
 
-    def _on_remove(self, key: int) -> None:
-        self._rows.pop(key, None)
-        affected = self._affected_by(key)
-        if affected:
-            self._build_rows(self._position_of(affected))
+    def _on_remove(self, key: int, idx: int) -> None:
+        keys, r, mask, rows = self._keys, self.successor_list_size, self._mask, self._rows
+        del rows[key]
+        n = keys.size
+        affected = np.array(list(self._affected_positions(key, idx)), dtype=np.int64)
+        pred, succ = int(keys[idx - 1]), int(keys[idx % n])
+        # The leaver goes; the member now at rank r (if the ring still has
+        # one) enters if the leaver sat in the successor list, and the
+        # leaver's successor inherits any finger start between the
+        # predecessor and the leaver.
+        for member, rank_r in zip(
+            keys[affected].tolist(), keys[(affected + r) % n].tolist()
+        ):
+            row = rows[member]
+            offset = (key - member) & mask
+            j = bisect_left(row, offset)
+            del row[j]
+            fill = (rank_r - member) & mask
+            if j < r < n and (len(row) < r or row[r - 1] != fill):
+                row.insert(r - 1, fill)
+            if member != succ and offset >> ((pred - member) & mask).bit_length():
+                heir = (succ - member) & mask
+                i = bisect_left(row, heir)
+                if i == len(row) or row[i] != heir:
+                    row.insert(i, heir)
         self._record_repair(len(affected))
 
     # ------------------------------------------------------------------

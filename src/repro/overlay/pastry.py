@@ -69,11 +69,12 @@ class PastryOverlay(Overlay):
         self._leaves.clear()
 
     def _build_node(self, key: int) -> None:
-        self._leaves[key] = self._compute_leaves(key)
+        idx = int(np.searchsorted(self._keys, np.uint64(key)))
+        self._leaves[key] = self._compute_leaves(key, idx)
         self._table[key] = self._compute_table(key)
 
-    def _compute_leaves(self, key: int) -> List[int]:
-        idx = int(np.searchsorted(self._keys, np.uint64(key)))
+    def _compute_leaves(self, key: int, idx: int) -> List[int]:
+        """Leaf set of the member ``key`` at ``keys[idx]``."""
         n = self._keys.size
         half = self.leaf_set_size // 2
         leaves: List[int] = []
@@ -222,18 +223,20 @@ class PastryOverlay(Overlay):
     # ------------------------------------------------------------------
     # Targeted churn repair
     # ------------------------------------------------------------------
-    def _leaf_repair_window(self, idx: int, exclude: int) -> List[int]:
-        """Members whose leaf set a membership change at sorted position
-        ``idx`` can touch: the sliding windows overlapping that position."""
+    def _repair_leaf_window(self, idx: int, exclude: int) -> Set[int]:
+        """Recompute the leaf sets a membership change at sorted position
+        ``idx`` can touch — the sliding windows overlapping that position —
+        and return their members."""
         keys = self._keys
         n = int(keys.size)
         w = min(self.leaf_set_size // 2, n - 1)
         out: Set[int] = set()
-        for j in range(-w, w + 1):
-            k = int(keys[(idx + j) % n])
+        for pos in {(idx + j) % n for j in range(-w, w + 1)}:
+            k = int(keys[pos])
             if k != exclude:
+                self._leaves[k] = self._compute_leaves(k, pos)
                 out.add(k)
-        return sorted(out)
+        return out
 
     def _slots_facing(self, key: int) -> List[int]:
         """Per member, in member order: the slot of its table that ``key``
@@ -242,23 +245,19 @@ class PastryOverlay(Overlay):
         cols = _prefix.digits_at(self.space, np.uint64(key), spl)
         return (spl * self.space.digit_base + cols.astype(np.int64)).tolist()
 
-    def _on_add(self, key: int) -> None:
+    def _on_add(self, key: int, idx: int) -> None:
         if not self._vectorisable():
-            super()._on_add(key)
+            super()._on_add(key, idx)
             return
         keys = self._keys
-        n = int(keys.size)
-        idx = int(np.searchsorted(keys, np.uint64(key)))
         # 1. The newcomer's own state, from the reference rule.
-        self._build_node(key)
+        self._leaves[key] = self._compute_leaves(key, idx)
+        self._table[key] = self._compute_table(key)
         # 2. Leaf sets: only the windows around the insertion point move.
-        touched = self._leaf_repair_window(idx, key)
-        for member in touched:
-            self._leaves[member] = self._compute_leaves(member)
+        repaired = self._repair_leaf_window(idx, key)
         # 3. Tables: the newcomer challenges exactly one slot per member —
         #    (spl(member, key), digit(key, spl)).  The slot rule is a total
         #    order, so winner-vs-challenger equals a fresh argmin.
-        repaired = set(touched)
         for member, slot in zip(keys.tolist(), self._slots_facing(key)):
             if member == key:
                 continue
@@ -282,25 +281,20 @@ class PastryOverlay(Overlay):
             return lo_key
         return lo_key if not self.space.is_closer(hi_key, lo_key, local) else hi_key
 
-    def _on_remove(self, key: int) -> None:
+    def _on_remove(self, key: int, idx: int) -> None:
         if not self._vectorisable():
-            super()._on_remove(key)
+            super()._on_remove(key, idx)
             return
         self._leaves.pop(key, None)
         self._table.pop(key, None)
         keys = self._keys
-        idx = int(np.searchsorted(keys, np.uint64(key)))
-        idx = idx % int(keys.size) if keys.size else 0
         # 1. Leaf sets around the departure position.
-        touched = self._leaf_repair_window(idx, key)
-        for member in touched:
-            self._leaves[member] = self._compute_leaves(member)
+        repaired = self._repair_leaf_window(idx, key)
         # 2. Tables: only slots that referenced the departed key change, and
         #    every member referencing it at row r draws replacements from the
         #    same block — the members sharing the key's first r+1 digits.
         block_range: Dict[int, Tuple[int, int]] = {}
         winner_cache: Dict[int, int] = {}
-        repaired = set(touched)
         for member, slot in zip(keys.tolist(), self._slots_facing(key)):
             table = self._table[member]
             if table.get(slot) != key:

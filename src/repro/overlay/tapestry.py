@@ -77,7 +77,7 @@ class TapestryOverlay(PastryOverlay):
     # ------------------------------------------------------------------
     # Owner-memo invalidation under churn
     # ------------------------------------------------------------------
-    def _invalidate_owner_memo_add(self, key: int) -> None:
+    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
         """Evict exactly the memo entries a join diverts to ``key``.
 
         The surrogate descent for a target ``t`` follows its owner ``o``'s

@@ -140,7 +140,8 @@ def check_overlay_consistency(
     """Membership/routing-state invariants after a membership change.
 
     Bounded work: O(N) sortedness over the member array plus the changed
-    key's own routing state — churn loops stay usable under the sanitizer.
+    key's own routing state (a departed key's two ring neighbours') —
+    churn loops stay usable under the sanitizer.
     """
     _record("overlay")
     keys = overlay.keys
@@ -160,17 +161,23 @@ def check_overlay_consistency(
                 f"member {key} is not the owner of its own key "
                 f"(owner_of returned {owner})"
             )
-        for nb in overlay.neighbors_of(key):
-            if not overlay.is_member(nb):
-                raise _violation(
-                    f"member {key} routes to non-member neighbour {nb}"
-                )
+        checked = {key}
     else:
-        # After a leave the key must be fully forgotten.
+        # After a leave the key must be fully forgotten: by the member
+        # array, and by its ring predecessor and successor (the ring
+        # overlays' surest holders of it).
         if key in set(int(k) for k in keys):
             raise _violation(
                 f"departed key {key} still present in the member array"
             )
+        idx = int(keys.searchsorted(keys.dtype.type(key)))
+        checked = {int(keys[idx - 1]), int(keys[idx % keys.size])}
+    for member in checked:
+        for nb in overlay.neighbors_of(member):
+            if not overlay.is_member(nb):
+                raise _violation(
+                    f"member {member} routes to non-member neighbour {nb}"
+                )
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import BristleConfig, BristleNetwork
 from repro.overlay import ChordOverlay, KeySpace
 from repro.sim import RngStreams
 
@@ -151,3 +152,43 @@ class TestBulkBuildParity:
         space = KeySpace(bits=64, digit_bits=4)
         keys = [3, 1 << 40, (1 << 63) + 9, (1 << 64) - 2]
         assert _assert_bulk_matches_per_node(space, keys)._finger_steps is None
+
+
+class TestTinyRingLeave:
+    """A leave from a ring of at most ``r + 1`` members: every member held
+    the leaver, its own successor at rank ``r`` — the one the repair walk
+    missed while it was sized by the membership *after* the removal."""
+
+    @pytest.mark.parametrize(
+        "bits,members,leaver,successor,left",
+        [
+            (32, [10, 20, 30, 40, 50], 20, 30, [10, 40, 50]),
+            (8, [7, 49, 65, 81, 205], 49, 65, [7, 81, 205]),
+        ],
+    )
+    def test_successor_forgets_the_leaver(self, bits, members, leaver, successor, left):
+        ov = ChordOverlay(KeySpace(bits=bits, digit_bits=4))
+        ov.build(members)
+        ov.remove_node(leaver)
+        assert ov.neighbors_of(successor) == left
+        fresh = ChordOverlay(ov.space)
+        fresh.build([k for k in members if k != leaver])
+        assert ov._rows == fresh._rows
+
+    def test_network_of_five_survives_leave_then_join(self):
+        """2 stationary + 3 mobile = a five-member mobile layer with
+        ``r = 4``; joins register the newcomer with every neighbour the
+        overlay lists, so a dangling one is a ``KeyError`` in waiting."""
+        net = BristleNetwork(
+            BristleConfig(seed=1), num_stationary=2, num_mobile=3, router_count=60
+        )
+        leaver = net.mobile_keys[1]
+        net.leave_mobile_node(leaver)
+        layer = net.mobile_layer
+        for member in layer.keys.tolist():
+            assert set(layer.neighbors_of(member)) <= set(net.nodes), member
+        newcomer = next(k for k in range(leaver + 1, leaver + 9) if k not in net.nodes)
+        net.join_mobile_node(newcomer)
+        for member in layer.keys.tolist():
+            assert set(layer.neighbors_of(member)) == set(net.nodes) - {member}
+        assert set(net.nodes[newcomer].registry) == set(net.nodes) - {newcomer}

@@ -8,10 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.overlay import KeySpace, make_overlay
+from repro.overlay import ChordOverlay, KeySpace, make_overlay
 from repro.overlay.factory import OVERLAY_NAMES
 from repro.sim import RngStreams
+from repro.sim.metrics import MetricsRegistry
+
+from .oracles.routing import chord_fingers, chord_successors
 
 
 @pytest.fixture(params=OVERLAY_NAMES)
@@ -290,7 +295,7 @@ class TestWideKeyChurnRepair:
     on a ring with such a cluster."""
 
     @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("bits,digit_bits", [(60, 4), (63, 7)])
+    @pytest.mark.parametrize("bits,digit_bits", [(60, 4), (63, 7), (64, 4)])
     @pytest.mark.parametrize("name", ["chord", "pastry"])
     def test_join_leave_matches_rebuild(self, name, bits, digit_bits, seed):
         space = KeySpace(bits=bits, digit_bits=digit_bits)
@@ -317,3 +322,169 @@ class TestWideKeyChurnRepair:
                 ov.remove_node(victim)
             fresh = build(name, space, list(members))
             _assert_same_state(ov, fresh, space, RngStreams(seed), routes=10)
+
+
+# ----------------------------------------------------------------------
+# Chord: churn repair edits rows in place — compare the rows themselves
+# ----------------------------------------------------------------------
+class ChordRing:
+    """A seeded Chord overlay under churn, checked after *every* event
+    against a from-scratch build of the same membership (whole ``_rows``
+    dict), the definitions in ``tests/oracles/routing.py`` and the repair
+    counter."""
+
+    def __init__(self, bits, count, r, seed):
+        self.space = KeySpace(bits=bits, digit_bits=1)
+        self.r = r
+        self.rng = RngStreams(seed)
+        self.members = set(self.space.random_keys(self.rng, "members", count).tolist())
+        self.ov = self.build()
+        self.repaired = MetricsRegistry()
+        self.ov.bind_metrics(self.repaired)
+        self.fresh = self.build()
+        self.check_rows(sorted(self.members)[:100])
+
+    def build(self):
+        ov = ChordOverlay(self.space, successor_list_size=self.r)
+        ov.build(self.members)
+        return ov
+
+    def check_rows(self, members):
+        mask = self.space.size - 1
+        for m in members:
+            by_definition = {
+                (x - m) & mask
+                for x in chord_fingers(self.ov, m) + chord_successors(self.ov, m)
+            }
+            assert self.ov._rows[m] == sorted(by_definition), f"row of {m}"
+
+    def apply(self, join, key):
+        counter = self.repaired.counter("overlay.repaired_nodes")
+        before = counter.value
+        self.members ^= {key}
+        (self.ov.add_node if join else self.ov.remove_node)(key)
+        previous, self.fresh = self.fresh, self.build()
+        assert self.ov._rows == self.fresh._rows, (join, key)
+        assert self.ov.keys.tolist() == sorted(self.members)
+        # Every row a fresh build gives differently after the event is one
+        # the repair touched, and it touched no other: the count it
+        # reports is the number of changed rows (+ the joiner's own).
+        changed = {
+            m for m, row in self.fresh._rows.items()
+            if m in previous._rows and previous._rows[m] != row
+        }
+        assert counter.value - before == len(changed) + join
+        small = len(self.members) <= 100
+        self.check_rows(self.members if small else changed | ({key} if join else set()))
+
+    def run(self, script):
+        """``script``: (join?, pick) pairs; ``pick`` chooses the leaver by
+        rank, or the joiner as the first free key at-or-after it."""
+        size = self.space.size
+        for join, pick in script:
+            if (join or len(self.members) <= 2) and len(self.members) < size:
+                key = pick % size
+                while key in self.members:
+                    key = (key + 1) % size
+                self.apply(True, key)
+            else:
+                self.apply(False, sorted(self.members)[pick % len(self.members)])
+
+    def drain_and_refill(self):
+        """Walk down to two members and back up, in shuffled orders."""
+        gen = self.rng.stream("drain")
+        leavers = gen.permutation(np.array(sorted(self.members), dtype=np.uint64))[2:]
+        for key in leavers.tolist():
+            self.apply(False, key)
+        for key in gen.permutation(leavers).tolist():
+            self.apply(True, key)
+
+
+SEED = st.integers(0, 2**32 - 1)
+SCRIPT = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 2**64 - 1)), min_size=10, max_size=30
+)
+
+
+class TestChordRowChurnSequenceParity:
+    """The rings ``TestChurnSequenceParity`` never builds: dense, wrapped
+    fingers, ``r != 4``, the ``bits > 63`` branch, rings too small to fill
+    a successor list."""
+
+    @given(
+        seed=SEED,
+        count=st.integers(12, 100),
+        r=st.sampled_from((1, 2, 4)),
+        script=SCRIPT,
+        drain=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_dense_8_bit_rings(self, seed, count, r, script, drain):
+        ring = ChordRing(8, count, r, seed)
+        ring.run(script)
+        if drain:
+            ring.drain_and_refill()
+
+    @pytest.mark.parametrize(
+        "bits,count,r",
+        [(12, 200, 8), (16, 40, 4), (32, 3000, 4), (60, 500, 3), (63, 300, 1), (64, 80, 4)],
+    )
+    @given(seed=SEED, script=SCRIPT)
+    @settings(max_examples=6, deadline=None)
+    def test_rows_equal_a_fresh_build_after_every_event(self, bits, count, r, seed, script):
+        ChordRing(bits, count, r, seed).run(script)
+
+    @pytest.mark.parametrize(
+        "bits,count,r",
+        [(8, 4, 1), (8, 6, 3), (8, 7, 4), (8, 9, 6), (16, 40, 4), (64, 7, 4), (64, 80, 4)],
+    )
+    def test_walk_down_to_two_members_and_back(self, bits, count, r):
+        """Through every size at which a successor list goes from full to
+        short and back (``r + 2`` … 2 members)."""
+        ring = ChordRing(bits, count, r, seed=count)
+        for _ in range(2):
+            ring.drain_and_refill()
+
+    def test_repair_counts_are_the_parents(self):
+        """One fixed 200-event sequence; the value is what the parent of
+        issue 18 (rebuild-every-affected-row) reported, so the columns
+        ``figure5_join`` / ``ext-churn-repair`` read cannot drift."""
+        ring = ChordRing(32, 300, 4, seed=18)
+        gen = ring.rng.stream("script")
+        ring.run(zip((gen.random(200) < 0.5).tolist(), gen.integers(0, 1 << 32, 200).tolist()))
+        assert ring.repaired.counter("overlay.repairs").value == 200
+        assert ring.repaired.counter("overlay.repaired_nodes").value == 2145
+
+
+# ----------------------------------------------------------------------
+# The member-array index handed from add_node / remove_node to the hooks
+# ----------------------------------------------------------------------
+class TestIndexHandOff:
+    """``add_node`` / ``remove_node`` resolve the key's index once and hand
+    it to the memo eviction and the repair hook; the first things that go
+    wrong are ``idx - 1`` / ``idx % n`` at the ends of the array."""
+
+    MEMBERS = [3, 1 << 8, 1 << 16, 1 << 24, (1 << 30) + 5, (1 << 31) + 9,
+               3 << 30, (1 << 32) - 7]
+
+    @pytest.mark.parametrize(
+        "key,founder",  # a newcomer, and the founding member next to it
+        [(1, 3), ((1 << 32) - 2, (1 << 32) - 7), ((1 << 31) - 1, (1 << 30) + 5), (0, 3)],
+        ids=["first", "last", "middle", "wraps past zero"],
+    )
+    def test_ends_and_middle_equal_a_fresh_build(self, overlay_name, space, key, founder):
+        members = set(self.MEMBERS)
+        targets = space.random_keys(RngStreams(7), "targets", 60, unique=False).tolist()
+        targets += [0, 1, 2, (1 << 32) - 1, (1 << 32) - 7, key, (key + 1) % space.size]
+        ov = build(overlay_name, space, members)
+        for change, k in [(ov.add_node, key), (ov.remove_node, key),
+                          (ov.remove_node, founder), (ov.add_node, founder)]:
+            for t in targets:  # warm the memo so a stale entry would show
+                ov.owner_of(t)
+            change(k)
+            members ^= {k}
+            fresh = build(overlay_name, space, members)
+            assert ov.keys.tolist() == sorted(members)
+            for t in targets:
+                assert ov.owner_of(t) == fresh.owner_of(t), (change.__name__, k, t)
+            _assert_same_state(ov, fresh, space, RngStreams(8), routes=8)

@@ -142,6 +142,30 @@ class TestOverlayChecks:
         with pytest.raises(SanitizerViolation):
             sanitize.check_overlay_consistency(overlay, ghost)
 
+    def test_departed_key_kept_by_a_ring_neighbour_raises(self, sanitizer):
+        """A leave whose repair skipped a holder: the member array is
+        right, the departed key's predecessor still routes to it."""
+        overlay = self.build()
+        ghost, holder = int(overlay.keys[5]), int(overlay.keys[4])
+        stale = list(overlay._rows[holder])
+        overlay.remove_node(ghost)  # checked clean by the hook itself
+        overlay._rows[holder] = stale  # the repair that did not happen
+        with pytest.raises(SanitizerViolation, match=f"non-member neighbour {ghost}"):
+            sanitize.check_overlay_consistency(overlay, ghost)
+
+    def test_fires_on_the_tiny_ring_leave_bug(self, sanitizer):
+        """The state issue 18's parent left behind — five members, r = 4,
+        20 leaves and its successor 30 is never repaired — is what the
+        neighbourhood check exists for (the parent was silent on it)."""
+        overlay = make_overlay("chord", KeySpace())
+        overlay.build([10, 20, 30, 40, 50])
+        overlay.remove_node(20)
+        assert overlay.neighbors_of(30) == [10, 40, 50]
+        overlay._rows[30] = sorted(overlay._rows[30] + [(20 - 30) % (1 << 32)])
+        assert overlay.neighbors_of(30) == [10, 20, 40, 50]  # the parent's answer
+        with pytest.raises(SanitizerViolation, match="member 30 routes to non-member"):
+            sanitize.check_overlay_consistency(overlay, 20)
+
 
 # ----------------------------------------------------------------------
 # LDT structure
