@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left, insort
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .location import (
 from .naming import make_naming
 from .node import BristleNode
 
-__all__ = ["BristleNetwork", "MoveReport", "BatchMoveReport"]
+__all__ = ["BristleNetwork", "MoveReport", "BatchMoveReport", "cohosted_group"]
 
 
 @dataclasses.dataclass
@@ -154,6 +154,14 @@ class BatchMoveReport:
         """Batched publish messages plus the single LDT wave —
         O(K + log N) where the per-key baseline pays O(K · log N)."""
         return self.publish_messages + self.ldt_messages
+
+
+def cohosted_group(keys: Iterable[int]) -> Tuple[int, ...]:
+    """``keys`` as a co-hosted group: distinct, sorted, at least one."""
+    group = tuple(sorted({int(k) for k in keys}))
+    if not group:
+        raise ValueError("a co-hosted group needs at least one key")
+    return group
 
 
 class BristleNetwork:
@@ -312,16 +320,15 @@ class BristleNetwork:
         #: "infrastructure load" counter (comparable to Type B's per-agent
         #: packet counts).
         self.resolution_load: Dict[int, int] = {}
-        # Dissemination trees kept across waves (see :meth:`_current_ldt`).
-        # Each entry maps a mobile key (or a co-hosted key group) to the
-        # fingerprint it was built under plus the tree; a fingerprint
-        # mismatch triggers a rebuild.  Moves never invalidate: trees
-        # depend on registries, capacities and workloads, not addresses.
-        self._ldt_cache: Dict[int, Tuple[tuple, LDTree]] = {}
-        self._group_ldt_cache: Dict[Tuple[int, ...], Tuple[tuple, int, LDTree]] = {}
+        # Dissemination trees kept across waves (see :meth:`_current_ldt`):
+        # sorted co-hosted key group — a single key is the group ``(k,)`` —
+        # to the fingerprint the tree was built under plus the tree; a
+        # fingerprint mismatch triggers a rebuild.  Moves never invalidate:
+        # trees depend on registries, capacities and workloads, not addresses.
+        self._ldt_cache: Dict[Tuple[int, ...], Tuple[tuple, LDTree]] = {}
         #: member key → cached groups containing it, so a leave evicts its
-        #: groups without scanning the whole group cache.
-        self._groups_of: Dict[int, Set[Tuple[int, ...]]] = {}
+        #: groups without scanning the whole cache.
+        self._groups_of: Dict[int, List[Tuple[int, ...]]] = {}
         # Every node (mobile ones included) starts published so discovery
         # succeeds from time zero.
         for key in self.mobile_keys:
@@ -517,7 +524,7 @@ class BristleNetwork:
         if advertise and node.registry:
             # The address never enters Fig 4: the wave reuses the node's
             # tree while its inputs stand, and is counted all the same.
-            ldt = self._current_ldt(key)[0]
+            ldt = self._current_ldt((key,))[0]
             self._ldt_metrics(ldt)
         report = MoveReport(
             key=key,
@@ -557,14 +564,34 @@ class BristleNetwork:
         its current registry (Fig 4) and count it as one wave.
 
         Always a fresh derivation by the scalar kernel; :meth:`move` and
-        :meth:`ldt_for` keep the tree while its inputs stand, and batch
-        call sites go through :meth:`build_ldt_for_many`.
+        :meth:`ldt_for` keep the tree while its inputs stand.
         """
         tree = self._build_ldt(
-            self._ldt_spec(key, locality_tie_break=locality_tie_break)
+            self._ldt_spec((key,), locality_tie_break=locality_tie_break)
         )
         self._ldt_metrics(tree)
         return tree
+
+    def build_ldt_for_group(
+        self, keys: Sequence[int], *, locality_tie_break: bool = False
+    ) -> Tuple[int, LDTree]:
+        """One coalesced advertisement tree for co-hosted mobile keys,
+        freshly derived and counted as one wave.
+
+        The batched update multicasts the host's new address once: from
+        the member with the most available capacity, over the union of the
+        group's registries (see :meth:`_ldt_spec`).  Returns
+        ``(root_key, tree)``.
+        """
+        group = cohosted_group(keys)
+        # A forest of one: equal to build_ldt on the same inputs, and
+        # what bench_e2e's core.ldt_forest.* spans measure on this path.
+        forest = build_ldt_forest(
+            [self._ldt_spec(group, locality_tie_break=locality_tie_break)]
+        )
+        tree = forest.tree(0)
+        self._ldt_metrics(tree)
+        return tree.root_key, tree
 
     @staticmethod
     def _build_ldt(spec: ForestSpec) -> LDTree:
@@ -573,54 +600,33 @@ class BristleNetwork:
         )
 
     def _ldt_spec(
-        self,
-        root: int,
-        registrants: Optional[Sequence[int]] = None,
-        *,
-        locality_tie_break: bool = False,
+        self, group: Sequence[int], *, locality_tie_break: bool = False
     ) -> ForestSpec:
-        """The Fig-4 inputs of a wave from ``root`` over ``registrants``
-        (default: its own registry, key-sorted), read from the nodes' live
-        capacities and workloads."""
+        """The Fig-4 inputs of one wave for the co-hosted keys ``group`` —
+        a single key is the group ``(k,)`` — read from the nodes' live
+        capacities and workloads.
+
+        The root is the member with the most available capacity (ties
+        broken by key, deterministically).  The audience is the union of
+        the group's registries, key-sorted: a registrant interested in
+        several co-hosted resources is visited once, and the group's own
+        members are left out since they share the host.
+        """
         nodes = self.nodes
-        if registrants is None:
-            registrants = sorted(nodes[root].registry)
+        root = max(group, key=lambda k: (nodes[k].available, -k))
+        registries = [nodes[k].registry for k in group]
+        audience = sorted(set().union(*registries).difference(group))
         tie = None
         if locality_tie_break:
             tie = lambda m: self.network_distance_between_keys(root, m.key)  # noqa: E731
         return ForestSpec(
             root=LDTMember(root, nodes[root].capacity, nodes[root].used),
             registry=[
-                LDTMember(r, nodes[r].capacity, nodes[r].used) for r in registrants
+                LDTMember(r, nodes[r].capacity, nodes[r].used) for r in audience
             ],
             unit_cost=self.config.unit_advertise_cost,
             tie_break=tie,
         )
-
-    def build_ldt_for_many(
-        self, keys: Sequence[int], *, locality_tie_break: bool = False
-    ) -> Dict[int, LDTree]:
-        """Construct the advertisement trees of many mobile keys in one
-        vectorised pass through :func:`build_ldt_forest`.
-
-        Equal to calling :meth:`build_ldt_for` per key (the forest
-        builder's parity guarantee), with the capacity sort and the Fig-4
-        schedule amortised across the whole batch; per-tree telemetry is
-        recorded in ``keys`` order, exactly as the sequential loop would.
-        """
-        key_list = [int(k) for k in keys]
-        forest = build_ldt_forest(
-            [
-                self._ldt_spec(k, locality_tie_break=locality_tie_break)
-                for k in key_list
-            ]
-        )
-        out: Dict[int, LDTree] = {}
-        for index, key in enumerate(key_list):
-            tree = forest.tree(index)
-            self._ldt_metrics(tree)
-            out[key] = tree
-        return out
 
     def _ldt_metrics(self, tree: LDTree) -> None:
         """Account one advertisement wave over ``tree`` — depth, messages,
@@ -637,11 +643,9 @@ class BristleNetwork:
             _sanitize.check_ldt(tree, self.config.unit_advertise_cost)
 
     # -- trees kept across waves ----------------------------------------
-    def _ldt_fingerprint(
-        self, roots: Iterable[int], registrants: Iterable[int]
-    ) -> tuple:
-        """Everything a Fig-4 tree from ``roots`` over ``registrants`` is
-        derived from — who is registered, every participant's capacity and
+    def _ldt_fingerprint(self, group: Tuple[int, ...]) -> tuple:
+        """Everything ``group``'s Fig-4 tree is derived from — who is
+        registered to each member, every participant's capacity and
         workload — as one comparable value.  Addresses and lease timestamps
         are not in it, so a move or a refresh leaves it equal.
 
@@ -651,121 +655,48 @@ class BristleNetwork:
         discipline.  The price is three ``|R|``-tuples per kept tree.
         """
         nodes = self.nodes
-        audience = tuple(registrants)
-        members = [nodes[k] for k in chain(roots, audience)]
+        audience: List[int] = []
+        for k in group:
+            audience += nodes[k].registry
+        members = [nodes[k] for k in chain(group, audience)]
         return (
-            audience,
+            tuple(audience),
             tuple([n.capacity for n in members]),
             tuple([n.used for n in members]),
         )
 
-    def _current_ldt(self, key: int) -> Tuple[LDTree, bool]:
-        """``key``'s tree, re-derived only when its fingerprint moved;
+    def _current_ldt(self, group: Tuple[int, ...]) -> Tuple[LDTree, bool]:
+        """``group``'s tree, re-derived only when its fingerprint moved;
         returns ``(tree, rebuilt)``."""
-        fp = self._ldt_fingerprint((key,), self.nodes[key].registry)
-        cached = self._ldt_cache.get(key)
-        if cached is not None and cached[0] == fp:
-            return cached[1], False
-        tree = self._build_ldt(self._ldt_spec(key))
-        self._ldt_cache[key] = (fp, tree)
+        fp = self._ldt_fingerprint(group)
+        kept = self._ldt_cache.get(group)
+        if kept is not None and kept[0] == fp:
+            return kept[1], False
+        tree = self._build_ldt(self._ldt_spec(group))
+        if kept is None:
+            for k in group:
+                self._groups_of.setdefault(k, []).append(group)
+        self._ldt_cache[group] = (fp, tree)
         return tree, True
 
-    def ldt_for(self, key: int) -> LDTree:
-        """``key``'s tree for a periodic refresher, counted once per
-        derivation: :class:`~repro.core.statebinding.EarlyBinding`
-        re-advertises every period over a tree that rarely changes, so
-        unlike :meth:`move` — which shares the cache but accounts every
-        wave — a hit here only bumps ``ldt.cache_hits``."""
-        tree, rebuilt = self._current_ldt(key)
-        outcome = "ldt.cache_misses" if rebuilt else "ldt.cache_hits"
-        self.telemetry.metrics.counter(outcome).inc()
-        if rebuilt:
-            self._ldt_metrics(tree)
-        return tree
-
-    def ldt_for_many(self, keys: Sequence[int]) -> Dict[int, LDTree]:
-        """Batch variant of :meth:`ldt_for`.
-
-        Every key pays the same fingerprint check (and the same
-        ``ldt.cache_hits``/``ldt.cache_misses`` accounting) as the scalar
-        path; the misses are then rebuilt together through the forest
-        builder instead of one kernel call per key.
-        """
-        m = self.telemetry.metrics
-        out: Dict[int, LDTree] = {}
-        stale: Dict[int, tuple] = {}
-        for key in map(int, keys):
-            fp = self._ldt_fingerprint((key,), self.nodes[key].registry)
-            cached = self._ldt_cache.get(key)
-            if cached is not None and cached[0] == fp:
-                m.counter("ldt.cache_hits").inc()
-                out[key] = cached[1]
-            else:
-                m.counter("ldt.cache_misses").inc()
-                stale[key] = fp
-        if stale:
-            for key, tree in self.build_ldt_for_many(list(stale)).items():
-                self._ldt_cache[key] = (stale[key], tree)
-                out[key] = tree
-        return out
-
-    def build_ldt_for_group(
-        self, keys: Sequence[int], *, locality_tie_break: bool = False
-    ) -> Tuple[int, LDTree]:
-        """One coalesced advertisement tree for co-hosted mobile keys.
-
-        The batched update multicasts the host's new address once, over the
-        *union* of the group's registries (deduplicated — a registrant
-        interested in several co-hosted resources is visited once).  The
-        root is the group member with the most available capacity (ties
-        broken by key, deterministically); group members themselves are
-        excluded from the wave since they share the host.  Returns
-        ``(root_key, tree)``.
-        """
-        group = sorted({int(k) for k in keys})
-        if not group:
-            raise ValueError("build_ldt_for_group needs at least one key")
-        rep = max(group, key=lambda k: (self.nodes[k].available, -k))
-        # A forest of one: equal to build_ldt on the same inputs, and
-        # what bench_e2e's core.ldt_forest.* spans measure on this path.
-        forest = build_ldt_forest(
-            [
-                self._ldt_spec(
-                    rep,
-                    self._group_audience(group),
-                    locality_tie_break=locality_tie_break,
-                )
-            ]
-        )
-        tree = forest.tree(0)
-        self._ldt_metrics(tree)
-        return rep, tree
-
-    def _group_audience(self, group: Sequence[int]) -> List[int]:
-        """Union of the group's registries, key-sorted; the group's own
-        members are left out — they share the host."""
-        registries = (self.nodes[k].registry for k in group)
-        return sorted(set().union(*registries).difference(group))
-
     def ldt_for_group(self, keys: Sequence[int]) -> Tuple[int, LDTree]:
-        """Cached variant of :meth:`build_ldt_for_group` (the fingerprint
-        of :meth:`ldt_for`, extended over the group and the union of its
-        registrants)."""
-        group = tuple(sorted({int(k) for k in keys}))
-        if not group:
-            raise ValueError("ldt_for_group needs at least one key")
-        fp = self._ldt_fingerprint(group, self._group_audience(group))
-        cached = self._group_ldt_cache.get(group)
-        m = self.telemetry.metrics
-        if cached is not None and cached[0] == fp:
-            m.counter("ldt.cache_hits").inc()
-            return cached[1], cached[2]
-        m.counter("ldt.cache_misses").inc()
-        rep, tree = self.build_ldt_for_group(list(group))
-        self._group_ldt_cache[group] = (fp, rep, tree)
-        for k in group:
-            self._groups_of.setdefault(k, set()).add(group)
-        return rep, tree
+        """``(root_key, tree)`` of the co-hosted ``keys`` for a periodic
+        refresher, counted once per derivation:
+        :class:`~repro.core.statebinding.EarlyBinding` re-advertises every
+        period over a tree that rarely changes, so unlike :meth:`move` —
+        which shares the cache but accounts every wave — a hit here only
+        bumps ``ldt.cache_hits``."""
+        tree, rebuilt = self._current_ldt(cohosted_group(keys))
+        if rebuilt:
+            self.telemetry.metrics.counter("ldt.cache_misses").inc()
+            self._ldt_metrics(tree)
+        else:
+            self.telemetry.metrics.counter("ldt.cache_hits").inc()
+        return tree.root_key, tree
+
+    def ldt_for(self, key: int) -> LDTree:
+        """``key``'s tree — :meth:`ldt_for_group` of the group ``(key,)``."""
+        return self.ldt_for_group((key,))[1]
 
     # ------------------------------------------------------------------
     # Batched mobility (update_many)
@@ -790,9 +721,7 @@ class BristleNetwork:
         O(K · log N).  Directory state afterwards is identical to K
         sequential publishes at the same virtual time.
         """
-        group = sorted({int(k) for k in keys})
-        if not group:
-            raise ValueError("move_many needs at least one key")
+        group = list(cohosted_group(keys))
         for k in group:
             if not self.nodes[k].mobile:
                 raise ValueError(f"node {k} is stationary; only mobile nodes move")
@@ -862,6 +791,13 @@ class BristleNetwork:
     # ------------------------------------------------------------------
     # Discovery (reactive state resolution, §2.3.2)
     # ------------------------------------------------------------------
+    def stationary_entry(self, key: int) -> int:
+        """Where node ``key`` enters the stationary layer (Fig 2): at
+        itself, or at the stationary owner of its own key if it is mobile."""
+        if key in self._mobile_set:
+            return self.stationary_layer.owner_of(key)
+        return key
+
     def discover(self, from_key: int, target_key: int) -> "DiscoveryResult":
         """Resolve ``target_key``'s address through the stationary layer.
 
@@ -869,11 +805,7 @@ class BristleNetwork:
         layer; it routes to the stationary node closest to the target key
         (the record holder Z), which returns the registered address.
         """
-        entry = (
-            from_key
-            if not self.is_mobile(from_key)
-            else self.stationary_layer.owner_of(from_key)
-        )
+        entry = self.stationary_entry(from_key)
         stat_route = self.stationary_layer.route(entry, target_key)
         holder = stat_route.terminus
         self.resolution_load[holder] = self.resolution_load.get(holder, 0) + 1
@@ -963,12 +895,11 @@ class BristleNetwork:
             self.registrations.unregister(key, target)
         for registrant in list(node.registry):
             self.registrations.unregister(registrant, key)
-        self._ldt_cache.pop(key, None)
         for g in self._groups_of.pop(key, ()):
-            del self._group_ldt_cache[g]
+            del self._ldt_cache[g]
             for other in g:
                 if other != key:
-                    self._groups_of[other].discard(g)
+                    self._groups_of[other].remove(g)
         self.mobile_layer.remove_node(key)
         self.placement.detach(key)
         del self.mobile_keys[bisect_left(self.mobile_keys, key)]

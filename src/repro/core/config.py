@@ -52,10 +52,6 @@ class BristleConfig:
         needs resolution.  The Figure-7 experiments use 1.0 (the paper
         assumes "a mobile node only advertises its updated location to the
         stationary layer", so caches are always cold).
-    prefer_resolved_next_hop:
-        Optional routing policy that dodges unresolved (mobile) fingers
-        when a resolved one also makes progress; off by default to match
-        the paper's naming-oblivious greedy routing.
     seed:
         Master seed for all randomness.
     """
@@ -71,7 +67,6 @@ class BristleConfig:
     registry_size: Optional[int] = None
     replication: int = 3
     p_stale: float = 1.0
-    prefer_resolved_next_hop: bool = False
     seed: int = 1
 
     def __post_init__(self) -> None:

@@ -29,7 +29,7 @@ from ..sim.engine import Engine
 from ..sim.events import EventKind
 from ..sim.metrics import MetricsRegistry
 from ..sim.trace import NULL_TRACER, Tracer
-from .bristle import BristleNetwork
+from .bristle import BristleNetwork, cohosted_group
 from .ldt import LDTree
 
 __all__ = ["BristleProtocol", "AdvertisementWave", "DiscoveryExchange"]
@@ -184,82 +184,7 @@ class BristleProtocol:
         """
         if tree is None:
             tree = self.net.build_ldt_for(mobile_key)
-        wave = AdvertisementWave(
-            root_key=mobile_key,
-            started_at=self.engine.now,
-            expected=tree.num_members,
-            on_complete=on_complete,
-        )
-        span_id = (
-            self.tracer.span_begin(
-                self.engine.now,
-                "protocol.advertise",
-                root=mobile_key,
-                members=tree.num_members,
-            )
-            if self.tracer.enabled
-            else 0
-        )
-        if tree.num_members == 0:
-            self.tracer.span_end(self.engine.now, span_id, makespan=0.0)
-            if on_complete is not None:
-                on_complete(wave)
-            return wave
-
-        def forward(sender: int) -> None:
-            children = tree.children_of(sender)
-            if children:
-                self.metrics.histogram("ldt.multicast.fanout").observe(len(children))
-            for child in children:
-                self.send(
-                    sender,
-                    child,
-                    "advertise",
-                    deliver=lambda c=child: arrive(c),
-                )
-
-        def arrive(node_key: int) -> None:
-            wave.arrival_times[node_key] = self.engine.now
-            self.tracer.emit(
-                self.engine.now, "advertised", root=mobile_key, node=node_key
-            )
-            # Update the registrant's cached state-pair.
-            registrant = self.net.nodes.get(node_key)
-            if registrant is not None:
-                from ..overlay.state import StatePair
-
-                mobile_node = self.net.nodes[wave.root_key]
-                pair = registrant.state.get(wave.root_key)
-                if pair is None:
-                    registrant.state.insert(
-                        StatePair(
-                            key=wave.root_key,
-                            addr=mobile_node.address,
-                            ttl=self.net.config.state_ttl,
-                            refreshed_at=self.engine.now,
-                        )
-                    )
-                else:
-                    pair.refresh(
-                        self.engine.now,
-                        addr=mobile_node.address,
-                        ttl=self.net.config.state_ttl,
-                    )
-            forward(node_key)
-            if wave.complete:
-                self.metrics.histogram("advertise.makespan").observe(wave.makespan)
-                if span_id:
-                    self.tracer.span_end(
-                        self.engine.now,
-                        span_id,
-                        makespan=wave.makespan,
-                        path=_wave_path(wave),
-                    )
-                if wave.on_complete is not None:
-                    wave.on_complete(wave)
-
-        forward(mobile_key)
-        return wave
+        return self._wave((mobile_key,), tree, on_complete, "protocol.advertise")
 
     def advertise_many(
         self,
@@ -272,18 +197,32 @@ class BristleProtocol:
 
         The batched counterpart of :meth:`advertise`: a single wave runs
         over the union dissemination tree
-        (:meth:`BristleNetwork.build_ldt_for_group`), and each arriving
-        registrant refreshes its cached state-pair for *every* batch key it
-        is registered to — one message per registrant instead of one per
-        (key, registrant) subscription.
+        (:meth:`BristleNetwork.build_ldt_for_group`) — one message per
+        registrant instead of one per (key, registrant) subscription.
         """
-        group = sorted({int(k) for k in keys})
-        if not group:
-            raise ValueError("advertise_many needs at least one key")
+        group = cohosted_group(keys)
         if tree is None:
             _, tree = self.net.build_ldt_for_group(group)
+        return self._wave(
+            group, tree, on_complete, "protocol.advertise_many", batch=len(group)
+        )
+
+    def _wave(
+        self,
+        group: Sequence[int],
+        tree: LDTree,
+        on_complete: Optional[Callable[[AdvertisementWave], None]],
+        span: str,
+        **span_fields: int,
+    ) -> AdvertisementWave:
+        """Run one wave down ``tree`` for the co-hosted keys ``group`` (a
+        single key is a group of one): each arriving registrant renews its
+        cached state-pair for every group key it is registered to, then
+        forwards to its children."""
+        nodes, ttl = self.net.nodes, self.net.config.state_ttl
+        root = tree.root_key
         wave = AdvertisementWave(
-            root_key=tree.root_key,
+            root_key=root,
             started_at=self.engine.now,
             expected=tree.num_members,
             on_complete=on_complete,
@@ -291,9 +230,9 @@ class BristleProtocol:
         span_id = (
             self.tracer.span_begin(
                 self.engine.now,
-                "protocol.advertise_many",
-                root=tree.root_key,
-                batch=len(group),
+                span,
+                root=root,
+                **span_fields,
                 members=tree.num_members,
             )
             if self.tracer.enabled
@@ -318,41 +257,23 @@ class BristleProtocol:
                 )
 
         def arrive(node_key: int) -> None:
-            wave.arrival_times[node_key] = self.engine.now
-            self.tracer.emit(
-                self.engine.now, "advertised", root=tree.root_key, node=node_key
-            )
-            registrant = self.net.nodes.get(node_key)
+            now = self.engine.now
+            wave.arrival_times[node_key] = now
+            self.tracer.emit(now, "advertised", root=root, node=node_key)
+            registrant = nodes.get(node_key)
             if registrant is not None:
-                from ..overlay.state import StatePair
-
-                # One delivery refreshes every co-hosted subscription.
+                # A group key or a registrant that left mid-wave has no
+                # subscription to renew.
                 for mk in group:
-                    mobile_node = self.net.nodes.get(mk)
-                    if mobile_node is None or node_key not in mobile_node.registry:
-                        continue
-                    pair = registrant.state.get(mk)
-                    if pair is None:
-                        registrant.state.insert(
-                            StatePair(
-                                key=mk,
-                                addr=mobile_node.address,
-                                ttl=self.net.config.state_ttl,
-                                refreshed_at=self.engine.now,
-                            )
-                        )
-                    else:
-                        pair.refresh(
-                            self.engine.now,
-                            addr=mobile_node.address,
-                            ttl=self.net.config.state_ttl,
-                        )
+                    mobile_node = nodes.get(mk)
+                    if mobile_node is not None and node_key in mobile_node.registry:
+                        registrant.state.renew(mk, mobile_node.address, now, ttl)
             forward(node_key)
             if wave.complete:
                 self.metrics.histogram("advertise.makespan").observe(wave.makespan)
                 if span_id:
                     self.tracer.span_end(
-                        self.engine.now,
+                        now,
                         span_id,
                         makespan=wave.makespan,
                         path=_wave_path(wave),
@@ -360,7 +281,7 @@ class BristleProtocol:
                 if wave.on_complete is not None:
                     wave.on_complete(wave)
 
-        forward(tree.root_key)
+        forward(root)
         return wave
 
     # ------------------------------------------------------------------
@@ -394,11 +315,7 @@ class BristleProtocol:
             if self.tracer.enabled
             else 0
         )
-        entry = (
-            requester
-            if not self.net.is_mobile(requester)
-            else self.net.stationary_layer.owner_of(requester)
-        )
+        entry = self.net.stationary_entry(requester)
         stat_route = self.net.stationary_layer.route(entry, target)
         path: List[int] = ([requester] if entry != requester else []) + list(
             stat_route.hops

@@ -157,7 +157,7 @@ def _detour(net: BristleNetwork, records: List["HopRecord"], a: int, b: int) -> 
     node Y")."""
     dist = net.network_distance_between_keys
     stationary = net.stationary_layer
-    entry = stationary.owner_of(a) if net.is_mobile(a) else a
+    entry = net.stationary_entry(a)
     if entry != a:
         records.append(HopRecord(a, entry, "inject", dist(a, entry)))
     stat_hops = stationary.route(entry, b).hops

@@ -18,8 +18,9 @@ import dataclasses
 from typing import Callable, List, Optional, Sequence, Set
 
 from ..sim.engine import Engine
-from .bristle import BristleNetwork
+from .bristle import BristleNetwork, cohosted_group
 from .ldt import LDTree
+from .location import shared_multicast_hops
 
 __all__ = ["BindingPolicy", "EarlyBinding", "LateBinding", "BindingStats"]
 
@@ -79,13 +80,12 @@ class EarlyBinding(BindingPolicy):
     mobile node it interested in." (§2.3.2)
 
     ``host_groups`` optionally declares sets of co-hosted mobile keys (the
-    resources one physical host carries).  Grouped keys refresh through
-    the batched path: one :meth:`LocationDirectory.publish_many` per group
-    (one message per distinct holder), one cached union-LDT wave, and one
-    re-registration message per distinct registrant — O(K + log N) per
-    period instead of O(K · log N).  Ungrouped keys keep the per-key path,
-    with the dissemination tree served from :meth:`BristleNetwork.ldt_for`
-    so an unchanged registry costs no rebuild.
+    resources one physical host carries).  A group refreshes with one
+    :meth:`LocationDirectory.publish_many` (one message per distinct
+    holder), one wave down its kept union tree and one re-registration
+    message per distinct registrant — O(K + log N) per period instead of
+    O(K · log N).  An ungrouped key is a group of one: the same wave and
+    renewals after a plain ``publish``, its tree kept the same way.
 
     ``shared_multicast`` switches the *accounting* of each grouped refresh
     from one message per distinct holder to the hops of one shared ring
@@ -105,15 +105,11 @@ class EarlyBinding(BindingPolicy):
     ) -> None:
         super().__init__(net, engine)
         self.shared_multicast = bool(shared_multicast)
-        self.host_groups: List[List[int]] = (
-            [sorted({int(k) for k in g}) for g in host_groups]
-            if host_groups is not None
-            else []
-        )
+        self.host_groups: List[List[int]] = [
+            list(cohosted_group(g)) for g in host_groups or ()
+        ]
         grouped: Set[int] = set()
         for g in self.host_groups:
-            if not g:
-                raise ValueError("empty host group")
             dup = grouped.intersection(g)
             if dup:
                 raise ValueError(f"keys in more than one host group: {sorted(dup)}")
@@ -135,16 +131,11 @@ class EarlyBinding(BindingPolicy):
             live = [k for k in group if k in net.nodes]
             if live:
                 self._refresh_group(live)
-        ungrouped = [mk for mk in net.mobile_keys if mk not in self._grouped]
-        # One columnar forest pass rebuilds every cache-missed tree for the
-        # period; cache hits and trees are identical to per-key ldt_for.
-        trees = net.ldt_for_many(
-            [mk for mk in ungrouped if net.nodes[mk].registry]
-        )
-        for mk in ungrouped:
-            self._refresh_one(mk, tree=trees.get(mk))
+        for mk in net.mobile_keys:
+            if mk not in self._grouped:
+                self._refresh_one(mk)
 
-    def _refresh_one(self, mk: int, tree: Optional["LDTree"] = None) -> None:
+    def _refresh_one(self, mk: int) -> None:
         net = self.net
         node = net.nodes[mk]
         # §2.3.1 note (2): besides the LDT advertisement, the node
@@ -154,28 +145,8 @@ class EarlyBinding(BindingPolicy):
             mk, node.address, now=self.engine.now, ttl=net.config.state_ttl
         )
         self.stats.publishes += len(holders)
-        if not node.registry:
-            return
-        # Mobile node advertises its state down the (cached) LDT — served
-        # from the caller's batched ldt_for_many pass when present.
-        if tree is None:
-            tree = net.ldt_for(mk)
-        self.stats.advertisements += tree.message_count
-        for entry in node.registry_entries():
-            registrant = net.nodes.get(entry.key)
-            if registrant is None:
-                continue
-            # ...registry nodes' caches are renewed...
-            st = registrant.state.get(mk)
-            if st is None:
-                from ..overlay.state import StatePair
-
-                st = registrant.state.insert(
-                    StatePair(key=mk, addr=node.address, ttl=net.config.state_ttl)
-                )
-            st.refresh(self.engine.now, addr=node.address, ttl=net.config.state_ttl)
-            # ...and each registry node re-registers (one message each).
-            self.stats.registrations += 1
+        if node.registry:
+            self._advertise((mk,), net.ldt_for(mk))
 
     def _refresh_group(self, live: List[int]) -> None:
         net = self.net
@@ -186,8 +157,6 @@ class EarlyBinding(BindingPolicy):
         )
         if self.shared_multicast:
             # One shared ring multicast: entry traversal + holder legs.
-            from .location import shared_multicast_hops
-
             self.stats.publishes += shared_multicast_hops(
                 net.stationary_layer,
                 result.holder_batches,
@@ -196,36 +165,28 @@ class EarlyBinding(BindingPolicy):
         else:
             # Batched publish: one message per distinct stationary holder.
             self.stats.publishes += result.message_count
-        with_registry = [k for k in live if net.nodes[k].registry]
-        if not with_registry:
-            return
-        # One coalesced wave over the union of the group's registries.
-        _, tree = net.ldt_for_group(live)
+        if any(net.nodes[k].registry for k in live):
+            # One coalesced wave over the union of the group's registries.
+            self._advertise(live, net.ldt_for_group(live)[1])
+
+    def _advertise(self, live: Sequence[int], tree: LDTree) -> None:
+        """One wave down the (kept) ``tree`` of the co-hosted keys ``live``
+        — a single key is a group of one — renews every registrant's cached
+        state-pairs, and each registrant re-registers."""
+        net = self.net
+        now, ttl = self.engine.now, net.config.state_ttl
         self.stats.advertisements += tree.message_count
-        group_set = set(live)
         refreshers: Set[int] = set()
-        for mk in with_registry:
+        for mk in live:
             node = net.nodes[mk]
             for entry in node.registry_entries():
                 registrant = net.nodes.get(entry.key)
-                if registrant is None:
-                    continue
-                st = registrant.state.get(mk)
-                if st is None:
-                    from ..overlay.state import StatePair
-
-                    st = registrant.state.insert(
-                        StatePair(key=mk, addr=node.address, ttl=net.config.state_ttl)
-                    )
-                st.refresh(
-                    self.engine.now, addr=node.address, ttl=net.config.state_ttl
-                )
-                # Co-hosted registrants renew locally — no network message.
-                if entry.key not in group_set:
+                if registrant is not None:
+                    registrant.state.renew(mk, node.address, now, ttl)
                     refreshers.add(entry.key)
-        # Each registrant re-registers once per period; one message renews
-        # all of its co-hosted subscriptions.
-        self.stats.registrations += len(refreshers)
+        # One message per registrant and period renews all of its
+        # co-hosted subscriptions; co-hosted registrants renew locally.
+        self.stats.registrations += len(refreshers.difference(live))
 
     def lookup(self, registrant: int, mobile_key: int) -> bool:
         """True when the proactively-refreshed cache is usable."""
@@ -242,8 +203,6 @@ class LateBinding(BindingPolicy):
 
     def start(self) -> None:
         """Late binding installs no periodic work."""
-        # Late binding installs no periodic work.
-        return
 
     def lookup(self, registrant: int, mobile_key: int) -> bool:
         """Serve from cache, else resolve reactively via discovery."""
@@ -254,19 +213,8 @@ class LateBinding(BindingPolicy):
             return True
         disc = net.discover(registrant, mobile_key)
         self.stats.discoveries += 1
-        if not disc.found:
-            return False
-        from ..overlay.state import StatePair
-
-        if st is None:
-            node.state.insert(
-                StatePair(
-                    key=mobile_key,
-                    addr=disc.address,
-                    ttl=net.config.state_ttl,
-                    refreshed_at=self.engine.now,
-                )
+        if disc.found:
+            node.state.renew(
+                mobile_key, disc.address, self.engine.now, net.config.state_ttl
             )
-        else:
-            st.refresh(self.engine.now, addr=disc.address, ttl=net.config.state_ttl)
         return False

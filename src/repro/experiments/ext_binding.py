@@ -178,16 +178,9 @@ def run_binding_cost(params: Optional[BindingCostParams] = None) -> ResultTable:
             ]
             # Registration replicates the state-pair (§2.3.1), so every
             # registrant starts with the mobile node's initial address.
-            from ..overlay.state import StatePair as _StatePair
-
             for registrant, mk in pairs:
-                net.nodes[registrant].state.insert(
-                    _StatePair(
-                        key=mk,
-                        addr=net.nodes[mk].address,
-                        ttl=net.config.state_ttl,
-                        refreshed_at=0.0,
-                    )
+                net.nodes[registrant].state.renew(
+                    mk, net.nodes[mk].address, 0.0, net.config.state_ttl
                 )
             gen = net.rng.stream("binding.lookups")
             times = sorted(float(gen.uniform(0, p.horizon)) for _ in range(n_lookups))

@@ -113,6 +113,17 @@ class StateTable:
             existing.capacity = pair.capacity
         return existing
 
+    def renew(
+        self, key: int, addr: Optional[NetworkAddress], now: float, ttl: float
+    ) -> StatePair:
+        """Learn that ``key`` is at ``addr`` as of ``now``: create its
+        state-pair, or renew the one held, leased for ``ttl``."""
+        pair = self._entries.get(key)
+        if pair is None:
+            return self.insert(StatePair(key=key, addr=addr, ttl=ttl, refreshed_at=now))
+        pair.refresh(now, addr=addr, ttl=ttl)
+        return pair
+
     def remove(self, key: int) -> None:
         """Drop the entry for ``key`` (KeyError when absent)."""
         del self._entries[key]

@@ -221,7 +221,7 @@ class TestLDTCache:
         rep2, t2 = net.ldt_for_group(list(reversed(group)))
         assert (rep2, t2) == (rep1, t1)  # order-insensitive cache key
         net.leave_mobile_node(group[0])
-        assert tuple(sorted(group)) not in net._group_ldt_cache
+        assert tuple(sorted(group)) not in net._ldt_cache
 
 
 class TestEarlyBindingBatched:

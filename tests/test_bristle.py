@@ -328,11 +328,11 @@ class TestMembershipBookkeeping:
         for group in ([a, b], [a, c, d], [c, d]):
             small_net.ldt_for_group(group)
         small_net.leave_mobile_node(a)
-        assert list(small_net._group_ldt_cache) == [(c, d)]
-        cached = small_net._group_ldt_cache[(c, d)][2]
+        assert list(small_net._ldt_cache) == [(c, d)]
+        cached = small_net._ldt_cache[(c, d)][1]
         assert small_net.ldt_for_group([d, c])[1] is cached
         small_net.leave_mobile_node(d)
-        assert not small_net._group_ldt_cache
+        assert not small_net._ldt_cache
         assert not any(small_net._groups_of.values())
 
 

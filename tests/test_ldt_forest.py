@@ -22,7 +22,6 @@ from repro.core import (
 )
 from repro.core.ldt_forest import forest_from_columns
 from repro import sanitize
-from repro.overlay.factory import OVERLAY_NAMES
 
 
 def members(caps, used=0.0, start=1):
@@ -302,43 +301,11 @@ class TestForestColumns:
 
 
 class TestNetworkBatchPaths:
-    def _net(self, overlay="chord", seed=19):
-        cfg = BristleConfig(
-            seed=seed,
-            naming="scrambled",
-            stationary_layer_overlay=overlay,
-        )
+    def _net(self, seed=19):
+        cfg = BristleConfig(seed=seed, naming="scrambled")
         net = BristleNetwork(cfg, num_stationary=30, num_mobile=20, router_count=80)
         net.setup_random_registrations()
         return net
-
-    @pytest.mark.parametrize("overlay", OVERLAY_NAMES)
-    def test_build_ldt_for_many_matches_sequential(self, overlay):
-        net = self._net(overlay)
-        keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry]
-        batch = net.build_ldt_for_many(keys)
-        for mk in keys:
-            assert_tree_equal(batch[mk], net.build_ldt_for(mk))
-
-    def test_build_ldt_for_many_locality_tie_break(self):
-        net = self._net()
-        keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry][:6]
-        batch = net.build_ldt_for_many(keys, locality_tie_break=True)
-        for mk in keys:
-            assert_tree_equal(
-                batch[mk], net.build_ldt_for(mk, locality_tie_break=True)
-            )
-
-    def test_ldt_for_many_matches_scalar_cache(self):
-        net = self._net(seed=21)
-        keys = [mk for mk in net.mobile_keys if net.nodes[mk].registry]
-        batch = net.ldt_for_many(keys)
-        for mk in keys:
-            assert_tree_equal(batch[mk], net.ldt_for(mk))
-        # Second batched call is fully cache-served: same objects.
-        again = net.ldt_for_many(keys)
-        for mk in keys:
-            assert again[mk] is batch[mk] or again[mk] == batch[mk]
 
     def test_build_ldt_for_group_matches_direct(self):
         net = self._net(seed=27)

@@ -87,6 +87,29 @@ class TestAdvertisementWave:
         engine.run()
         assert proto.metrics.counter("messages.advertise").value == tree.message_count
 
+    def test_wave_outlives_its_root_and_a_registrant(self, net, engine, proto):
+        """Copies in flight still arrive.  One addressed to a registrant
+        that left renews nothing; once the advertising node itself is gone
+        (``KeyError`` in ``arrive`` while the per-key wave was its own copy
+        of the group wave) the later arrivals renew nothing either."""
+        mk, tree, gone = next(
+            (k, t, r)
+            for k in net.mobile_keys
+            for t in [net.build_ldt_for(k)]
+            for r in t.children_of(k)
+            if net.is_mobile(r) and not t.children_of(r)
+        )
+        done = []
+        wave = proto.advertise(mk, tree=tree, on_complete=done.append)
+        net.leave_mobile_node(gone)
+        engine.step()  # the first copy lands while mk is still a member
+        net.leave_mobile_node(mk)
+        engine.run()
+        assert done == [wave] and wave.complete
+        assert set(wave.arrival_times) == set(tree.keys) - {mk}
+        first = min(wave.arrival_times, key=wave.arrival_times.get)
+        assert {k for k, n in net.nodes.items() if mk in n.state} == {first} - {gone}
+
     def test_flat_tree_faster_than_chain(self, engine):
         """Timed counterpart of Fig 8: a capacity-rich registry floods in
         ~1 level; homogeneous capacity-1 nodes relay sequentially."""

@@ -67,6 +67,17 @@ class TestStateTableMutation:
         table.insert(StatePair(key=5, addr=None, refreshed_at=1.0, ttl=10.0))
         assert table.get(5).addr == ADDR
 
+    def test_renew_creates_then_renews_in_place(self, table):
+        created = table.renew(5, ADDR, now=3.0, ttl=10.0)
+        assert (created.addr, created.refreshed_at, created.ttl) == (ADDR, 3.0, 10.0)
+        created.capacity = 7.0
+        moved = NetworkAddress(router=2, port=1)
+        assert table.renew(5, moved, now=8.0, ttl=20.0) is created
+        assert (created.addr, created.expires_at) == (moved, 28.0)
+        assert created.capacity == 7.0  # unlike a merge, a renewal keeps it
+        with pytest.raises(ValueError):
+            table.renew(1000, ADDR, now=0.0, ttl=1.0)
+
     def test_remove_and_discard(self, table):
         table.insert(StatePair(key=5))
         table.remove(5)
