@@ -12,6 +12,8 @@ import dataclasses
 import math
 from typing import Optional
 
+from ..overlay.keyspace import MAX_OVERLAY_BITS
+
 __all__ = ["BristleConfig"]
 
 
@@ -70,6 +72,11 @@ class BristleConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if self.key_bits > MAX_OVERLAY_BITS:
+            raise ValueError(
+                f"key_bits must be <= {MAX_OVERLAY_BITS} (keys are 64-bit "
+                f"words), got {self.key_bits}"
+            )
         if self.naming not in ("clustered", "scrambled"):
             raise ValueError(f"naming must be 'clustered' or 'scrambled', got {self.naming!r}")
         if self.state_ttl <= 0 or self.refresh_period <= 0:

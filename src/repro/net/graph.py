@@ -3,7 +3,8 @@
 The experiments run shortest-path queries over topologies of 10k+ routers,
 so the representation is optimised for Dijkstra: adjacency is stored in CSR
 (compressed sparse row) NumPy arrays built once by :meth:`Graph.freeze`.
-During construction a plain dict-of-dicts is used for O(1) edge updates.
+During construction a plain dict-of-dicts is used for O(1) edge updates;
+``freeze`` releases it, and every query then reads the CSR rows.
 
 This is intentionally *not* networkx: the experiments only need weighted
 adjacency plus Dijkstra, and a flat CSR layout is several times faster in
@@ -14,7 +15,7 @@ shortest paths against networkx.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -30,12 +31,14 @@ class Graph:
     """
 
     def __init__(self) -> None:
+        #: construction-time adjacency; emptied by :meth:`freeze`
         self._adj: List[Dict[int, float]] = []
         self._frozen = False
-        # CSR arrays, valid only when frozen:
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._weights: Optional[np.ndarray] = None
+        # CSR arrays, valid only when frozen (neighbour ids ascending per row):
+        self._indptr: np.ndarray = np.zeros(1, dtype=np.int64)
+        self._indices: np.ndarray = np.empty(0, dtype=np.int64)
+        self._weights: np.ndarray = np.empty(0, dtype=np.float64)
+        self._num_vertices = 0
         self._edge_count = 0
 
     # ------------------------------------------------------------------
@@ -45,15 +48,17 @@ class Graph:
         """Create a new vertex; returns its id."""
         self._check_mutable()
         self._adj.append({})
-        return len(self._adj) - 1
+        self._num_vertices += 1
+        return self._num_vertices - 1
 
     def add_vertices(self, count: int) -> List[int]:
         """Create ``count`` vertices; returns their ids."""
         self._check_mutable()
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        start = len(self._adj)
+        start = self._num_vertices
         self._adj.extend({} for _ in range(count))
+        self._num_vertices += count
         return list(range(start, start + count))
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
@@ -75,7 +80,8 @@ class Graph:
         self._adj[v][u] = float(weight)
 
     def freeze(self) -> None:
-        """Build the CSR arrays and forbid further mutation."""
+        """Build the CSR arrays, release the construction dicts and forbid
+        further mutation."""
         if self._frozen:
             return
         n = len(self._adj)
@@ -93,6 +99,7 @@ class Graph:
                 weights[pos] = nbrs[v]
                 pos += 1
         self._indptr, self._indices, self._weights = indptr, indices, weights
+        self._adj = []
         self._frozen = True
 
     # ------------------------------------------------------------------
@@ -100,7 +107,7 @@ class Graph:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return self._num_vertices
 
     @property
     def num_edges(self) -> int:
@@ -110,39 +117,41 @@ class Graph:
     def frozen(self) -> bool:
         return self._frozen
 
+    def _nbrs(self, u: int) -> Dict[int, float]:
+        """``{neighbour: weight}`` of ``u`` — the construction dict, or one
+        made from ``u``'s CSR row (ids ascending) once frozen."""
+        self._check_vertex(u)
+        if not self._frozen:
+            return self._adj[u]
+        lo, hi = self._indptr[u], self._indptr[u + 1]
+        return dict(zip(self._indices[lo:hi].tolist(), self._weights[lo:hi].tolist()))
+
     def has_edge(self, u: int, v: int) -> bool:
         """True when the undirected edge ``{u, v}`` exists."""
-        self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return v in self._nbrs(u)
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of edge ``{u, v}``; raises ``KeyError`` if absent."""
-        self._check_vertex(u)
         self._check_vertex(v)
-        return self._adj[u][v]
+        return self._nbrs(u)[v]
 
     def degree(self, u: int) -> int:
         """Number of neighbours of ``u``."""
-        self._check_vertex(u)
-        return len(self._adj[u])
+        return len(self._nbrs(u))
 
     def neighbors(self, u: int) -> Iterator[Tuple[int, float]]:
         """Iterate ``(neighbor, weight)`` pairs of ``u`` (sorted by id)."""
-        self._check_vertex(u)
-        if self._frozen:
-            assert self._indptr is not None
-            lo, hi = self._indptr[u], self._indptr[u + 1]
-            for k in range(lo, hi):
-                yield int(self._indices[k]), float(self._weights[k])
-        else:
-            for v in sorted(self._adj[u]):
-                yield v, self._adj[u][v]
+        nbrs = self._nbrs(u)
+        for v in sorted(nbrs):
+            yield v, nbrs[v]
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate each undirected edge once as ``(u, v, weight)``, u < v."""
-        for u, nbrs in enumerate(self._adj):
-            for v, w in nbrs.items():
+        """Iterate each undirected edge once as ``(u, v, weight)``, u < v —
+        in insertion order while under construction, ascending ``(u, v)``
+        once frozen."""
+        for u in range(self._num_vertices):
+            for v, w in self._nbrs(u).items():
                 if u < v:
                     yield u, v, w
 
@@ -150,7 +159,6 @@ class Graph:
         """Return the frozen ``(indptr, indices, weights)`` arrays."""
         if not self._frozen:
             raise RuntimeError("graph must be frozen before CSR access")
-        assert self._indptr is not None and self._indices is not None and self._weights is not None
         return self._indptr, self._indices, self._weights
 
     def total_weight(self) -> float:
@@ -168,7 +176,7 @@ class Graph:
         count = 1
         while stack:
             u = stack.pop()
-            for v in self._adj[u]:
+            for v in self._nbrs(u):
                 if not seen[v]:
                     seen[v] = True
                     count += 1
@@ -179,8 +187,8 @@ class Graph:
     # Internals
     # ------------------------------------------------------------------
     def _check_vertex(self, u: int) -> None:
-        if not 0 <= u < len(self._adj):
-            raise IndexError(f"vertex {u} out of range [0, {len(self._adj)})")
+        if not 0 <= u < self._num_vertices:
+            raise IndexError(f"vertex {u} out of range [0, {self._num_vertices})")
 
     def _check_mutable(self) -> None:
         if self._frozen:

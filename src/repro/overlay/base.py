@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 import numpy as np
 
 from .. import sanitize as _sanitize
-from .keyspace import KeySpace
+from .keyspace import MAX_OVERLAY_BITS, KeySpace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..sim.metrics import MetricsRegistry
@@ -98,6 +98,11 @@ class Overlay(abc.ABC):
     OWNER_MEMO_MAX = 1 << 17
 
     def __init__(self, space: KeySpace, proximity: Optional[ProximityFn] = None) -> None:
+        if space.bits > MAX_OVERLAY_BITS:
+            raise ValueError(
+                f"overlays hold keys as 64-bit words: key space of {space.bits} "
+                f"bits exceeds the limit of {MAX_OVERLAY_BITS}"
+            )
         self.space = space
         self.proximity = proximity
         # Membership is a sorted uint64 array held in an amortised
@@ -168,7 +173,7 @@ class Overlay(abc.ABC):
         self._memo_owners.clear()
         self._reset_state()
         if bulk:
-            self._build_all()
+            self._build_all(key_list)
         else:
             for k in key_list:
                 self._build_node(k)
@@ -388,15 +393,16 @@ class Overlay(abc.ABC):
     def _build_node(self, key: int) -> None:
         """Compute routing state for member ``key`` from the member array."""
 
-    def _build_all(self) -> None:
-        """Build routing state for every member at once.
+    def _build_all(self, members: List[int]) -> None:
+        """Build routing state for every member at once (``members``: the
+        sorted keys as the member set's own ints, for row dicts to share).
 
         The default is the per-node reference loop; overlays override with
         a vectorised bulk construction that must produce bit-identical
         state (asserted by the contract tests).
         """
-        for k in self._keys.tolist():
-            self._build_node(int(k))
+        for k in members:
+            self._build_node(k)
 
     def _on_add(self, key: int, idx: int) -> None:
         """Repair state after ``key`` joined at ``keys[idx]``; default

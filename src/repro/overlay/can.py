@@ -285,11 +285,11 @@ class CANOverlay(Overlay):
         )
         return (ov | touch).all(axis=2) & ((~ov).sum(axis=2) == 1)
 
-    def _build_all(self) -> None:
-        if self._keys.size == 0:
+    def _build_all(self, members: List[int]) -> None:
+        if not members:
             return
         lo, hi, owners = self._collect_box_arrays()
-        nbr_sets: Dict[int, Set[int]] = {int(k): set() for k in self._keys.tolist()}
+        nbr_sets: Dict[int, Set[int]] = {k: set() for k in members}
         nboxes = int(owners.size)
         chunk = max(1, (1 << 22) // max(1, nboxes * self.dims))
         for s in range(0, nboxes, chunk):

@@ -11,7 +11,8 @@ distance to the target strictly decreases each hop, giving the familiar
 Routing only ever asks a node one thing — "which of my neighbours sits
 furthest clockwise without passing the owner?" — so a node's fingers and
 successor list are kept as **one row**: the clockwise offsets of all of
-them, deduplicated and ascending.  The question is then one ``bisect``.
+them, deduplicated and ascending, packed in an ``array('Q')``.  The
+question is then one ``bisect``.
 
 **The row predicate.**  Write ``off_n(x)`` for the clockwise offset of ``x``
 from ``n``.  A member ``m`` is in ``row(n)`` iff it is among ``n``'s ``r``
@@ -24,6 +25,7 @@ edits their rows in place under this predicate, at most three entries each.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Set
 
@@ -57,7 +59,7 @@ class ChordOverlay(Overlay):
         #: ``successor_list_size`` entries are the successor list (the
         #: nearest members), and ``finger[i]`` is the first entry
         #: ``>= 2**i`` — both are views of the row, not separate state.
-        self._rows: Dict[int, List[int]] = {}
+        self._rows: Dict[int, array] = {}
         self._mask = space.size - 1
         # Finger-start offsets 2**i, precomputed for the vectorised build.
         # uint64 arithmetic holds key + 2**i without overflow up to 63 bits;
@@ -103,7 +105,9 @@ class ChordOverlay(Overlay):
             dtype=np.uint64,
         )
 
-    def _build_rows(self, positions: np.ndarray) -> None:
+    def _build_rows(
+        self, positions: np.ndarray, members: Optional[List[int]] = None
+    ) -> None:
         """(Re)build the rows of the members at sorted ``positions``, all
         at once: one 2-D ``searchsorted`` for the fingers (``n`` where a
         start lies past the last member, i.e. wraps to the first), index
@@ -129,14 +133,14 @@ class ChordOverlay(Overlay):
         # round to the member itself.
         keep = offsets != 0
         keep[:, 1:] &= offsets[:, 1:] != offsets[:, :-1]
-        flat = offsets[keep].tolist()
+        flat = array("Q", offsets[keep].tobytes())
         begin = 0
-        for key, end in zip(own.tolist(), np.cumsum(keep.sum(axis=1)).tolist()):
-            self._rows[key] = flat[begin:end]
+        for key, end in zip(members or own.tolist(), np.cumsum(keep.sum(axis=1)).tolist()):
+            self._rows[key] = flat[begin:end]  # (a slice has no slack)
             begin = end
 
-    def _build_all(self) -> None:
-        self._build_rows(np.arange(self._key_count))
+    def _build_all(self, members: List[int]) -> None:
+        self._build_rows(np.arange(self._key_count), members)
 
     def _build_node(self, key: int) -> None:
         self._build_rows(np.searchsorted(self._keys, np.array([key], dtype=np.uint64)))

@@ -14,6 +14,10 @@ of "closeness" the overlays need:
 Vectorised helpers (NumPy) back the bulk operations used by experiments
 (drawing thousands of uniform keys, nearest-key queries over sorted key
 arrays).
+
+The scalar arithmetic here is exact up to 160 bits, but member arrays are
+``uint64`` and routing rows ``array('Q')``: :data:`MAX_OVERLAY_BITS` = 64 is
+the structural limit of every overlay and of ``BristleConfig.key_bits``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import numpy as np
 
 from ..sim.rng import RngStreams
 
-__all__ = ["KeySpace"]
+__all__ = ["KeySpace", "MAX_OVERLAY_BITS"]
+
+#: Widest key space an overlay can be built over (keys are machine words).
+MAX_OVERLAY_BITS = 64
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,20 +12,26 @@ A key is owned by the ring-nearest member.  Each routing step either
 lengthens the shared prefix with the target or (within the leaf set)
 shrinks numeric distance, giving ``O(log_{2^b} N)`` hops.
 
-A table is stored as ``{row * 2**b + digit: member}`` — routing asks it
-for exactly one slot per hop, computed with two shifts and a mask.
+A table is one packed :class:`~repro.overlay.rows.SlotRow` indexed by
+``row * 2**b + digit`` — routing asks it for exactly one slot per hop,
+computed with two shifts and a mask — and a leaf set one ``array('Q')``.
+Every row is derived from the sorted member array alone: the bulk build,
+a join and a leave all resolve (member, sibling block) pairs through the
+one slot-rule hook :meth:`PastryOverlay._bulk_pair_winners`.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from . import prefix as _prefix
 from .base import Overlay, ProximityFn
 from .keyspace import KeySpace
+from .rows import SlotRow, popcount
 
 __all__ = ["PastryOverlay"]
 
@@ -56,10 +62,10 @@ class PastryOverlay(Overlay):
         if leaf_set_size < 2 or leaf_set_size % 2 != 0:
             raise ValueError("leaf_set_size must be an even integer >= 2")
         self.leaf_set_size = leaf_set_size
-        #: member -> {slot: member}, slot = ``row * digit_base + digit``
-        self._table: Dict[int, Dict[int, int]] = {}
+        #: member -> its routing table, slot = ``row * digit_base + digit``
+        self._table: Dict[int, SlotRow] = {}
         #: member -> its leaf set, ascending
-        self._leaves: Dict[int, List[int]] = {}
+        self._leaves: Dict[int, array] = {}
 
     # ------------------------------------------------------------------
     # State construction
@@ -73,29 +79,25 @@ class PastryOverlay(Overlay):
         self._leaves[key] = self._compute_leaves(key, idx)
         self._table[key] = self._compute_table(key)
 
-    def _compute_leaves(self, key: int, idx: int) -> List[int]:
+    def _compute_leaves(self, key: int, idx: int) -> array:
         """Leaf set of the member ``key`` at ``keys[idx]``."""
-        n = self._keys.size
-        half = self.leaf_set_size // 2
-        leaves: List[int] = []
-        for j in range(1, min(half, n - 1) + 1):
-            leaves.append(int(self._keys[(idx + j) % n]))  # clockwise side
-            leaves.append(int(self._keys[(idx - j) % n]))  # counter-clockwise
-        return sorted(set(leaves) - {key})
+        keys = self._keys
+        n = int(keys.size)
+        w = min(self.leaf_set_size // 2, n - 1)  # on each side of the member
+        around = keys[np.arange(idx - w, idx + w + 1) % n].tolist()
+        return array("Q", sorted(set(around) - {key}))
 
-    def _compute_table(self, key: int) -> Dict[int, int]:
-        """Routing table rows for ``key``.
+    def _compute_table(self, key: int) -> SlotRow:
+        """Routing table rows for ``key`` — the scalar reference rule.
 
         For every (row, digit) slot we scan the members sharing exactly the
         right prefix.  A single pass over the sorted member array suffices:
         each member lands in exactly one slot (its first digit of
         difference from ``key``).
         """
-        table: Dict[int, int] = {}
+        table = SlotRow()
         base = self.space.digit_base
-        # candidates[slot] -> chosen member (resolve ties by proximity or key)
-        for other in self._keys:
-            o = int(other)
+        for o in self._keys.tolist():
             if o == key:
                 continue
             row = self.space.shared_prefix_length(key, o)
@@ -122,24 +124,20 @@ class PastryOverlay(Overlay):
         that is a total order independent of pairwise proximity."""
         return _prefix.supports_vectorised(self.space) and self.proximity is None
 
-    def _build_all(self) -> None:
+    def _build_all(self, members: List[int]) -> None:
         if not self._vectorisable():
-            super()._build_all()
+            super()._build_all(members)
             return
-        self._bulk_build_leaves()
-        self._bulk_build_tables()
+        self._bulk_build_leaves(members)
+        self._bulk_build_tables(members)
 
-    def _bulk_build_leaves(self) -> None:
+    def _bulk_build_leaves(self, members: List[int]) -> None:
         keys = self._keys
         n = int(keys.size)
-        if n == 1:
-            self._leaves[int(keys[0])] = []
-            return
         w = min(self.leaf_set_size // 2, n - 1)
-        offs = np.concatenate([np.arange(1, w + 1), -np.arange(1, w + 1)])
-        window = keys[(np.arange(n)[:, None] + offs[None, :]) % n]
-        for key, row in zip(keys.tolist(), window.tolist()):
-            self._leaves[key] = sorted(set(row) - {key})
+        window = keys[(np.arange(n)[:, None] + np.arange(-w, w + 1)) % n]
+        for key, row in zip(members, window.tolist()):
+            self._leaves[key] = array("Q", sorted(set(row) - {key}))
 
     def _bulk_pair_winners(
         self,
@@ -149,7 +147,9 @@ class PastryOverlay(Overlay):
         pair_node: np.ndarray,
         pair_block: np.ndarray,
     ) -> np.ndarray:
-        """Slot winner for each (node, sibling block) pair.
+        """Slot winner for each (node, sibling block) pair: ``pair_node``
+        indexes ``keys``, ``pair_block`` the half-open runs ``starts`` /
+        ``ends`` of it.  The one slot-rule hook of the vectorised path.
 
         Ring-closest rule: a block is a value-contiguous key interval not
         containing the node, over which ring distance to the node has no
@@ -165,60 +165,67 @@ class PastryOverlay(Overlay):
         d_hi = np.minimum((hi - x) & mask, (x - hi) & mask)
         return np.where(d_lo <= d_hi, lo, hi)
 
-    def _bulk_build_tables(self) -> None:
+    def _bulk_build_tables(self, members: List[int]) -> None:
         """All routing tables at once via the level-block decomposition.
 
         At level ``r`` the sorted members split into blocks sharing their
         first ``r + 1`` digits; node ``x``'s slot ``(r, d)`` draws from the
         sibling block with digit ``d`` under ``x``'s level-``r`` prefix.
-        Enumerating (node, sibling-block) pairs per level and resolving each
-        with :meth:`_bulk_pair_winners` yields every table entry without a
-        per-node scan.
+        Enumerating (node, sibling-block) pairs per level, node-major, and
+        resolving each with :meth:`_bulk_pair_winners` yields every table
+        entry in ``(node, slot)`` order without a per-node scan; only the
+        winners outlive their level.
         """
-        keys = self._keys
+        space, keys = self.space, self._keys
         n = int(keys.size)
-        kl = keys.tolist()
-        tables: Dict[int, Dict[int, int]] = {k: {} for k in kl}
-        b = np.uint64(self.space.digit_bits)
-        digit_mask = np.uint64(self.space.digit_base - 1)
-        for row in range(self.space.num_digits):
-            starts, ends, codes = _prefix.level_blocks(self.space, keys, row)
+        filled = np.zeros((n, space.num_digits * space.digit_base), dtype=bool)
+        levels: List[Tuple[np.ndarray, np.ndarray]] = []  # (entries per node, winners)
+        for row in range(space.num_digits):
+            starts, ends, codes = _prefix.level_blocks(space, keys, row)
             nblocks = int(starts.size)
-            if nblocks == 1:
-                continue  # every member shares this row's digit: no entries
-            parents = codes >> b
-            slots = (codes & digit_mask).astype(np.int64) + (row << int(b))
-            # contiguous runs of blocks under the same parent prefix
-            pchange = np.flatnonzero(parents[1:] != parents[:-1]) + 1
-            gstarts = np.concatenate([np.zeros(1, dtype=np.int64), pchange])
-            gends = np.concatenate([pchange, np.asarray([nblocks], dtype=np.int64)])
-            group_of_block = np.repeat(np.arange(gstarts.size), gends - gstarts)
-            group_key_start = starts[gstarts]  # first member index per group
-            group_key_count = ends[gends - 1] - starts[gstarts]
-            # pair every member of a group with every block of the group …
-            per_block = group_key_count[group_of_block]
-            total = int(per_block.sum())
-            if total == 0:
+            # Blocks under one parent prefix are siblings: a member pairs
+            # with every block of its group but its own (a deeper row's).
+            parents = codes >> np.uint64(space.digit_bits)
+            gstarts = np.concatenate([[0], np.flatnonzero(parents[1:] != parents[:-1]) + 1])
+            gsizes = np.diff(np.concatenate([gstarts, [nblocks]]))
+            block_of_node = np.repeat(np.arange(nblocks), ends - starts)
+            count = np.repeat(gsizes, gsizes)[block_of_node] - 1
+            if not count.any():
                 continue
-            pair_block = np.repeat(np.arange(nblocks), per_block)
-            offsets = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(per_block)[:-1]]
+            pair_node = np.repeat(np.arange(n), count)
+            pair_block = np.repeat(gstarts, gsizes)[block_of_node][pair_node]
+            pair_block += _prefix.within_runs(count)
+            pair_block += pair_block >= block_of_node[pair_node]
+            filled[pair_node, self._slots(row, codes[pair_block])] = True
+            levels.append(
+                (count, self._bulk_pair_winners(keys, starts, ends, pair_node, pair_block))
             )
-            pair_node = (
-                np.repeat(group_key_start[group_of_block], per_block)
-                + np.arange(total)
-                - np.repeat(offsets, per_block)
+        # Scatter each level's winners behind the node's earlier rows,
+        # straight into the words the rows are sliced from.
+        stops = np.cumsum(sum((count for count, _ in levels), np.zeros(n, dtype=np.int64)))
+        words = array("Q", bytes(8 * int(stops[-1])))
+        flat = np.frombuffer(words, dtype=np.uint64)
+        cursor = np.concatenate([[0], stops[:-1]])
+        for count, winners in levels:
+            flat[np.repeat(cursor, count) + _prefix.within_runs(count)] = winners
+            cursor += count
+        del levels, flat
+        bitmaps = np.packbits(filled, axis=1, bitorder="little")
+        stride = bitmaps.shape[1]
+        raw = bitmaps.tobytes()
+        begin = 0
+        for i, (key, stop) in enumerate(zip(members, stops.tolist())):
+            # (a slice of an array is allocated exactly, with no slack)
+            self._table[key] = SlotRow(
+                int.from_bytes(raw[i * stride : (i + 1) * stride], "little"),
+                words[begin:stop],
             )
-            # … except a member's own block (those land on deeper rows).
-            own = (pair_node >= starts[pair_block]) & (pair_node < ends[pair_block])
-            pair_node = pair_node[~own]
-            pair_block = pair_block[~own]
-            winners = self._bulk_pair_winners(keys, starts, ends, pair_node, pair_block)
-            node_keys = keys[pair_node].tolist()
-            slot_list = slots[pair_block].tolist()
-            for nk, slot, win in zip(node_keys, slot_list, winners.tolist()):
-                tables[nk][slot] = win
-        self._table.update(tables)
+            begin = stop
+
+    def _slots(self, row: int, codes: np.ndarray) -> np.ndarray:
+        """Slot ``(row, last digit of the prefix code)`` per code (int64)."""
+        base = self.space.digit_base
+        return (codes & np.uint64(base - 1)).astype(np.int64) + row * base
 
     # ------------------------------------------------------------------
     # Targeted churn repair
@@ -238,48 +245,71 @@ class PastryOverlay(Overlay):
                 out.add(k)
         return out
 
-    def _slots_facing(self, key: int) -> List[int]:
-        """Per member, in member order: the slot of its table that ``key``
-        competes for — ``(spl(member, key), digit(key, spl))``."""
-        spl = _prefix.shared_prefix_lengths(self.space, self._keys, key)
-        cols = _prefix.digits_at(self.space, np.uint64(key), spl)
-        return (spl * self.space.digit_base + cols.astype(np.int64)).tolist()
+    def _key_levels(
+        self, keys: np.ndarray, key: int
+    ) -> Iterator[Tuple[int, int, int, int, int]]:
+        """``(row, plo, phi, lo, hi)`` per digit level at which some member
+        shares ``key``'s first ``row`` digits but not the next: the index
+        ranges in ``keys`` of that parent block ``P`` and of ``key``'s own
+        block ``B`` (``row + 1`` digits shared).  The members whose slot
+        ``(row, digit(key, row))`` draws from ``B`` are exactly ``P \\ B``."""
+        plo, phi = 0, int(keys.size)
+        for row in range(self.space.num_digits):
+            if phi - plo <= 1:
+                return
+            lo, hi = _prefix.prefix_block_range(self.space, keys, key, row)
+            if hi - lo < phi - plo:
+                yield row, plo, phi, lo, hi
+            plo, phi = lo, hi
+
+    def _facing_winners(
+        self, keys: np.ndarray, facing: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """Winner among ``keys[lo:hi]`` for each member at ``facing``."""
+        return self._bulk_pair_winners(
+            keys, np.array([lo]), np.array([hi]), facing, np.zeros(facing.size, dtype=np.int64)
+        )
+
+    def _won_by(
+        self, keys: np.ndarray, key: int, plo: int, phi: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """Positions of the members of ``P \\ B`` whose slot ``key`` wins."""
+        facing = np.concatenate([np.arange(plo, lo), np.arange(hi, phi)])
+        return facing[self._facing_winners(keys, facing, lo, hi) == np.uint64(key)]
 
     def _on_add(self, key: int, idx: int) -> None:
         if not self._vectorisable():
             super()._on_add(key, idx)
             return
-        keys = self._keys
-        # 1. The newcomer's own state, from the reference rule.
+        space, keys = self.space, self._keys
         self._leaves[key] = self._compute_leaves(key, idx)
-        self._table[key] = self._compute_table(key)
-        # 2. Leaf sets: only the windows around the insertion point move.
+        # 1. Leaf sets: only the windows around the insertion point move.
         repaired = self._repair_leaf_window(idx, key)
-        # 3. Tables: the newcomer challenges exactly one slot per member —
-        #    (spl(member, key), digit(key, spl)).  The slot rule is a total
-        #    order, so winner-vs-challenger equals a fresh argmin.
-        for member, slot in zip(keys.tolist(), self._slots_facing(key)):
-            if member == key:
-                continue
-            table = self._table[member]
-            cur = table.get(slot)
-            if cur is None or self._slot_prefer(member, key, cur):
-                table[slot] = key
-                repaired.add(member)
+        own_slots: List[int] = []
+        own_entries: List[int] = []
+        for row, plo, phi, lo, hi in self._key_levels(keys, key):
+            # 2. The newcomer's row: one winner per sibling block of B in P.
+            starts, ends, codes = _prefix.level_blocks(space, keys[plo:phi], row)
+            sibling = starts != lo - plo
+            winners = self._bulk_pair_winners(
+                keys,
+                starts[sibling] + plo,
+                ends[sibling] + plo,
+                np.full(starts.size - 1, idx),
+                np.arange(starts.size - 1),
+            )
+            own_slots += self._slots(row, codes[sibling]).tolist()
+            own_entries += winners.tolist()
+            # 3. Tables: the newcomer challenges one slot of each member
+            #    facing B.  The slot rule is a total order, so "the key wins
+            #    over the new B" equals winner-vs-challenger.
+            slot = row * space.digit_base + space.digit(key, row)
+            members = keys[self._won_by(keys, key, plo, phi, lo, hi)].tolist()
+            for member in members:
+                self._table[member][slot] = key
+            repaired.update(members)
+        self._table[key] = SlotRow(sum(1 << slot for slot in own_slots), array("Q", own_entries))
         self._record_repair(len(repaired) + 1)
-
-    def _repair_slot_winner(
-        self, local: int, row: int, lo: int, hi: int, cache: Dict[int, int]
-    ) -> int:
-        """Best member of the block ``keys[lo:hi]`` for a slot of ``local``
-        after a departure.  Ring rule: one of the two block endpoints
-        (see :meth:`_bulk_pair_winners`); O(1) per affected member."""
-        keys = self._keys
-        lo_key = int(keys[lo])
-        hi_key = int(keys[hi - 1])
-        if lo_key == hi_key:
-            return lo_key
-        return lo_key if not self.space.is_closer(hi_key, lo_key, local) else hi_key
 
     def _on_remove(self, key: int, idx: int) -> None:
         if not self._vectorisable():
@@ -287,31 +317,28 @@ class PastryOverlay(Overlay):
             return
         self._leaves.pop(key, None)
         self._table.pop(key, None)
-        keys = self._keys
+        space, keys = self.space, self._keys
         # 1. Leaf sets around the departure position.
         repaired = self._repair_leaf_window(idx, key)
-        # 2. Tables: only slots that referenced the departed key change, and
-        #    every member referencing it at row r draws replacements from the
-        #    same block — the members sharing the key's first r+1 digits.
-        block_range: Dict[int, Tuple[int, int]] = {}
-        winner_cache: Dict[int, int] = {}
-        for member, slot in zip(keys.tolist(), self._slots_facing(key)):
-            table = self._table[member]
-            if table.get(slot) != key:
+        # 2. Tables: the members that referenced the departed key are those
+        #    for which it won on the array with the key still in; all of
+        #    them at row r draw replacements from B without the key.
+        before = np.insert(keys, idx, np.uint64(key))
+        for row, plo, phi, lo, hi in self._key_levels(before, key):
+            held = self._won_by(before, key, plo, phi, lo, hi)
+            if not held.size:
                 continue
-            row = slot >> self.space.digit_bits
-            rng = block_range.get(row)
-            if rng is None:
-                rng = _prefix.prefix_block_range(self.space, keys, key, row)
-                block_range[row] = rng
-            lo, hi = rng
-            if hi <= lo:
-                del table[slot]
+            held -= held > idx  # positions once the key is gone
+            members = keys[held].tolist()
+            slot = row * space.digit_base + space.digit(key, row)
+            if hi - lo > 1:
+                heirs = self._facing_winners(keys, held, lo, hi - 1).tolist()
+                for member, heir in zip(members, heirs):
+                    self._table[member][slot] = heir
             else:
-                table[slot] = self._repair_slot_winner(
-                    member, row, lo, hi, winner_cache
-                )
-            repaired.add(member)
+                for member in members:
+                    del self._table[member][slot]
+            repaired.update(members)
         self._record_repair(len(repaired))
 
     # ------------------------------------------------------------------
@@ -368,9 +395,9 @@ class PastryOverlay(Overlay):
             return owner
 
         slot = self._slot_toward(current, target)
-        entry = table.get(slot)
-        if entry is not None:
-            return entry
+        bit, filled = 1 << slot, table.bitmap
+        if filled & bit:
+            return table.members[popcount(filled & (bit - 1))]
 
         space = self.space
         b, size = space.digit_bits, space.size
@@ -378,7 +405,11 @@ class PastryOverlay(Overlay):
         best = current
         best_depth = space.num_digits - (slot >> b)
         best_dist = space.ring_distance(current, target)
-        for cand in chain(leaves, table.values()):
+        # Only the slot's own row and the ones below it can hold a
+        # candidate: an entry of row q < slot's row shares exactly q digits
+        # with ``current``, hence with the target — deeper than best_depth.
+        below = popcount(filled & ((1 << (slot & -space.digit_base)) - 1))
+        for cand in chain(leaves, table.members[below:]):
             depth = ((cand ^ target).bit_length() + round_up) // b
             if depth > best_depth:
                 continue
@@ -405,7 +436,7 @@ class PastryOverlay(Overlay):
         """Leaf set plus routing-table entries, deduplicated."""
         if key not in self._table:
             raise KeyError(f"{key} is not a member")
-        return sorted(set(self._leaves[key]) | set(self._table[key].values()))
+        return sorted(set(self._leaves[key]) | set(self._table[key].members))
 
     # ------------------------------------------------------------------
     # Introspection used by tests

@@ -27,29 +27,17 @@ from .keyspace import KeySpace
 
 __all__ = [
     "supports_vectorised",
-    "ring_distances",
     "shared_prefix_lengths",
     "digits_at",
     "level_blocks",
     "prefix_block_range",
+    "within_runs",
 ]
 
 
 def supports_vectorised(space: KeySpace) -> bool:
     """True when uint64 vector arithmetic is exact for this key space."""
     return space.bits <= 63
-
-
-def ring_distances(space: KeySpace, keys: np.ndarray, key: int) -> np.ndarray:
-    """Ring distance from every element of ``keys`` to ``key`` (uint64).
-
-    ``(a - b) mod 2**64`` is congruent to ``(a - b) mod 2**bits`` because
-    the ring size divides ``2**64``; masking recovers the exact value.
-    """
-    mask = np.uint64(space.size - 1)
-    k = np.uint64(key)
-    fwd = (keys - k) & mask
-    return np.minimum(fwd, (k - keys) & mask)
 
 
 def shared_prefix_lengths(space: KeySpace, keys: np.ndarray, key: int) -> np.ndarray:
@@ -109,3 +97,8 @@ def prefix_block_range(
     lo = int(np.searchsorted(keys, np.uint64(prefix << shift)))
     hi = int(np.searchsorted(keys, np.uint64(((prefix + 1) << shift) - 1), side="right"))
     return lo, hi
+
+
+def within_runs(counts: np.ndarray) -> np.ndarray:
+    """``0 .. counts[i] - 1`` for each ``i``, concatenated (int64)."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)

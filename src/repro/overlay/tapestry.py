@@ -139,7 +139,7 @@ class TapestryOverlay(PastryOverlay):
         # known node sharing a longer prefix with the owner.
         best: Optional[int] = None
         best_pk = self._progress(current, target, owner)
-        for cand in chain(self._leaves[current], table.values()):
+        for cand in chain(self._leaves[current], table.members):
             pk = self._progress(cand, target, owner)
             if pk < best_pk:
                 best, best_pk = cand, pk

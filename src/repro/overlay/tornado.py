@@ -22,13 +22,14 @@ greedily follow the cheapest network link.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .base import ProximityFn
 from .keyspace import KeySpace
 from .pastry import PastryOverlay
+from .prefix import within_runs
 
 __all__ = ["TornadoOverlay"]
 
@@ -67,8 +68,8 @@ class TornadoOverlay(PastryOverlay):
     # Slot selection: proximity first, then capacity, then key
     # ------------------------------------------------------------------
     def _slot_prefer(self, local: int, candidate: int, incumbent: int) -> bool:
-        """Tornado's slot rule (the inherited ``_compute_table`` and churn
-        repairs consult this hook instead of Pastry's ring rule)."""
+        """Tornado's slot rule on the scalar path (the inherited
+        ``_compute_table`` consults this hook instead of Pastry's ring rule)."""
         return self._prefer(local, candidate, incumbent)
 
     def _prefer(self, local: int, candidate: int, incumbent: int) -> bool:
@@ -89,15 +90,6 @@ class TornadoOverlay(PastryOverlay):
     # winner is argmin of (-capacity, key) over the block — independent of
     # the local node, so one winner per block serves every paired node.
     # ------------------------------------------------------------------
-    def _block_winner(self, keys: np.ndarray, lo: int, hi: int) -> int:
-        best = int(keys[lo])
-        best_cap = self.capacity(best)
-        for k in keys[lo + 1 : hi].tolist():
-            cap = self.capacity(k)
-            if cap > best_cap or (cap == best_cap and k < best):
-                best, best_cap = k, cap
-        return best
-
     def _bulk_pair_winners(
         self,
         keys: np.ndarray,
@@ -106,23 +98,18 @@ class TornadoOverlay(PastryOverlay):
         pair_node: np.ndarray,
         pair_block: np.ndarray,
     ) -> np.ndarray:
-        caps = np.asarray([self.capacity(int(k)) for k in keys], dtype=np.float64)
-        order = np.lexsort((keys, -caps))  # best (max cap, min key) first
-        rank = np.empty(keys.size, dtype=np.int64)
-        rank[order] = np.arange(keys.size)
+        # Only the blocks' own members are candidates (and asked their
+        # capacity): laid out block after block.
+        sizes = ends - starts
+        firsts = np.cumsum(sizes) - sizes
+        cands = keys[np.repeat(starts, sizes) + within_runs(sizes)]
+        caps = np.fromiter(map(self.capacity, cands.tolist()), np.float64, cands.size)
+        order = np.lexsort((cands, -caps))  # best (max cap, min key) first
+        rank = np.empty(cands.size, dtype=np.int64)
+        rank[order] = np.arange(cands.size)
         # per-block best = the minimum rank within each contiguous run
-        best_rank = np.minimum.reduceat(rank, starts)
-        winners = keys[order[best_rank]]
+        winners = cands[order[np.minimum.reduceat(rank, firsts)]]
         return winners[pair_block]
-
-    def _repair_slot_winner(
-        self, local: int, row: int, lo: int, hi: int, cache: Dict[int, int]
-    ) -> int:
-        winner = cache.get(row)
-        if winner is None:
-            winner = self._block_winner(self._keys, lo, hi)
-            cache[row] = winner
-        return winner
 
     # ------------------------------------------------------------------
     # §3 optimisation (1): greedy minimal-cost progress

@@ -2,7 +2,6 @@
 
 from .capacities import constant_capacities, pareto_capacities, uniform_capacities
 from .churn import ChurnEvent, ChurnEventType, ChurnSchedule, poisson_churn
-from .driver import ChurnDriver
 from .routes import sample_key_lookups, sample_stationary_pairs
 from .scenarios import ComparisonScenario, build_bristle, build_comparison_scenario
 
@@ -10,7 +9,6 @@ __all__ = [
     "constant_capacities",
     "pareto_capacities",
     "uniform_capacities",
-    "ChurnDriver",
     "ChurnEvent",
     "ChurnEventType",
     "ChurnSchedule",

@@ -6,7 +6,8 @@ timestamps) into engine events that exercise the full protocol stack:
 joins run the Figure-5 protocol, leaves and joins trigger data-store
 handoff, moves publish and (optionally) advertise.  The integration
 tests use it to assert the system's invariants hold under arbitrary
-interleavings.
+interleavings; nothing in ``src/`` ever did, so since issue 24 it lives
+with them (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Optional
 
-from ..core.bristle import BristleNetwork
-from ..core.join import figure5_join
-from ..core.storage import DataStore
-from ..sim.engine import Engine
-from ..sim.events import EventKind
-from .churn import ChurnEvent, ChurnEventType, ChurnSchedule
+from repro.core.bristle import BristleNetwork
+from repro.core.join import figure5_join
+from repro.core.storage import DataStore
+from repro.sim.engine import Engine
+from repro.sim.events import EventKind
+from repro.workloads.churn import ChurnEvent, ChurnEventType, ChurnSchedule
 
 __all__ = ["ChurnDriver"]
 

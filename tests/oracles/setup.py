@@ -54,8 +54,8 @@ def connect_domain_pairwise(
 
 
 def topology_digest(topo: TransitStubTopology) -> str:
-    """Hash of the edge list in insertion order with exact weights."""
+    """Hash of the sorted edge list with exact weights."""
     h = hashlib.sha256()
-    for u, v, w in topo.graph.edges():
+    for u, v, w in sorted(topo.graph.edges()):
         h.update(f"{u},{v},{w!r};".encode())
     return h.hexdigest()[:16]

@@ -1,10 +1,12 @@
-"""Unit tests for repro.workloads.driver.ChurnDriver."""
+"""Unit tests for the tests' own churn harness, ``tests/churn_driver.py``."""
 
 import pytest
 
 from repro.core import BristleConfig, BristleNetwork
 from repro.core.storage import DataStore
-from repro.workloads import ChurnDriver, ChurnEvent, ChurnEventType, ChurnSchedule
+from repro.workloads import ChurnEvent, ChurnEventType, ChurnSchedule
+
+from .churn_driver import ChurnDriver
 
 
 @pytest.fixture

@@ -60,6 +60,13 @@ class TestBristleConfig:
         BristleConfig(p_stale=0.0)
         BristleConfig(p_stale=1.0)
 
+    def test_key_bits_above_64_rejected(self):
+        """Regression: ``key_bits=128`` passed validation and the network
+        constructor died inside numpy ("high is out of bounds for uint64")."""
+        with pytest.raises(ValueError, match="key_bits must be <= 64"):
+            BristleConfig(key_bits=128)
+        BristleConfig(key_bits=64)
+
     def test_replication_bounds(self):
         with pytest.raises(ValueError):
             BristleConfig(replication=0)

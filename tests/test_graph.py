@@ -145,3 +145,39 @@ class TestFreeze:
         before = list(g.neighbors(1))
         g.freeze()
         assert list(g.neighbors(1)) == before
+
+    def test_queries_read_the_csr_once_the_dicts_are_released(self):
+        """``freeze`` drops the construction dict-of-dicts (2 KiB per
+        router for ever); every query answers from the CSR rows alone."""
+        g = Graph()
+        g.add_vertices(6)
+        for u, v, w in [(4, 1, 2.5), (0, 3, 1.0), (3, 1, 0.5), (0, 1, 4.0)]:
+            g.add_edge(u, v, w)
+        before = {
+            "edges": sorted(g.edges()),
+            "degrees": [g.degree(u) for u in range(6)],
+            "has": [[g.has_edge(u, v) for v in range(6)] for u in range(6)],
+            "total": g.total_weight(),
+        }
+        assert not g.is_connected()  # vertices 2 and 5 are isolated
+        g.freeze()
+        assert g._adj == []
+        assert (g.num_vertices, g.num_edges) == (6, 4)
+        # ascending (u, v), not insertion order
+        assert list(g.edges()) == before["edges"]
+        assert [g.degree(u) for u in range(6)] == before["degrees"]
+        assert [[g.has_edge(u, v) for v in range(6)] for u in range(6)] == before["has"]
+        assert g.total_weight() == before["total"]
+        assert g.edge_weight(1, 4) == g.edge_weight(4, 1) == 2.5
+        assert not g.is_connected()
+        with pytest.raises(KeyError):
+            g.edge_weight(0, 2)
+        with pytest.raises(IndexError):
+            g.has_edge(0, 6)
+        with pytest.raises(IndexError):
+            list(g.neighbors(6))
+
+    def test_frozen_connectivity(self):
+        g = build_triangle()
+        g.freeze()
+        assert g.is_connected()

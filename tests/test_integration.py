@@ -139,7 +139,9 @@ class TestChurnDriver:
         the engine: every invariant holds and no data is lost."""
         from repro.core.storage import DataStore
         from repro.sim import Engine
-        from repro.workloads import ChurnDriver, poisson_churn
+        from repro.workloads import poisson_churn
+
+        from .churn_driver import ChurnDriver
 
         cfg = BristleConfig(seed=77, naming="scrambled")
         net = BristleNetwork(cfg, num_stationary=40, num_mobile=25, router_count=100)

@@ -17,6 +17,7 @@ from repro.sim import RngStreams
 from repro.sim.metrics import MetricsRegistry
 
 from .oracles.routing import chord_fingers, chord_successors
+from .oracles.rows import chord_row, prefix_state
 
 
 @pytest.fixture(params=OVERLAY_NAMES)
@@ -199,6 +200,8 @@ def _assert_same_state(incremental, oracle, space, rng, *, routes=25):
         assert sorted(incremental.neighbors_of(member)) == sorted(
             oracle.neighbors_of(member)
         ), f"neighbour sets diverge at member {member}"
+    if hasattr(incremental, "routing_table"):  # prefix overlays: slot for slot
+        assert prefix_state(incremental) == prefix_state(oracle)
     targets = space.random_keys(rng, "parity.targets", 40, unique=False)
     for t in targets:
         assert incremental.owner_of(int(t)) == oracle.owner_of(int(t))
@@ -324,6 +327,33 @@ class TestWideKeyChurnRepair:
             _assert_same_state(ov, fresh, space, RngStreams(seed), routes=10)
 
 
+class TestKeyWidthLimit:
+    """Member arrays are ``uint64`` and rows ``array('Q')``: 64 bits is the
+    widest key space an overlay takes, and it takes exactly 64."""
+
+    def test_wider_than_64_bits_is_rejected(self, overlay_name):
+        """Regression: 128 bits was accepted and ``build`` then died with
+        ``OverflowError`` inside numpy on every overlay."""
+        with pytest.raises(ValueError, match="exceeds the limit of 64"):
+            make_overlay(overlay_name, KeySpace(bits=128, digit_bits=4))
+
+    def test_exactly_64_bits_builds_routes_and_repairs(self, overlay_name):
+        space = KeySpace(bits=64, digit_bits=4)
+        gen = np.random.default_rng(64)
+        pool = sorted({int(k) for k in gen.integers(0, space.size, 90, dtype=np.uint64)})
+        pool += [0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+        members, joiners = set(pool[:70]), pool[70:]
+        ov = build(overlay_name, space, members)
+        for source in sorted(members)[::7]:
+            for target in [0, (1 << 64) - 1, (1 << 63) + 5] + pool[3::11]:
+                assert ov.route(source, target).terminus == ov.owner_of(target)
+        for event, key in enumerate(joiners + sorted(members)[::9] + joiners[::2]):
+            (ov.remove_node if key in members else ov.add_node)(key)
+            members ^= {key}
+            fresh = build(overlay_name, space, members)
+            _assert_same_state(ov, fresh, space, RngStreams(event), routes=8)
+
+
 # ----------------------------------------------------------------------
 # Chord: churn repair edits rows in place — compare the rows themselves
 # ----------------------------------------------------------------------
@@ -356,7 +386,7 @@ class ChordRing:
                 (x - m) & mask
                 for x in chord_fingers(self.ov, m) + chord_successors(self.ov, m)
             }
-            assert self.ov._rows[m] == sorted(by_definition), f"row of {m}"
+            assert chord_row(self.ov, m) == sorted(by_definition), f"row of {m}"
 
     def apply(self, join, key):
         counter = self.repaired.counter("overlay.repaired_nodes")

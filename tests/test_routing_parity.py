@@ -31,6 +31,14 @@ from .oracles.routing import (
     reference_progress_key,
     reference_route,
 )
+from .oracles.rows import (
+    chord_row,
+    clear_slot,
+    set_chord_row,
+    set_leaves,
+    set_slot,
+    slot_table,
+)
 
 KERNEL_OVERLAYS = ("chord", "pastry", "tornado", "tapestry")
 WIDTHS = [(32, 4), (60, 4), (63, 7)]
@@ -162,7 +170,7 @@ def test_leaf_walk_on_a_stale_leaf_set(name, space):
     ov.build(below + [source + i for i in range(4)] + [7, 0xF0000000])
     target, owner = boundary, boundary - 1
     assert ov.owner_of(target) == owner and ov.next_hop(source, target) == owner
-    ov._leaves[source].remove(owner)
+    set_leaves(ov, source, [leaf for leaf in ov.leaf_set(source) if leaf != owner])
     walked = ov.next_hop(source, target)
     assert walked == reference_next_hop(ov, source, target) == boundary - 3
     assert ov.progress_key(walked, target) > ov.progress_key(source, target)
@@ -183,7 +191,7 @@ def test_tapestry_fallback_on_a_stale_table(space):
         owner = ov.owner_of(target)
         if source == owner:
             continue
-        ov._table[source].pop(ov._slot_toward(source, owner), None)
+        clear_slot(ov, source, ov._slot_toward(source, owner))
         step = ov.next_hop(source, target)
         assert step == reference_next_hop(ov, source, target)
         fell_back += step is not None
@@ -278,29 +286,29 @@ def _far_pair(ov: Overlay):
 class TestGuardsOnCorruptedRows:
     def test_chord_self_loop(self, chord):
         source, target = _far_pair(chord)
-        chord._rows[source] = [0]
+        set_chord_row(chord, source, [0])
         with pytest.raises(RoutingError, match="routing loop"):
             chord.route(source, target)
 
     def test_chord_non_member_entry(self, chord):
         source, target = _far_pair(chord)
         offset = next(
-            o for o in range(1, chord._rows[source][0])
+            o for o in range(1, chord_row(chord, source)[0])
             if not chord.is_member((source + o) % chord.space.size)
         )
-        chord._rows[source] = [offset]
+        set_chord_row(chord, source, [offset])
         with pytest.raises(KeyError, match="is not a member"):
             chord.route(source, target)
 
     def test_chord_dead_end_is_a_failed_route(self, chord):
         source, target = _far_pair(chord)
-        chord._rows[source] = []
+        set_chord_row(chord, source, [])
         result = chord.route(source, target)
         assert result.hops == [source] and not result.success
 
     def _slot(self, pastry, source, target):
         slot = pastry._slot_toward(source, target)
-        assert slot in pastry._table[source], "route must start with a table hop"
+        assert slot in slot_table(pastry, source), "route must start with a table hop"
         return slot
 
     def _table_pair(self, pastry):
@@ -311,14 +319,14 @@ class TestGuardsOnCorruptedRows:
                 if (
                     target not in pastry.leaf_set(source)
                     and target != source
-                    and pastry._slot_toward(source, target) in pastry._table[source]
+                    and pastry._slot_toward(source, target) in slot_table(pastry, source)
                 ):
                     return source, target
         raise AssertionError("no table hop in this overlay")
 
     def test_pastry_self_loop(self, pastry):
         source, target = self._table_pair(pastry)
-        pastry._table[source][self._slot(pastry, source, target)] = source
+        set_slot(pastry, source, self._slot(pastry, source, target), source)
         with pytest.raises(RoutingError, match="routing loop"):
             pastry.route(source, target)
 
@@ -332,7 +340,7 @@ class TestGuardsOnCorruptedRows:
             if pastry.progress_key(int(k), target) > pastry.progress_key(source, target)
             and space.ring_distance(int(k), target) > space.ring_distance(source, target)
         )
-        pastry._table[source][self._slot(pastry, source, target)] = worse
+        set_slot(pastry, source, self._slot(pastry, source, target), worse)
         with pytest.raises(RoutingError, match="non-monotone hop"):
             pastry.route(source, target)
 
@@ -341,7 +349,7 @@ class TestGuardsOnCorruptedRows:
         ghost = next(
             k for k in (target ^ 1, target ^ 2, target ^ 3) if not pastry.is_member(k)
         )
-        pastry._table[source][self._slot(pastry, source, target)] = ghost
+        set_slot(pastry, source, self._slot(pastry, source, target), ghost)
         with pytest.raises(KeyError, match="is not a member"):
             pastry.route(source, target)
 

@@ -24,6 +24,8 @@ from repro.overlay.keyspace import KeySpace
 from repro.overlay.state import StatePair
 from repro.sanitize import SanitizerViolation
 
+from .oracles.rows import chord_row, set_chord_row
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -147,9 +149,9 @@ class TestOverlayChecks:
         right, the departed key's predecessor still routes to it."""
         overlay = self.build()
         ghost, holder = int(overlay.keys[5]), int(overlay.keys[4])
-        stale = list(overlay._rows[holder])
+        stale = chord_row(overlay, holder)
         overlay.remove_node(ghost)  # checked clean by the hook itself
-        overlay._rows[holder] = stale  # the repair that did not happen
+        set_chord_row(overlay, holder, stale)  # the repair that did not happen
         with pytest.raises(SanitizerViolation, match=f"non-member neighbour {ghost}"):
             sanitize.check_overlay_consistency(overlay, ghost)
 
@@ -161,7 +163,7 @@ class TestOverlayChecks:
         overlay.build([10, 20, 30, 40, 50])
         overlay.remove_node(20)
         assert overlay.neighbors_of(30) == [10, 40, 50]
-        overlay._rows[30] = sorted(overlay._rows[30] + [(20 - 30) % (1 << 32)])
+        set_chord_row(overlay, 30, sorted(chord_row(overlay, 30) + [(20 - 30) % (1 << 32)]))
         assert overlay.neighbors_of(30) == [10, 20, 40, 50]  # the parent's answer
         with pytest.raises(SanitizerViolation, match="member 30 routes to non-member"):
             sanitize.check_overlay_consistency(overlay, 20)
