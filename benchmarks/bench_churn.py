@@ -3,19 +3,17 @@
 For every substrate this times the per-event cost of absorbing one
 membership change two ways:
 
-* **full rebuild** — what every overlay did before incremental repair
-  landed: ``_reset_state()`` plus a per-node reference rebuild of all N
-  members (timed as ``build(keys, bulk=False)``);
+* **full rebuild** — the overlay's one full build, ``build(keys)``, over
+  all N members;
 * **incremental** — the targeted ``_on_add``/``_on_remove`` repair path
   driven through ``add_node``/``remove_node`` over a seeded alternating
   leave/join schedule.
 
-It also reports the vectorised bulk build (``build(keys)``) against the
-per-node reference build, and writes
+It writes
 
 * ``benchmarks/results/BENCH_churn.json`` — machine-readable timings;
-  the acceptance gate reads ``per_overlay.<name>.speedup`` (≥ 5x per
-  event for pastry/tornado/tapestry/can at N=4096);
+  the CI gate reads ``per_overlay.<name>.speedup`` (≥ 5x per event on
+  every overlay, from an unsanitized ``--scale quick`` run);
 * ``benchmarks/results/BENCH_churn.txt`` — the human summary.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_churn.py
@@ -46,8 +44,8 @@ from repro.sim.rng import RngStreams  # noqa: E402
 
 #: (num_nodes, churn events timed, full rebuilds timed) per scale.
 SCALES = {
-    "quick": (512, 60, 2),
-    "full": (4096, 200, 2),
+    "quick": (512, 60, 5),
+    "full": (4096, 200, 5),
 }
 
 
@@ -90,27 +88,18 @@ def bench_overlay(
     rng = RngStreams(seed)
     keys = [int(k) for k in space.random_keys(rng, "bench.members", num_nodes)]
 
-    # Bulk (vectorised) vs reference (per-node) construction.
+    # Full-rebuild baseline: what absorbing one event by rebuilding the
+    # whole membership would cost (best of ``rebuilds`` builds).
     overlay = make_overlay(name, space)
-    t0 = time.perf_counter()
-    overlay.build(keys)
-    bulk_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    overlay.build(keys, bulk=False)
-    reference_s = time.perf_counter() - t0
-
-    # Full-rebuild baseline: per-event cost of the pre-incremental churn
-    # path (reset + per-node rebuild of the whole membership).
     rebuild_times = []
     for _ in range(rebuilds):
         t0 = time.perf_counter()
-        overlay.build(keys, bulk=False)
+        overlay.build(keys)
         rebuild_times.append(time.perf_counter() - t0)
     full_per_event = min(rebuild_times)
 
-    # Incremental path: the same overlay absorbs a seeded churn schedule.
+    # Incremental path: the built overlay absorbs a seeded churn schedule.
     metrics = MetricsRegistry()
-    overlay.build(keys)
     overlay.bind_metrics(metrics)
     schedule = _churn_schedule(space, rng, keys, events)
     t0 = time.perf_counter()
@@ -128,9 +117,6 @@ def bench_overlay(
     return {
         "num_nodes": num_nodes,
         "events": len(schedule),
-        "bulk_build_s": round(bulk_s, 6),
-        "reference_build_s": round(reference_s, 6),
-        "bulk_build_speedup": round(reference_s / bulk_s, 3) if bulk_s else None,
         "full_rebuild_per_event_s": round(full_per_event, 6),
         "incremental_per_event_s": round(incr_per_event, 9),
         "repaired_nodes_per_event": round(repaired / max(len(schedule), 1), 3),
@@ -186,13 +172,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"Churn benchmark — incremental repair vs full rebuild "
         f"(N={num_nodes}, scale={args.scale})",
         "",
-        f"  {'overlay':<10} {'bulk build':>11} {'ref build':>10} "
-        f"{'rebuild/evt':>12} {'incr/evt':>12} {'repair/evt':>11} {'speedup':>9}",
+        f"  {'overlay':<10} {'rebuild/evt':>12} {'incr/evt':>12} "
+        f"{'repair/evt':>11} {'speedup':>9}",
     ]
     for name, r in per_overlay.items():
         lines.append(
-            f"  {name:<10} {r['bulk_build_s']:>10.3f}s {r['reference_build_s']:>9.3f}s "
-            f"{r['full_rebuild_per_event_s']:>11.4f}s "
+            f"  {name:<10} {r['full_rebuild_per_event_s']:>11.4f}s "
             f"{r['incremental_per_event_s'] * 1e3:>10.3f}ms "
             f"{r['repaired_nodes_per_event']:>11.1f} {r['speedup']:>8.1f}x"
         )

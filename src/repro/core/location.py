@@ -34,6 +34,7 @@ __all__ = [
     "LocationDirectory",
     "RegistrationManager",
     "BatchPublishResult",
+    "holders_near",
     "shared_multicast_hops",
 ]
 
@@ -68,6 +69,27 @@ def shared_multicast_hops(
     for a, b in zip(ordered, ordered[1:]):
         hops += overlay.route(a, b).hop_count
     return hops
+
+
+def holders_near(keys: np.ndarray, owner: int, idx: int, replication: int) -> List[int]:
+    """§2.3.2's replica walk: ``owner`` (at sorted index ``idx`` of the
+    member array ``keys``) plus its ring neighbours, alternately right and
+    left, ``replication`` holders total (bounded by the member count)."""
+    n = int(keys.size)
+    count = min(replication, n)
+    holders = [owner]
+    step = 1
+    while len(holders) < count:
+        right = int(keys[(idx + step) % n])
+        if right not in holders:
+            holders.append(right)
+        if len(holders) >= count:
+            break
+        left = int(keys[(idx - step) % n])
+        if left not in holders:
+            holders.append(left)
+        step += 1
+    return holders
 
 
 @dataclasses.dataclass
@@ -199,28 +221,6 @@ class LocationDirectory:
     # ------------------------------------------------------------------
     # Holder selection
     # ------------------------------------------------------------------
-    def _holders_near(self, owner: int, idx: int) -> List[int]:
-        """Holder set for a record owned by ``owner`` at sorted index
-        ``idx``: the owner plus its ring neighbours, alternately
-        right/left, ``replication`` holders total (bounded by layer size).
-        """
-        keys = self.overlay.keys
-        n = int(keys.size)
-        count = min(self.replication, n)
-        holders = [owner]
-        step = 1
-        while len(holders) < count:
-            right = int(keys[(idx + step) % n])
-            if right not in holders:
-                holders.append(right)
-            if len(holders) >= count:
-                break
-            left = int(keys[(idx - step) % n])
-            if left not in holders:
-                holders.append(left)
-            step += 1
-        return holders
-
     def holders_for(self, key: int) -> List[int]:
         """The stationary nodes storing the record for ``key``.
 
@@ -229,7 +229,7 @@ class LocationDirectory:
         """
         owner = self.overlay.owner_of(key)
         idx = int(np.searchsorted(self.overlay.keys, np.uint64(owner)))
-        return self._holders_near(owner, idx)
+        return holders_near(self.overlay.keys, owner, idx, self.replication)
 
     def holders_for_many(self, keys: Iterable[int]) -> Dict[int, List[int]]:
         """Holder sets for many keys at once (batched counterpart of
@@ -250,7 +250,8 @@ class LocationDirectory:
             return {}
         idxs = np.searchsorted(self.overlay.keys, np.asarray(distinct, dtype=np.uint64))
         per_owner = {
-            o: self._holders_near(o, int(i)) for o, i in zip(distinct, idxs)
+            o: holders_near(self.overlay.keys, o, int(i), self.replication)
+            for o, i in zip(distinct, idxs)
         }
         return {k: list(per_owner[owners[k]]) for k in key_list}
 

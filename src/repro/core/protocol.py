@@ -245,16 +245,32 @@ class BristleProtocol:
             return wave
 
         def forward(sender: int) -> None:
+            # A node that has left neither sends nor is sent to; the
+            # partitions that leaves unreached drop out of the expected count.
             children = tree.children_of(sender)
-            if children:
-                self.metrics.histogram("ldt.multicast.fanout").observe(len(children))
-            for child in children:
+            reached = [c for c in children if c in nodes] if sender in nodes else []
+            wave.expected -= sum(tree.nodes[c].assigned for c in children if c not in reached)
+            if reached:
+                self.metrics.histogram("ldt.multicast.fanout").observe(len(reached))
+            for child in reached:
                 self.send(
                     sender,
                     child,
                     "advertise",
                     deliver=lambda c=child: arrive(c),
                 )
+
+        def finish() -> None:
+            self.metrics.histogram("advertise.makespan").observe(wave.makespan)
+            if span_id:
+                self.tracer.span_end(
+                    self.engine.now,
+                    span_id,
+                    makespan=wave.makespan,
+                    path=_wave_path(wave),
+                )
+            if wave.on_complete is not None:
+                wave.on_complete(wave)
 
         def arrive(node_key: int) -> None:
             now = self.engine.now
@@ -270,18 +286,11 @@ class BristleProtocol:
                         registrant.state.renew(mk, mobile_node.address, now, ttl)
             forward(node_key)
             if wave.complete:
-                self.metrics.histogram("advertise.makespan").observe(wave.makespan)
-                if span_id:
-                    self.tracer.span_end(
-                        now,
-                        span_id,
-                        makespan=wave.makespan,
-                        path=_wave_path(wave),
-                    )
-                if wave.on_complete is not None:
-                    wave.on_complete(wave)
+                finish()
 
         forward(root)
+        if wave.complete:  # every partition head had left
+            finish()
         return wave
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Set
 import numpy as np
 
 from .bristle import BristleNetwork
+from .location import holders_near
 from .routing import RouteTrace, route_with_resolution
 
 __all__ = ["DataStore", "StoredItem", "GetResult"]
@@ -99,24 +100,9 @@ class DataStore:
     def holders_for(self, key: int) -> List[int]:
         """Owner plus ring-adjacent replicas among *mobile-layer* members."""
         overlay = self.net.mobile_layer
-        keys = overlay.keys
-        n = int(keys.size)
-        count = min(self.replication, n)
         owner = overlay.owner_of(key)
-        idx = int(np.searchsorted(keys, np.uint64(owner)))
-        holders = [owner]
-        step = 1
-        while len(holders) < count:
-            right = int(keys[(idx + step) % n])
-            if right not in holders:
-                holders.append(right)
-            if len(holders) >= count:
-                break
-            left = int(keys[(idx - step) % n])
-            if left not in holders:
-                holders.append(left)
-            step += 1
-        return holders
+        idx = int(np.searchsorted(overlay.keys, np.uint64(owner)))
+        return holders_near(overlay.keys, owner, idx, self.replication)
 
     # ------------------------------------------------------------------
     # Operations

@@ -622,22 +622,20 @@ _REPAIR_HOOKS = {"_on_add", "_on_remove"}
 
 
 class RebuildInRepairHook(Rule):
-    """BRS007: overlay ``_on_add``/``_on_remove`` overrides must repair
+    """BRS007: overlay ``_on_add``/``_on_remove`` hooks must repair
     incrementally — calling ``_reset_state()`` there reintroduces the
-    O(N) per-event rebuild the churn path was optimised away from.  Only
-    the base-class fallback (``repro/overlay/base.py``) may do so."""
+    O(N) per-event rebuild the churn path was optimised away from.  No
+    module is exempt: the hooks are abstract and have no rebuild fallback."""
 
     code = "BRS007"
     name = "rebuild-in-repair-hook"
     summary = (
-        "_on_add/_on_remove overrides must not call _reset_state(): that "
-        "is a hidden full rebuild per churn event (base.py fallback only)"
+        "_on_add/_on_remove must not call _reset_state(): that is a hidden "
+        "full rebuild per churn event"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         """Flag ``self._reset_state()`` calls inside repair-hook bodies."""
-        if ctx.is_module("repro", "overlay", "base"):
-            return
         for node in ast.walk(ctx.tree):
             if not (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -655,7 +653,7 @@ class RebuildInRepairHook(Rule):
                         child,
                         f"{node.name}() calls _reset_state(): a full O(N) "
                         "rebuild per churn event — repair the affected "
-                        "members in place (or defer to super() explicitly)",
+                        "members in place",
                     )
 
 

@@ -11,11 +11,11 @@ this module pins down:
   (:meth:`Overlay.route`).
 
 Concrete implementations (:mod:`~repro.overlay.chord`,
-:mod:`~repro.overlay.pastry`, :mod:`~repro.overlay.tornado`) are built two
-ways: an *oracle build* that computes routing state directly from the
-membership set (fast; used by the large parameter sweeps) and incremental
-``add_node`` / ``remove_node`` updates (used by churn scenarios).  Tests
-assert the two agree.
+:mod:`~repro.overlay.pastry`, :mod:`~repro.overlay.tornado`, ...) derive
+routing state one way: :meth:`Overlay._build_all` builds every member's
+state from the sorted member array at once, and ``add_node`` /
+``remove_node`` repair only the members an event affects.  Tests assert
+both equal the per-node definitions in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class RouteResult:
 class Overlay(abc.ABC):
     """Base class for hash-structured overlays.
 
-    Subclasses populate per-node routing state in :meth:`_build_node` and
-    pick the next hop in :meth:`_hop`; the shared :meth:`route` loop with
+    Subclasses build routing state in :meth:`_build_all`, repair it in
+    :meth:`_on_add` / :meth:`_on_remove` and pick the next hop in
+    :meth:`_hop`; the shared :meth:`route` loop with
     its per-hop guards, membership bookkeeping and owner resolution live
     here.
     """
@@ -156,13 +157,8 @@ class Overlay(abc.ABC):
         m.counter("overlay.repairs").inc()
         m.counter("overlay.repaired_nodes").inc(int(repaired_nodes))
 
-    def build(self, keys: Iterable[int], *, bulk: bool = True) -> None:
-        """Oracle-build the overlay over ``keys`` (replaces any prior state).
-
-        ``bulk=True`` (the default) routes through :meth:`_build_all`, which
-        overlays may vectorise; ``bulk=False`` forces the per-node reference
-        path (used by parity tests).
-        """
+    def build(self, keys: Iterable[int]) -> None:
+        """Build the overlay over ``keys`` (replaces any prior state)."""
         key_list = sorted({self.space.validate(int(k)) for k in keys})
         if not key_list:
             raise ValueError("cannot build an overlay with no members")
@@ -172,11 +168,7 @@ class Overlay(abc.ABC):
         self._owner_memo.clear()
         self._memo_owners.clear()
         self._reset_state()
-        if bulk:
-            self._build_all(key_list)
-        else:
-            for k in key_list:
-                self._build_node(k)
+        self._build_all(key_list)
 
     def _insert_key(self, key: int) -> int:
         """Insert ``key`` into the sorted buffer; return its index."""
@@ -390,40 +382,20 @@ class Overlay(abc.ABC):
         """Clear all per-node routing state (before an oracle build)."""
 
     @abc.abstractmethod
-    def _build_node(self, key: int) -> None:
-        """Compute routing state for member ``key`` from the member array."""
-
     def _build_all(self, members: List[int]) -> None:
-        """Build routing state for every member at once (``members``: the
-        sorted keys as the member set's own ints, for row dicts to share).
+        """Build routing state for every member at once from the sorted
+        member array (``members``: the same keys as the member set's own
+        ints, for row dicts to share)."""
 
-        The default is the per-node reference loop; overlays override with
-        a vectorised bulk construction that must produce bit-identical
-        state (asserted by the contract tests).
-        """
-        for k in members:
-            self._build_node(k)
-
+    @abc.abstractmethod
     def _on_add(self, key: int, idx: int) -> None:
-        """Repair state after ``key`` joined at ``keys[idx]``; default
-        rebuilds everything.
+        """Repair the state of the members a join of ``key`` at
+        ``keys[idx]`` affects, and report them via :meth:`_record_repair`."""
 
-        Subclasses override with targeted repairs (and report their cost
-        through :meth:`_record_repair`); the default is correct but
-        O(N log N) per event.
-        """
-        self._reset_state()
-        for k in self._member_set:
-            self._build_node(int(k))
-        self._record_repair(len(self._member_set))
-
+    @abc.abstractmethod
     def _on_remove(self, key: int, idx: int) -> None:
-        """Repair state after ``key`` left position ``idx`` (now its
-        successor's, or ``n``); default rebuilds everything."""
-        self._reset_state()
-        for k in self._member_set:
-            self._build_node(int(k))
-        self._record_repair(len(self._member_set))
+        """Likewise after ``key`` left position ``idx`` (now its
+        successor's, or ``n``)."""
 
     def route_avoiding(
         self, source: int, target: int, avoid: "set[int]"

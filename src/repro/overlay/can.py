@@ -229,24 +229,10 @@ class CANOverlay(Overlay):
         node.min_key = min(k for k, _ in members)
         return node
 
-    def _zones_adjacent(self, a: int, b: int) -> bool:
-        for za in self._zone_boxes[a]:
-            for zb in self._zone_boxes[b]:
-                if za.abuts(zb, self.axis_extent):
-                    return True
-        return False
-
-    def _build_node(self, key: int) -> None:
-        # The tessellation is global (built in _reset_state); per-node state
-        # is the zone-face neighbour list.
-        nbrs = []
-        for other in self._zone_boxes:
-            if other != key and self._zones_adjacent(key, other):
-                nbrs.append(other)
-        self._neighbors[key] = sorted(nbrs)
-
     # ------------------------------------------------------------------
-    # Vectorised adjacency (bulk build + targeted repair)
+    # Zone-face adjacency, vectorised (build + targeted repair): the
+    # tessellation is global (built in _reset_state); per-node state is the
+    # zone-face neighbour list.
     # ------------------------------------------------------------------
     def _collect_box_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flatten the tessellation into (lo, hi, owner) arrays of shape
@@ -286,8 +272,6 @@ class CANOverlay(Overlay):
         return (ov | touch).all(axis=2) & ((~ov).sum(axis=2) == 1)
 
     def _build_all(self, members: List[int]) -> None:
-        if not members:
-            return
         lo, hi, owners = self._collect_box_arrays()
         nbr_sets: Dict[int, Set[int]] = {k: set() for k in members}
         nboxes = int(owners.size)

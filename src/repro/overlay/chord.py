@@ -38,7 +38,7 @@ __all__ = ["ChordOverlay"]
 
 
 class ChordOverlay(Overlay):
-    """Chord with exact (oracle-built) finger tables.
+    """Chord with exact finger tables.
 
     Parameters
     ----------
@@ -61,14 +61,9 @@ class ChordOverlay(Overlay):
         #: ``>= 2**i`` — both are views of the row, not separate state.
         self._rows: Dict[int, array] = {}
         self._mask = space.size - 1
-        # Finger-start offsets 2**i, precomputed for the vectorised build.
-        # uint64 arithmetic holds key + 2**i without overflow up to 63 bits;
-        # wider rings compute the starts with Python integers.
-        self._finger_steps: Optional[np.ndarray] = (
-            np.array([1 << i for i in range(space.bits)], dtype=np.uint64)
-            if space.bits <= 63
-            else None
-        )
+        # Finger-start offsets 2**i.  ``key ± 2**i`` wraps mod 2**64 in
+        # uint64, which the mask reduces exactly mod 2**bits (bits <= 64).
+        self._finger_steps = np.array([1 << i for i in range(space.bits)], dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Ownership: Chord stores k at successor(k)
@@ -95,15 +90,9 @@ class ChordOverlay(Overlay):
     def _ring_points(self, own: np.ndarray, sign: int) -> np.ndarray:
         """``own[j] + sign * 2**i`` on the ring, one line per entry of
         ``own``, ``i`` ascending."""
-        if self._finger_steps is not None:
-            steps = self._finger_steps
-            points = own[:, None] + steps if sign > 0 else own[:, None] - steps
-            return points & np.uint64(self._mask)
-        return np.array(
-            [[(k + sign * (1 << i)) & self._mask for i in range(self.space.bits)]
-             for k in own.tolist()],
-            dtype=np.uint64,
-        )
+        steps = self._finger_steps
+        points = own[:, None] + steps if sign > 0 else own[:, None] - steps
+        return points & np.uint64(self._mask)
 
     def _build_rows(
         self, positions: np.ndarray, members: Optional[List[int]] = None
@@ -141,9 +130,6 @@ class ChordOverlay(Overlay):
 
     def _build_all(self, members: List[int]) -> None:
         self._build_rows(np.arange(self._key_count), members)
-
-    def _build_node(self, key: int) -> None:
-        self._build_rows(np.searchsorted(self._keys, np.array([key], dtype=np.uint64)))
 
     # ------------------------------------------------------------------
     # Churn repair: edit the affected rows under the row predicate (see

@@ -17,7 +17,8 @@ A table is one packed :class:`~repro.overlay.rows.SlotRow` indexed by
 computed with two shifts and a mask — and a leaf set one ``array('Q')``.
 Every row is derived from the sorted member array alone: the bulk build,
 a join and a leave all resolve (member, sibling block) pairs through the
-one slot-rule hook :meth:`PastryOverlay._bulk_pair_winners`.
+one slot-rule hook :meth:`PastryOverlay._bulk_pair_winners`, with or
+without a proximity callback and at any key width up to 64 bits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["PastryOverlay"]
 
 
 class PastryOverlay(Overlay):
-    """Pastry with oracle-built routing tables and leaf sets.
+    """Pastry with exact routing tables and leaf sets.
 
     Parameters
     ----------
@@ -74,70 +75,27 @@ class PastryOverlay(Overlay):
         self._table.clear()
         self._leaves.clear()
 
-    def _build_node(self, key: int) -> None:
-        idx = int(np.searchsorted(self._keys, np.uint64(key)))
-        self._leaves[key] = self._compute_leaves(key, idx)
-        self._table[key] = self._compute_table(key)
-
-    def _compute_leaves(self, key: int, idx: int) -> array:
-        """Leaf set of the member ``key`` at ``keys[idx]``."""
-        keys = self._keys
-        n = int(keys.size)
-        w = min(self.leaf_set_size // 2, n - 1)  # on each side of the member
-        around = keys[np.arange(idx - w, idx + w + 1) % n].tolist()
-        return array("Q", sorted(set(around) - {key}))
-
-    def _compute_table(self, key: int) -> SlotRow:
-        """Routing table rows for ``key`` — the scalar reference rule.
-
-        For every (row, digit) slot we scan the members sharing exactly the
-        right prefix.  A single pass over the sorted member array suffices:
-        each member lands in exactly one slot (its first digit of
-        difference from ``key``).
-        """
-        table = SlotRow()
-        base = self.space.digit_base
-        for o in self._keys.tolist():
-            if o == key:
-                continue
-            row = self.space.shared_prefix_length(key, o)
-            slot = row * base + self.space.digit(o, row)
-            cur = table.get(slot)
-            if cur is None or self._slot_prefer(key, o, cur):
-                table[slot] = o
-        return table
-
-    def _slot_prefer(self, local: int, candidate: int, incumbent: int) -> bool:
-        """True when ``candidate`` should displace ``incumbent`` in a slot
-        of ``local``'s table (proximity when available, else numerically
-        closest with ties to the smaller key — Tornado overrides this with
-        its capacity-aware rule)."""
-        if self.proximity is not None:
-            return self.proximity(local, candidate) < self.proximity(local, incumbent)
-        return self.space.is_closer(candidate, incumbent, local)
-
-    # ------------------------------------------------------------------
-    # Bulk (vectorised) construction
-    # ------------------------------------------------------------------
-    def _vectorisable(self) -> bool:
-        """The numpy paths require exact uint64 arithmetic and a slot rule
-        that is a total order independent of pairwise proximity."""
-        return _prefix.supports_vectorised(self.space) and self.proximity is None
-
     def _build_all(self, members: List[int]) -> None:
-        if not self._vectorisable():
-            super()._build_all(members)
-            return
-        self._bulk_build_leaves(members)
+        self._build_leaves(np.arange(self._key_count), members)
         self._bulk_build_tables(members)
 
-    def _bulk_build_leaves(self, members: List[int]) -> None:
+    def _build_leaves(
+        self, positions: np.ndarray, members: Optional[List[int]] = None
+    ) -> None:
+        """(Re)build the leaf sets of the members at sorted ``positions``:
+        the ``l/2`` members on each side, one window gather for all."""
         keys = self._keys
         n = int(keys.size)
         w = min(self.leaf_set_size // 2, n - 1)
-        window = keys[(np.arange(n)[:, None] + np.arange(-w, w + 1)) % n]
-        for key, row in zip(members, window.tolist()):
+        window = keys[(positions[:, None] + np.arange(-w, w + 1)) % n]
+        for key, row in zip(members or keys[positions].tolist(), window.tolist()):
             self._leaves[key] = array("Q", sorted(set(row) - {key}))
+
+    def _prefer(self, local: int, candidate: int, incumbent: int) -> bool:
+        """Pastry's proximity rule: ``candidate`` displaces ``incumbent``
+        in a slot of ``local``'s table when it is proximally closer."""
+        assert self.proximity is not None
+        return self.proximity(local, candidate) < self.proximity(local, incumbent)
 
     def _bulk_pair_winners(
         self,
@@ -149,13 +107,28 @@ class PastryOverlay(Overlay):
     ) -> np.ndarray:
         """Slot winner for each (node, sibling block) pair: ``pair_node``
         indexes ``keys``, ``pair_block`` the half-open runs ``starts`` /
-        ``ends`` of it.  The one slot-rule hook of the vectorised path.
+        ``ends`` of it.  The one slot-rule hook of the build and both
+        repairs; every rule it applies is a total order per node.
 
-        Ring-closest rule: a block is a value-contiguous key interval not
-        containing the node, over which ring distance to the node has no
-        interior minimum — the winner is always one of the two block
-        endpoints, ties to the smaller key (= the low endpoint).
+        With a proximity callback, each block's members are folded in
+        ascending key order under the pairwise comparator :meth:`_prefer`,
+        the incumbent kept unless a candidate is strictly preferred.
+        Otherwise the ring-closest rule: a block is a value-contiguous key
+        interval not containing the node, over which ring distance to the
+        node has no interior minimum — the winner is always one of the two
+        block endpoints, ties to the smaller key (= the low endpoint).
         """
+        if self.proximity is not None:
+            prefer, winners = self._prefer, []
+            for node, begin, end in zip(
+                keys[pair_node].tolist(), starts[pair_block].tolist(), ends[pair_block].tolist()
+            ):
+                best, *rest = keys[begin:end].tolist()
+                for candidate in rest:
+                    if prefer(node, candidate, best):
+                        best = candidate
+                winners.append(best)
+            return np.array(winners, dtype=np.uint64)
         lo = keys[starts[pair_block]]
         hi = keys[ends[pair_block] - 1]
         x = keys[pair_node]
@@ -230,20 +203,15 @@ class PastryOverlay(Overlay):
     # ------------------------------------------------------------------
     # Targeted churn repair
     # ------------------------------------------------------------------
-    def _repair_leaf_window(self, idx: int, exclude: int) -> Set[int]:
-        """Recompute the leaf sets a membership change at sorted position
+    def _repair_leaf_window(self, idx: int) -> Set[int]:
+        """Rebuild the leaf sets a membership change at sorted position
         ``idx`` can touch — the sliding windows overlapping that position —
         and return their members."""
-        keys = self._keys
-        n = int(keys.size)
+        n = self._key_count
         w = min(self.leaf_set_size // 2, n - 1)
-        out: Set[int] = set()
-        for pos in {(idx + j) % n for j in range(-w, w + 1)}:
-            k = int(keys[pos])
-            if k != exclude:
-                self._leaves[k] = self._compute_leaves(k, pos)
-                out.add(k)
-        return out
+        positions = np.unique((idx + np.arange(-w, w + 1)) % n)
+        self._build_leaves(positions)
+        return set(self._keys[positions].tolist())
 
     def _key_levels(
         self, keys: np.ndarray, key: int
@@ -278,13 +246,10 @@ class PastryOverlay(Overlay):
         return facing[self._facing_winners(keys, facing, lo, hi) == np.uint64(key)]
 
     def _on_add(self, key: int, idx: int) -> None:
-        if not self._vectorisable():
-            super()._on_add(key, idx)
-            return
         space, keys = self.space, self._keys
-        self._leaves[key] = self._compute_leaves(key, idx)
-        # 1. Leaf sets: only the windows around the insertion point move.
-        repaired = self._repair_leaf_window(idx, key)
+        # 1. Leaf sets: only the windows around the insertion point move
+        #    (the newcomer's own among them).
+        repaired = self._repair_leaf_window(idx)
         own_slots: List[int] = []
         own_entries: List[int] = []
         for row, plo, phi, lo, hi in self._key_levels(keys, key):
@@ -309,17 +274,13 @@ class PastryOverlay(Overlay):
                 self._table[member][slot] = key
             repaired.update(members)
         self._table[key] = SlotRow(sum(1 << slot for slot in own_slots), array("Q", own_entries))
-        self._record_repair(len(repaired) + 1)
+        self._record_repair(len(repaired))
 
     def _on_remove(self, key: int, idx: int) -> None:
-        if not self._vectorisable():
-            super()._on_remove(key, idx)
-            return
-        self._leaves.pop(key, None)
-        self._table.pop(key, None)
+        del self._leaves[key], self._table[key]
         space, keys = self.space, self._keys
         # 1. Leaf sets around the departure position.
-        repaired = self._repair_leaf_window(idx, key)
+        repaired = self._repair_leaf_window(idx)
         # 2. Tables: the members that referenced the departed key are those
         #    for which it won on the array with the key still in; all of
         #    them at row r draw replacements from B without the key.

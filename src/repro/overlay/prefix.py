@@ -7,14 +7,15 @@ and a routing-table slot ``(r, d)`` of node ``x`` is won by some member of
 the sibling block with digit ``d`` under ``x``'s level-``r`` prefix.
 Because blocks are value-contiguous runs of the sorted array, the whole
 decomposition falls out of a handful of NumPy primitives; this module
-collects those so the bulk build (`Overlay._build_all`) and the targeted
-churn repairs share one audited implementation.
+collects those so the build (`Overlay._build_all`) and the targeted churn
+repairs share one audited implementation.
 
-All helpers require ``space.bits <= 63`` so that uint64 shift/mask
-arithmetic is exact (``2**bits`` divides ``2**64``, making wrap-around
-subtraction congruent mod the ring size); callers gate on
-:func:`supports_vectorised` and fall back to the scalar reference path
-otherwise.
+uint64 arithmetic is exact for every key width up to
+:data:`~repro.overlay.keyspace.MAX_OVERLAY_BITS` = 64, the widest an
+overlay accepts: shifts are by ``bits - b * (row + 1)``, in ``[0, 64)``,
+every prefix bound fits in 64 bits, and because ``2**bits`` divides
+``2**64`` a wrap-around difference masked with ``2**bits - 1`` is exact
+mod the ring size — at 64 bits the mask is the wrap itself.
 """
 
 from __future__ import annotations
@@ -26,18 +27,12 @@ import numpy as np
 from .keyspace import KeySpace
 
 __all__ = [
-    "supports_vectorised",
     "shared_prefix_lengths",
     "digits_at",
     "level_blocks",
     "prefix_block_range",
     "within_runs",
 ]
-
-
-def supports_vectorised(space: KeySpace) -> bool:
-    """True when uint64 vector arithmetic is exact for this key space."""
-    return space.bits <= 63
 
 
 def shared_prefix_lengths(space: KeySpace, keys: np.ndarray, key: int) -> np.ndarray:

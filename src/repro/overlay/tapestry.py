@@ -92,10 +92,6 @@ class TapestryOverlay(PastryOverlay):
         memo = self._owner_memo
         if not memo:
             return
-        if not _prefix.supports_vectorised(self.space):
-            memo.clear()
-            self._memo_owners.clear()
-            return
         targets = np.fromiter(memo.keys(), dtype=np.uint64, count=len(memo))
         owners = np.fromiter(memo.values(), dtype=np.uint64, count=len(memo))
         spl = _prefix.shared_prefix_lengths(self.space, owners, key)

@@ -67,11 +67,6 @@ class TornadoOverlay(PastryOverlay):
     # ------------------------------------------------------------------
     # Slot selection: proximity first, then capacity, then key
     # ------------------------------------------------------------------
-    def _slot_prefer(self, local: int, candidate: int, incumbent: int) -> bool:
-        """Tornado's slot rule on the scalar path (the inherited
-        ``_compute_table`` consults this hook instead of Pastry's ring rule)."""
-        return self._prefer(local, candidate, incumbent)
-
     def _prefer(self, local: int, candidate: int, incumbent: int) -> bool:
         """True when ``candidate`` should displace ``incumbent`` in a slot."""
         if self.proximity is not None:
@@ -86,9 +81,10 @@ class TornadoOverlay(PastryOverlay):
         return candidate < incumbent
 
     # ------------------------------------------------------------------
-    # Bulk build / churn repair: without a proximity callback the slot
-    # winner is argmin of (-capacity, key) over the block — independent of
-    # the local node, so one winner per block serves every paired node.
+    # Build / churn repair: with a proximity callback, Pastry's pairwise
+    # fold under _prefer.  Without one the slot winner is argmin of
+    # (-capacity, key) over the block — independent of the local node, so
+    # one winner per block serves every paired node.
     # ------------------------------------------------------------------
     def _bulk_pair_winners(
         self,
@@ -98,6 +94,8 @@ class TornadoOverlay(PastryOverlay):
         pair_node: np.ndarray,
         pair_block: np.ndarray,
     ) -> np.ndarray:
+        if self.proximity is not None:
+            return super()._bulk_pair_winners(keys, starts, ends, pair_node, pair_block)
         # Only the blocks' own members are candidates (and asked their
         # capacity): laid out block after block.
         sizes = ends - starts

@@ -19,7 +19,7 @@ vectorised kernels:
 * placement kernels — :func:`ring_nearest` (vectorised
   ``KeySpace.nearest_key``) and :func:`expand_holders` (vectorised
   replica placement, exact replica order of
-  ``LocationDirectory._holders_near``);
+  ``repro.core.location.holders_near``);
 * :func:`run_scale_shard` / :func:`run_traffic_shard` — one keyspace
   shard of the churn+lookup and Zipf traffic-mix scenarios.  Every
   per-key event stream is derived by hashing the key itself
@@ -155,7 +155,7 @@ def replica_offsets(count: int) -> np.ndarray:
     """The replica placement order around an owner: 0, +1, −1, +2, −2, …
 
     Matches the alternate right/left walk of
-    ``LocationDirectory._holders_near``; the first ``count`` offsets are
+    ``repro.core.location.holders_near``; the first ``count`` offsets are
     always distinct modulo any membership size ``n >= count`` (their span
     is ``count − 1``), so no per-holder dedup is ever needed.
     """

@@ -7,15 +7,18 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List
 
-from repro.overlay import ChordOverlay, PastryOverlay
+from repro.overlay import CANOverlay, ChordOverlay, PastryOverlay
+from repro.overlay.rows import SlotRow
 
 __all__ = [
     "chord_row",
     "set_chord_row",
     "slot_table",
+    "set_table",
     "set_slot",
     "clear_slot",
     "set_leaves",
+    "set_can_neighbors",
     "prefix_state",
 ]
 
@@ -35,6 +38,13 @@ def slot_table(ov: PastryOverlay, member: int) -> Dict[int, int]:
     return dict(ov._table[member].items())
 
 
+def set_table(ov: PastryOverlay, member: int, table: Dict[int, int]) -> None:
+    """Overwrite ``member``'s whole routing table with ``{slot: entry}``."""
+    ov._table[member] = SlotRow(
+        sum(1 << slot for slot in table), array("Q", [table[s] for s in sorted(table)])
+    )
+
+
 def set_slot(ov: PastryOverlay, member: int, slot: int, entry: int) -> None:
     ov._table[member][slot] = entry
 
@@ -48,6 +58,11 @@ def clear_slot(ov: PastryOverlay, member: int, slot: int) -> None:
 def set_leaves(ov: PastryOverlay, member: int, leaves: Iterable[int]) -> None:
     """Overwrite ``member``'s leaf set (stale-state tests)."""
     ov._leaves[member] = array("Q", sorted(leaves))
+
+
+def set_can_neighbors(ov: CANOverlay, member: int, neighbors: Iterable[int]) -> None:
+    """Overwrite ``member``'s zone-face neighbour list."""
+    ov._neighbors[member] = sorted(neighbors)
 
 
 def prefix_state(ov: PastryOverlay) -> Dict[int, tuple]:

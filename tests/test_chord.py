@@ -7,6 +7,7 @@ from repro.core import BristleConfig, BristleNetwork
 from repro.overlay import ChordOverlay, KeySpace
 from repro.sim import RngStreams
 
+from .oracles.build import reference_build
 from .oracles.routing import chord_fingers, chord_successors
 from .oracles.rows import chord_row
 
@@ -108,8 +109,7 @@ def _ring_cases(space):
 def _assert_bulk_matches_per_node(space, keys, successors=4):
     bulk = ChordOverlay(space, successor_list_size=successors)
     bulk.build(keys)
-    reference = ChordOverlay(space, successor_list_size=successors)
-    reference.build(keys, bulk=False)
+    reference = reference_build(ChordOverlay(space, successor_list_size=successors), keys)
     assert bulk._rows == reference._rows
     assert list(bulk._rows) == list(reference._rows)
     # ... and the rows hold exactly the fingers and successors of the
@@ -127,8 +127,9 @@ def _assert_bulk_matches_per_node(space, keys, successors=4):
 
 
 class TestBulkBuildParity:
-    """``_build_all`` must leave exactly the state ``_build_node`` does:
-    the same row for every member, members in the same order."""
+    """``_build_all`` must leave exactly the state of the per-member
+    reference build (``tests/oracles/build.py``): the same row for every
+    member, members in the same order."""
 
     @pytest.mark.parametrize(
         "case", ["random", "duplicates", "wrap-around", "clustered", "pair", "single"]
@@ -145,16 +146,17 @@ class TestBulkBuildParity:
         _assert_bulk_matches_per_node(space, rng.integers(0, space.size, n).tolist())
 
     def test_full_width_ring(self):
-        """63 bits is the widest ring the uint64 kernel takes (and past
-        2**53 the per-node path must not locate keys through float64)."""
+        """Past 2**53 no key may be located through float64."""
         space = KeySpace(bits=63, digit_bits=7)
         keys = [0, 1, space.size - 1, space.size // 2, space.size // 2 + 1]
         _assert_bulk_matches_per_node(space, keys)
 
-    def test_wide_ring_falls_back_to_scalar_path(self):
+    @pytest.mark.parametrize("successors", [1, 4])
+    def test_64_bit_ring_takes_the_same_kernel(self, successors):
+        """``key ± 2**63`` wraps mod 2**64 in uint64, which is the ring."""
         space = KeySpace(bits=64, digit_bits=4)
-        keys = [3, 1 << 40, (1 << 63) + 9, (1 << 64) - 2]
-        assert _assert_bulk_matches_per_node(space, keys)._finger_steps is None
+        keys = [0, 1, 3, 1 << 40, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 2]
+        _assert_bulk_matches_per_node(space, keys, successors)
 
 
 class TestTinyRingLeave:

@@ -441,18 +441,18 @@ class TestRebuildInRepairHook:
         )
         assert found == []
 
-    def test_base_module_exempt(self):
+    def test_base_module_not_exempt(self):
+        """The base class has no rebuild fallback left to exempt."""
         found = lint(
             """
             class Overlay:
                 def _on_add(self, key):
                     self._reset_state()
-                    for k in self._keys.tolist():
-                        self._build_node(int(k))
+                    self._build_all(self._keys.tolist())
             """,
             path="repro/overlay/base.py",
         )
-        assert found == []
+        assert codes(found) == ["BRS007"]
 
     def test_reset_state_outside_hooks_clean(self):
         found = lint(

@@ -16,6 +16,7 @@ from repro.overlay.factory import OVERLAY_NAMES
 from repro.sim import RngStreams
 from repro.sim.metrics import MetricsRegistry
 
+from .oracles.build import reference_build
 from .oracles.routing import chord_fingers, chord_successors
 from .oracles.rows import chord_row, prefix_state
 
@@ -241,11 +242,8 @@ class TestChurnSequenceParity:
                 members.append(newcomer)
                 members.sort()
             if i in checkpoints:
-                # Oracle: per-node reference construction from scratch
-                # (bulk=False exercises the scalar path the vectorised
-                # builder and the repairs must both agree with).
-                oracle = make_overlay(overlay_name, space)
-                oracle.build(list(members), bulk=False)
+                # Oracle: the per-member definitions, from scratch.
+                oracle = reference_build(make_overlay(overlay_name, space), members)
                 _assert_same_state(ov, oracle, space, rng)
 
     def test_bulk_build_matches_per_node_build(self, overlay_name, space):
@@ -253,8 +251,7 @@ class TestChurnSequenceParity:
         keys = [int(k) for k in space.random_keys(rng, "keys", 128)]
         bulk = make_overlay(overlay_name, space)
         bulk.build(keys)
-        reference = make_overlay(overlay_name, space)
-        reference.build(keys, bulk=False)
+        reference = reference_build(make_overlay(overlay_name, space), keys)
         _assert_same_state(bulk, reference, space, rng)
 
     def test_owner_memo_stays_correct_under_churn(self, overlay_name, space):
@@ -354,6 +351,83 @@ class TestKeyWidthLimit:
             _assert_same_state(ov, fresh, space, RngStreams(event), routes=8)
 
 
+EDGE_KEYS_64 = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 2]
+
+
+class TestReferenceParityAt64Bits:
+    """64 bits takes the one construction path: fresh and after every
+    event of a join/leave script over the ring's edge keys, state, owners
+    and routes equal the per-member reference build."""
+
+    @pytest.mark.parametrize("digit_bits", [1, 2, 4, 8])
+    def test_fresh_and_after_every_event(self, overlay_name, digit_bits):
+        space = KeySpace(bits=64, digit_bits=digit_bits)
+        gen = np.random.default_rng([64, digit_bits])
+        spread = [int(k) for k in gen.integers(0, space.size, 30, dtype=np.uint64)]
+        members = set(EDGE_KEYS_64 + spread[:24])
+        joiners = [k for k in spread[24:] + [2, (1 << 63) + 2, (1 << 64) - 1] if k not in members]
+        ov = build(overlay_name, space, members)
+        fresh = reference_build(make_overlay(overlay_name, space), members)
+        _assert_same_state(ov, fresh, space, RngStreams(64), routes=8)
+        script = joiners + EDGE_KEYS_64[::2] + sorted(members)[1::6] + EDGE_KEYS_64[::2]
+        for event, key in enumerate(script):
+            (ov.remove_node if key in members else ov.add_node)(key)
+            members ^= {key}
+            fresh = reference_build(make_overlay(overlay_name, space), members)
+            _assert_same_state(ov, fresh, space, RngStreams(event), routes=8)
+
+
+def _proximity(a: int, b: int) -> float:
+    """A synthetic, symmetric network distance with frequent ties."""
+    return float((((a ^ b) * 0x9E3779B97F4A7C15) >> 40) % 13)
+
+
+def _capacity(key: int) -> float:
+    return float(1 + key % 5)
+
+
+class TestProximityChurnParity:
+    """A proximity callback is a slot rule, not a second path: the build
+    and both repairs fold each block under the overlay's comparator, slot
+    for slot equal to the reference scan after every event, and repairs
+    touch a fraction of the members where a rebuild reported all of them
+    (a newcomer alone under its top digit still enters every table)."""
+
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    @pytest.mark.parametrize("name", ["pastry", "tornado", "tapestry"])
+    def test_slots_equal_the_reference_after_every_event(self, name, bits):
+        space = KeySpace(bits=bits, digit_bits=4)
+        gen = np.random.default_rng([bits, 60])
+        pool = sorted({int(k) for k in gen.integers(0, space.size, 100, dtype=np.uint64)})
+        # spare keys next to a member: leaf sets and deep rows move too
+        pool += [k + 1 for k in pool[::4] if k + 1 < space.size and k + 1 not in pool]
+        gen.shuffle(pool)
+        members, spare = set(pool[:60]), pool[60:]
+
+        def make():
+            return make_overlay(name, space, proximity=_proximity, capacity=_capacity)
+
+        ov = make()
+        ov.build(members)
+        metrics = MetricsRegistry()
+        ov.bind_metrics(metrics)
+        repaired = metrics.counter("overlay.repaired_nodes")
+        for event in range(40):
+            before = repaired.value
+            if event % 2 == 0 and spare:
+                key = spare.pop()
+                ov.add_node(key)
+            else:
+                key = sorted(members)[int(gen.integers(len(members)))]
+                ov.remove_node(key)
+                spare.insert(0, key)
+            members ^= {key}
+            assert 0 < repaired.value - before <= len(members), (event, key)
+            reference = reference_build(make(), members)
+            _assert_same_state(ov, reference, space, RngStreams(event), routes=5)
+        assert repaired.value / 40 < len(members) / 2
+
+
 # ----------------------------------------------------------------------
 # Chord: churn repair edits rows in place — compare the rows themselves
 # ----------------------------------------------------------------------
@@ -438,8 +512,8 @@ SCRIPT = st.lists(
 
 class TestChordRowChurnSequenceParity:
     """The rings ``TestChurnSequenceParity`` never builds: dense, wrapped
-    fingers, ``r != 4``, the ``bits > 63`` branch, rings too small to fill
-    a successor list."""
+    fingers, ``r != 4``, 64-bit rings, rings too small to fill a successor
+    list."""
 
     @given(
         seed=SEED,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.overlay import KeySpace, make_overlay
 from repro.overlay.rows import SlotRow
 
+from .oracles.build import reference_build
 from .oracles.routing import reference_next_hop
 from .oracles.rows import clear_slot, prefix_state, set_leaves, slot_table
 
@@ -112,8 +113,7 @@ def test_block_range_repair_equals_fresh_and_scalar_builds(name, bits, digit_bit
         fresh.build(members)
         assert prefix_state(ov) == prefix_state(fresh), (event, key)
         if event % 10 == 0:  # ... which is the scalar reference rule's
-            scalar = make_overlay(name, space, capacity=_capacity)
-            scalar.build(members, bulk=False)
+            scalar = reference_build(make_overlay(name, space, capacity=_capacity), members)
             assert prefix_state(fresh) == prefix_state(scalar)
 
 

@@ -110,6 +110,62 @@ class TestAdvertisementWave:
         first = min(wave.arrival_times, key=wave.arrival_times.get)
         assert {k for k, n in net.nodes.items() if mk in n.state} == {first} - {gone}
 
+    @pytest.mark.parametrize("level", [1, 2], ids=["copy in flight", "never sent"])
+    def test_wave_through_a_departed_registrant(self, engine, level):
+        """Regression: a departed interior registrant made ``send`` raise
+        ``KeyError`` (``latency`` -> ``router_of``).  A node that has left
+        neither sends nor is sent to; the partitions it leaves unreached
+        drop out of ``expected``, so the wave still completes once, when
+        every reachable registrant holds the update."""
+        net = BristleNetwork(
+            BristleConfig(seed=5, naming="scrambled"), 60, 30, max_capacity=2
+        )
+        net.setup_random_registrations()
+        proto = BristleProtocol(net, engine)
+        mk, tree, gone = next(
+            (k, t, r)
+            for k in net.mobile_keys
+            for t in [net.build_ldt_for(k)]
+            for r in t.keys[1:]
+            if net.is_mobile(r) and t.children_of(r) and t.nodes[r].level == level
+        )
+        done = []
+        wave = proto.advertise(mk, tree=tree, on_complete=done.append)
+        net.leave_mobile_node(gone)
+        engine.run()
+        # The root's copies were sent before ``gone`` left, so a copy to it
+        # is in flight; below that, every copy goes through a live sender.
+        reached, frontier = set(), [(c, True) for c in tree.children_of(mk)]
+        while frontier:
+            node, sent = frontier.pop()
+            if sent:
+                reached.add(node)
+                frontier += [(c, node != gone and c != gone) for c in tree.children_of(node)]
+        assert done == [wave] and wave.complete
+        assert set(wave.arrival_times) == reached
+        assert wave.expected == len(reached) < tree.num_members
+        assert proto.metrics.counter("messages.advertise").value == len(reached)
+        address = net.nodes[mk].address
+        for key in reached - {gone}:
+            if key in net.nodes[mk].registry:
+                assert net.nodes[key].state.get(mk).addr == address
+
+    def test_wave_whose_every_head_left_completes_at_once(self, net, engine, proto):
+        mk, tree = next(
+            (k, t)
+            for k in net.mobile_keys
+            for t in [net.build_ldt_for(k)]
+            if t.children_of(k) and all(net.is_mobile(h) for h in t.children_of(k))
+        )
+        for head in tree.children_of(mk):
+            net.leave_mobile_node(head)
+        done = []
+        wave = proto.advertise(mk, tree=tree, on_complete=done.append)
+        assert done == [wave] and wave.expected == 0 and wave.makespan == 0.0
+        engine.run()
+        assert done == [wave] and not wave.arrival_times
+        assert proto.metrics.counter("messages.advertise").value == 0
+
     def test_flat_tree_faster_than_chain(self, engine):
         """Timed counterpart of Fig 8: a capacity-rich registry floods in
         ~1 level; homogeneous capacity-1 nodes relay sequentially."""

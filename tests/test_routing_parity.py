@@ -133,8 +133,8 @@ class TestHopForHopParity:
 
 @pytest.mark.parametrize("name", ["pastry", "tornado", "tapestry"])
 def test_parity_with_a_proximity_rule(name, space):
-    """A proximity callback takes table building off the vectorised path
-    (and churn repair to a full rebuild); routing must not care."""
+    """A proximity callback changes which member wins a slot, not how
+    routing reads the table."""
     gen = np.random.default_rng(7)
     ov = make_overlay(
         name, space, proximity=lambda a, b: float((a * 2654435761 ^ b * 40503) % 1009)
