@@ -79,14 +79,16 @@ class BristleConfig:
             )
         if self.naming not in ("clustered", "scrambled"):
             raise ValueError(f"naming must be 'clustered' or 'scrambled', got {self.naming!r}")
-        if self.state_ttl <= 0 or self.refresh_period <= 0:
+        # Phrased so that NaN fails them (every comparison with NaN is
+        # false); an infinite state_ttl is a lease that never lapses.
+        if not (self.state_ttl > 0 and self.refresh_period > 0):
             raise ValueError("state_ttl and refresh_period must be positive")
-        if self.refresh_period >= self.state_ttl:
+        if not self.refresh_period < self.state_ttl:
             raise ValueError(
                 f"refresh_period ({self.refresh_period}) must be shorter than "
                 f"state_ttl ({self.state_ttl}) or leases lapse between refreshes"
             )
-        if self.unit_advertise_cost <= 0:
+        if not self.unit_advertise_cost > 0:
             raise ValueError("unit_advertise_cost must be positive")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")

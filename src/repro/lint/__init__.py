@@ -1,6 +1,6 @@
 """Repo-specific static analysis: the determinism & protocol-invariant linter.
 
-``python -m repro.lint`` runs thirteen AST-based checks (stdlib
+``python -m repro.lint`` runs twelve AST-based checks (stdlib
 :mod:`ast` only) that encode the invariants this reproduction's results
 rest on — seeded randomness, virtual-time discipline, telemetry span
 pairing, fork-safety of sweep workers, order-stable RNG populations, and

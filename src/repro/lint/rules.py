@@ -1,4 +1,4 @@
-"""The rule catalogue: nine repo-specific determinism/invariant checks.
+"""The rule catalogue: eight repo-specific determinism/invariant checks.
 
 Each rule is a small :class:`ast`-walking check with a stable ``BRS``
 code.  The catalogue (with the paper-level rationale for every rule)
@@ -17,8 +17,6 @@ BRS005    RNG populations must be order-stable (no sets / raw dict
           views fed to draw helpers)
 BRS006    seed discipline: derive child seeds via
           ``derive_seed``/``derive_point_seed``, never arithmetic
-BRS007    incremental repair hooks must not hide a full rebuild
-          (no ``_reset_state()`` in ``_on_add``/``_on_remove``)
 BRS008    no unbounded per-sample lists in metric recording methods
 BRS009    columnar kernel modules stay vectorised: no per-row Python
           ``for`` loops over membership arrays
@@ -616,48 +614,6 @@ class SeedArithmetic(Rule):
 
 
 # ----------------------------------------------------------------------
-# BRS007 — full rebuild hiding inside an incremental repair hook
-# ----------------------------------------------------------------------
-_REPAIR_HOOKS = {"_on_add", "_on_remove"}
-
-
-class RebuildInRepairHook(Rule):
-    """BRS007: overlay ``_on_add``/``_on_remove`` hooks must repair
-    incrementally — calling ``_reset_state()`` there reintroduces the
-    O(N) per-event rebuild the churn path was optimised away from.  No
-    module is exempt: the hooks are abstract and have no rebuild fallback."""
-
-    code = "BRS007"
-    name = "rebuild-in-repair-hook"
-    summary = (
-        "_on_add/_on_remove must not call _reset_state(): that is a hidden "
-        "full rebuild per churn event"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        """Flag ``self._reset_state()`` calls inside repair-hook bodies."""
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in _REPAIR_HOOKS
-            ):
-                continue
-            for child in _walk_function_body(node):
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "_reset_state"
-                ):
-                    yield self.violation(
-                        ctx,
-                        child,
-                        f"{node.name}() calls _reset_state(): a full O(N) "
-                        "rebuild per churn event — repair the affected "
-                        "members in place",
-                    )
-
-
-# ----------------------------------------------------------------------
 # BRS008 — unbounded per-sample accumulation in a metric class
 # ----------------------------------------------------------------------
 #: Method names that record one observation per event; a list growing
@@ -858,7 +814,6 @@ RULES: Dict[str, Rule] = {
         ForkUnsafeWorker(),
         UnorderedDrawPopulation(),
         SeedArithmetic(),
-        RebuildInRepairHook(),
         UnboundedSampleList(),
         PerRowColumnarLoop(),
     )

@@ -23,9 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
-from .base import Overlay, RouteResult, RoutingError
+from .base import Overlay, RoutingError
 from .keyspace import KeySpace
 
 __all__ = ["CANOverlay", "Zone"]
@@ -230,73 +228,43 @@ class CANOverlay(Overlay):
         return node
 
     # ------------------------------------------------------------------
-    # Zone-face adjacency, vectorised (build + targeted repair): the
-    # tessellation is global (built in _reset_state); per-node state is the
-    # zone-face neighbour list.
+    # Zone-face adjacency: one trie-neighbourhood query builds and repairs it
     # ------------------------------------------------------------------
-    def _collect_box_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the tessellation into (lo, hi, owner) arrays of shape
-        (B, d) / (B, d) / (B,) for vectorised face tests."""
-        lo: List[Tuple[int, ...]] = []
-        hi: List[Tuple[int, ...]] = []
-        owners: List[int] = []
-        for owner, boxes in self._zone_boxes.items():
-            for z in boxes:
-                lo.append(z.start)
-                hi.append(tuple(s + sz for s, sz in zip(z.start, z.size)))
-                owners.append(owner)
-        return (
-            np.asarray(lo, dtype=np.int64).reshape(len(lo), self.dims),
-            np.asarray(hi, dtype=np.int64).reshape(len(hi), self.dims),
-            np.asarray(owners, dtype=np.uint64),
-        )
+    def _abutting_owners(self, key: int) -> Set[int]:
+        """Owners of the boxes sharing a face with ``key``'s zone.
 
-    @staticmethod
-    def _abuts_matrix(
-        lo_a: np.ndarray,
-        hi_a: np.ndarray,
-        lo_b: np.ndarray,
-        hi_b: np.ndarray,
-        extent: int,
-    ) -> np.ndarray:
-        """Pairwise :meth:`Zone.abuts` over two box sets: exactly one axis
-        with zero overlap that touches (possibly wrapping), all other axes
-        overlapping."""
-        overlap = np.minimum(hi_a[:, None, :], hi_b[None, :, :]) - np.maximum(
-            lo_a[:, None, :], lo_b[None, :, :]
-        )
-        ov = overlap > 0
-        touch = ((hi_a[:, None, :] % extent) == lo_b[None, :, :]) | (
-            (hi_b[None, :, :] % extent) == lo_a[:, None, :]
-        )
-        return (ov | touch).all(axis=2) & ((~ov).sum(axis=2) == 1)
+        One trie descent per box of the zone.  A node is skipped unless its
+        box overlaps or touches (on the torus) the query box on every axis
+        — no box inside it can do better — and a leaf is kept when it
+        touches on exactly one axis and overlaps on the rest
+        (:meth:`Zone.abuts`'s rule).
+        """
+        extent = self.axis_extent
+        found: Set[int] = set()
+        for box in self._zone_boxes[key]:
+            q_lo = box.start
+            q_hi = tuple(s + sz for s, sz in zip(box.start, box.size))
+            stack = [self._root]
+            while stack:
+                node = stack.pop()
+                touching = 0
+                for n_lo, n_sz, lo, hi in zip(node.zone.start, node.zone.size, q_lo, q_hi):
+                    n_hi = n_lo + n_sz
+                    if n_lo < hi and lo < n_hi:
+                        continue
+                    if n_hi % extent != lo and hi % extent != n_lo:
+                        break
+                    touching += 1
+                else:
+                    if node.lo is not None:
+                        stack += (node.lo, node.hi)
+                    elif touching == 1 and node.owner != key:
+                        found.add(node.owner)
+        return found
 
     def _build_all(self, members: List[int]) -> None:
-        lo, hi, owners = self._collect_box_arrays()
-        nbr_sets: Dict[int, Set[int]] = {k: set() for k in members}
-        nboxes = int(owners.size)
-        chunk = max(1, (1 << 22) // max(1, nboxes * self.dims))
-        for s in range(0, nboxes, chunk):
-            e = min(s + chunk, nboxes)
-            abuts = self._abuts_matrix(lo[s:e], hi[s:e], lo, hi, self.axis_extent)
-            ia, ib = np.nonzero(abuts)
-            for oa, ob in zip(owners[ia + s].tolist(), owners[ib].tolist()):
-                if oa != ob:
-                    nbr_sets[oa].add(ob)
-        for k, nbrs in nbr_sets.items():
-            self._neighbors[k] = sorted(nbrs)
-
-    def _adjacent_owners(
-        self, key: int, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> Set[int]:
-        """Owners with at least one box sharing a face with ``key``'s zone."""
-        lo, hi, owners = arrays
-        mine = owners == np.uint64(key)
-        if not mine.any():  # pragma: no cover - callers pass live members
-            return set()
-        abuts = self._abuts_matrix(lo[mine], hi[mine], lo, hi, self.axis_extent)
-        hit = abuts.any(axis=0) & ~mine
-        return {int(o) for o in np.unique(owners[hit]).tolist()}
+        for k in members:
+            self._neighbors[k] = sorted(self._abutting_owners(k))
 
     # ------------------------------------------------------------------
     # Incremental churn: trie path updates instead of re-tessellation
@@ -447,12 +415,8 @@ class CANOverlay(Overlay):
                 lst = self._neighbors.get(m)
                 if lst is not None and removed in lst:
                     lst.remove(removed)
-        live = sorted(k for k in changed if k in self._zone_boxes)
-        if not live:
-            return
-        arrays = self._collect_box_arrays()
-        for c in live:
-            new = self._adjacent_owners(c, arrays)
+        for c in sorted(k for k in changed if k in self._zone_boxes):
+            new = self._abutting_owners(c)
             old = set(self._neighbors.get(c, ()))
             self._neighbors[c] = sorted(new)
             for dropped in old - new:
@@ -524,51 +488,27 @@ class CANOverlay(Overlay):
         return (self.zone_distance(node, self.point_of(target)), node)
 
     def _hop(self, current: int, target: int, owner: int) -> Optional[int]:
-        """Face neighbour strictly closer to the target point."""
+        """The face neighbour whose zone is strictly closest to the target
+        point (the smallest key among equals).
+
+        Greedy never plateaus on an exact tessellation.  Let B be the box
+        of ``current``'s zone nearest the target point, at distance d > 0,
+        and p the point of B nearest it.  One step from p toward the
+        target, along an axis where the target lies outside B, lands in a
+        box Z that shares a face with B and lies at distance ≤ d − 1.  Z
+        is not ``current``'s (B is its nearest box), so Z's owner is a
+        neighbour strictly closer and the route loop needs no sideways moves.
+        """
         if current not in self._zone_boxes:
             raise KeyError(f"{current} is not a member")
         point = self.point_of(target)
-        cur_d = self.zone_distance(current, point)
-        if cur_d == 0:
-            return None
         best: Optional[int] = None
-        best_d = cur_d
+        best_d = self.zone_distance(current, point)
         for nbr in self._neighbors[current]:
             d = self.zone_distance(nbr, point)
             if d < best_d:
                 best, best_d = nbr, d
         return best
-
-    def route(self, source: int, target: int) -> RouteResult:
-        """Greedy zone routing with plateau tolerance.
-
-        CAN's greedy metric can plateau on equal-distance neighbours when
-        zones are uneven; the walker permits sideways moves (loop-guarded
-        by the visited set) rather than declaring failure.
-        """
-        if not self.is_member(source):
-            raise ValueError(f"source {source} is not a member")
-        self.space.validate(target)
-        owner = self.owner_of(target)
-        point = self.point_of(target)
-        hops = [source]
-        current = source
-        seen = {source}
-        while current != owner:
-            cur_d = self.zone_distance(current, point)
-            candidates = sorted(
-                (self.zone_distance(n, point), n)
-                for n in self._neighbors[current]
-                if n not in seen and self.zone_distance(n, point) <= cur_d
-            )
-            if not candidates:
-                return RouteResult(target=target, hops=hops, success=False)
-            current = candidates[0][1]
-            hops.append(current)
-            seen.add(current)
-            if len(hops) > self.MAX_ROUTE_HOPS:
-                raise RoutingError(f"CAN route exceeded {self.MAX_ROUTE_HOPS} hops")
-        return RouteResult(target=target, hops=hops, success=True)
 
     def neighbors_of(self, key: int) -> List[int]:
         """Zone-face neighbours of ``key``."""

@@ -8,17 +8,19 @@ are recomputed from the member array by their definitions, so the oracle
 also checks the merged rows they were folded into.
 
 ``reference_route`` is the route loop as it was: it asks ``next_hop`` at
-every hop and re-resolves the owner each time.
+every hop and re-resolves the owner each time.  ``can_plateau_route`` is
+the walk CAN routed by before it joined that loop.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.overlay import ChordOverlay, PastryOverlay, TapestryOverlay
+from repro.overlay import CANOverlay, ChordOverlay, PastryOverlay, TapestryOverlay
 from repro.overlay.base import Overlay, RoutingError
 
 __all__ = [
+    "can_plateau_route",
     "chord_fingers",
     "chord_successors",
     "reference_next_hop",
@@ -167,9 +169,64 @@ def _tapestry_next_hop(
 
 
 # ----------------------------------------------------------------------
+# CAN
+# ----------------------------------------------------------------------
+def _can_progress_key(ov: CANOverlay, node: int, target: int):
+    return (ov.zone_distance(node, ov.point_of(target)), node)
+
+
+def _can_next_hop(ov: CANOverlay, current: int, target: int) -> Optional[int]:
+    if not ov.is_member(current):
+        raise KeyError(f"{current} is not a member")
+    if current == ov.owner_of(target):
+        return None
+    # The face neighbour strictly closest to the target point; the first
+    # of the ascending neighbour list among equals.
+    point = ov.point_of(target)
+    best: Optional[int] = None
+    best_d = ov.zone_distance(current, point)
+    for nbr in ov.neighbors_of(current):
+        d = ov.zone_distance(nbr, point)
+        if d < best_d:
+            best, best_d = nbr, d
+    return best
+
+
+def can_plateau_route(ov: CANOverlay, source: int, target: int) -> Tuple[List[int], bool]:
+    """``(hops, success)`` of greedy zone routing with plateau tolerance:
+    sideways moves onto equal-distance neighbours, loop-guarded by a
+    visited set, rather than declaring failure."""
+    if not ov.is_member(source):
+        raise ValueError(f"source {source} is not a member")
+    ov.space.validate(target)
+    owner = ov.owner_of(target)
+    point = ov.point_of(target)
+    hops = [source]
+    current = source
+    seen = {source}
+    while current != owner:
+        cur_d = ov.zone_distance(current, point)
+        candidates = sorted(
+            (ov.zone_distance(n, point), n)
+            for n in ov.neighbors_of(current)
+            if n not in seen and ov.zone_distance(n, point) <= cur_d
+        )
+        if not candidates:
+            return hops, False
+        current = candidates[0][1]
+        hops.append(current)
+        seen.add(current)
+        if len(hops) > ov.MAX_ROUTE_HOPS:
+            raise RoutingError(f"CAN route exceeded {ov.MAX_ROUTE_HOPS} hops")
+    return hops, True
+
+
+# ----------------------------------------------------------------------
 # Dispatch and the route loop
 # ----------------------------------------------------------------------
 def _family(ov: Overlay) -> Tuple[Callable, Callable]:
+    if isinstance(ov, CANOverlay):
+        return _can_next_hop, _can_progress_key
     if isinstance(ov, ChordOverlay):
         return _chord_next_hop, _chord_progress_key
     if isinstance(ov, TapestryOverlay):

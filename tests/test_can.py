@@ -4,8 +4,10 @@
 import numpy as np
 import pytest
 
-from repro.overlay import CANOverlay, Zone
+from repro.overlay import CANOverlay, KeySpace, Zone
 from repro.sim import RngStreams
+
+from .oracles.build import can_neighbors
 
 
 @pytest.fixture
@@ -123,6 +125,37 @@ class TestZoneGeometry:
         a = Zone(start=(0, 0), size=(2, 2))
         b = Zone(start=(8, 8), size=(2, 2))
         assert not a.abuts(b, 16)
+
+
+class TestAdjacencyParity:
+    """Neighbours from the trie-neighbourhood query equal pairwise
+    ``Zone.abuts`` over every box after every event of a join/leave
+    script, at each torus dimension up to 4 (touching across the wrap
+    differs by dimension), through the 3- and 2-member tori where one box
+    touches a neighbour at both ends of an axis."""
+
+    @pytest.mark.parametrize(
+        "dims,bits", [(d, b - b % d) for d in (1, 2, 3, 4) for b in (8, 32, 64)]
+    )
+    def test_after_every_event(self, dims, bits):
+        space = KeySpace(bits=bits, digit_bits=1)
+        gen = np.random.default_rng([dims, bits])
+        pool = list(dict.fromkeys(gen.integers(0, space.size, 20, dtype=np.uint64).tolist()))
+        members = set(pool[:3])
+        ov = CANOverlay(space, dims=dims)
+        ov.build(members)
+        # Grow to the whole pool, drain to two members, refill to three.
+        script = pool[3:] + pool[:-2] + [pool[0], pool[-1], pool[1]]
+        for event, key in enumerate([None] + script):
+            if key is not None:
+                (ov.remove_node if key in members else ov.add_node)(key)
+                members ^= {key}
+            fresh = CANOverlay(space, dims=dims)
+            fresh.build(members)
+            for m in sorted(members):
+                assert (
+                    ov.neighbors_of(m) == can_neighbors(ov, m) == fresh.neighbors_of(m)
+                ), (event, m)
 
 
 class TestRouting:

@@ -54,6 +54,17 @@ class TestBristleConfig:
         with pytest.raises(ValueError):
             BristleConfig(unit_advertise_cost=0.0)
 
+    @pytest.mark.parametrize("field", ["state_ttl", "refresh_period", "unit_advertise_cost"])
+    def test_nan_rejected(self, field):
+        """Regression: every comparison with NaN is false, so ``nan`` passed
+        the ``<= 0`` checks and a network was built on NaN leases and
+        Fig-4 fan-outs."""
+        with pytest.raises(ValueError):
+            BristleConfig(**{field: float("nan")})
+
+    def test_infinite_ttl_is_a_lease_that_never_lapses(self):
+        assert BristleConfig(state_ttl=float("inf")).state_ttl == float("inf")
+
     def test_p_stale_bounds(self):
         with pytest.raises(ValueError):
             BristleConfig(p_stale=1.5)

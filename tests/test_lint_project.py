@@ -913,7 +913,8 @@ class TestColumnarOwnership:
 # ----------------------------------------------------------------------
 class TestCatalogue:
     def test_thirteen_rules(self):
-        assert sorted(RULES) == [f"BRS{n:03d}" for n in range(1, 10)]
+        """Thirteen codes were issued; BRS007 is retired, twelve remain."""
+        assert sorted(RULES) == [f"BRS{n:03d}" for n in range(1, 10) if n != 7]
         assert sorted(PROJECT_RULES) == [
             "BRS010",
             "BRS011",
@@ -931,7 +932,7 @@ class TestCatalogue:
         assert payload["kind"] == "repro-lint-rules"
         codes_listed = [r["code"] for r in payload["rules"]]
         assert codes_listed == sorted(codes_listed)
-        assert len(codes_listed) == 13
+        assert len(codes_listed) == 12
         scopes = {r["code"]: r["scope"] for r in payload["rules"]}
         assert scopes["BRS001"] == "file"
         assert scopes["BRS011"] == "project"

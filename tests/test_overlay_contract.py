@@ -5,6 +5,7 @@ bounds, state-size bounds, membership churn consistency.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -592,3 +593,57 @@ class TestIndexHandOff:
             for t in targets:
                 assert ov.owner_of(t) == fresh.owner_of(t), (change.__name__, k, t)
             _assert_same_state(ov, fresh, space, RngStreams(8), routes=8)
+
+
+# ----------------------------------------------------------------------
+# A churn event costs what it repairs, not what the membership holds
+# ----------------------------------------------------------------------
+def _per_event_seconds(name: str, count: int, events: int = 100) -> float:
+    """Per-event time of the best of three rounds of ``events`` alternating
+    leaves and joins on a ``count``-member overlay, 32-bit keys."""
+    space = KeySpace(bits=32, digit_bits=4)
+    rng = RngStreams(count)
+    pool = space.random_keys(rng, "keys", count + 3 * (events // 2)).tolist()
+    members, spare = pool[:count], pool[count:]
+    ov = build(name, space, members)
+    gen = rng.stream("schedule")
+    best = float("inf")
+    for _ in range(3):
+        leavers = [members.pop(int(gen.integers(len(members)))) for _ in range(events // 2)]
+        joiners = [spare.pop() for _ in range(events // 2)]
+        start = time.perf_counter()
+        for leaver, joiner in zip(leavers, joiners):
+            ov.remove_node(leaver)
+            ov.add_node(joiner)
+        best = min(best, time.perf_counter() - start)
+        members += joiners
+    return best / events
+
+
+class TestRepairScaling:
+    """A join or leave repairs only the members it affects, so eight times
+    the membership may cost at most twice the time per event.  This
+    catches an O(N) pass hidden anywhere in a repair hook; a ratio of
+    best-of-three times on one machine, so it holds on a slow or busy one
+    too."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.xfail(
+                    strict=False,
+                    reason="Tornado builds a joiner's own row by asking every "
+                    "member of P \\ B for its capacity: O(N) per join (ROADMAP.md)",
+                ),
+            )
+            if name == "tornado"
+            else name
+            for name in OVERLAY_NAMES
+        ],
+    )
+    def test_per_event_time_does_not_grow_with_membership(self, name):
+        small = _per_event_seconds(name, 512)
+        large = _per_event_seconds(name, 4096)
+        assert large / small < 2, f"{small * 1e3:.3f} -> {large * 1e3:.3f} ms per event"

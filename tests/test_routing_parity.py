@@ -2,11 +2,11 @@
 
 ``tests/oracles/routing.py`` holds the ``next_hop`` / ``progress_key`` /
 route-loop bodies as they were before the overlays got query-shaped rows
-and integer hop kernels.  Here every specialised overlay (Chord, Pastry,
-Tornado, Tapestry) must produce the *same hop sequence*, hop for hop, on
+and integer hop kernels.  Here every overlay (Chord, Pastry, Tornado,
+Tapestry, CAN) must produce the *same hop sequence*, hop for hop, on
 fresh builds and after long join/leave sequences, at three key widths;
-CAN never had a kernel and is pinned to its own greedy rule.  The route
-loop's guards must still fire on a corrupted row.
+CAN's route must also equal the plateau-tolerant walk it used to run.
+The route loop's guards must still fire on a corrupted row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay import (
-    CANOverlay,
     ChordOverlay,
     KeySpace,
     Overlay,
@@ -27,6 +26,7 @@ from repro.overlay import (
 )
 
 from .oracles.routing import (
+    can_plateau_route,
     reference_next_hop,
     reference_progress_key,
     reference_route,
@@ -40,7 +40,7 @@ from .oracles.rows import (
     slot_table,
 )
 
-KERNEL_OVERLAYS = ("chord", "pastry", "tornado", "tapestry")
+KERNEL_OVERLAYS = ("chord", "pastry", "tornado", "tapestry", "can")
 WIDTHS = [(32, 4), (60, 4), (63, 7)]
 
 
@@ -49,8 +49,10 @@ def _capacity(key: int) -> float:
 
 
 def _make(name: str, space: KeySpace):
-    # Tornado with unequal capacities, so its slot rule differs from Pastry's.
-    return make_overlay(name, space, capacity=_capacity)
+    # Tornado with unequal capacities, so its slot rule differs from Pastry's;
+    # CAN's torus dimension must divide the key bits (63 = 3 * 21).
+    dims = 2 if space.bits % 2 == 0 else 3
+    return make_overlay(name, space, capacity=_capacity, can_dims=dims)
 
 
 def _draw_keys(gen: np.random.Generator, space: KeySpace, count: int) -> list:
@@ -198,28 +200,27 @@ def test_tapestry_fallback_on_a_stale_table(space):
     assert fell_back >= 10
 
 
-def test_can_routes_by_its_own_rule(space):
-    """CAN has no kernel: ``next_hop`` is still the face neighbour whose
-    zone is strictly closest to the target point, ``route`` its own
-    plateau-tolerant walk."""
-    gen = np.random.default_rng(5)
-    ov = make_overlay("can", space)
-    members = _draw_keys(gen, space, 96)
-    ov.build(members)
-    assert CANOverlay.route is not Overlay.route
-    for target in _targets(gen, space, members, 60):
-        point = ov.point_of(target)
-        for node in ov.route(members[0], target).hops:
-            here = ov.zone_distance(node, point)
-            closer = [
-                (ov.zone_distance(n, point), i)
-                for i, n in enumerate(ov.neighbors_of(node))
-                if ov.zone_distance(n, point) < here
-            ]
-            expected = ov.neighbors_of(node)[min(closer)[1]] if closer else None
-            assert ov.next_hop(node, target) == expected
-            assert ov.progress_key(node, target) == (here, node)
-        assert ov.route(members[0], target).terminus == ov.owner_of(target)
+@pytest.mark.parametrize(
+    "dims,bits",
+    [(d, b) for d in (1, 2, 3, 4) for b in (8, 12, 16, 32, 60, 64) if b % d == 0],
+)
+def test_can_routes_equal_the_plateau_walk(dims, bits):
+    """On an exact tessellation the walk CAN used to route by never has a
+    sideways step to take (``CANOverlay._hop`` says why), so the base loop
+    gives the same hops, fresh and after churn."""
+    space = KeySpace(bits=bits, digit_bits=4)
+    gen = np.random.default_rng([bits, dims])
+    ov = make_overlay("can", space, can_dims=dims)
+    ov.build(int(k) for k in gen.integers(0, space.size, 48, dtype=np.uint64))
+    for _ in range(2):
+        members = [int(k) for k in ov.keys]
+        for target in _targets(gen, space, members, 45):
+            source = members[int(gen.integers(len(members)))]
+            hops, success = can_plateau_route(ov, source, target)
+            result = ov.route(source, target)
+            assert result.hops == hops, (source, target)
+            assert result.success is success is True
+        _churn(ov, gen, 80)
 
 
 # ----------------------------------------------------------------------
