@@ -2,17 +2,17 @@
 
 Experiments record everything through a :class:`MetricsRegistry`; the
 benchmark harness then formats the registry into the tables/series that the
-paper's figures report.  All accumulators are NumPy-friendly (histogram
-samples are held in grow-only Python lists and converted to arrays only
-when statistics are requested — cheap appends in the hot path, vectorised
-math at summary time, per the hpc-parallel guidance).
+paper's figures report.  Recording is one append: histogram samples go to a
+grow-only Python list and counters are an integer add.  Everything derived
+from them is computed when someone reads it — NumPy over the list for
+mean/percentiles, and a fold of the not-yet-seen samples for the sketch.
 
-Every histogram additionally feeds a :class:`QuantileSketch` — a
+Every histogram also answers through a :class:`QuantileSketch` — a
 deterministic log-bucketed (DDSketch-style) estimator with bounded
-relative error — so tail quantiles (p50/p95/p99/p999) are available in
-O(1) memory even when the exact sample list is disabled
-(``Histogram(..., exact=False)``, the million-node mode).  The exact list
-stays on by default and acts as the parity oracle for the sketch.
+relative error — so tail quantiles (p50/p95/p99/p999) merge exactly across
+workers.  The sketch is folded from the sample list on read, in a state
+bit-equal to one :meth:`QuantileSketch.observe` per sample in arrival
+order; the list itself is the parity oracle for the sketch.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 import numpy as np
@@ -59,11 +60,8 @@ TAIL_QUANTILES: Tuple[Tuple[str, float], ...] = (
 #: bucketing cannot distinguish them anyway).
 _MIN_TRACKABLE = 1e-12
 
-#: Batch size from which :meth:`QuantileSketch.observe_many` buckets with
-#: numpy.  Measured: the array pass costs 25-30 µs at any size up to 64
-#: (``asarray``/``isfinite``/``log``/``unique`` set-up), scalar ``observe``
-#: ~0.42 µs a value — level at 64.  An LDT wave feeds about five fan-outs.
-_VECTOR_MIN = 64
+#: Sums of whole numbers below this are exact in any order of addition.
+_EXACT_SUM = 2.0**53
 
 
 class Counter:
@@ -157,22 +155,12 @@ class QuantileSketch:
             self._collapse(buckets)
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Record a batch of samples — one vectorised bucketing pass, or
-        one :meth:`observe` per value for a short batch of whole numbers.
+        """Record a batch of samples in one vectorised bucketing pass.
 
-        Only whole numbers, because only they leave the same state either
-        way: their sums are exact in any association, while a running sum
-        of fractions can differ in the last bit from numpy's pairwise
-        ``sum`` and BLAS ``dot``.
+        The sums are numpy's pairwise ``sum`` and BLAS ``dot``, which can
+        differ in the last bit from a running sum of the same fractions;
+        :meth:`observe_in_order` is the pass that never does.
         """
-        if (
-            isinstance(values, (list, tuple))
-            and len(values) < _VECTOR_MIN
-            and all([float(v).is_integer() for v in values])
-        ):
-            for v in values:
-                self.observe(v)
-            return
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
@@ -200,6 +188,32 @@ class QuantileSketch:
                 buckets[i] = buckets.get(i, 0) + int(c)
             if len(buckets) > self.max_buckets:
                 self._collapse(buckets)
+
+    def observe_in_order(self, values: Sequence[float]) -> None:
+        """Record ``values`` leaving the state one :meth:`observe` per value
+        in order would, through the array pass when that is bit-equal.
+
+        It is when the values are finite whole numbers and every running
+        sum stays a whole number below 2**53, exact in any association.
+        Whole numbers that small land in the same bucket under ``math.log``
+        and ``np.log``, and a collapse ends in the same buckets whenever it
+        runs (everything below the top ``max_buckets`` indices lands on the
+        lowest kept one).  Otherwise: one :meth:`observe` per value.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        if (
+            arr.size
+            and np.isfinite(arr).all()
+            and (arr == np.trunc(arr)).all()
+            and self._sum.is_integer()
+            and self._sum_sq.is_integer()
+            and abs(self._sum) + float(np.abs(arr).sum()) < _EXACT_SUM
+            and self._sum_sq + float(np.dot(arr, arr)) < _EXACT_SUM
+        ):
+            self.observe_many(arr)
+            return
+        for v in values:
+            self.observe(v)
 
     def _collapse(self, buckets: Dict[int, int]) -> None:
         """Fold the lowest buckets together until under the cap (keeps
@@ -245,7 +259,10 @@ class QuantileSketch:
         return self._sum
 
     def _bucket_midpoint(self, idx: int) -> float:
-        return 2.0 * self._gamma**idx / (self._gamma + 1.0)
+        try:
+            return 2.0 * self._gamma**idx / (self._gamma + 1.0)
+        except OverflowError:  # a bucket near the float limit: clamped below
+            return math.inf
 
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile estimate (0..100); NaN when empty.
@@ -349,79 +366,61 @@ class QuantileSketch:
 class Histogram:
     """Sample accumulator with summary statistics.
 
-    Samples are appended in O(1); statistics are computed lazily with
-    NumPy.  Every observation also feeds a :class:`QuantileSketch`, so
-    tail quantiles survive in O(1) memory when the exact sample list is
-    turned off (``exact=False``).  With the default ``exact=True`` the
-    list is the authoritative source for :meth:`mean`/:meth:`percentile`
-    — results are bit-identical to a sketch-free histogram — and the
-    sketch answers only the ``p50/p95/p99/p999`` snapshot entries.
+    Recording is one append to the sample list, which is both the exact
+    oracle — :meth:`mean`/:meth:`percentile` are NumPy over it — and the
+    feed of :attr:`sketch`: reading the sketch first folds the samples it
+    has not yet seen (:meth:`QuantileSketch.observe_in_order`), so it is
+    always the sketch one scalar ``observe`` per sample would have built.
+    The sketch answers the ``p50/p95/p99/p999`` snapshot entries.
 
-    The exact list is this repo's one allow-listed unbounded per-sample
+    The list is this repo's one allow-listed unbounded per-sample
     accumulator (lint rule BRS008): it is the parity oracle the sketch is
     validated against.
     """
 
-    def __init__(self, name: str, exact: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._samples: Optional[List[float]] = [] if exact else None
-        self.sketch = QuantileSketch()
-
-    @property
-    def exact(self) -> bool:
-        """True while the exact per-sample list is retained."""
-        return self._samples is not None
+        self._samples: List[float] = []
+        self._sketch = QuantileSketch()
+        self._seen = 0  # samples already folded into the sketch
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        v = float(value)
-        if self._samples is not None:
-            self._samples.append(v)
-        self.sketch.observe(v)
+        self._samples.append(float(value))
 
     def observe_many(self, values: Iterable[float]) -> None:
         """Record a batch of samples."""
-        batch = [float(v) for v in values]
-        if self._samples is not None:
-            self._samples.extend(batch)
-        self.sketch.observe_many(batch)
+        self._samples.extend(map(float, values))
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The quantile sketch over every sample recorded so far."""
+        if self._seen < len(self._samples):
+            tail = self._samples[self._seen :]
+            self._seen = len(self._samples)
+            self._sketch.observe_in_order(tail)
+        return self._sketch
 
     def __len__(self) -> int:
-        if self._samples is not None:
-            return len(self._samples)
-        return self.sketch.count
+        return len(self._samples)
 
     @property
     def samples(self) -> np.ndarray:
-        """All samples as a NumPy array (copy); requires ``exact``."""
-        if self._samples is None:
-            raise RuntimeError(
-                f"histogram {self.name!r} is sketch-only (exact=False); "
-                "raw samples were not retained"
-            )
+        """All samples as a NumPy array (copy)."""
         return np.asarray(self._samples, dtype=np.float64)
 
     def mean(self) -> float:
         """Arithmetic mean; NaN when empty."""
-        if self._samples is not None:
-            return float(np.mean(self._samples)) if self._samples else math.nan
-        return self.sketch.mean()
+        return float(np.mean(self._samples)) if self._samples else math.nan
 
     def std(self) -> float:
         """Population standard deviation; NaN when empty."""
-        if self._samples is not None:
-            return float(np.std(self._samples)) if self._samples else math.nan
-        return self.sketch.std()
+        return float(np.std(self._samples)) if self._samples else math.nan
 
     def percentile(self, q: float) -> float:
-        """q-th percentile (0..100); NaN when empty.
-
-        Exact (NumPy linear interpolation) while the sample list is
-        retained; the sketch's bounded-relative-error estimate otherwise.
-        """
-        if self._samples is not None:
-            return float(np.percentile(self._samples, q)) if self._samples else math.nan
-        return self.sketch.quantile(q)
+        """q-th percentile (0..100), exact (NumPy linear interpolation);
+        NaN when empty."""
+        return float(np.percentile(self._samples, q)) if self._samples else math.nan
 
     def sketch_quantile(self, q: float) -> float:
         """The sketch's q-th percentile estimate (0..100) — O(1) memory,
@@ -430,55 +429,43 @@ class Histogram:
 
     def min(self) -> float:
         """Smallest sample; NaN when empty."""
-        if self._samples is not None:
-            return float(np.min(self._samples)) if self._samples else math.nan
-        return self.sketch.min()
+        return float(np.min(self._samples)) if self._samples else math.nan
 
     def max(self) -> float:
         """Largest sample; NaN when empty."""
-        if self._samples is not None:
-            return float(np.max(self._samples)) if self._samples else math.nan
-        return self.sketch.max()
+        return float(np.max(self._samples)) if self._samples else math.nan
 
     def total(self) -> float:
         """Sum of all samples (0 when empty)."""
-        if self._samples is not None:
-            return float(np.sum(self._samples)) if self._samples else 0.0
-        return self.sketch.total()
+        return float(np.sum(self._samples)) if self._samples else 0.0
 
     def reset(self) -> None:
-        """Drop all samples (and the sketch's state)."""
-        if self._samples is not None:
-            self._samples.clear()
-        self.sketch = QuantileSketch()
+        """Drop all samples and start a fresh sketch (the old one, if held,
+        keeps everything recorded before the reset)."""
+        _ = self.sketch
+        self._samples.clear()
+        self._seen = 0
+        self._sketch = QuantileSketch()
 
     # ------------------------------------------------------------------
     # Cross-process merge
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """Picklable snapshot: raw samples (when exact) plus the sketch."""
-        return {
-            "samples": list(self._samples) if self._samples is not None else None,
-            "sketch": self.sketch.export_state(),
-        }
+        """Picklable snapshot: raw samples plus the sketch."""
+        return {"samples": list(self._samples), "sketch": self.sketch.export_state()}
 
     def merge_exported(self, state: Mapping[str, object]) -> None:
         """Fold a worker histogram's :meth:`export_state` in.
 
-        Samples extend the exact list and sketch buckets add — each path
-        merged independently so nothing is double-counted.  A sketch-only
-        worker histogram (samples ``None``) degrades this histogram to
-        sketch-only too: a partial sample list would silently misreport
-        exact statistics.
+        Samples extend the list and sketch buckets add — each path merged
+        independently, so the merged samples are not folded a second time.
         """
-        samples = state.get("samples")
-        if samples is None:
-            self._samples = None
-        elif self._samples is not None:
-            self._samples.extend(float(s) for s in samples)
+        sketch = self.sketch
+        self._samples.extend(map(float, cast(Iterable[float], state.get("samples") or ())))
+        self._seen = len(self._samples)
         sketch_state = state.get("sketch")
         if isinstance(sketch_state, Mapping):
-            self.sketch.merge(QuantileSketch.from_state(sketch_state))
+            sketch.merge(QuantileSketch.from_state(sketch_state))
 
 
 class TimeSeries:
@@ -512,6 +499,11 @@ class TimeSeries:
             raise IndexError(f"series {self.name!r} is empty")
         return self._times[-1], self._values[-1]
 
+    def reset(self) -> None:
+        """Drop every point."""
+        self._times.clear()
+        self._values.clear()
+
 
 class MetricsRegistry:
     """Named collection of counters, histograms and time series."""
@@ -529,16 +521,11 @@ class MetricsRegistry:
             self._counters[name] = c
         return c
 
-    def histogram(self, name: str, *, exact: bool = True) -> Histogram:
-        """Get (or create) the histogram ``name``.
-
-        ``exact`` only matters on first creation: ``exact=False`` makes
-        the new histogram sketch-only (O(1) memory, bounded-error
-        quantiles) — the mode ROADMAP item 1's million-node runs use.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """Get (or create) the histogram ``name``."""
         h = self._histograms.get(name)
         if h is None:
-            h = Histogram(name, exact=exact)
+            h = Histogram(name)
             self._histograms[name] = h
         return h
 
@@ -602,7 +589,8 @@ class MetricsRegistry:
             c.reset()
         for h in self._histograms.values():
             h.reset()
-        self._series.clear()
+        for s in self._series.values():
+            s.reset()
 
     # ------------------------------------------------------------------
     # Cross-process merge (sweep workers → parent session)
@@ -670,8 +658,8 @@ def record_cache_stats(
     counters named ``<prefix>.<stat>``; derived ratios such as
     ``hit_rate`` are recorded as histogram observations so repeated
     snapshots aggregate sensibly (``<prefix>.hit_rate.mean`` in
-    :meth:`MetricsRegistry.snapshot`).  NaN ratios (no lookups yet) are
-    skipped.
+    :meth:`MetricsRegistry.snapshot`).  Non-finite values (a NaN ratio
+    before any lookup, an infinite one) are skipped.
 
     The counter/histogram split is explicit: a stat is ratio-valued when
     its *name* says so — it is listed in ``ratios``, or (when ``ratios``
@@ -682,7 +670,7 @@ def record_cache_stats(
     """
     for name, value in stats.items():
         v = float(value)
-        if math.isnan(v):
+        if not math.isfinite(v):
             continue
         if ratios is not None:
             is_ratio = name in ratios

@@ -9,16 +9,17 @@ concentration at responsible nodes, so the ledger also derives the
 imbalance statistics a load-balance argument needs: max/mean ratio, Gini
 coefficient, and a top-k hotspot table.
 
-Counts live in one grow-by-doubling ``int64`` NumPy matrix (rows =
-nodes, columns = :data:`KINDS`), so recording is integer arithmetic —
-deterministic, RNG-free, and exactly mergeable across ``sweep_map``
-workers (bucket addition commutes with recording order).
+A charge is one append to each of three pending columns (key, kind,
+amount).  Every read first folds them into one grow-by-doubling
+``int64`` NumPy matrix (rows = nodes in first-touch order, columns =
+:data:`KINDS`), so counting is integer arithmetic — deterministic,
+RNG-free, and exactly mergeable across ``sweep_map`` workers (addition
+commutes with recording order).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -55,12 +56,9 @@ KINDS: Tuple[str, ...] = (
 
 _KIND_INDEX: Dict[str, int] = {k: i for i, k in enumerate(KINDS)}
 
-#: Batch size from which :meth:`NodeLoadLedger.add_many` scatters with
-#: ``np.add.at`` instead of looping.  Measured on this ledger (9000
-#: registered nodes): the loop costs ~0.27 µs a key, the scatter ~2 µs
-#: plus ~0.1 µs a key — level at 13, the scatter ahead from 16 (3.7 vs
-#: 4.2 µs).  A route charges about a dozen forwarders, below the line.
-_SCATTER_MIN = 16
+#: Pending charges are folded into the matrix once this many queue up,
+#: so their memory stays fixed however long a run records without reading.
+_PENDING_MAX = 1 << 14
 
 
 def gini(counts: np.ndarray) -> float:
@@ -118,36 +116,56 @@ def top_hotspots(loads: Mapping[int, int], k: int = 10) -> List[Tuple[int, int]]
 class NodeLoadLedger:
     """Vectorised per-node counters for every :data:`KINDS` load kind.
 
-    Node keys register lazily on first touch; counts for all kinds share
-    one ``(nodes, kinds)`` int64 matrix that doubles as it grows, so a
-    bulk :meth:`add_many` is a single ``np.add.at`` scatter.  Recording
-    is pure integer counting — no RNG draws, no oracle reads — so turning
-    the ledger on cannot perturb simulation results.
+    A charge appends to the pending columns; reads fold them first, with
+    node keys registering in first-touch order.  Counts for all kinds
+    share one ``(nodes, kinds)`` int64 matrix that doubles as it grows,
+    and a fold is a single ``np.add.at`` scatter.  Recording is pure
+    integer counting — no RNG draws, no oracle reads — so turning the
+    ledger on cannot perturb simulation results.
     """
 
     def __init__(self) -> None:
         self._index: Dict[int, int] = {}
         self._keys: List[int] = []
         self._counts: np.ndarray = np.zeros((0, len(KINDS)), dtype=np.int64)
+        # Charges not yet folded, as three parallel columns.
+        self._keys_in: List[int] = []
+        self._cols_in: List[int] = []
+        self._amounts_in: List[int] = []
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._keys)
 
-    def _row(self, key: int) -> int:
-        """Matrix row for ``key``, registering (and growing) on demand."""
-        row = self._index.get(key)
-        if row is not None:
-            return row
-        row = len(self._keys)
-        if row >= self._counts.shape[0]:
-            grown = np.zeros(
-                (max(16, 2 * self._counts.shape[0]), len(KINDS)), dtype=np.int64
-            )
-            grown[: self._counts.shape[0]] = self._counts
-            self._counts = grown
-        self._index[key] = row
-        self._keys.append(int(key))
-        return row
+    def _rows(self, keys: Sequence[int]) -> np.ndarray:
+        """Matrix rows for ``keys``, registering new ones in first-touch
+        order (and growing the matrix) on demand."""
+        index = self._index
+        fresh = [k for k in dict.fromkeys(keys) if k not in index]
+        if fresh:
+            start, end = len(self._keys), len(self._keys) + len(fresh)
+            if end > self._counts.shape[0]:
+                size = max(16, 1 << (end - 1).bit_length())  # doubling from 16
+                grown = np.zeros((size, len(KINDS)), dtype=np.int64)
+                grown[:start] = self._counts[:start]
+                self._counts = grown
+            index.update(zip(fresh, range(start, end)))
+            self._keys.extend(fresh)
+        return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+    def _fold(self) -> None:
+        """Add every pending charge into the matrix."""
+        if self._keys_in:
+            cells = self._rows(self._keys_in) * len(KINDS)
+            cells += np.asarray(self._cols_in, dtype=np.intp)
+            amounts = np.asarray(self._amounts_in, dtype=np.int64)
+            np.add.at(self._counts.reshape(-1), cells, amounts)
+            self._keys_in, self._cols_in, self._amounts_in = [], [], []
+
+    def _matrix(self) -> np.ndarray:
+        """The folded ``(registered nodes, kinds)`` counts (a view)."""
+        self._fold()
+        return self._counts[: len(self._keys)]
 
     @staticmethod
     def _col(kind: str) -> int:
@@ -159,55 +177,53 @@ class NodeLoadLedger:
     def register_nodes(self, keys: Iterable[int]) -> None:
         """Pre-register nodes at zero load, so imbalance statistics range
         over the whole population instead of only the nodes ever hit."""
-        for key in keys:
-            self._row(int(key))
+        self._fold()
+        self._rows(list(map(int, keys)))
 
     def add(self, kind: str, key: int, amount: int = 1) -> None:
         """Charge ``amount`` load of ``kind`` to node ``key``."""
-        # Resolve the row before subscripting: _row may reallocate the
-        # matrix while growing it.
-        row = self._row(int(key))
-        self._counts[row, self._col(kind)] += int(amount)
+        col, key, amount = self._col(kind), int(key), int(amount)
+        self._keys_in.append(key)
+        self._cols_in.append(col)
+        self._amounts_in.append(amount)
+        if len(self._keys_in) >= _PENDING_MAX:
+            self._fold()
 
     def add_many(
         self, kind: str, keys: Iterable[int], amounts: Optional[Sequence[int]] = None
     ) -> None:
         """Charge ``kind`` to every entry of ``keys`` (repeats accumulate)
-        — one unit each, or ``amounts[i]`` to ``keys[i]`` — as a single
-        vectorised scatter-add."""
-        key_list = [int(k) for k in keys]
-        if not key_list:
-            return
-        col = self._col(kind)
-        if len(key_list) < _SCATTER_MIN:
-            for k, amount in zip(key_list, repeat(1) if amounts is None else amounts):
-                row = self._row(k)
-                self._counts[row, col] += amount
-            return
-        rows = np.fromiter(
-            (self._row(k) for k in key_list), dtype=np.intp, count=len(key_list)
-        )
-        np.add.at(self._counts[:, col], rows, 1 if amounts is None else amounts)
+        — one unit each, or ``amounts[i]`` to ``keys[i]``."""
+        key_list = list(map(int, keys))
+        if key_list:
+            col, n = self._col(kind), len(key_list)
+            amount_list = [1] * n if amounts is None else list(map(int, amounts))
+            if len(amount_list) != n:
+                raise ValueError(f"{n} keys but {len(amount_list)} amounts")
+            self._keys_in += key_list
+            self._cols_in += [col] * n
+            self._amounts_in += amount_list
+            if len(self._keys_in) >= _PENDING_MAX:
+                self._fold()
 
     def total(self, kind: str) -> int:
         """Total load of ``kind`` across every node."""
-        n = len(self._keys)
-        return int(self._counts[:n, self._col(kind)].sum())
+        return int(self._matrix()[:, self._col(kind)].sum())
 
     def counts(self, kind: str) -> Dict[int, int]:
         """``node key → count`` for ``kind`` (registered nodes only)."""
-        col = self._col(kind)
-        return {k: int(self._counts[i, col]) for i, k in enumerate(self._keys)}
+        column = self._matrix()[:, self._col(kind)].tolist()
+        return dict(zip(self._keys, column))
 
     def counts_array(self, kind: str) -> np.ndarray:
         """Count vector for ``kind`` over registered nodes (a copy,
         aligned with :attr:`keys`)."""
-        n = len(self._keys)
-        return self._counts[:n, self._col(kind)].copy()
+        return self._matrix()[:, self._col(kind)].copy()
 
     @property
     def keys(self) -> List[int]:
         """Registered node keys, in registration order (a copy)."""
+        self._fold()
         return list(self._keys)
 
     def imbalance(self, kind: str) -> Dict[str, float]:
@@ -244,17 +260,13 @@ class NodeLoadLedger:
         merges.  Merging exported states in any grouping yields the same
         ledger as recording everything in one process — counts are
         integers and addition is associative."""
-        n = len(self._keys)
-        return {
-            "keys": list(self._keys),
-            "counts": self._counts[:n].tolist(),
-        }
+        counts = self._matrix().tolist()
+        return {"keys": list(self._keys), "counts": counts}
 
     def merge_state(self, state: Mapping[str, object]) -> None:
         """Fold a worker's :meth:`export_state` into this ledger."""
-        keys = state.get("keys", [])
-        counts = state.get("counts", [])
-        assert isinstance(keys, list) and isinstance(counts, list)
-        for key, row in zip(keys, counts):
-            r = self._row(int(key))
-            self._counts[r] += np.asarray(row, dtype=np.int64)
+        self._fold()
+        keys = [int(k) for k in cast(List[int], state.get("keys", []))]
+        rows = self._rows(keys)  # may grow the matrix: resolve it first
+        counts = np.asarray(state.get("counts", []), dtype=np.int64)
+        np.add.at(self._counts, rows, counts.reshape(len(keys), len(KINDS)))

@@ -141,6 +141,23 @@ class TestRegistry:
         assert reg.counter("a").value == 0
         assert len(reg.histogram("h")) == 0
 
+    def test_handles_held_across_reset_keep_recording(self):
+        # A series held across reset() used to record into an orphan the
+        # snapshot never showed; counters and histograms always survived.
+        reg = MetricsRegistry()
+        c, h, s = reg.counter("c"), reg.histogram("h"), reg.series("s")
+        c.inc(3)
+        h.observe(1.0)
+        s.record(1.0, 5.0)
+        reg.reset()
+        c.inc()
+        h.observe(2.0)
+        s.record(0.5, 7.0)
+        assert reg.series("s") is s
+        snap = reg.snapshot()
+        assert (snap["c"], snap["h.count"], snap["h.mean"]) == (1.0, 1.0, 2.0)
+        assert (snap["s.count"], snap["s.last"]) == (1.0, 7.0)
+
 
 class TestSummarize:
     def test_empty(self):
@@ -198,6 +215,13 @@ class TestRecordCacheStats:
         reg = MetricsRegistry()
         record_cache_stats(reg, {"hit_rate": float("nan"), "hits": 0})
         assert len(reg.histogram("oracle.hit_rate")) == 0
+
+    def test_infinite_stats_skipped(self):
+        from repro.sim import record_cache_stats
+
+        reg = MetricsRegistry()
+        record_cache_stats(reg, {"hits": math.inf, "hit_rate": -math.inf, "misses": 2})
+        assert reg.snapshot() == {"oracle.misses": 2.0}
 
     def test_repeated_snapshots_overwrite_counters(self):
         from repro.sim import record_cache_stats

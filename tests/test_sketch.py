@@ -2,10 +2,10 @@
 
 Covers the acceptance bar for the observability tentpole: relative error
 against the exact NumPy oracle at the gated quantiles across three input
-shapes, exact (state-equal) merges under every split order, the
-O(1)-memory bucket bound, and the sketch-only histogram mode — including
-a merge driven through ``sweep_map`` workers, the path ``--jobs 2``
-actually exercises.
+shapes, exact (state-equal) merges under every split order — including a
+merge driven through ``sweep_map`` workers, the path ``--jobs 2`` actually
+exercises — the O(1)-memory bucket bound, and the histogram's sketch
+folded from its sample list on read.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import pytest
 
 from repro.experiments.parallel import SweepConfig, sweep_map, sweep_session
 from repro.sim.metrics import (
-    _VECTOR_MIN,
     TAIL_QUANTILES,
     Histogram,
     MetricsRegistry,
     QuantileSketch,
 )
+from tests.oracles.telemetry import EagerSketch
 
 GATED = (50.0, 99.0, 99.9)
 
@@ -84,31 +84,43 @@ class TestAccuracy:
         mid = sk.quantile(50)
         assert -1.0 - 0.1 <= mid <= 1.0 + 0.1
 
+    def test_values_near_the_float_limit(self):
+        # γ**index overflows for the top buckets; the estimate is clamped
+        # to the observed range instead of raising.
+        sk = QuantileSketch()
+        sk.observe_many([1.0, 1.7e308])
+        sk.observe(-1.7e308)
+        assert sk.quantile(100) == 1.7e308
+        assert sk.quantile(0) == -1.7e308
+
     def test_empty_sketch_nan(self):
         sk = QuantileSketch()
         assert math.isnan(sk.quantile(50))
         assert sk.count == 0
 
 
-class TestShortBatchesTakeTheScalarRoute:
-    """``observe_many`` feeds a short batch of whole numbers through
-    ``observe`` (numpy's set-up costs more than the loop below
-    ``_VECTOR_MIN`` values); the sketch must end in the state the array
-    pass leaves — buckets, zero count, count, sum, sum of squares, min and
-    max, i.e. all of ``export_state()`` — bit for bit, on every route a
-    batch can take."""
+class TestBatchesFoldInArrivalOrder:
+    """A histogram's sketch is folded from its sample list when read, and
+    must end in the state one scalar ``observe`` per sample in arrival
+    order leaves — buckets, zero count, count, sum, sum of squares, min
+    and max, i.e. all of ``export_state()`` — bit for bit, whether it is
+    read after every batch or once at the end, and whichever route (the
+    array pass or one ``observe`` each) the fold takes."""
 
-    SIZES = (1, 2, 5, _VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1, 300)
+    SIZES = (1, 2, 5, 63, 64, 65, 300)
 
     @staticmethod
-    def both_routes(batches):
-        """Each batch as a list (routed by size and content) and as an
-        ndarray (always the array pass)."""
-        routed, array = QuantileSketch(), QuantileSketch()
+    def fold_and_scalar(batches):
+        """The sketch read after every batch, read once at the end, and
+        the scalar reference."""
+        each, once, scalar = Histogram("h"), Histogram("h"), QuantileSketch()
         for batch in batches:
-            routed.observe_many(batch)
-            array.observe_many(np.asarray(batch, dtype=np.float64))
-        return routed, array
+            each.observe_many(batch)
+            once.observe_many(batch)
+            each.sketch.count
+            for v in batch:
+                scalar.observe(v)
+        return each.sketch.export_state(), once.sketch.export_state(), scalar.export_state()
 
     @pytest.mark.parametrize("size", SIZES)
     def test_whole_numbers(self, size):
@@ -116,8 +128,14 @@ class TestShortBatchesTakeTheScalarRoute:
         batches = [
             [float(v) for v in gen.integers(-3, 40, size)] for _ in range(20)
         ] + [gen.integers(1, 16, size).tolist()]  # ints, as LDT fan-outs arrive
-        routed, array = self.both_routes(batches)
-        assert routed.export_state() == array.export_state()
+        each, once, scalar = self.fold_and_scalar(batches)
+        assert each == once == scalar
+        # The eager feed the program had (short batches one by one, long
+        # ones in the array pass) lands in the same state.
+        eager = EagerSketch()
+        for batch in batches:
+            eager.observe_many(batch)
+        assert eager.export_state() == scalar
 
     def test_every_whole_number_lands_in_the_same_bucket(self):
         # math.log and np.log differ in the last bit on some inputs; no
@@ -129,15 +147,43 @@ class TestShortBatchesTakeTheScalarRoute:
         array.observe_many(values)  # 100 000 values: the array pass
         assert scalar.export_state() == array.export_state()
 
+    def test_whole_numbers_at_every_bucket_edge_the_fold_can_see(self):
+        # The fold's array pass takes whole numbers whose squares stay
+        # below 2**53; check the ones nearest every bucket edge up there.
+        sk = QuantileSketch()
+        top = math.isqrt(2**53)
+        values = sorted({
+            v
+            for k in range(sk._bucket_index(top) + 1)
+            for v in range(math.floor(sk._gamma**k) - 2, math.ceil(sk._gamma**k) + 3)
+            if 1 <= v <= top
+        })
+        scalar, array = QuantileSketch(), QuantileSketch()
+        for v in values:
+            scalar.observe(v)
+        array.observe_many(np.asarray(values, dtype=np.float64))
+        assert scalar._pos == array._pos
+
     @pytest.mark.parametrize("size", SIZES)
     def test_fractions_keep_the_array_pass(self, size):
         # A running scalar sum of fractions can differ in the last bit
-        # from numpy's pairwise sum / BLAS dot, so they are never rerouted.
+        # from numpy's pairwise sum / BLAS dot, so the fold never hands
+        # them to the array pass.
         gen = np.random.default_rng(1000 + size)
         batches = [gen.lognormal(0.0, 2.0, size).tolist() for _ in range(20)]
         batches.append([1.0] * (size - 1) + [0.1])
-        routed, array = self.both_routes(batches)
-        assert routed.export_state() == array.export_state()
+        each, once, scalar = self.fold_and_scalar(batches)
+        assert each == once == scalar
+
+    def test_whole_batch_after_a_fractional_running_sum(self):
+        # The array pass would add the batch's exact sum to 1/3 in one
+        # rounding; one observe each rounds at every step.
+        each, once, scalar = self.fold_and_scalar([[1 / 3], [1, 2]])
+        assert each == once == scalar
+        array = QuantileSketch()
+        array.observe(1 / 3)
+        array.observe_many(np.array([1.0, 2.0]))
+        assert array.export_state()["sum"] != scalar["sum"]
 
     def test_histogram_feeds_list_and_sketch_alike(self):
         short, one_by_one = Histogram("h"), Histogram("h")
@@ -237,21 +283,19 @@ class TestHistogramModes:
         assert h.sketch.count == 4
         assert h.sketch_quantile(50) == pytest.approx(2.0, rel=0.02)
 
-    def test_sketch_only_mode_refuses_samples(self):
-        h = Histogram("lat", exact=False)
-        h.observe(4.0)
-        with pytest.raises(RuntimeError):
-            _ = h.samples
-        assert h.sketch.count == 1
-
-    def test_sketch_only_merge_degrades_parent(self):
-        parent = Histogram("lat")
-        worker = Histogram("lat", exact=False)
+    def test_merge_folds_own_tail_once(self):
+        # The parent's unread samples fold before the worker's sketch
+        # adds, and the worker's samples are not folded a second time.
+        parent, worker = Histogram("lat"), Histogram("lat")
+        parent.observe(1.0)
         worker.observe(2.0)
         parent.merge_exported(worker.export_state())
-        with pytest.raises(RuntimeError):
-            _ = parent.samples
-        assert parent.sketch.count == 1
+        parent.observe(3.0)
+        whole = QuantileSketch()
+        for v in (1.0, 2.0, 3.0):
+            whole.observe(v)
+        assert parent.samples.tolist() == [1.0, 2.0, 3.0]
+        assert parent.sketch.state_equal(whole)
 
     def test_snapshot_has_all_tail_quantiles(self):
         reg = MetricsRegistry()
