@@ -394,15 +394,15 @@ class BristleNetwork:
         Duck-types both ``distance`` forms the tree accepts: calling it
         prices one key pair, while its ``route_costs`` prices a whole
         edge list through :meth:`route_costs_between_keys` in one
-        multi-source Dijkstra gather.
+        batched oracle gather.
         """
         return _KeyCostOracle(self)
 
     def prewarm_oracle(self, keys: Optional[Sequence[int]] = None) -> int:
         """Batch-compute oracle rows for the attachment routers of ``keys``
-        (default: every node) — one multi-source Dijkstra call instead of
-        one per source.  A sweep whose hop endpoints are all members then
-        only ever reads the cache.  Returns the number of rows computed.
+        (default: every node) in one :meth:`PathOracle.prewarm` pass, not
+        one cold row per source.  A sweep whose hop endpoints are all
+        members then only ever reads the cache; returns the rows computed.
         """
         targets = keys if keys is not None else list(self.nodes)
         return self.oracle.prewarm(

@@ -240,7 +240,7 @@ class LDTree:
         ``distance`` is either a scalar ``(a, b) -> cost`` callable or a
         batched oracle exposing ``route_costs(pairs)`` (``PathOracle`` /
         ``BristleNetwork.ldt_cost_oracle``); the batched form prices all
-        edges in one multi-source Dijkstra pass instead of one scalar
+        edges in one batched oracle pass instead of one scalar
         ``distance(a, b)`` query per edge.
         """
         edges = self.edges

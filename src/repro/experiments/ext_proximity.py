@@ -54,7 +54,7 @@ def run_proximity_routing(
     for k in keys:
         placement.attach(k)
     # Pre-warm with the attachment routers — the only sources any hop of
-    # this sweep can query — via one batched multi-source Dijkstra.
+    # this sweep can query — via one batched prewarm pass.
     oracle.prewarm(placement.router_of(k) for k in keys)
 
     def distance(a: int, b: int) -> float:

@@ -104,7 +104,7 @@ def measure_naming_scheme(
             )
         shuffle_all_mobile(net)
     with prof.phase("warmup"):
-        net.prewarm_oracle()  # one batched Dijkstra over the post-move routers
+        net.prewarm_oracle()  # one batched pass over the post-move routers
     route_fn = (
         route_preferring_resolved if routing_policy == "prefer_resolved" else route_with_resolution
     )

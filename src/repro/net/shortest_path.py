@@ -1,4 +1,4 @@
-"""Shortest-path machinery: Dijkstra per source, one stub domain at a time.
+"""Shortest-path machinery: one Dijkstra tree per piece entry, offsets pushed down it.
 
 The paper's path-cost metric (§4.1) charges each application-level hop the
 *shortest-path weight* between the two endpoints' attachment points, and
@@ -8,39 +8,37 @@ many point-to-point distance queries against a static topology, from a
 source set that is sometimes known up front (the figure sweeps) and
 sometimes not (a fresh network answering its first routes).
 
-:class:`PathOracle` serves both.  A sweep that knows its sources asks for
-*full rows* (:meth:`PathOracle.prewarm`, :meth:`PathOracle.distances_many`,
-:meth:`PathOracle.route_costs`): one multi-source ``csgraph.dijkstra`` call
-over the whole graph, then array reads.  A cold :meth:`PathOracle.distance`
-instead exploits the transit-stub shape — a stub domain hangs off the
-backbone by exactly one gateway edge, so every path into it crosses that
-gateway — and runs Dijkstra only on the pieces the query touches: the
-source's own domain, the *skeleton* (core routers plus every gateway with
-its gateway edge) and the target's domain, the last two seeded with the
-distance already known at their entry vertex.  Float ``+`` is monotone, so
-each piece performs exactly the relaxations the full run would and the
-values are bit-identical to a full row.
+:class:`PathOracle` serves both by exploiting the transit-stub shape: a
+stub domain hangs off the backbone by exactly one gateway edge, so every
+path into it crosses that gateway.  A row is therefore three kinds of
+*segment*: the source's own domain, the *skeleton* (core routers plus every
+gateway with its gateway edge) entered at the source's gateway, and every
+other domain entered at its own gateway, each seeded with the distance
+already known at its entry.  Only the first is a Dijkstra run from the
+source.  For the others the oracle keeps one offset-0 Dijkstra tree per
+(piece, entry) and pushes the seeds of any number of sources down it at
+once: one ``(piece size × sources)`` add per tree depth.
+
+Float ``+`` rounds, so an offset can turn a near tie the offset-0 tree
+broke one way into a strict win for another arc.  A pushed column is
+*certified* when no arc relaxes it, and only arcs within :data:`TAU` of a
+tie at offset 0 can; a column that fails is relaxed over all the piece's
+arcs until nothing changes.  Float ``+`` is isotone and never decreases,
+so a relaxation fixpoint reached from path sums is the float minimum over
+paths — exactly what Dijkstra over the whole graph computes — and every
+value is bit-identical to a full row.
 
 ``dijkstra_csr`` is the pure-Python reference (binary heap with lazy
 deletion over the frozen CSR arrays of :class:`~repro.net.graph.Graph`);
-the oracle uses it on the same pieces when scipy is absent.
+the oracle runs its loop for the same runs and trees when scipy is absent.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import OrderedDict
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +52,15 @@ except ImportError:  # pragma: no cover - scipy present in the test env
 
 from .graph import Graph
 
-__all__ = ["dijkstra_csr", "PathOracle", "reconstruct_path"]
+__all__ = ["dijkstra_csr", "PathOracle", "reconstruct_path", "TAU"]
+
+#: Certification margin of a pushed column, relative to the push's largest
+#: finite offset plus the tree's largest label and largest arc weight.
+#: Pushing an offset down a tree path of K < 2**20 arcs and summing the
+#: offset-0 label along it each err by at most γ_K < 2**-33 of that sum, so
+#: an arc relaxes a pushed column only if its offset-0 slack is below
+#: about 2**-31 of the sum — never when it exceeds TAU of it.
+TAU = 2.0**-30
 
 
 class _Csr(NamedTuple):
@@ -169,28 +175,49 @@ def _pendant_domains(
     return domain, arcs[gateway], tails[gateway], heads[gateway]
 
 
+class _Tree(NamedTuple):
+    """One offset-0 Dijkstra tree of a piece, ready to push offsets down.
+
+    ``levels`` holds ``(vertices, parents, weights)`` per depth, root
+    excluded; ``bound`` is the largest finite label plus the largest arc
+    weight; ``slack`` lists the reachable arcs off the tree that some push
+    may have to check by their offset-0 slack ``d0[u] + w - d0[v]``,
+    ascending, with ``tails`` / ``heads`` / ``weights`` in the same order.
+    """
+
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    bound: float
+    slack: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+
+
 class PathOracle:
     """Memoised point-to-point shortest-path distances on a frozen graph.
 
     Distances are cached per *source*.  A source first seen by
-    :meth:`distance` is *opened*: Dijkstra runs over its own stub domain
-    and the skeleton only (a few hundred vertices whatever the router
-    count), and the row is extended one target domain at a time as
-    queries arrive (``segment_fills``).  A source first seen by
-    :meth:`prewarm`, :meth:`distances_many`, :meth:`route_costs` or
-    :meth:`distances_from` gets its full row, every missing source of the
-    call in a single compiled multi-source ``csgraph.dijkstra``
-    invocation; these also complete an opened source's row.  Either way
-    later queries from that source are array reads, and either way the
-    values are the ones a full single-source run computes, bit for bit.
+    :meth:`distance` is *opened*: Dijkstra runs over its own stub domain,
+    the skeleton is pushed from its gateway, and the row is extended one
+    target domain at a time as queries arrive (``segment_fills``).  A
+    source first seen by :meth:`prewarm`, :meth:`distances_many`,
+    :meth:`route_costs` or :meth:`distances_from` gets its full row: every
+    missing source of the call runs Dijkstra over its own domain (all of
+    one domain's sources in one multi-source call), and each of the other
+    segments is one push of all the call's sources down one cached tree;
+    these calls also complete an opened source's row.  Either way later
+    queries from that source are array reads, and either way the values
+    are the ones a full single-source run computes, bit for bit.
 
     Cache behaviour is observable: ``cache_hits`` / ``cache_misses`` /
     ``cache_evictions`` count per-source lookups, ``dijkstra_runs`` the
-    sources opened or computed, ``batch_calls`` the multi-source
-    invocations, ``segment_fills`` the Dijkstra calls that extended an
+    sources opened or computed, ``batch_calls`` the calls computing more
+    than one missing source at once, ``segment_fills`` the extensions of an
     already cached source and ``dijkstra_vertices`` the vertices handed to
-    Dijkstra over all of them; :meth:`cache_stats` snapshots the counters
-    for metrics export.
+    Dijkstra — the own piece of every run plus the piece of every tree
+    built; ``repaired_columns`` counts the pushed columns the certificate
+    rejected.  :meth:`cache_stats` snapshots the cache counters for
+    metrics export.
 
     Parameters
     ----------
@@ -229,18 +256,21 @@ class PathOracle:
         indptr, indices, weights = graph.csr()
         self._n = graph.num_vertices
         self._whole = self._matrix(_Csr(weights, indices, indptr))
-        self._build_pieces(indptr, indices, weights, domain_of)
+        self._build_pieces(domain_of)
+        # No finite distance exceeds the sum of all arc weights, so no push
+        # checks an arc whose slack is above TAU * (that sum + its bound).
+        self._reach_cap = float(weights.sum())
+        self._trees: Dict[Tuple[int, int], _Tree] = {}
         # LRU order: oldest-used first; promoted via move_to_end on hit.
         # A value is the full row, or for an opened source its segments
         # keyed by piece (0 = skeleton, d + 1 = stub domain d).
-        self._dist_cache: OrderedDict[
-            int, Union[np.ndarray, Dict[int, np.ndarray]]
-        ] = OrderedDict()
+        self._dist_cache: OrderedDict[int, Union[np.ndarray, Dict[int, np.ndarray]]] = OrderedDict()
         self._parent_cache: Dict[int, np.ndarray] = {}
         self.dijkstra_runs = 0  # sources opened or computed
-        self.batch_calls = 0  # multi-source scipy invocations
-        self.segment_fills = 0  # Dijkstra calls extending a cached source
+        self.batch_calls = 0  # calls computing several missing sources
+        self.segment_fills = 0  # extensions of an already cached source
         self.dijkstra_vertices = 0  # vertices handed to Dijkstra, all calls
+        self.repaired_columns = 0  # pushed columns relaxed to the fixpoint
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -251,22 +281,15 @@ class PathOracle:
         n = len(csr.indptr) - 1
         return _csr_matrix(csr, shape=(n, n))
 
-    def _build_pieces(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        hint: Optional[np.ndarray],
-    ) -> None:
+    def _build_pieces(self, hint: Optional[np.ndarray]) -> None:
         """Cut the graph into the skeleton and one piece per stub domain.
 
         Piece 0 is the skeleton: the core vertices in id order, then the
         gateway of each domain with its gateway edge.  Piece ``d + 1`` is
-        domain ``d``, its members in id order.  Every piece ends in one
-        *virtual* vertex whose single out-arc :meth:`_run_piece` aims at
-        the entry vertex before each run.
+        domain ``d``, its members in id order.
         """
         n = self._n
+        indptr, indices, weights = self.graph.csr()
         domain, arcs, tails, heads = _pendant_domains(indptr, indices, hint)
         k = arcs.size // 2
         members = np.bincount(domain + 1, minlength=k + 1)  # core, then domains
@@ -276,8 +299,7 @@ class PathOracle:
         local[by_piece] = np.arange(n) - np.repeat(np.cumsum(members) - members, members)
         sizes = members.copy()
         sizes[0] += k
-        first_slot = np.cumsum(sizes + 1) - (sizes + 1)
-        virtual = first_slot + sizes
+        first_slot = np.cumsum(sizes) - sizes
         # An arc inside a piece runs between its end vertices' places in
         # that piece; a gateway edge (the only kind left that crosses)
         # goes to the skeleton, where gateway d sits at n_core + d.
@@ -286,26 +308,19 @@ class PathOracle:
         in_skeleton = np.where(domain >= 0, n_core + domain, local)
         row[arcs] = in_skeleton[tails]
         col[arcs] = in_skeleton[heads]
-        # One stable sort of all arcs (plus a placeholder arc per virtual
-        # vertex) by piece and row yields every piece's CSR as one slice.
-        slot = np.concatenate([row, virtual])
-        order = np.argsort(slot, kind="stable")
-        col = np.concatenate([col, np.zeros(k + 1, dtype=np.int64)])[order]
-        data = np.concatenate([weights, np.ones(k + 1)])[order]
-        ptr = np.zeros(int(virtual[-1]) + 2, dtype=np.int64)
-        np.cumsum(np.bincount(slot, minlength=ptr.size - 1), out=ptr[1:])
-        # The slices are disjoint, so each piece's virtual arc is its own.
+        # One stable sort of all arcs by piece and row yields every
+        # piece's CSR as one slice.
+        order = np.argsort(row, kind="stable")
+        col, data = col[order], weights[order]
+        ptr = np.zeros(n + k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n + k), out=ptr[1:])
         self._pieces = [
-            self._matrix(
-                _Csr(
-                    data[ptr[lo] : ptr[hi + 1]],
-                    col[ptr[lo] : ptr[hi + 1]],
-                    ptr[lo : hi + 2] - ptr[lo],
-                )
-            )
-            for lo, hi in zip(first_slot.tolist(), virtual.tolist())
+            self._matrix(_Csr(data[ptr[lo] : ptr[hi]], col[ptr[lo] : ptr[hi]], ptr[lo : hi + 1] - ptr[lo]))
+            for lo, hi in zip(first_slot.tolist(), (first_slot + sizes).tolist())
         ]
-        # Plain lists: the per-query path reads single elements.
+        # Global ids per piece in local order (the skeleton's own vertices
+        # only); plain lists for the per-query path, which reads elements.
+        self._members = np.split(by_piece, np.cumsum(members)[:-1])
         self._piece_of: List[int] = (domain + 1).tolist()
         self._local: List[int] = local.tolist()
         gateways = tails[domain[tails] >= 0]
@@ -313,73 +328,159 @@ class PathOracle:
         self._n_core = n_core
 
     # ------------------------------------------------------------------
-    # Dijkstra entry points
+    # Segments
     # ------------------------------------------------------------------
-    def _run_piece(self, p: int, entry: int, offset: float) -> np.ndarray:
-        """Distances inside piece ``p`` when ``entry`` is at ``offset``.
-
-        Starts at the virtual vertex with its arc set to ``entry`` at
-        weight ``offset``: ``0.0 + offset == offset``, so ``entry`` is
-        settled at exactly that value and every later relaxation is the
-        one a run over the whole graph performs.
-        """
+    def _runs(self, p: int, entries: List[int]) -> np.ndarray:
+        """Dijkstra rows of piece ``p`` from its real vertices ``entries``."""
         piece = self._pieces[p]
-        piece.indices[-1] = entry
-        piece.data[-1] = offset
-        virtual = len(piece.indptr) - 2
-        self.dijkstra_vertices += virtual
+        size = len(piece.indptr) - 1
+        self.dijkstra_vertices += size * len(entries)
         if self.use_scipy:
-            dist: np.ndarray = _scipy_dijkstra(piece, directed=True, indices=virtual)
-            return dist
-        return _dijkstra_arrays(piece, virtual)[0]
+            dist: np.ndarray = _scipy_dijkstra(piece, directed=True, indices=entries)
+            return dist.reshape(len(entries), size)
+        return np.stack([_dijkstra_arrays(piece, s)[0] for s in entries])
+
+    def _tree(self, p: int, entry: int) -> _Tree:
+        """Piece ``p``'s offset-0 Dijkstra tree from ``entry``, built once."""
+        tree = self._trees.get((p, entry))
+        if tree is not None:
+            return tree
+        piece = self._pieces[p]
+        size = len(piece.indptr) - 1
+        self.dijkstra_vertices += size
+        if self.use_scipy:
+            d0, pred = _scipy_dijkstra(piece, directed=True, indices=entry, return_predecessors=True)
+        else:
+            d0, pred = _dijkstra_arrays(piece, entry)
+        tails = np.repeat(np.arange(size), np.diff(piece.indptr))
+        heads, weights = np.asarray(piece.indices, dtype=np.int64), piece.data
+        on_tree = pred[heads] == tails
+        into = np.empty(size)
+        into[heads[on_tree]] = weights[on_tree]
+        pred = np.where(pred < 0, -1, pred).astype(np.int64)
+        depth = np.zeros(size, dtype=np.int64)
+        up = pred.copy()
+        while (up >= 0).any():
+            depth += up >= 0
+            up = np.where(up >= 0, pred[up], -1)
+        kids = np.flatnonzero(depth)
+        kids = kids[np.argsort(depth[kids], kind="stable")]
+        levels = [
+            (level, pred[level], into[level])
+            for level in np.split(kids, np.flatnonzero(np.diff(depth[kids])) + 1)
+        ]
+        off = (d0[tails] < np.inf) & ~on_tree
+        tails, heads, weights = tails[off], heads[off], weights[off]
+        slack = d0[tails] + weights - d0[heads]
+        if size >= 1 << 20:  # beyond TAU's summation bound: check every arc
+            slack[:] = -np.inf
+        bound = float(d0[d0 < np.inf].max() + piece.data.max(initial=0.0))
+        near = np.flatnonzero(slack <= TAU * (self._reach_cap + bound))
+        order = near[np.argsort(slack[near], kind="stable")]
+        tree = self._trees[p, entry] = _Tree(
+            levels, bound, slack[order], tails[order], heads[order], weights[order]
+        )
+        return tree
+
+    def _push(self, p: int, entry: int, offsets: np.ndarray) -> np.ndarray:
+        """Piece ``p``'s distances, one column per entry offset in ``offsets``.
+
+        The offsets go down the offset-0 tree together; each column is
+        then certified against the arcs within ``TAU`` of a tie and, if an
+        arc still relaxes it, relaxed to the fixpoint.
+        """
+        tree = self._tree(p, entry)
+        seg = np.full((len(self._pieces[p].indptr) - 1, offsets.size), np.inf)
+        seg[entry] = offsets
+        for kids, parents, w in tree.levels:
+            seg[kids] = seg[parents] + w[:, None]
+        reach = offsets[offsets < np.inf]
+        tau = TAU * (reach.max(initial=0.0) + tree.bound)
+        m = int(np.searchsorted(tree.slack, tau, side="right"))
+        if m:
+            t, w = tree.tails[:m], tree.weights[:m]
+            bad = np.flatnonzero((seg[t] + w[:, None] < seg[tree.heads[:m]]).any(axis=0))
+            if bad.size:
+                seg[:, bad] = self._relax(p, seg[:, bad])
+                self.repaired_columns += bad.size
+        return seg
+
+    def _relax(self, p: int, seg: np.ndarray) -> np.ndarray:
+        """Bellman-Ford over piece ``p``'s arcs from the path sums in
+        ``seg`` (one column per offset) until no arc relaxes any column."""
+        piece = self._pieces[p]
+        order = np.argsort(piece.indices, kind="stable")
+        tails = np.repeat(np.arange(len(piece.indptr) - 1), np.diff(piece.indptr))[order]
+        heads, w = np.asarray(piece.indices)[order], piece.data[order][:, None]
+        starts = np.flatnonzero(np.diff(heads, prepend=-1))
+        into = heads[starts]
+        while True:
+            best = np.minimum.reduceat(seg[tails] + w, starts, axis=0)
+            better = best < seg[into]
+            if not better.any():
+                return seg
+            seg[into] = np.where(better, best, seg[into])
 
     def _full_rows(self, sources: List[int]) -> np.ndarray:
-        """Full distance rows of ``sources`` as a ``(len(sources), n)`` array."""
-        self.dijkstra_vertices += self._n * len(sources)
-        if self.use_scipy:
-            # The CSR holds both arcs of every edge, so the directed scan
-            # is the undirected one without its per-call transpose.
-            dist: np.ndarray = _scipy_dijkstra(
-                self._whole, directed=True, indices=sources
-            )
-            return dist
-        return np.stack([_dijkstra_arrays(self._whole, s)[0] for s in sources])
+        """Full distance rows of ``sources`` as a ``(len(sources), n)`` array.
+
+        Each domain's sources run Dijkstra over it together; every other
+        segment is one push of the columns that need it.
+        """
+        out = np.empty((len(sources), self._n))
+        piece = np.array([self._piece_of[s] for s in sources], dtype=np.int64)
+        n_core = self._n_core
+        gates = np.empty((len(self._pieces) - 1, len(sources)))  # skeleton at gateways
+        for p in np.unique(piece).tolist():
+            cols = np.flatnonzero(piece == p)
+            own = self._runs(p, [self._local[sources[c]] for c in cols.tolist()])
+            if p:
+                out[np.ix_(cols, self._members[p])] = own
+                gateway = self._gateway_local[p - 1]
+                own = self._push(0, n_core + p - 1, own[:, gateway]).T
+            out[np.ix_(cols, self._members[0])] = own[:, :n_core]
+            gates[:, cols] = own[:, n_core:].T
+        for p in range(1, len(self._pieces)):
+            cols = np.flatnonzero(piece != p)
+            if cols.size:
+                seg = self._push(p, self._gateway_local[p - 1], gates[p - 1, cols])
+                out[np.ix_(cols, self._members[p])] = seg.T
+        return out
 
     def _open(self, source: int) -> Dict[int, np.ndarray]:
         """Start a row for ``source``: its own domain and the skeleton."""
         p = self._piece_of[source]
-        entry = self._local[source]
-        if p == 0:
-            row = {0: self._run_piece(0, entry, 0.0)}
-        else:
-            own = self._run_piece(p, entry, 0.0)
+        own = self._runs(p, [self._local[source]])[0]
+        row = {p: own}
+        if p:
             gateway = self._gateway_local[p - 1]
-            row = {
-                p: own,
-                0: self._run_piece(0, self._n_core + p - 1, float(own[gateway])),
-            }
+            row[0] = self._push(0, self._n_core + p - 1, own[gateway : gateway + 1])[:, 0]
         self.dijkstra_runs += 1
         # Without stub domains the skeleton is the graph in vertex order.
-        self._store(source, row if len(self._pieces) > 1 else row[0][:-1])
+        self._store(source, row if len(self._pieces) > 1 else own)
         return row
 
     def _fill(self, row: Dict[int, np.ndarray], p: int) -> np.ndarray:
         """Extend an opened row into domain ``p - 1`` through its gateway."""
-        reach = float(row[0][self._n_core + p - 1])
-        seg = row[p] = self._run_piece(p, self._gateway_local[p - 1], reach)
+        at = self._n_core + p - 1
+        seg = row[p] = self._push(p, self._gateway_local[p - 1], row[0][at : at + 1])[:, 0]
         self.segment_fills += 1
         return seg
 
     # ------------------------------------------------------------------
     # Cache
     # ------------------------------------------------------------------
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise IndexError(f"vertex {v} out of range [0, {self._n})")
+    def _vertex(self, v: Any) -> int:
+        """``v`` as a vertex id: an integer (Python or numpy) in ``[0, n)``."""
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise TypeError(f"vertex {v!r} is not an integer") from None
+        if not 0 <= i < self._n:
+            raise IndexError(f"vertex {i} out of range [0, {self._n})")
+        return i
 
-    def _store(
-        self, source: int, row: Union[np.ndarray, Dict[int, np.ndarray]]
-    ) -> None:
+    def _store(self, source: int, row: Union[np.ndarray, Dict[int, np.ndarray]]) -> None:
         """Insert one source, evicting the LRU source at the bound.
 
         The victim goes with everything held for it — segments and any
@@ -398,19 +499,17 @@ class PathOracle:
         cache[source] = row
         cache.move_to_end(source)
 
-    def _rows_for(self, sources: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Full rows of the distinct ``sources``, computed where missing.
-
-        Cached sources are hits and are promoted; the missing ones are
-        computed in one multi-source call, and so — separately, they are
-        not new sources — are the rows of sources only opened so far.
+    def _rows_for(self, sources: List[int]) -> Dict[int, np.ndarray]:
+        """Full rows of the distinct (checked) ``sources``, computed where
+        missing.  Cached sources are hits and are promoted; the rows of
+        missing sources and of sources only opened so far (not new
+        sources) are computed together.
         """
         cache = self._dist_cache
         rows: Dict[int, np.ndarray] = {}
         missing: List[int] = []
         opened: List[int] = []
         for s in dict.fromkeys(sources):
-            self._check_vertex(s)
             cached = cache.get(s)
             if cached is None:
                 self.cache_misses += 1
@@ -422,16 +521,16 @@ class PathOracle:
                 opened.append(s)
             else:
                 rows[s] = cached
-        if opened:
-            for s, dist in zip(opened, self._full_rows(opened)):
-                rows[s] = cache[s] = dist
-            self.segment_fills += len(opened)
-        if missing:
+        if opened or missing:
             if self.use_scipy and len(missing) > 1:
                 self.batch_calls += 1
-            for s, dist in zip(missing, self._full_rows(missing)):
+            for s, dist in zip(opened + missing, self._full_rows(opened + missing)):
                 rows[s] = dist
-                self._store(s, dist)
+                if s in cache:
+                    cache[s] = dist
+                else:
+                    self._store(s, dist)
+            self.segment_fills += len(opened)
             self.dijkstra_runs += len(missing)
         return rows
 
@@ -441,14 +540,13 @@ class PathOracle:
     def distances_many(self, sources: Sequence[int]) -> np.ndarray:
         """Distance rows for ``sources`` as one ``(len(sources), n)`` array.
 
-        Every source missing from the cache is computed in a *single*
-        multi-source ``scipy.sparse.csgraph.dijkstra`` call (falling back to
-        a loop over the pure-Python Dijkstra without scipy); already-cached
-        rows are reused and promoted.  Duplicate sources are computed once.
-        The returned rows follow the input order and are valid even when a
-        bounded cache cannot retain them all.
+        Every source missing from the cache is computed in one pass over
+        the pieces; already-cached rows are reused and promoted.
+        Duplicate sources are computed once.  The returned rows follow the
+        input order and are valid even when a bounded cache cannot retain
+        them all.
         """
-        order = [int(s) for s in sources]
+        order = [self._vertex(s) for s in sources]
         if not order:
             return np.empty((0, self._n), dtype=np.float64)
         rows = self._rows_for(order)
@@ -462,30 +560,31 @@ class PathOracle:
         per-query :meth:`distance` calls into pure cache reads.
         """
         before = self.dijkstra_runs
-        self._rows_for(int(s) for s in sources)
+        self._rows_for([self._vertex(s) for s in sources])
         return self.dijkstra_runs - before
 
     def route_costs(self, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Shortest-path weight for every ``(u, v)`` pair, vectorised.
 
-        Missing source rows are computed with one multi-source call and
-        the costs read with one fancy-index gather over the stacked rows —
-        the fast path for the Fig-7/Fig-9 cost sweeps.  Distances are
-        symmetric (undirected underlay), so each pair charges whichever
-        endpoint is already cached where possible.
+        Missing source rows are computed in one pass and the costs read
+        with one fancy-index gather over the stacked rows — the fast path
+        for the Fig-7/Fig-9 cost sweeps.  Distances are symmetric
+        (undirected underlay), so each pair charges whichever endpoint is
+        already cached where possible.
         """
         if len(pairs) == 0:
             return np.empty(0, dtype=np.float64)
-        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ends = np.asarray(pairs)
+        if ends.dtype.kind not in "biu":
+            raise TypeError(f"pair endpoints must be integers, not {ends.dtype}")
+        ends = ends.astype(np.int64).reshape(-1, 2)
         if ends.min() < 0 or ends.max() >= self._n:
             raise IndexError(f"pair endpoint out of range [0, {self._n})")
         us, vs = ends[:, 0], ends[:, 1]
         # Prefer already-cached sources pairwise (symmetry), mirroring
         # the swap in :meth:`distance`.
         cached = np.fromiter(
-            map(self._dist_cache.__contains__, ends.ravel().tolist()),
-            dtype=bool,
-            count=ends.size,
+            map(self._dist_cache.__contains__, ends.ravel().tolist()), dtype=bool, count=ends.size
         ).reshape(-1, 2)
         swap = cached[:, 1] & ~cached[:, 0]
         us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
@@ -501,9 +600,8 @@ class PathOracle:
     def distance(self, u: int, v: int) -> float:
         """Shortest-path weight between ``u`` and ``v`` (inf if disconnected)."""
         n = self._n
-        if not (0 <= u < n and 0 <= v < n):
-            self._check_vertex(u)
-            self._check_vertex(v)
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            u, v = self._vertex(u), self._vertex(v)
         if u == v:
             return 0.0
         cache = self._dist_cache
@@ -530,8 +628,8 @@ class PathOracle:
 
     def distances_from(self, source: int) -> np.ndarray:
         """Full distance vector from ``source`` (cached)."""
-        source = int(source)
-        return self._rows_for((source,))[source]
+        source = self._vertex(source)
+        return self._rows_for([source])[source]
 
     def path(self, u: int, v: int) -> List[int]:
         """One shortest vertex path u→v (empty when unreachable).
@@ -540,15 +638,13 @@ class PathOracle:
         whole graph, which the distance queries never pay for — and are
         dropped with their source.
         """
-        self._check_vertex(v)
+        u, v = self._vertex(u), self._vertex(v)
         self.distances_from(u)
         parent = self._parent_cache.get(u)
         if parent is None:
             self.dijkstra_vertices += self._n
             if self.use_scipy:
-                _, parent = _scipy_dijkstra(
-                    self._whole, directed=True, indices=u, return_predecessors=True
-                )
+                _, parent = _scipy_dijkstra(self._whole, indices=u, return_predecessors=True)
                 # scipy marks "no predecessor" with -9999; normalise to -1.
                 parent = np.where(parent < 0, -1, parent).astype(np.int64)
             else:
@@ -584,10 +680,6 @@ class PathOracle:
 
     def reset_stats(self) -> None:
         """Zero the counters (the cached rows are kept)."""
-        self.dijkstra_runs = 0
-        self.batch_calls = 0
-        self.segment_fills = 0
-        self.dijkstra_vertices = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        self.dijkstra_runs = self.batch_calls = self.segment_fills = 0
+        self.dijkstra_vertices = self.repaired_columns = 0
+        self.cache_hits = self.cache_misses = self.cache_evictions = 0

@@ -2,8 +2,8 @@
 
 This package provides the machinery every experiment runs on: a virtual
 clock with an event heap (:class:`Engine`), named reproducible random
-streams (:class:`RngStreams`), leases and timers, metric accumulators and a
-structured tracer.
+streams (:class:`RngStreams`), metric accumulators and a structured
+tracer.
 """
 
 from .engine import Engine, SimulationError
@@ -22,7 +22,6 @@ from .nodestats import KINDS, NodeLoadLedger, gini, imbalance_stats, top_hotspot
 from .profile import PhaseProfiler
 from .rng import RngStreams, derive_seed
 from .telemetry import Telemetry, active_telemetry, telemetry_session
-from .timers import Lease, TimerWheel
 from .trace import NULL_TRACER, JsonlSink, Span, TraceRecord, Tracer, read_jsonl
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "Telemetry",
     "active_telemetry",
     "telemetry_session",
-    "Lease",
-    "TimerWheel",
     "NULL_TRACER",
     "JsonlSink",
     "Span",

@@ -99,3 +99,17 @@ class FullRowOracle:
             "evictions": self.evictions,
             "dijkstra_runs": self.dijkstra_runs,
         }
+
+
+def whole_graph_rows(graph: Graph, sources: Iterable[int]) -> np.ndarray:
+    """Rows of ``sources`` from one multi-source ``csgraph.dijkstra`` over
+    the whole graph — how ``PathOracle.prewarm`` computed them before it
+    pushed offsets down per-piece trees (needs scipy)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    indptr, indices, weights = graph.csr()
+    n = graph.num_vertices
+    matrix = csr_matrix((weights, indices, indptr), shape=(n, n))
+    rows: np.ndarray = dijkstra(matrix, directed=True, indices=list(sources))
+    return rows

@@ -14,7 +14,7 @@ from repro.net.transit_stub import (
 )
 from repro.sim import RngStreams
 
-from .oracles.paths import FullRowOracle
+from .oracles.paths import FullRowOracle, whole_graph_rows
 
 
 def line_graph(n: int) -> Graph:
@@ -415,6 +415,32 @@ class TestVertexRange:
         assert bad not in oracle._dist_cache
         assert not oracle._parent_cache
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, 2.9, np.float64(1.0)])
+    def test_fractional_ids_are_not_truncated(self, oracle, bad):
+        for call in (
+            lambda: oracle.distance(bad, 2),
+            lambda: oracle.distance(0, bad),
+            lambda: oracle.route_costs([(bad, 0)]),
+            lambda: oracle.route_costs([(0, 1), (0, bad)]),
+            lambda: oracle.distances_many([bad]),
+            lambda: oracle.prewarm([bad]),
+            lambda: oracle.distances_from(bad),
+            lambda: oracle.path(0, bad),
+            lambda: oracle.path(bad, 0),
+            lambda: oracle.hop_count(bad, 0),
+        ):
+            with pytest.raises(TypeError, match="is not an integer|must be integers"):
+                call()
+        assert not oracle._dist_cache
+        assert oracle.cache_misses == 0
+
+    def test_numpy_integers_are_vertex_ids(self, oracle):
+        want = oracle.distance(3, 5)
+        assert oracle.distance(np.int64(3), np.int32(5)) == want
+        assert oracle.route_costs(np.array([[3, 5]], dtype=np.uint16))[0] == want
+        assert oracle.distances_many(np.array([3]))[0][5] == want
+        assert oracle.distances_from(np.int8(3))[5] == want
+
     def test_last_vertex_is_still_reachable(self, oracle):
         n = oracle.graph.num_vertices
         assert oracle.distance(0, n - 1) == dijkstra_csr(oracle.graph, 0)[0][n - 1]
@@ -526,6 +552,8 @@ class TestDomainHint:
 
 _INT_WEIGHTS = st.integers(1, 3).map(float)
 _FLOAT_WEIGHTS = st.floats(0.125, 16.0, allow_nan=False, allow_infinity=False)
+# Decimal fractions round, so pushed offsets break offset-0 ties differently.
+_DECIMAL_WEIGHTS = st.sampled_from((0.1, 0.2, 0.3, 0.7))
 
 
 @st.composite
@@ -534,7 +562,7 @@ def pendant_cases(draw):
     domain, multi-homed or detached, members not always connected, ids
     shuffled, labels arbitrary, sometimes one vertex mislabelled — and a
     sequence of oracle calls on it."""
-    weight = draw(st.sampled_from((_INT_WEIGHTS, _FLOAT_WEIGHTS)))
+    weight = draw(st.sampled_from((_INT_WEIGHTS, _FLOAT_WEIGHTS, _DECIMAL_WEIGHTS)))
     sizes = [draw(st.integers(1, 8))] + draw(st.lists(st.integers(1, 8), max_size=6))
     n = sum(sizes)
     ids = list(draw(st.permutations(range(n))))
@@ -637,12 +665,7 @@ class TestFullSizeParity:
         sparse = pytest.importorskip("scipy.sparse")
         g = topo.graph
         n = g.num_vertices
-        indptr, indices, weights = g.csr()
-        matrix = sparse.csr_matrix((weights, indices, indptr), shape=(n, n))
-        model = FullRowOracle(
-            g,
-            row=lambda s: sparse.csgraph.dijkstra(matrix, directed=False, indices=s),
-        )
+        model = FullRowOracle(g, row=lambda s: whole_graph_rows(g, [s])[0])
         oracle = PathOracle(g, domain_of=topo.router_domain)
         assert len(oracle._pieces) == 1 + len(topo.domains)
         gen = np.random.default_rng(n)
@@ -667,3 +690,63 @@ class TestFullSizeParity:
         skeleton = len(topo.transit_routers) + len(topo.domains)
         assert oracle.dijkstra_vertices <= 200 * 2 * (largest + skeleton)
         assert oracle.dijkstra_vertices < 200 * topo.num_routers // 10
+
+    def test_sampled_prewarmed_rows_equal_whole_graph_rows(self, topo):
+        pytest.importorskip("scipy")
+        sources = np.random.default_rng(64).choice(topo.num_routers, size=64, replace=False)
+        oracle = PathOracle(topo.graph, domain_of=topo.router_domain)
+        oracle.prewarm(sources.tolist())
+        assert np.array_equal(
+            oracle.distances_many(sources.tolist()), whole_graph_rows(topo.graph, sources)
+        )
+
+
+class TestPrewarmedRowParity:
+    """Every row of the benchmark's lookup-size underlay (a 6000 + 3000
+    network's 2 250 routers), prewarmed at once, is the whole-graph row —
+    for a tenth of the vertices a whole-graph run per source hands to
+    Dijkstra."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def case(self, request):
+        pytest.importorskip("scipy")
+        topo = generate_transit_stub(params_for_router_count(2250), RngStreams(request.param))
+        return topo, whole_graph_rows(topo.graph, range(topo.num_routers))
+
+    @pytest.mark.parametrize("use_scipy", [True, False])
+    def test_every_row_equals_whole_graph_row(self, case, use_scipy):
+        topo, want = case
+        n = topo.num_routers
+        oracle = PathOracle(topo.graph, use_scipy=use_scipy, domain_of=topo.router_domain)
+        assert oracle.prewarm(range(n)) == n
+        assert np.array_equal(oracle.distances_many(range(n)), want)
+        assert oracle.dijkstra_vertices <= n * n // 10
+
+
+class TestNearTieRepair:
+    """A pendant domain g→u 0.1, u→v 0.2, g→v 0.3: the offset-0 tree takes
+    the direct arc (0.1 + 0.2 rounds above 0.3), yet (x + 0.1) + 0.2 <
+    x + 0.3 for many offsets x, so pushed columns must be repaired."""
+
+    def graph(self):
+        core = 40
+        gen = np.random.default_rng(30)
+        chain = gen.uniform(0.5, 15.0, size=core - 1).tolist()
+        edges = [(i, i + 1, w) for i, w in enumerate(chain)]
+        g, u, v = core, core + 1, core + 2
+        edges += [(g, u, 0.1), (u, v, 0.2), (g, v, 0.3), (g, core // 2, 1.0)]
+        return _weighted(core + 3, edges), np.asarray([-1] * core + [0] * 3), core
+
+    @pytest.mark.parametrize("use_scipy", [True, False])
+    def test_rows_from_core_sources_equal_reference(self, use_scipy):
+        graph, hint, core = self.graph()
+        oracle = PathOracle(graph, use_scipy=use_scipy, domain_of=hint)
+        assert len(oracle._pieces) == 2
+        oracle.prewarm(range(core))
+        for s in range(core):
+            assert np.array_equal(oracle.distances_from(s), dijkstra_csr(graph, s)[0])
+        assert oracle.repaired_columns > 0
+        cold = PathOracle(graph, use_scipy=use_scipy, domain_of=hint)
+        for s in range(core):
+            assert cold.distance(s, core + 2) == dijkstra_csr(graph, s)[0][core + 2]
+        assert cold.repaired_columns > 0

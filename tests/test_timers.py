@@ -1,7 +1,6 @@
-"""Tests for repro.sim.timers — leases and timer wheels."""
+"""Tests for tests/timers.py — leases and timer wheels."""
 
-
-from repro.sim import Lease, TimerWheel
+from .timers import Lease, TimerWheel
 
 
 class TestLease:

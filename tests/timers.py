@@ -1,4 +1,4 @@
-"""Lease and timer helpers built on the simulation engine.
+"""Lease and timer helpers built on the simulation engine (test support).
 
 Bristle's state management is lease-based (§2.3.2): every state-pair cached
 in the mobile layer carries a time-to-live, and both ends of a registration
@@ -12,8 +12,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
-from .engine import Engine
-from .events import Event, EventKind
+from repro.sim.engine import Engine
+from repro.sim.events import Event, EventKind
 
 __all__ = ["Lease", "TimerWheel"]
 
