@@ -20,6 +20,7 @@ with address resolution.
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_left, insort
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -916,6 +917,8 @@ class BristleNetwork:
 
     def advance_time(self, dt: float) -> None:
         """Advance the lease clock (directory records age against it)."""
+        if not math.isfinite(dt):
+            raise ValueError(f"dt must be finite, got {dt}")
         if dt < 0:
             raise ValueError("time cannot go backwards")
         self.now += dt

@@ -1,24 +1,15 @@
-"""Repo-specific static analysis: the determinism & protocol-invariant linter.
+"""Repo-specific static analysis: the determinism linter.
 
-``python -m repro.lint`` runs twelve AST-based checks (stdlib
-:mod:`ast` only) that encode the invariants this reproduction's results
-rest on — seeded randomness, virtual-time discipline, telemetry span
-pairing, fork-safety of sweep workers, order-stable RNG populations, and
-the per-point seed derivation rules.
+``python -m repro.lint`` runs one AST pass per file (stdlib :mod:`ast`
+only) with the checks that are the only net for their bug class —
+seeded randomness, virtual-time discipline, fork-safety of sweep
+workers, order-stable RNG populations, per-point seed derivation,
+bounded metric memory, vectorised columnar kernels, and RNG-stream
+provenance against ``repro.sim.rng.STREAMS``.  Bug classes a tier-1
+test already catches have no rule.
 
-v2 adds a whole-program layer: one pass over ``src/repro`` builds a
-project model (symbol table, import graph, approximate call graph —
-:mod:`repro.lint.project`) that powers four interprocedural rules
-(:mod:`repro.lint.wholeprogram`): RNG-stream provenance against the
-``repro.sim.rng.STREAMS`` registry (BRS010), call-graph-transitive
-virtual-time purity with full offending chains (BRS011), metric-name
-consistency against ``repro.sim.metrics.METRIC_NAMES`` (BRS012), and
-columnar column ownership (BRS013).  Per-file analysis is cached by
-content hash (:mod:`repro.lint.cache`) and known debt can be ratcheted
-with a baseline file (:mod:`repro.lint.baseline`).
-
-See docs/static-analysis.md for the rule catalogue and the rationale
-tying each rule back to the paper.
+See docs/static-analysis.md for the rule catalogue, the rationale tying
+each rule back to the paper, and the tests that replaced retired rules.
 
 Violations can be suppressed inline with a written reason::
 
@@ -29,7 +20,6 @@ itself reported (BRS000).
 """
 
 from .engine import (
-    REPORT_SCHEMA_VERSION,
     LintReport,
     Violation,
     iter_python_files,
@@ -38,24 +28,16 @@ from .engine import (
     lint_source,
     report_as_dict,
 )
-from .project import ModuleFacts, Project, extract_facts
 from .rules import RULES, Rule
-from .wholeprogram import PROJECT_RULES, ProjectRule
 
 __all__ = [
     "LintReport",
     "Violation",
     "Rule",
     "RULES",
-    "ProjectRule",
-    "PROJECT_RULES",
-    "ModuleFacts",
-    "Project",
-    "extract_facts",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
     "report_as_dict",
-    "REPORT_SCHEMA_VERSION",
 ]

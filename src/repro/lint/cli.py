@@ -1,10 +1,8 @@
 """``python -m repro.lint`` — run the determinism linter over paths.
 
-Exit codes: 0 clean, 1 violations found, 2 usage error.  ``--format
-json`` prints the machine-readable report (the same payload ``--output``
-writes for CI artifacts); the default text format prints one
-editor-clickable line per violation (whole-program violations carry
-their full call chain as indented hop lines) plus a summary.
+Exit codes: 0 clean, 1 violations found, 2 usage error.  Prints one
+editor-clickable line per violation plus a summary; ``--output`` also
+writes the machine-readable report (the CI artifact).
 """
 
 from __future__ import annotations
@@ -15,22 +13,17 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import write_baseline
-from .cache import DEFAULT_CACHE_PATH
 from .engine import lint_paths, report_as_dict
-from .rules import RULES
-from .wholeprogram import PROJECT_RULES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for ``python -m repro.lint``."""
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns the process exit code (0/1/2)."""
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="AST checks for the determinism and protocol "
-        "invariants this reproduction depends on (see "
-        "docs/static-analysis.md)",
+        description="AST checks for the determinism invariants this "
+        "reproduction depends on (see docs/static-analysis.md)",
     )
     parser.add_argument(
         "paths",
@@ -39,142 +32,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="stdout format (json = the CI report payload; with "
-        "--list-rules, the machine-readable catalogue)",
-    )
-    parser.add_argument(
         "--output",
         default=None,
         metavar="FILE",
         help="also write the JSON report to FILE (CI artifact); parent "
         "directories are created",
     )
-    parser.add_argument(
-        "--select",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help="incremental analysis cache file, keyed by content hash "
-        f"(default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="excuse the violations fingerprinted in FILE (the ratchet); "
-        "violations not in the baseline still fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the run's violations into --baseline FILE and exit 0 "
-        "(requires --baseline)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit (honours --format json)",
-    )
-    return parser
-
-
-def _codes(arg: Optional[str]) -> Optional[List[str]]:
-    if arg is None:
-        return None
-    return [c.strip() for c in arg.split(",") if c.strip()]
-
-
-def _list_rules(fmt: str) -> int:
-    catalogue = [
-        {
-            "code": code,
-            "name": rule.name,
-            "scope": rule.scope,
-            "summary": rule.summary,
-        }
-        for code, rule in sorted({**RULES, **PROJECT_RULES}.items())
-    ]
-    if fmt == "json":
-        print(json.dumps({"kind": "repro-lint-rules", "rules": catalogue}, indent=2))
-    else:
-        for entry in catalogue:
-            print(
-                f"{entry['code']}  [{entry['scope']}] "
-                f"{entry['name']}: {entry['summary']}"
-            )
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code (0/1/2)."""
-    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.list_rules:
-        return _list_rules(args.format)
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
+    missing = [p for p in args.paths if not os.path.exists(p)]
+    if missing:
+        print(f"error: no such file or directory: {', '.join(missing)}", file=sys.stderr)
         return 2
-    try:
-        report = lint_paths(
-            args.paths,
-            select=_codes(args.select),
-            ignore=_codes(args.ignore),
-            cache_path=None if args.no_cache else args.cache,
-            baseline_path=None if args.write_baseline else args.baseline,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        count = write_baseline(args.baseline, report)
-        print(f"repro.lint: wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {args.baseline}")
-        return 0
-    payload = report_as_dict(report)
+    report = lint_paths(args.paths)
     if args.output:
-        parent = os.path.dirname(os.path.abspath(args.output))
-        os.makedirs(parent, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
         with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(report_as_dict(report), fh, indent=2)
             fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for violation in report.violations:
-            print(violation.render())
-        counts = ", ".join(
-            f"{code}×{n}" for code, n in report.counts().items()
-        )
-        status = "clean" if report.clean else counts
-        extras = []
-        if report.baselined:
-            extras.append(f"{len(report.baselined)} baselined")
-        if report.stale_baseline:
-            extras.append(f"{len(report.stale_baseline)} stale baseline entries")
-        suffix = f" ({'; '.join(extras)})" if extras else ""
-        print(
-            f"repro.lint: {report.files} files, "
-            f"{len(report.violations)} violation(s) [{status}]{suffix} "
-            f"[cache {report.cache_hits} hit / {report.cache_misses} miss]"
-        )
+    for violation in report.violations:
+        print(violation.render())
+    status = "clean" if report.clean else ", ".join(
+        f"{code}×{n}" for code, n in report.counts().items()
+    )
+    print(
+        f"repro.lint: {report.files} files, "
+        f"{len(report.violations)} violation(s) [{status}]"
+    )
     return 0 if report.clean else 1
 
 

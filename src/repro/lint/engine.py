@@ -1,20 +1,8 @@
-"""Linter engine: file walking, caching, suppressions, and reporting.
+"""Linter engine: file walking, suppressions, and reporting.
 
-v1 of the engine was strictly per-file: parse, run every rule, filter
-through the inline-suppression table.  v2 layers the whole-program
-analysis on top without changing that contract:
-
-* every file is still parsed once and handed to the per-file rules
-  (:mod:`repro.lint.rules`, BRS001–BRS009);
-* the same parse is distilled into JSON-serialisable *facts*
-  (:mod:`repro.lint.project`), which feed the project model and the
-  interprocedural rules (:mod:`repro.lint.wholeprogram`,
-  BRS010–BRS013);
-* per-file work (parse + per-file rules + facts) caches on the file's
-  content hash (:mod:`repro.lint.cache`), so a warm run re-parses
-  nothing — only the cheap graph passes re-run;
-* a baseline file (:mod:`repro.lint.baseline`) can ratchet new rules in
-  over a tree with known violations.
+Each file is parsed once, handed to every rule in
+:mod:`repro.lint.rules`, and the hits are filtered through the file's
+inline-suppression table.  No rule looks past the file it is given.
 
 Suppression syntax (the reason is mandatory)::
 
@@ -31,18 +19,7 @@ import ast
 import dataclasses
 import os
 import re
-import time as _time
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Violation",
@@ -53,16 +30,10 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "report_as_dict",
-    "REPORT_SCHEMA_VERSION",
 ]
 
 #: Pseudo-rule reported when a suppression comment carries no reason.
 SUPPRESSION_CODE = "BRS000"
-
-#: Bumped on incompatible JSON-report layout changes.  v2 added
-#: ``schema_version`` itself, per-rule wall-time ``rule_timings``,
-#: cache hit/miss accounting, and baseline fields.
-REPORT_SCHEMA_VERSION = 2
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)(.*)$"
@@ -78,57 +49,27 @@ class Violation:
     line: int
     col: int
     message: str
-    #: Interprocedural rules attach the offending call chain (one
-    #: ``path:line: qualname()`` entry per hop, ending at the sink).
-    chain: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        # Accept lists from rule code / cache deserialisation.
-        if self.chain is not None and not isinstance(self.chain, tuple):
-            object.__setattr__(self, "chain", tuple(self.chain))
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly representation (one array entry in the report)."""
-        out: Dict[str, object] = {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-        if self.chain is not None:
-            out["chain"] = list(self.chain)
-        return out
+        return dataclasses.asdict(self)
 
     def render(self) -> str:
-        """``path:line:col: RULE message`` — editor-clickable; chains
-        render one indented hop per line."""
-        head = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if not self.chain:
-            return head
-        hops = "\n".join(f"    {hop}" for hop in self.chain)
-        return f"{head}\n{hops}"
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity, used by baseline matching."""
-        return (self.rule, self.path, self.message)
+        """``path:line:col: RULE message`` — editor-clickable."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclasses.dataclass
 class FileContext:
-    """Everything a per-file rule may inspect about one file."""
+    """Everything a rule may inspect about one file."""
 
     path: str
     module: Tuple[str, ...]
     tree: ast.Module
-    source_lines: List[str]
 
-    def in_packages(self, *packages: str) -> bool:
-        """True when the file lives under ``repro.<package>`` for any given
-        package name (``core``, ``overlay``, ``experiments``, ...)."""
-        if len(self.module) < 2 or self.module[0] != "repro":
-            return False
-        return self.module[1] in packages
+    def in_repro(self) -> bool:
+        """True when the file is part of the ``repro`` package."""
+        return self.module[:1] == ("repro",)
 
     def is_module(self, *parts: str) -> bool:
         """True when the dotted module path equals ``parts`` exactly."""
@@ -141,14 +82,6 @@ class LintReport:
 
     files: int
     violations: List[Violation]
-    #: Per-rule wall time in seconds (whole-program rules included).
-    rule_timings: Dict[str, float] = dataclasses.field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Violations excused by the ``--baseline`` file this run.
-    baselined: List[Violation] = dataclasses.field(default_factory=list)
-    #: Baseline entries that no longer fire (candidates for ratcheting).
-    stale_baseline: List[Dict[str, str]] = dataclasses.field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -195,8 +128,7 @@ def _parse_suppressions(
         if m is None:
             continue
         codes = {c.strip() for c in m.group(1).split(",")}
-        reason = m.group(2).strip()
-        if not reason:
+        if not m.group(2).strip():
             problems.append(
                 Violation(
                     rule=SUPPRESSION_CODE,
@@ -219,35 +151,14 @@ def _selected_codes(
     select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
 ) -> Set[str]:
     from .rules import RULES
-    from .wholeprogram import PROJECT_RULES
 
-    known = set(RULES) | set(PROJECT_RULES)
-    codes = set(select) if select else set(known)
+    codes = set(select) if select else set(RULES)
     if ignore:
         codes -= set(ignore)
-    unknown = codes - known
+    unknown = codes - set(RULES)
     if unknown:
         raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
     return codes
-
-
-def _lint_tree(
-    tree: ast.Module,
-    path: str,
-    lines: List[str],
-) -> Dict[str, List[Violation]]:
-    """Run every per-file rule over one parsed tree; violations keyed by
-    rule code, *before* suppression filtering (the cache stores these so
-    select/ignore can vary without re-parsing)."""
-    from .rules import RULES
-
-    ctx = FileContext(
-        path=path, module=_module_parts(path), tree=tree, source_lines=lines
-    )
-    found: Dict[str, List[Violation]] = {}
-    for code, rule in RULES.items():
-        found[code] = list(rule.check(ctx))
-    return found
 
 
 def lint_source(
@@ -259,12 +170,13 @@ def lint_source(
 ) -> List[Violation]:
     """Lint one source string as though it lived at ``path``.
 
-    Runs the per-file rules only (whole-program rules need a project;
-    see :func:`lint_paths`).  ``path`` drives the path-scoped rules
-    (BRS002 only fires under ``repro/core|overlay|experiments``), which
-    is what the fixture tests exploit: the same snippet can be checked
-    in and out of scope.
+    ``path`` drives the path-scoped rules (most fire only under
+    ``repro/``, some only in named modules), which is what the fixture
+    tests exploit: the same snippet can be checked in and out of scope.
+    Syntax errors are reported as one ``PARSE`` violation, never raised.
     """
+    from .rules import RULES
+
     codes = _selected_codes(select, ignore)
     try:
         tree = ast.parse(source)
@@ -278,14 +190,10 @@ def lint_source(
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    lines = source.splitlines()
-    suppressions, problems = _parse_suppressions(lines, path)
-    found: List[Violation] = list(problems)
-    per_rule = _lint_tree(tree, path, lines)
-    for code in sorted(per_rule):
-        if code not in codes:
-            continue
-        for v in per_rule[code]:
+    suppressions, found = _parse_suppressions(source.splitlines(), path)
+    ctx = FileContext(path=path, module=_module_parts(path), tree=tree)
+    for code in sorted(codes):
+        for v in RULES[code].check(ctx):
             if v.rule not in suppressions.get(v.line, ()):
                 found.append(v)
     return sorted(found, key=lambda v: (v.line, v.col, v.rule))
@@ -297,7 +205,7 @@ def lint_file(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> List[Violation]:
-    """Lint one file on disk (per-file rules only)."""
+    """Lint one file on disk."""
     with open(path, encoding="utf-8") as fh:
         return lint_source(fh.read(), path, select=select, ignore=ignore)
 
@@ -322,152 +230,21 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, name)
 
 
-@dataclasses.dataclass
-class _FileEntry:
-    """One analyzed file: everything the whole-program pass needs."""
-
-    path: str
-    violations_by_rule: Dict[str, List[Violation]]
-    problems: List[Violation]  # BRS000 + PARSE
-    suppressions: Dict[int, Set[str]]
-    facts: Optional[Dict[str, Any]]  # ModuleFacts.to_dict(), None on parse error
-
-
-def _analyze_source(source: str, path: str) -> _FileEntry:
-    """Parse + per-file rules + fact extraction for one file.
-
-    Syntax errors are *reported*, never raised: the file contributes a
-    single PARSE violation and is excluded from the project model.
-    """
-    from .project import extract_facts
-
-    lines = source.splitlines()
-    suppressions, problems = _parse_suppressions(lines, path)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        problems.append(
-            Violation(
-                rule="PARSE",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        )
-        return _FileEntry(
-            path=path,
-            violations_by_rule={},
-            problems=problems,
-            suppressions=suppressions,
-            facts=None,
-        )
-    module = _module_parts(path)
-    per_rule = _lint_tree(tree, path, lines)
-    facts = extract_facts(tree, path, module)
-    return _FileEntry(
-        path=path,
-        violations_by_rule=per_rule,
-        problems=problems,
-        suppressions=suppressions,
-        facts=facts.to_dict(),
-    )
-
-
 def lint_paths(
     paths: Sequence[str],
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_path: Optional[str] = None,
-    baseline_path: Optional[str] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths``; the CLI's workhorse.
-
-    Per-file work is cached in ``cache_path`` (content-hash keyed) when
-    given.  The whole-program rules run over every analyzed module whose
-    dotted path starts with ``repro`` — the project model's scope.
-    ``baseline_path`` excuses known violations (see
-    :mod:`repro.lint.baseline`).
-    """
-    from . import cache as _cache
-    from .baseline import apply_baseline, load_baseline
-    from .project import ModuleFacts, Project
-    from .wholeprogram import PROJECT_RULES
-
-    codes = _selected_codes(select, ignore)
-    store = _cache.CacheStore.load(cache_path) if cache_path else None
-
+    """Lint every Python file under ``paths``; the CLI's workhorse."""
+    _selected_codes(select, ignore)  # reject unknown codes before any I/O
     files = 0
-    entries: List[_FileEntry] = []
-    timings: Dict[str, float] = {}
-    hits = misses = 0
+    violations: List[Violation] = []
     for path in iter_python_files(paths):
         files += 1
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-        entry: Optional[_FileEntry] = None
-        digest = _cache.content_digest(source)
-        if store is not None:
-            entry = store.get(path, digest)
-        if entry is None:
-            misses += 1
-            t0 = _time.perf_counter()
-            entry = _analyze_source(source, path)
-            elapsed = _time.perf_counter() - t0
-            # File-rule timing is attributed per rule on cache misses.
-            per = elapsed / max(1, len(entry.violations_by_rule) or 1)
-            for code in entry.violations_by_rule:
-                timings[code] = timings.get(code, 0.0) + per
-            if store is not None:
-                store.put(path, digest, entry)
-        else:
-            hits += 1
-        entries.append(entry)
-    if store is not None:
-        store.save()
-
-    violations: List[Violation] = []
-    suppression_map: Dict[str, Dict[int, Set[str]]] = {}
-    for entry in entries:
-        suppression_map[entry.path] = entry.suppressions
-        violations.extend(entry.problems)
-        for code in sorted(entry.violations_by_rule):
-            if code not in codes:
-                continue
-            for v in entry.violations_by_rule[code]:
-                if v.rule not in entry.suppressions.get(v.line, ()):
-                    violations.append(v)
-
-    # ---- whole-program pass ------------------------------------------
-    project_codes = sorted(codes & set(PROJECT_RULES))
-    if project_codes:
-        facts = [
-            ModuleFacts.from_dict(e.facts)
-            for e in entries
-            if e.facts is not None and e.facts["module"][:1] == ["repro"]
-        ]
-        project = Project(facts)
-        for code in project_codes:
-            rule = PROJECT_RULES[code]
-            t0 = _time.perf_counter()
-            for v in rule.check_project(project, suppression_map):
-                table = suppression_map.get(v.path, {})
-                if v.rule not in table.get(v.line, ()):
-                    violations.append(v)
-            timings[code] = timings.get(code, 0.0) + (_time.perf_counter() - t0)
-
+        violations.extend(lint_file(path, select=select, ignore=ignore))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    report = LintReport(
-        files=files,
-        violations=violations,
-        rule_timings={k: round(v, 6) for k, v in sorted(timings.items())},
-        cache_hits=hits,
-        cache_misses=misses,
-    )
-    if baseline_path is not None:
-        apply_baseline(report, load_baseline(baseline_path))
-    return report
+    return LintReport(files=files, violations=violations)
 
 
 def report_as_dict(report: LintReport) -> Dict[str, object]:
@@ -475,14 +252,8 @@ def report_as_dict(report: LintReport) -> Dict[str, object]:
     return {
         "kind": "repro-lint-report",
         "version": 1,
-        "schema_version": REPORT_SCHEMA_VERSION,
         "files": report.files,
         "violation_count": len(report.violations),
         "counts": report.counts(),
         "violations": [v.as_dict() for v in report.violations],
-        "rule_timings": report.rule_timings,
-        "cache": {"hits": report.cache_hits, "misses": report.cache_misses},
-        "baselined_count": len(report.baselined),
-        "baselined": [v.as_dict() for v in report.baselined],
-        "stale_baseline": report.stale_baseline,
     }

@@ -1,36 +1,38 @@
-"""The rule catalogue: eight repo-specific determinism/invariant checks.
+"""The rule catalogue: per-file determinism checks.
 
 Each rule is a small :class:`ast`-walking check with a stable ``BRS``
-code.  The catalogue (with the paper-level rationale for every rule)
+code that sees one file at a time.  The catalogue (with the paper-level
+rationale for every rule, and the tests that replaced the retired ones)
 lives in docs/static-analysis.md; in brief:
 
 ========  ==========================================================
 BRS001    no unseeded randomness (stdlib ``random``, legacy
           ``np.random.*``) — all draws flow through ``repro.sim.rng``
-BRS002    no wall-clock reads inside virtual-time code
-          (``repro.core|overlay|experiments``)
-BRS003    telemetry spans: ``span_begin`` paired with ``span_end``
-          and gated on ``tracer.enabled``
+BRS002    no wall-clock reads anywhere in ``repro`` outside
+          ``repro.sim.trace`` / ``repro.sim.profile``
 BRS004    fork-safety: ``sweep_map`` worker functions must not mutate
           process-global caches
-BRS005    RNG populations must be order-stable (no sets / raw dict
-          views fed to draw helpers)
 BRS006    seed discipline: derive child seeds via
           ``derive_seed``/``derive_point_seed``, never arithmetic
 BRS008    no unbounded per-sample lists in metric recording methods
 BRS009    columnar kernel modules stay vectorised: no per-row Python
           ``for`` loops over membership arrays
+BRS010    RNG-stream provenance: every stream-name literal is
+          registered in ``repro.sim.rng.STREAMS`` and drawn only by
+          its owning (or declared sharing) subsystem
 ========  ==========================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+import fnmatch
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
+from ..sim import rng as _rng
 from .engine import FileContext, Violation
 
-__all__ = ["Rule", "RULES"]
+__all__ = ["Rule", "RULES", "match_stream", "stream_uses"]
 
 
 class Rule:
@@ -39,9 +41,6 @@ class Rule:
     code: str = ""
     name: str = ""
     summary: str = ""
-    #: Per-file rules see one :class:`FileContext`; the whole-program
-    #: rules (scope ``"project"``) live in :mod:`repro.lint.wholeprogram`.
-    scope: str = "file"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         """Yield every violation of this rule in ``ctx``'s tree."""
@@ -248,19 +247,20 @@ _DATETIME_FUNCS = {"now", "utcnow", "today"}
 
 
 class WallClockInVirtualTime(Rule):
-    """BRS002: no host-clock reads inside the virtual-time packages
-    (``repro.core`` / ``repro.overlay`` / ``repro.experiments``)."""
+    """BRS002: no host-clock reads anywhere in ``repro`` except the two
+    wall-clock modules — so no call chain can reach the clock from
+    simulation code, however many modules it crosses."""
 
     code = "BRS002"
     name = "wall-clock-in-virtual-time"
     summary = (
-        "core/overlay/experiments code must use virtual time (net.now / "
-        "engine.now), not the host clock"
+        "repro code must use virtual time (net.now / engine.now), not the "
+        "host clock; only repro.sim.trace and repro.sim.profile read it"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        """Flag ``time.*``/``datetime.*`` clock reads in scoped packages."""
-        if not ctx.in_packages("core", "overlay", "experiments"):
+        """Flag ``time.*``/``datetime.*`` clock reads in ``repro`` modules."""
+        if not ctx.in_repro():
             return
         if any(ctx.is_module(*m) for m in _WALLCLOCK_ALLOWED_MODULES):
             return
@@ -274,8 +274,8 @@ class WallClockInVirtualTime(Rule):
                     yield self.violation(
                         ctx,
                         node,
-                        f"wall-clock read time.{func.id}() in virtual-time "
-                        "code: use the simulation clock",
+                        f"wall-clock read time.{func.id}() outside the "
+                        "wall-clock modules: use the simulation clock",
                     )
                 continue
             dotted = dotted_name(func)
@@ -290,8 +290,8 @@ class WallClockInVirtualTime(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"wall-clock read {dotted}() in virtual-time code: use "
-                    "the simulation clock",
+                    f"wall-clock read {dotted}() outside the wall-clock "
+                    "modules: use the simulation clock",
                 )
             elif parts[-1] in _DATETIME_FUNCS and (
                 parts[0] in imports.datetime_modules
@@ -300,117 +300,8 @@ class WallClockInVirtualTime(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"wall-clock read {dotted}() in virtual-time code: use "
-                    "the simulation clock",
-                )
-
-
-# ----------------------------------------------------------------------
-# BRS003 — telemetry span pairing and gating
-# ----------------------------------------------------------------------
-def _contains_span_begin(node: ast.AST) -> bool:
-    return any(
-        isinstance(c, ast.Call)
-        and isinstance(c.func, ast.Attribute)
-        and c.func.attr == "span_begin"
-        for c in ast.walk(node)
-    )
-
-
-def _span_id_escapes(fn: ast.AST, span_vars: Set[str]) -> bool:
-    """True when a span-id variable is returned or handed to another call
-    (the ``_record_route_telemetry(net, trace, span_id)`` pattern) —
-    closing the span became that callee's responsibility."""
-    if not span_vars:
-        return False
-    for child in ast.walk(fn):
-        if isinstance(child, ast.Return) and child.value is not None:
-            if any(
-                isinstance(n, ast.Name) and n.id in span_vars
-                for n in ast.walk(child.value)
-            ):
-                return True
-        if isinstance(child, ast.Call):
-            callee = (
-                child.func.attr
-                if isinstance(child.func, ast.Attribute)
-                else getattr(child.func, "id", None)
-            )
-            if callee in ("span_begin", "span_end"):
-                continue
-            for arg in list(child.args) + [kw.value for kw in child.keywords]:
-                if isinstance(arg, ast.Name) and arg.id in span_vars:
-                    return True
-    return False
-
-
-class SpanDiscipline(Rule):
-    """BRS003: every ``span_begin`` pairs with a ``span_end`` (or hands
-    its span id off) and is gated on ``tracer.enabled``."""
-
-    code = "BRS003"
-    name = "span-discipline"
-    summary = (
-        "raw span_begin must be paired with span_end in the same function "
-        "and gated on tracer.enabled"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        """Flag unpaired or ungated ``span_begin`` calls per function."""
-        # The convention binds library code; the tracer's implementation
-        # and its direct unit tests exercise the raw primitives on purpose.
-        if not ctx.module or ctx.module[0] != "repro":
-            return
-        if ctx.is_module("repro", "sim", "trace"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            begins: List[ast.Call] = []
-            gated = False
-            span_vars: Set[str] = set()
-            for child in _walk_function_body(node):
-                if isinstance(child, ast.Call) and isinstance(
-                    child.func, ast.Attribute
-                ):
-                    if child.func.attr == "span_begin":
-                        begins.append(child)
-                if isinstance(child, ast.Attribute) and child.attr in (
-                    "enabled",
-                    "tracing",
-                ):
-                    gated = True
-                if isinstance(child, ast.Assign) and _contains_span_begin(
-                    child.value
-                ):
-                    for tgt in child.targets:
-                        if isinstance(tgt, ast.Name):
-                            span_vars.add(tgt.id)
-            if not begins:
-                continue
-            # span_end may live in a nested completion callback (async
-            # spans), so the full subtree counts as "same function" here.
-            ends = sum(
-                1
-                for child in ast.walk(node)
-                if isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "span_end"
-            )
-            if ends == 0 and not _span_id_escapes(node, span_vars):
-                yield self.violation(
-                    ctx,
-                    begins[0],
-                    f"span_begin in {node.name}() has no matching span_end "
-                    "in the same function (span leaks open)",
-                )
-            if not gated:
-                yield self.violation(
-                    ctx,
-                    begins[0],
-                    f"span_begin in {node.name}() is not gated on "
-                    "tracer.enabled/telemetry.tracing (PR-2 convention: "
-                    "expensive accounting only when tracing)",
+                    f"wall-clock read {dotted}() outside the wall-clock "
+                    "modules: use the simulation clock",
                 )
 
 
@@ -425,17 +316,24 @@ _WORKER_MUTATORS = {"clear", "prewarm", "prewarm_oracle"}
 
 class ForkUnsafeWorker(Rule):
     """BRS004: functions dispatched through ``sweep_map`` must not mutate
-    process-global caches (fork gives workers copy-on-write snapshots)."""
+    process-global caches (fork gives workers copy-on-write snapshots).
+
+    A worker can reach a ``global`` rebinding through any number of calls
+    into other modules, which no per-file check can follow; so in
+    ``repro`` every ``global`` statement is flagged wherever it is, and
+    elsewhere (benchmarks, scripts) the ones in worker bodies."""
 
     code = "BRS004"
     name = "fork-unsafe-worker"
     summary = (
-        "sweep_map workers must not mutate process-global caches; fork "
-        "gives them a copy-on-write snapshot (prewarm in the parent)"
+        "sweep_map workers must not mutate process-global caches, and repro "
+        "code has no `global` rebinding a worker could reach; fork gives "
+        "workers a copy-on-write snapshot (prewarm in the parent)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        """Flag global-state mutation inside ``sweep_map`` worker bodies."""
+        """Flag global-state mutation inside ``sweep_map`` worker bodies,
+        and every ``global`` statement in ``repro``."""
         worker_names: Set[str] = set()
         for node in ast.walk(ctx.tree):
             if (
@@ -446,19 +344,16 @@ class ForkUnsafeWorker(Rule):
                 callee = dotted_name(node.func)
                 if callee is not None and callee.split(".")[-1] == "sweep_map":
                     worker_names.add(node.args[0].id)
-        if not worker_names:
-            return
         functions: Dict[str, ast.FunctionDef] = {
             n.name: n
             for n in ctx.tree.body
             if isinstance(n, ast.FunctionDef)
         }
-        for name in sorted(worker_names):
-            fn = functions.get(name)
-            if fn is None:
-                continue
-            for child in _walk_function_body(fn):
+        in_workers: Set[int] = set()
+        for name in sorted(worker_names & set(functions)):
+            for child in _walk_function_body(functions[name]):
                 if isinstance(child, ast.Global):
+                    in_workers.add(id(child))
                     yield self.violation(
                         ctx,
                         child,
@@ -478,64 +373,17 @@ class ForkUnsafeWorker(Rule):
                         "mutate shared caches in the parent before the "
                         "fork, not per worker",
                     )
-
-
-# ----------------------------------------------------------------------
-# BRS005 — unordered populations feeding seeded draws
-# ----------------------------------------------------------------------
-#: Draw helpers whose *population argument* ordering determines which
-#: element a given seeded draw lands on.
-_DRAW_METHODS = {"choice", "sample", "shuffled", "shuffle", "permutation"}
-_DICT_VIEWS = {"keys", "values", "items"}
-
-
-class UnorderedDrawPopulation(Rule):
-    """BRS005: populations handed to RNG draw helpers must have a
-    deterministic iteration order (no sets / raw dict views)."""
-
-    code = "BRS005"
-    name = "unordered-draw-population"
-    summary = (
-        "sets / raw dict views fed to RNG draw helpers make seeded draws "
-        "order-dependent: wrap the population in sorted(...)"
-    )
-
-    def _unordered_reason(self, arg: ast.AST) -> Optional[str]:
-        """Why ``arg`` is an unordered population, or ``None`` if it isn't."""
-        if isinstance(arg, (ast.Set, ast.SetComp)):
-            return "a set expression"
-        if isinstance(arg, ast.Call):
-            if isinstance(arg.func, ast.Name) and arg.func.id in (
-                "set",
-                "frozenset",
-            ):
-                return f"a {arg.func.id}(...) value"
-            if (
-                isinstance(arg.func, ast.Attribute)
-                and arg.func.attr in _DICT_VIEWS
-            ):
-                return f"a raw .{arg.func.attr}() view"
-        return None
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        """Flag unordered populations in draw-helper arguments."""
+        if not ctx.in_repro():
+            return
         for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DRAW_METHODS
-            ):
-                continue
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                reason = self._unordered_reason(arg)
-                if reason is not None:
-                    yield self.violation(
-                        ctx,
-                        arg,
-                        f"{reason} is passed to .{node.func.attr}(): "
-                        "iteration order is not deterministic input — "
-                        "sort the population first",
-                    )
+            if isinstance(node, ast.Global) and id(node) not in in_workers:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"`global {', '.join(node.names)}` rebinds process-global "
+                    "state a sweep_map worker may reach: the write is lost "
+                    "on fork — build module state eagerly or pass it in",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -804,17 +652,144 @@ class PerRowColumnarLoop(Rule):
                 )
 
 
+# ----------------------------------------------------------------------
+# BRS010 — RNG-stream provenance
+# ----------------------------------------------------------------------
+#: Calls that take a stream name, and the position of that argument:
+#: the ``RngStreams`` methods, plus the ``KeySpace`` key draws
+#: (``random_keys(rng, stream, n)`` and ``random_keys_in_range``).
+_STREAM_ARG = {
+    **dict.fromkeys(
+        ("stream", "fresh", "spawn", "randint", "random", "choice", "sample", "shuffled"),
+        0,
+    ),
+    "random_keys": 1,
+    "random_keys_in_range": 1,
+}
+
+
+def _is_stream_param(name: str) -> bool:
+    return name == "stream" or name.endswith("_stream")
+
+
+def _stream_literal(node: ast.AST) -> Optional[str]:
+    """The stream name ``node`` spells: a string constant verbatim, or
+    ``"head*"`` for an f-string / ``+`` concatenation with a constant
+    head (the dynamic tail matches a ``prefix.*`` registry entry)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        head = ""
+        for part in node.values:
+            if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                return head + "*"
+            head += part.value
+        return head
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = _stream_literal(node.left)
+        return None if left is None else left.rstrip("*") + "*"
+    return None
+
+
+def stream_uses(tree: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
+    """Every ``(stream name, node)`` a module spells out: a name argument
+    of a :data:`_STREAM_ARG` call, a ``stream=`` / ``*_stream=`` keyword,
+    or the literal default of a ``stream`` / ``*_stream`` parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            attr = func.attr if isinstance(func, ast.Attribute) else None
+            pos = _STREAM_ARG.get(attr or "")
+            args = [node.args[pos]] if pos is not None and len(node.args) > pos else []
+            args += [kw.value for kw in node.keywords if kw.arg and _is_stream_param(kw.arg)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.args[len(a.args) - len(a.defaults):]
+            args = [d for p, d in zip(positional, a.defaults) if _is_stream_param(p.arg)]
+            args += [
+                d for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None and _is_stream_param(p.arg)
+            ]
+        else:
+            continue
+        for arg in args:
+            name = _stream_literal(arg)
+            if name is not None:
+                yield name, arg
+
+
+def match_stream(name: str, entries: Mapping[str, object]) -> Optional[str]:
+    """The registry key covering ``name`` — exact first, then the most
+    specific ``prefix.*`` wildcard.  ``name`` may itself be a pattern
+    (``churn.*``), which a wildcard covers when its prefix is a prefix."""
+    if name in entries:
+        return name
+    best: Optional[str] = None
+    for key in entries:
+        if key.endswith("*") and (
+            fnmatch.fnmatchcase(name, key)
+            or (name.endswith("*") and name[:-1].startswith(key[:-1]))
+        ):
+            if best is None or len(key) > len(best):
+                best = key
+    return best
+
+
+class StreamProvenance(Rule):
+    """BRS010: every stream-name literal in ``repro`` is registered in
+    ``repro.sim.rng.STREAMS``, and is drawn only from its owning
+    subsystem or one the entry lists as ``shared`` — one stream advanced
+    by two unrelated subsystems silently correlates their draws.  That
+    every entry still has a draw site is checked by
+    ``tests/test_rng.py::TestStreamRegistry``."""
+
+    code = "BRS010"
+    name = "rng-stream-provenance"
+    summary = (
+        "stream names must be registered in repro.sim.rng.STREAMS and drawn "
+        "only by the owning subsystem (or one registered as shared)"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        """Check every stream name this module spells against ``STREAMS``."""
+        if not ctx.in_repro() or ctx.is_module("repro", "sim", "rng"):
+            return
+        subsystem = ".".join(ctx.module[:2])
+        for name, node in stream_uses(ctx.tree):
+            key = match_stream(name, _rng.STREAMS)
+            if key is None:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"RNG stream {name!r} is not registered in "
+                    "repro.sim.rng.STREAMS — register it with its owning "
+                    "subsystem",
+                )
+                continue
+            spec = _rng.STREAMS[key]
+            allowed = {spec.owner, *spec.shared}
+            if subsystem not in allowed:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"RNG stream {name!r} is owned by "
+                    f"{', '.join(sorted(allowed))} but drawn from {subsystem}: "
+                    "a cross-subsystem draw correlates seeded streams — "
+                    "register the subsystem in shared=(...) with a reason, "
+                    "or use a new stream name",
+                )
+
+
 #: Registry: code → rule instance, in code order.
 RULES: Dict[str, Rule] = {
     rule.code: rule
     for rule in (
         UnseededRandomness(),
         WallClockInVirtualTime(),
-        SpanDiscipline(),
         ForkUnsafeWorker(),
-        UnorderedDrawPopulation(),
         SeedArithmetic(),
         UnboundedSampleList(),
         PerRowColumnarLoop(),
+        StreamProvenance(),
     )
 }

@@ -151,8 +151,8 @@ class UnderlayCache:
 # Constructed eagerly (an empty OrderedDict plus a lock — no underlays
 # are built until first use), so no code path ever rebinds the module
 # global: sweep workers inherit the parent's warm cache on fork and any
-# miss-side inserts they make stay local by design (BRS011 verifies no
-# worker-reachable ``global`` rebinding remains).
+# miss-side inserts they make stay local by design (BRS004 flags any
+# ``global`` rebinding in the package, which a worker could reach).
 _SHARED: UnderlayCache = UnderlayCache()
 
 

@@ -79,7 +79,7 @@ def enabled() -> bool:
 
 def set_enabled(flag: bool) -> None:
     """Turn the sanitizer on/off for this process (the CLI's ``--sanitize``)."""
-    global ACTIVE
+    global ACTIVE  # repro-lint: disable=BRS004 set by the CLI in the parent, before any fork
     ACTIVE = bool(flag)
 
 

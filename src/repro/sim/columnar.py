@@ -51,7 +51,6 @@ __all__ = [
     "expand_holders",
     "ColumnarStore",
     "ColumnarDirectory",
-    "OWNED_COLUMNS",
     "ScaleShardParams",
     "ScaleShardResult",
     "TrafficMixParams",
@@ -64,34 +63,6 @@ __all__ = [
 #: Columnar kernels pack keys into uint64 columns; identifier rings wider
 #: than 63 bits would overflow the ring-distance arithmetic.
 MAX_COLUMNAR_BITS = 63
-
-#: Every column attribute owned by this module's struct-of-arrays table
-#: (:class:`ColumnarStore` rows).
-#: The whole-program linter (BRS013, :mod:`repro.lint.wholeprogram`)
-#: flags any store to one of these attributes on a columnar table
-#: outside this kernel module: column invariants (sort order, expiry
-#: ordering, holder fan-out) only hold when mutations go through the
-#: batch API (``upsert``/``remove``/``expire``/``refresh``).
-OWNED_COLUMNS = (
-    "keys",
-    "router",
-    "port",
-    "epoch",
-    "published",
-    "ttl",
-    "expiry",
-    "holders",
-    "holder_count",
-    # LDT forest columns (repro.core.ldt_forest — the other columnar
-    # kernel module): level-synchronous build invariants only hold when
-    # these are written by build_forest_columns/build_ldt_forest.
-    "tree_id",
-    "tree_offsets",
-    "parent",
-    "parent_row",
-    "level",
-    "assigned",
-)
 
 _U64 = np.uint64
 _I64 = np.int64

@@ -41,7 +41,6 @@ __all__ = [
     "TAIL_QUANTILES",
     "TimeSeries",
     "MetricsRegistry",
-    "METRIC_NAMES",
     "RATIO_SUFFIXES",
     "record_cache_stats",
     "summarize",
@@ -169,7 +168,10 @@ class QuantileSketch:
             return
         self._count += int(finite.size)
         self._sum += float(finite.sum())
-        self._sum_sq += float(np.dot(finite, finite))
+        # Squares past the float limit sum to inf, as in observe; only the
+        # BLAS path warns about it.
+        with np.errstate(over="ignore"):
+            self._sum_sq += float(np.dot(finite, finite))
         self._min = min(self._min, float(finite.min()))
         self._max = max(self._max, float(finite.max()))
         mags = np.abs(finite)
@@ -716,74 +718,3 @@ def summarize(values: Sequence[float]) -> Summary:
 
 
 __all__.append("Summary")
-
-
-#: Central catalogue of every metric name the project emits, keyed by
-#: literal name or ``prefix.*`` wildcard (dynamic tails such as
-#: ``f"messages.{kind}"``), with the factory kind each name must use.
-#: The whole-program linter (BRS012, :mod:`repro.lint.wholeprogram`)
-#: cross-checks emit sites, literal-name consumers, manifest validators
-#: and bench gates against this registry: an unregistered emitter, a
-#: kind mismatch, a consumer with no live emitter, or a stale entry all
-#: fail the lint run.  Entries are data only — registration never
-#: changes how a metric accumulates.
-METRIC_NAMES: Dict[str, str] = {
-    # -- routing (repro.core.routing / protocol) -----------------------
-    "route.count": "counter",
-    "route.failures": "counter",
-    "route.app_hops": "histogram",
-    "route.path_cost": "histogram",
-    "route.resolutions": "histogram",
-    "messages.*": "counter",
-    "latency.*": "histogram",
-    # -- §2.3 location operations (repro.core.bristle) -----------------
-    "op.join.count": "counter",
-    "op.join.registrations": "histogram",
-    "op.leave.count": "counter",
-    "op.leave.unregistrations": "histogram",
-    "op.register.count": "counter",
-    "op.register.refreshed": "counter",
-    "op.unregister.count": "counter",
-    "op.update.count": "counter",
-    "op.update.publish_messages": "counter",
-    "op.update.total_messages": "histogram",
-    "op.update.ldt_messages": "histogram",
-    "op.update.ldt_depth": "histogram",
-    "op.update.path_cost": "histogram",
-    "op.update_many.count": "counter",
-    "op.update_many.publish_messages": "counter",
-    "op.update_many.multicast_hops": "counter",
-    "op.update_many.total_messages": "histogram",
-    "op.update_many.ldt_messages": "histogram",
-    "op.update_many.ldt_depth": "histogram",
-    "op.update_many.batch_size": "histogram",
-    "op.discover.count": "counter",
-    # -- discovery detours (repro.core.protocol) -----------------------
-    "discovery.hops": "histogram",
-    "discovery.detour_hops": "histogram",
-    "discovery.detour_cost": "histogram",
-    "discovery.misses": "counter",
-    "discover.rtt": "histogram",
-    "advertise.makespan": "histogram",
-    # -- LDT builds and multicast (repro.core.ldt) ---------------------
-    "ldt.built": "counter",
-    "ldt.depth": "histogram",
-    "ldt.fanout": "histogram",
-    "ldt.messages": "histogram",
-    "ldt.multicast.fanout": "histogram",
-    "ldt.cache_hits": "counter",
-    "ldt.cache_misses": "counter",
-    # -- overlay maintenance (repro.overlay) ---------------------------
-    "overlay.repairs": "counter",
-    "overlay.repaired_nodes": "counter",
-    "overlay.mobile.add_node": "counter",
-    "overlay.mobile.remove_node": "counter",
-    # -- failure detection (repro.core.failure) ------------------------
-    "heartbeats": "counter",
-    "evictions": "counter",
-    "detection_delay": "histogram",
-    # -- runtime sanitizer (repro.sanitize) ----------------------------
-    "sanitize.checks": "counter",
-    "sanitize.checks.*": "counter",
-    "sanitize.violations": "counter",
-}

@@ -141,13 +141,14 @@ class RngStreams:
 class StreamSpec:
     """Provenance record for one named RNG stream (or ``prefix.*`` family).
 
-    The whole-program linter (BRS010, :mod:`repro.lint.wholeprogram`)
-    checks every stream-name literal in the tree against :data:`STREAMS`:
-    an unregistered name is a provenance hole, and a draw from a
-    subsystem outside ``{owner} | shared`` is a collision — two unrelated
-    subsystems advancing one seeded stream silently correlate their
-    draws.  Streams genuinely shared by design list the extra subsystems
-    in ``shared`` with a mandatory ``reason``.
+    Lint rule BRS010 (:mod:`repro.lint.rules`) checks every stream-name
+    literal in ``repro`` against :data:`STREAMS`: an unregistered name is
+    a provenance hole, and a draw from a subsystem outside
+    ``{owner} | shared`` is a collision — two unrelated subsystems
+    advancing one seeded stream silently correlate their draws.  Streams
+    genuinely shared by design list the extra subsystems in ``shared``
+    with a mandatory ``reason``; that every entry gives one and still has
+    a draw site is checked by ``tests/test_rng.py::TestStreamRegistry``.
     """
 
     owner: str  #: owning subsystem ("repro.net", "repro.core", ...)

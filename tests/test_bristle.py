@@ -1,5 +1,6 @@
 """Tests for repro.core.bristle — the two-layer network facade."""
 
+import math
 import os
 import subprocess
 import sys
@@ -366,3 +367,14 @@ class TestClock:
         assert small_net.now == 5.0
         with pytest.raises(ValueError):
             small_net.advance_time(-1.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, small_net, dt):
+        # A NaN clock never compares past a lease, so a record published
+        # after it would never resolve (§2.3.2); +inf lapses every lease.
+        with pytest.raises(ValueError):
+            small_net.advance_time(dt)
+        assert small_net.now == 0.0
+        mk, src = small_net.mobile_keys[0], small_net.stationary_keys[0]
+        small_net.move(mk)
+        assert small_net.discover(src, mk).address is not None

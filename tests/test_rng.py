@@ -1,9 +1,14 @@
 """Tests for repro.sim.rng — deterministic named random streams."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngStreams, derive_seed
+from repro.lint import iter_python_files
+from repro.lint.rules import match_stream, stream_uses
+from repro.sim.rng import STREAMS, RngStreams, derive_seed
 
 
 class TestDeriveSeed:
@@ -116,3 +121,38 @@ class TestRngStreams:
         assert a == b  # reproducible
         c = parent.spawn("other").stream("k").integers(0, 10**9)
         assert a != c  # distinct namespaces
+
+    def test_draws_reject_unordered_populations(self):
+        # Which element a seeded draw lands on depends on the population's
+        # order, so ``choice``/``sample`` index it and fail loudly on a set
+        # or a raw dict view instead of drawing from an arbitrary order.
+        r = RngStreams(1)
+        for population in ({3, 1, 2}, {"a": 1, "b": 2}.keys(), {"a": 1}.values()):
+            with pytest.raises(TypeError):
+                r.sample("s", population, 1)
+            with pytest.raises(TypeError):
+                r.choice("s", population)
+
+
+class TestStreamRegistry:
+    """``STREAMS`` stays a true catalogue: lint rule BRS010 checks each
+    draw site against it, and these check the registry itself."""
+
+    @staticmethod
+    def _draw_sites():
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "repro")
+        for path in iter_python_files([src]):
+            if path.endswith(os.path.join("sim", "rng.py")):
+                continue
+            with open(path, encoding="utf-8") as fh:
+                yield from (name for name, _ in stream_uses(ast.parse(fh.read())))
+
+    def test_every_entry_has_a_draw_site(self):
+        used = {match_stream(name, STREAMS) for name in self._draw_sites()}
+        stale = sorted(set(STREAMS) - used)
+        assert not stale, f"STREAMS entries with no draw site in src/repro: {stale}"
+
+    def test_shared_entries_give_a_reason(self):
+        for name, spec in STREAMS.items():
+            if spec.shared:
+                assert spec.reason.strip(), f"{name} is shared without a reason"

@@ -92,6 +92,11 @@ class TestAccuracy:
         sk.observe(-1.7e308)
         assert sk.quantile(100) == 1.7e308
         assert sk.quantile(0) == -1.7e308
+        # The batch and the scalar path reach the same inf sum of squares.
+        scalar = QuantileSketch()
+        for v in (1.0, 1.7e308, -1.7e308):
+            scalar.observe(v)
+        assert sk.export_state() == scalar.export_state()
 
     def test_empty_sketch_nan(self):
         sk = QuantileSketch()

@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from repro.core import BristleConfig, BristleNetwork
-from repro.core.routing import route_with_resolution
+from repro.core import BristleConfig, BristleNetwork, BristleProtocol
+from repro.core.routing import route_preferring_resolved, route_with_resolution
 from repro.experiments.io import manifest_path_for, write_manifest
 from repro.experiments.manifest import (
     MANIFEST_KIND,
@@ -19,6 +19,7 @@ from repro.experiments.manifest import (
 )
 from repro.experiments.report import resolve_experiment_name
 from repro.sim import (
+    Engine,
     PhaseProfiler,
     Telemetry,
     Tracer,
@@ -150,18 +151,36 @@ class TestOperationMetrics:
 
 class TestTracedOperations:
     def test_operation_spans_close(self):
+        """Every ``span_begin`` site closes its span: after each operation
+        no span is open and exactly one span of that operation's name
+        (or, for ``route``, one more) has been recorded."""
         tel = Telemetry(tracer=Tracer())
         with telemetry_session(tel):
             net = _tiny_net()
             net.setup_random_registrations()
-            net.move(net.mobile_keys[0])
-            route_with_resolution(
-                net, net.stationary_keys[0], net.stationary_keys[-1]
-            )
-        tracer = tel.tracer
-        assert tracer.open_span_count() == 0
-        assert len(tracer.spans("op.update")) == 1
-        assert len(tracer.spans("route")) == 1
+            engine = Engine()
+            proto = BristleProtocol(net, engine)
+            mobile, stationary = net.mobile_keys, net.stationary_keys
+            newcomer = next(k for k in range(3, 1 << 16) if k not in net.nodes)
+            ops = [
+                ("op.update", lambda: net.move(mobile[0])),
+                ("op.update_many", lambda: net.move_many(mobile[1:4])),
+                ("op.join", lambda: net.join_mobile_node(newcomer)),
+                ("op.leave", lambda: net.leave_mobile_node(newcomer)),
+                ("route", lambda: route_with_resolution(net, stationary[0], mobile[5])),
+                ("route", lambda: route_preferring_resolved(net, stationary[1], mobile[6])),
+                ("protocol.advertise", lambda: proto.advertise(mobile[7])),
+                ("protocol.advertise_many", lambda: proto.advertise_many(mobile[8:11])),
+                ("protocol.discover", lambda: proto.discover(stationary[2], mobile[12])),
+            ]
+            tracer = tel.tracer
+            for name, op in ops:
+                before = len(tracer.spans(name))
+                op()
+                engine.run()
+                assert tracer.open_span_count() == 0, name
+                assert len(tracer.spans(name)) == before + 1, name
+        assert len(tracer.spans("route")) == 2
         update = tracer.spans("op.update")[0]
         assert update.get("total_messages") is not None
         assert update.get("wall_s") >= 0.0
