@@ -256,21 +256,18 @@ class BristleNetwork:
         self.placement = Placement(topology, self.rng)
 
         # --- nodes ----------------------------------------------------------
-        cap_gen = self.rng.stream("capacities")
+        # One capacity draw for every key ``capacities`` leaves out and one
+        # placement draw for every key, stationary keys first.
         self._mobile_set = set(self.mobile_keys)
+        keys = self.stationary_keys + self.mobile_keys
+        given = capacities if capacities is not None else {}
+        missing = sum(k not in given for k in keys)
+        drawn = iter(self.rng.stream("capacities").integers(1, max_capacity + 1, missing).tolist())
         self.nodes: Dict[int, BristleNode] = {}
-        for key in self.stationary_keys + self.mobile_keys:
-            if capacities is not None and key in capacities:
-                cap = float(capacities[key])
-            else:
-                cap = float(cap_gen.integers(1, max_capacity + 1))
-            node = BristleNode(
-                key=key,
-                mobile=key in self._mobile_set,
-                capacity=cap,
-                space=self.space,
-            )
-            node.address = self.placement.attach(key)
+        for key, addr in zip(keys, self.placement.attach_many(keys)):
+            cap = float(given[key] if key in given else next(drawn))
+            node = BristleNode(key, key in self._mobile_set, cap, self.space)
+            node.address = addr
             self.nodes[key] = node
 
         # --- overlays -------------------------------------------------------
@@ -450,11 +447,11 @@ class BristleNetwork:
         others = len(all_keys) - 1
         draws = min(size, others)
         gen = self.rng.stream("registrations")
-        register = self.registrations.register
+        register_many = self.registrations.register_many
         for mk in targets:
-            own = self._all_keys_index(mk)
-            for i in gen.choice(others, size=draws, replace=False).tolist():
-                register(all_keys[i if i < own else i + 1], mk, now=self.now)
+            picks = gen.choice(others, size=draws, replace=False)
+            picks += picks >= self._all_keys_index(mk)
+            register_many([all_keys[i] for i in picks.tolist()], mk, now=self.now)
 
     def setup_local_registrations(
         self,
@@ -471,14 +468,14 @@ class BristleNetwork:
         all_keys = self.stationary_keys + self.mobile_keys
         routers = np.asarray([self.placement.router_of(k) for k in all_keys])
         targets = list(only_keys) if only_keys is not None else self.mobile_keys
-        register = self.registrations.register
+        register_many = self.registrations.register_many
         for mk in targets:
             own = self._all_keys_index(mk)
             dists = self.oracle.distances_from(self.placement.router_of(mk))[routers]
             order = np.argsort(dists, kind="stable")
             # ``size < 1`` still registers the closest candidate, as it always has.
-            for i in order[order != own][: max(size, 1)].tolist():
-                register(all_keys[i], mk, now=self.now)
+            closest = order[order != own][: max(size, 1)].tolist()
+            register_many([all_keys[i] for i in closest], mk, now=self.now)
 
     # ------------------------------------------------------------------
     # Mobility (update operation, §2.3.1)

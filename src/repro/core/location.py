@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -477,19 +477,32 @@ class RegistrationManager:
         entry's timestamp/capacity in place and is *not* counted as a new
         registration.  Returns True when the registration is new.
         """
-        reg = self._nodes[registrant]
-        is_new = self._nodes[target].register(
-            RegistryEntry(registrant, reg.capacity, now)
-        )
-        reg.subscriptions.add(target)
-        if not is_new:
-            if self._metrics is not None:
-                self._metrics.counter("op.register.refreshed").inc()
-            return False
-        self.registration_count += 1
+        return self.register_many([registrant], target, now) == 1
+
+    def register_many(
+        self, registrants: Sequence[int], target: int, now: float = 0.0
+    ) -> int:
+        """Every one of ``registrants`` declares interest in ``target``, in
+        order — what one :meth:`register` per registrant does, with
+        ``op.register.count`` and ``op.register.refreshed`` bumped once
+        each.  Returns the number of new registrations."""
+        nodes = self._nodes
+        registry = nodes[target].registry
+        if target in registrants:
+            raise ValueError("a node does not register to itself")
+        before = len(registry)
+        for key in registrants:
+            reg = nodes[key]
+            registry[key] = RegistryEntry(key, reg.capacity, now)
+            reg.subscriptions.add(target)
+        new = len(registry) - before
+        self.registration_count += new
         if self._metrics is not None:
-            self._metrics.counter("op.register.count").inc()
-        return True
+            if new:
+                self._metrics.counter("op.register.count").inc(new)
+            if new < len(registrants):
+                self._metrics.counter("op.register.refreshed").inc(len(registrants) - new)
+        return new
 
     def unregister(self, registrant: int, target: int) -> None:
         """Withdraw ``registrant``'s interest in ``target``."""

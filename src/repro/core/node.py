@@ -10,8 +10,7 @@ interest *in*.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Set
+from typing import Dict, NamedTuple, Optional, Set
 
 from ..net.address import NetworkAddress
 from ..overlay.keyspace import KeySpace
@@ -20,13 +19,13 @@ from ..overlay.state import StateTable
 __all__ = ["BristleNode", "RegistryEntry"]
 
 
-@dataclasses.dataclass
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """One member of ``R(i)``: a node registered to a mobile node.
 
     Registration carries the registrant's capacity (§2.3.1: "when X
     registers itself to the nodes it is interested in, it also reports its
-    capacity C_X") so the Fig-4 scheduler can sort by it.
+    capacity C_X") so the Fig-4 scheduler can sort by it.  Immutable: a
+    re-registration replaces the entry.
     """
 
     key: int

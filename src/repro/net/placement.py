@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..sim.rng import RngStreams
 from .address import NetworkAddress
@@ -48,14 +48,31 @@ class Placement:
 
         Re-attaching an already-attached host raises; use :meth:`move`.
         """
-        if host_id in self._current:
-            raise ValueError(f"host {host_id} is already attached; use move()")
-        if router is None:
-            router = self._points[self._rng.randint("placement", 0, len(self._points))]
-        addr = NetworkAddress(router=router, port=self._next_port, epoch=0)
-        self._next_port += 1
-        self._current[host_id] = addr
-        return addr
+        return self.attach_many([host_id], None if router is None else [router])[0]
+
+    def attach_many(
+        self, host_ids: Sequence[int], routers: Optional[Sequence[int]] = None
+    ) -> List[NetworkAddress]:
+        """Attach ``host_ids[i]`` to ``routers[i]``, on consecutive ports.
+
+        Without ``routers`` every host gets a random stub router, all drawn
+        in one call on stream ``"placement"`` — the draws one :meth:`attach`
+        per host makes.  A host that is attached already, or listed twice,
+        raises before anything is attached; use :meth:`move`.
+        """
+        hosts = list(host_ids)
+        if len(set(hosts)) < len(hosts) or not self._current.keys().isdisjoint(hosts):
+            raise ValueError(f"hosts {hosts} repeat or include an attached one; use move()")
+        if routers is None:
+            draws = self._rng.stream("placement").integers(0, len(self._points), size=len(hosts))
+            routers = [self._points[i] for i in draws.tolist()]
+        elif len(routers) != len(hosts):
+            raise ValueError("need one router per host")
+        port = self._next_port
+        addrs = [NetworkAddress(router=r, port=port + i, epoch=0) for i, r in enumerate(routers)]
+        self._next_port += len(hosts)
+        self._current.update(zip(hosts, addrs))
+        return addrs
 
     def move(self, host_id: int, router: Optional[int] = None) -> NetworkAddress:
         """Move ``host_id`` to a new attachment point, bumping its epoch.

@@ -28,27 +28,19 @@ so a relaxation fixpoint reached from path sums is the float minimum over
 paths — exactly what Dijkstra over the whole graph computes — and every
 value is bit-identical to a full row.
 
-``dijkstra_csr`` is the pure-Python reference (binary heap with lazy
-deletion over the frozen CSR arrays of :class:`~repro.net.graph.Graph`);
-the oracle runs its loop for the same runs and trees when scipy is absent.
+Every Dijkstra run is scipy's compiled one; ``dijkstra_csr`` runs it from
+one source over the whole frozen :class:`~repro.net.graph.Graph`.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-try:  # scipy's compiled Dijkstra is ~100x the pure-Python one; optional.
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy present in the test env
-    _HAVE_SCIPY = False
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from .graph import Graph
 
@@ -63,38 +55,10 @@ __all__ = ["dijkstra_csr", "PathOracle", "reconstruct_path", "TAU"]
 TAU = 2.0**-30
 
 
-class _Csr(NamedTuple):
-    """CSR arrays in ``scipy.sparse.csr_matrix`` argument and attribute order."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def _dijkstra_arrays(csr: Any, source: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Binary-heap Dijkstra over ``csr.indptr`` / ``.indices`` / ``.data``."""
-    indptr, indices, weights = csr.indptr, csr.indices, csr.data
-    n = len(indptr) - 1
-    dist = np.full(n, np.inf, dtype=np.float64)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    # (distance, vertex) heap with lazy deletion.
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if visited[u]:
-            continue
-        visited[u] = True
-        lo, hi = indptr[u], indptr[u + 1]
-        for k in range(lo, hi):
-            v = int(indices[k])
-            nd = d + float(weights[k])
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
+def _run_with_parents(matrix: Any, source: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One scipy run from ``source``, "no predecessor" (-9999) as -1."""
+    dist, pred = _scipy_dijkstra(matrix, directed=True, indices=source, return_predecessors=True)
+    return dist, np.where(pred < 0, -1, pred).astype(np.int64)
 
 
 def dijkstra_csr(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -109,7 +73,7 @@ def dijkstra_csr(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    return _dijkstra_arrays(_Csr(weights, indices, indptr), source)
+    return _run_with_parents(csr_matrix((weights, indices, indptr), shape=(n, n)), source)
 
 
 def reconstruct_path(parent: np.ndarray, source: int, target: int) -> List[int]:
@@ -229,9 +193,6 @@ class PathOracle:
         least-recently-used one is evicted with everything held for it,
         so a bounded oracle stays within budget without thrashing on
         repeated-source sweeps.  ``None`` means unbounded.
-    use_scipy:
-        Run Dijkstra in scipy when it is installed; otherwise (or when
-        false) :func:`dijkstra_csr`'s loop runs on the same pieces.
     domain_of:
         Stub-domain id per vertex, negative for core routers
         (:attr:`TransitStubTopology.router_domain`).  Only a hint: a
@@ -243,7 +204,6 @@ class PathOracle:
         self,
         graph: Graph,
         max_cached_sources: Optional[int] = None,
-        use_scipy: bool = True,
         domain_of: Optional[np.ndarray] = None,
     ) -> None:
         if not graph.frozen:
@@ -252,10 +212,9 @@ class PathOracle:
             raise ValueError("max_cached_sources must be >= 1 (or None)")
         self.graph = graph
         self.max_cached_sources = max_cached_sources
-        self.use_scipy = use_scipy and _HAVE_SCIPY
         indptr, indices, weights = graph.csr()
         self._n = graph.num_vertices
-        self._whole = self._matrix(_Csr(weights, indices, indptr))
+        self._whole = csr_matrix((weights, indices, indptr), shape=(self._n, self._n))
         self._build_pieces(domain_of)
         # No finite distance exceeds the sum of all arc weights, so no push
         # checks an arc whose slack is above TAU * (that sum + its bound).
@@ -274,12 +233,6 @@ class PathOracle:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-
-    def _matrix(self, csr: _Csr) -> Any:
-        if not self.use_scipy:
-            return csr
-        n = len(csr.indptr) - 1
-        return _csr_matrix(csr, shape=(n, n))
 
     def _build_pieces(self, hint: Optional[np.ndarray]) -> None:
         """Cut the graph into the skeleton and one piece per stub domain.
@@ -315,7 +268,10 @@ class PathOracle:
         ptr = np.zeros(n + k + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n + k), out=ptr[1:])
         self._pieces = [
-            self._matrix(_Csr(data[ptr[lo] : ptr[hi]], col[ptr[lo] : ptr[hi]], ptr[lo : hi + 1] - ptr[lo]))
+            csr_matrix(
+                (data[ptr[lo] : ptr[hi]], col[ptr[lo] : ptr[hi]], ptr[lo : hi + 1] - ptr[lo]),
+                shape=(hi - lo, hi - lo),
+            )
             for lo, hi in zip(first_slot.tolist(), (first_slot + sizes).tolist())
         ]
         # Global ids per piece in local order (the skeleton's own vertices
@@ -335,10 +291,8 @@ class PathOracle:
         piece = self._pieces[p]
         size = len(piece.indptr) - 1
         self.dijkstra_vertices += size * len(entries)
-        if self.use_scipy:
-            dist: np.ndarray = _scipy_dijkstra(piece, directed=True, indices=entries)
-            return dist.reshape(len(entries), size)
-        return np.stack([_dijkstra_arrays(piece, s)[0] for s in entries])
+        dist: np.ndarray = _scipy_dijkstra(piece, directed=True, indices=entries)
+        return dist.reshape(len(entries), size)
 
     def _tree(self, p: int, entry: int) -> _Tree:
         """Piece ``p``'s offset-0 Dijkstra tree from ``entry``, built once."""
@@ -348,16 +302,12 @@ class PathOracle:
         piece = self._pieces[p]
         size = len(piece.indptr) - 1
         self.dijkstra_vertices += size
-        if self.use_scipy:
-            d0, pred = _scipy_dijkstra(piece, directed=True, indices=entry, return_predecessors=True)
-        else:
-            d0, pred = _dijkstra_arrays(piece, entry)
+        d0, pred = _run_with_parents(piece, entry)
         tails = np.repeat(np.arange(size), np.diff(piece.indptr))
         heads, weights = np.asarray(piece.indices, dtype=np.int64), piece.data
         on_tree = pred[heads] == tails
         into = np.empty(size)
         into[heads[on_tree]] = weights[on_tree]
-        pred = np.where(pred < 0, -1, pred).astype(np.int64)
         depth = np.zeros(size, dtype=np.int64)
         up = pred.copy()
         while (up >= 0).any():
@@ -522,7 +472,7 @@ class PathOracle:
             else:
                 rows[s] = cached
         if opened or missing:
-            if self.use_scipy and len(missing) > 1:
+            if len(missing) > 1:
                 self.batch_calls += 1
             for s, dist in zip(opened + missing, self._full_rows(opened + missing)):
                 rows[s] = dist
@@ -643,13 +593,7 @@ class PathOracle:
         parent = self._parent_cache.get(u)
         if parent is None:
             self.dijkstra_vertices += self._n
-            if self.use_scipy:
-                _, parent = _scipy_dijkstra(self._whole, indices=u, return_predecessors=True)
-                # scipy marks "no predecessor" with -9999; normalise to -1.
-                parent = np.where(parent < 0, -1, parent).astype(np.int64)
-            else:
-                parent = _dijkstra_arrays(self._whole, u)[1]
-            self._parent_cache[u] = parent
+            parent = self._parent_cache[u] = _run_with_parents(self._whole, u)[1]
         return reconstruct_path(parent, u, v)
 
     def hop_count(self, u: int, v: int) -> int:

@@ -25,6 +25,7 @@ domain each router belongs to) so experiments can reason about locality.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -70,8 +71,8 @@ class TransitStubParams:
             self.intra_stub_weight,
             self.intra_transit_weight,
         ):
-            if lo <= 0 or hi < lo:
-                raise ValueError("weight ranges must be positive with low <= high")
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError("weight ranges must be finite and positive with low <= high")
 
     @property
     def total_routers(self) -> int:
@@ -136,39 +137,48 @@ def _connect_domain(
     """Wire the still unconnected ``members`` into a connected random subgraph.
 
     A random spanning path guarantees connectivity; each remaining pair gets
-    an extra edge with probability ``extra_edge_prob``.
+    an extra edge with probability ``extra_edge_prob``.  The path's weights
+    are one vector draw and every edge goes to the graph in one
+    :meth:`Graph.add_edges` call.
     """
     n = len(members)
     if n <= 1:
         return
     order = list(range(n))
     rng.shuffle(order)
-    for a, b in zip(order, order[1:]):
-        graph.add_edge(members[a], members[b], _uniform_weight(rng, weight_bounds))
+    lo, hi = weight_bounds
+    path_weights = rng.uniform(lo, hi, size=n - 1)
     # Every pair off the path, in (i < j) order, flips a coin (``random()``)
     # and on heads draws its weight next (``uniform`` is ``lo + (hi - lo) *
     # random()``).  Replayed here on arrays of those same doubles: a draw is
     # a coin unless the one before it was a coin that came up heads, so
-    # coins alternate along each run of heads.
+    # coins alternate along each run of heads.  Each batch draws the coins
+    # still to flip (plus a pending weight) and is classified on its own.
     off_path = np.ones((n, n), dtype=bool)
     off_path[order[:-1], order[1:]] = off_path[order[1:], order[:-1]] = False
     rows, cols = np.triu_indices(n, 1)
     pairs = np.flatnonzero(off_path[rows, cols])
-    draws, heads, coin = np.empty(0), np.empty(0, bool), np.empty(0, bool)
-    short = pairs.size  # coins still to flip, plus the weight of a last-draw heads
-    while short:
-        draws = np.concatenate([draws, rng.random(short)])
-        heads = draws < extra_edge_prob
-        at = np.arange(draws.size)
-        run_start = np.maximum.accumulate(np.where(np.r_[True, ~heads[:-1]], at, 0))
+    batches, coins = [np.empty(0)], [np.empty(0, dtype=bool)]
+    left, next_coin = pairs.size, True  # coins still to flip; is the next draw one?
+    while left or not next_coin:
+        batch = rng.random(left + (not next_coin))
+        heads = batch < extra_edge_prob
+        at = np.arange(batch.size)
+        run_start = np.maximum.accumulate(np.where(np.r_[next_coin, ~heads[:-1]], at, -1))
         coin = (at - run_start) % 2 == 0
-        short = pairs.size - int(coin.sum()) + int(coin[-1] and heads[-1])
-    taken = np.flatnonzero(coin & heads)
+        batches.append(batch)
+        coins.append(coin)
+        left -= int(coin.sum())
+        next_coin = not (coin[-1] and heads[-1])
+    draws, coin = np.concatenate(batches), np.concatenate(coins)
+    taken = np.flatnonzero(coin & (draws < extra_edge_prob))
     chosen = pairs[np.cumsum(coin)[taken] - 1]
-    lo, hi = weight_bounds
-    weights = lo + (hi - lo) * draws[taken + 1]
-    for i, j, w in zip(rows[chosen].tolist(), cols[chosen].tolist(), weights.tolist()):
-        graph.add_edge(members[i], members[j], w)
+    ids = np.asarray(members, dtype=np.int64)
+    graph.add_edges(
+        ids[np.r_[order[:-1], rows[chosen]]],
+        ids[np.r_[order[1:], cols[chosen]]],
+        np.r_[path_weights, lo + (hi - lo) * draws[taken + 1]],
+    )
 
 
 def generate_transit_stub(
@@ -234,7 +244,8 @@ def generate_transit_stub(
         router_domain=router_domain,
     )
     # The construction guarantees connectivity; assert it in debug spirit
-    # (cheap BFS relative to generation cost) so corrupt topologies fail fast.
+    # (one connected-components pass over the CSR) so corrupt topologies
+    # fail fast.
     if not graph.is_connected():  # pragma: no cover - construction guarantees this
         raise RuntimeError("generated transit-stub topology is disconnected")
     return topo

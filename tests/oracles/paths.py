@@ -2,13 +2,15 @@
 
 One full single-source row per source, the symmetry swap, LRU eviction and
 the same counters — what ``PathOracle`` must still look like from outside
-however little of a row it actually computes.
+however little of a row it actually computes.  ``dijkstra_arrays`` is the
+pure-Python Dijkstra, a reference that shares no code with scipy's.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,12 +18,37 @@ from repro.net.graph import Graph
 from repro.net.shortest_path import dijkstra_csr
 
 
+def dijkstra_arrays(graph: Graph, source: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Binary-heap Dijkstra with lazy deletion over the frozen CSR of
+    ``graph``: ``(dist, parent)`` as :func:`dijkstra_csr` returns them."""
+    indptr, indices, weights = graph.csr()
+    n = len(indptr) - 1
+    dist = np.full(n, np.inf, dtype=np.float64)
+    parent = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, source)]
+    visited = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if visited[u]:
+            continue
+        visited[u] = True
+        for k in range(indptr[u], indptr[u + 1]):
+            v = int(indices[k])
+            nd = d + float(weights[k])
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
+
+
 class FullRowOracle:
     """``PathOracle``'s observable behaviour over full ``dijkstra_csr`` rows.
 
-    ``row`` replaces the row function where the pure-Python Dijkstra is
-    too slow for the graph; rows are memoised outside the modelled cache,
-    so an evicted source costs the model nothing to bring back.
+    ``row`` replaces the row function (scipy's :func:`dijkstra_csr` by
+    default); rows are memoised outside the modelled cache, so an evicted
+    source costs the model nothing to bring back.
     """
 
     def __init__(

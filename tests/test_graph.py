@@ -1,5 +1,7 @@
 """Tests for repro.net.graph."""
 
+import math
+
 import pytest
 
 from repro.net import Graph
@@ -53,6 +55,38 @@ class TestConstruction:
             g.add_edge(0, 1, 0.0)
         with pytest.raises(ValueError):
             g.add_edge(0, 1, -2.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        """A NaN arc would poison every shortest-path row through it."""
+        g = Graph()
+        g.add_vertices(2)
+        with pytest.raises(ValueError, match="finite"):
+            g.add_edge(0, 1, weight)
+        assert g.num_edges == 0
+
+    def test_add_edges_rejects_any_non_finite_weight(self):
+        g = Graph()
+        g.add_vertices(3)
+        with pytest.raises(ValueError, match="finite"):
+            g.add_edges([0, 1], [1, 2], [1.0, math.nan])
+        with pytest.raises(ValueError, match="finite"):
+            g.add_edges([0, 1], [1, 2], [math.inf, 1.0])
+        assert g.num_edges == 0
+
+    def test_add_edges_checks_columns(self):
+        g = Graph()
+        g.add_vertices(3)
+        with pytest.raises(ValueError):
+            g.add_edges([0, 1], [1], [1.0, 1.0])
+        with pytest.raises(IndexError):
+            g.add_edges([0, 1], [1, 3], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            g.add_edges([0, 2], [1, 2], [1.0, 1.0])
+        with pytest.raises(TypeError):
+            g.add_edges([0.5], [1], [1.0])
+        g.add_edges([], [], [])
+        assert g.num_edges == 0
 
     def test_out_of_range_vertex(self):
         g = Graph()
@@ -147,8 +181,8 @@ class TestFreeze:
         assert list(g.neighbors(1)) == before
 
     def test_queries_read_the_csr_once_the_dicts_are_released(self):
-        """``freeze`` drops the construction dict-of-dicts (2 KiB per
-        router for ever); every query answers from the CSR rows alone."""
+        """``freeze`` drops the construction edge columns; every query
+        answers from the CSR rows alone, before ``freeze`` as after."""
         g = Graph()
         g.add_vertices(6)
         for u, v, w in [(4, 1, 2.5), (0, 3, 1.0), (3, 1, 0.5), (0, 1, 4.0)]:
@@ -161,7 +195,7 @@ class TestFreeze:
         }
         assert not g.is_connected()  # vertices 2 and 5 are isolated
         g.freeze()
-        assert g._adj == []
+        assert g._pending == []
         assert (g.num_vertices, g.num_edges) == (6, 4)
         # ascending (u, v), not insertion order
         assert list(g.edges()) == before["edges"]

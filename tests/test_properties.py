@@ -167,7 +167,7 @@ class TestShortestPathProperties:
     def test_dijkstra_matches_bellman_ford(self, n, edges):
         g = _random_graph(edges, n)
         g.freeze()
-        oracle = PathOracle(g, use_scipy=False)
+        oracle = PathOracle(g)
         dist = oracle.distances_from(0)
         # Brute-force Bellman-Ford reference.
         ref = [math.inf] * n

@@ -14,7 +14,7 @@ from repro.net.transit_stub import (
 )
 from repro.sim import RngStreams
 
-from .oracles.paths import FullRowOracle, whole_graph_rows
+from .oracles.paths import FullRowOracle, dijkstra_arrays, whole_graph_rows
 
 
 def line_graph(n: int) -> Graph:
@@ -137,12 +137,9 @@ class TestPathOracle:
         assert oracle.hop_count(0, 30) == len(oracle.path(0, 30)) - 1
 
     def test_pure_python_matches_scipy(self, graph):
-        fast = PathOracle(graph, use_scipy=True)
-        slow = PathOracle(graph, use_scipy=False)
+        oracle = PathOracle(graph)
         for src in (0, 7, 23):
-            np.testing.assert_allclose(
-                fast.distances_from(src), slow.distances_from(src)
-            )
+            assert np.array_equal(oracle.distances_from(src), dijkstra_arrays(graph, src)[0])
 
 
 class TestAgainstNetworkx:
@@ -154,7 +151,7 @@ class TestAgainstNetworkx:
         ng.add_nodes_from(range(g.num_vertices))
         for u, v, w in g.edges():
             ng.add_edge(u, v, weight=w)
-        oracle = PathOracle(g, use_scipy=False)
+        oracle = PathOracle(g)
         lengths = nx.single_source_dijkstra_path_length(ng, 0, weight="weight")
         ours = oracle.distances_from(0)
         for v, d in lengths.items():
@@ -284,13 +281,13 @@ class TestBatchedOracle:
         assert oracle.dijkstra_runs == 0
 
     def test_distances_many_pure_python(self, graph):
-        fast = PathOracle(graph, use_scipy=True)
-        slow = PathOracle(graph, use_scipy=False)
+        oracle = PathOracle(graph)
         sources = [0, 7, 23]
-        np.testing.assert_allclose(
-            fast.distances_many(sources), slow.distances_many(sources)
+        assert np.array_equal(
+            oracle.distances_many(sources),
+            np.stack([dijkstra_arrays(graph, s)[0] for s in sources]),
         )
-        assert slow.batch_calls == 0  # fallback loops over dijkstra_csr
+        assert oracle.batch_calls == 1
 
     def test_distances_many_valid_beyond_bound(self, graph):
         """Rows are correct even when a bounded cache cannot hold them."""
@@ -357,27 +354,26 @@ class TestBackendParity:
     def test_distance_vectors_identical(self, seed):
         topo = generate_transit_stub(TransitStubParams(), RngStreams(seed))
         g = topo.graph
-        fast = PathOracle(g, use_scipy=True)
-        slow = PathOracle(g, use_scipy=False)
+        oracle = PathOracle(g)
         sources = [0, 5, g.num_vertices // 2, g.num_vertices - 1]
-        np.testing.assert_allclose(
-            fast.distances_many(sources),
-            slow.distances_many(sources),
+        assert np.array_equal(
+            oracle.distances_many(sources),
+            np.stack([dijkstra_arrays(g, s)[0] for s in sources]),
         )
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_paths_have_equal_cost(self, seed):
         topo = generate_transit_stub(TransitStubParams(), RngStreams(seed))
         g = topo.graph
-        fast = PathOracle(g, use_scipy=True)
-        slow = PathOracle(g, use_scipy=False)
+        fast = PathOracle(g)
 
         def path_cost(p):
             return sum(g.edge_weight(u, v) for u, v in zip(p, p[1:]))
 
         for s in (0, 9):
+            parent = dijkstra_arrays(g, s)[1]
             for t in (1, g.num_vertices // 3, g.num_vertices - 1):
-                pf, ps = fast.path(s, t), slow.path(s, t)
+                pf, ps = fast.path(s, t), reconstruct_path(parent, s, t)
                 assert (pf == []) == (ps == [])
                 if pf:
                     assert pf[0] == ps[0] == s and pf[-1] == ps[-1] == t
@@ -617,15 +613,16 @@ class TestDomainLazyParity:
     full ``dijkstra_csr`` row's, and hits, misses, evictions, runs and LRU
     order are those of an oracle that keeps full rows."""
 
-    @pytest.mark.parametrize("use_scipy", [True, False])
+    @pytest.mark.parametrize("pure_python", [True, False])
     @given(case=pendant_cases(), bound=st.sampled_from((None, 1, 2)))
     @settings(max_examples=120, deadline=None)
-    def test_matches_full_rows(self, use_scipy, case, bound):
+    def test_matches_full_rows(self, pure_python, case, bound):
+        """The model's rows come from the pure-Python reference Dijkstra or
+        from scipy's whole-graph ``dijkstra_csr``."""
         graph, hint, ops = case
-        oracle = PathOracle(
-            graph, max_cached_sources=bound, use_scipy=use_scipy, domain_of=hint
-        )
-        model = FullRowOracle(graph, max_cached_sources=bound)
+        oracle = PathOracle(graph, max_cached_sources=bound, domain_of=hint)
+        row = (lambda s: dijkstra_arrays(graph, s)[0]) if pure_python else None
+        model = FullRowOracle(graph, max_cached_sources=bound, row=row)
         for name, *args in ops:
             got = getattr(oracle, name)(*args)
             want = getattr(model, name)(*args)
@@ -713,12 +710,15 @@ class TestPrewarmedRowParity:
         topo = generate_transit_stub(params_for_router_count(2250), RngStreams(request.param))
         return topo, whole_graph_rows(topo.graph, range(topo.num_routers))
 
-    @pytest.mark.parametrize("use_scipy", [True, False])
-    def test_every_row_equals_whole_graph_row(self, case, use_scipy):
+    @pytest.mark.parametrize("at_once", [True, False])
+    def test_every_row_equals_whole_graph_row(self, case, at_once):
+        """All sources in one ``prewarm``, or in two interleaved halves
+        whose second call only pushes down the trees the first built."""
         topo, want = case
         n = topo.num_routers
-        oracle = PathOracle(topo.graph, use_scipy=use_scipy, domain_of=topo.router_domain)
-        assert oracle.prewarm(range(n)) == n
+        oracle = PathOracle(topo.graph, domain_of=topo.router_domain)
+        calls = [range(n)] if at_once else [range(0, n, 2), range(1, n, 2)]
+        assert sum(oracle.prewarm(sources) for sources in calls) == n
         assert np.array_equal(oracle.distances_many(range(n)), want)
         assert oracle.dijkstra_vertices <= n * n // 10
 
@@ -737,16 +737,18 @@ class TestNearTieRepair:
         edges += [(g, u, 0.1), (u, v, 0.2), (g, v, 0.3), (g, core // 2, 1.0)]
         return _weighted(core + 3, edges), np.asarray([-1] * core + [0] * 3), core
 
-    @pytest.mark.parametrize("use_scipy", [True, False])
-    def test_rows_from_core_sources_equal_reference(self, use_scipy):
+    @pytest.mark.parametrize("pure_python", [True, False])
+    def test_rows_from_core_sources_equal_reference(self, pure_python):
+        """Against the pure-Python reference Dijkstra or scipy's."""
         graph, hint, core = self.graph()
-        oracle = PathOracle(graph, use_scipy=use_scipy, domain_of=hint)
+        reference = dijkstra_arrays if pure_python else dijkstra_csr
+        oracle = PathOracle(graph, domain_of=hint)
         assert len(oracle._pieces) == 2
         oracle.prewarm(range(core))
         for s in range(core):
-            assert np.array_equal(oracle.distances_from(s), dijkstra_csr(graph, s)[0])
+            assert np.array_equal(oracle.distances_from(s), reference(graph, s)[0])
         assert oracle.repaired_columns > 0
-        cold = PathOracle(graph, use_scipy=use_scipy, domain_of=hint)
+        cold = PathOracle(graph, domain_of=hint)
         for s in range(core):
-            assert cold.distance(s, core + 2) == dijkstra_csr(graph, s)[0][core + 2]
+            assert cold.distance(s, core + 2) == reference(graph, s)[0][core + 2]
         assert cold.repaired_columns > 0

@@ -1,5 +1,7 @@
 """Tests for repro.net.transit_stub — the GT-ITM-style generator."""
 
+import math
+
 import pytest
 
 from repro.net import TransitStubParams, generate_transit_stub, params_for_router_count
@@ -34,6 +36,16 @@ class TestParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TransitStubParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["transit_transit_weight", "transit_stub_weight", "intra_stub_weight", "intra_transit_weight"],
+    )
+    @pytest.mark.parametrize("bounds", [(math.nan, 4.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_weight_range_rejected(self, field, bounds):
+        """NaN fails every comparison, so ``lo <= 0`` alone let it through."""
+        with pytest.raises(ValueError, match="finite"):
+            TransitStubParams(**{field: bounds})
 
 
 class TestGeneration:
