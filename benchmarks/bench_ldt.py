@@ -1,6 +1,6 @@
 """LDT forest benchmark: vectorised batch tree construction vs sequential.
 
-The columnar forest builder (``repro.core.ldt_forest``) constructs the
+The forest builder (``repro.core.ldt_forest``) constructs the
 Fig-4 advertisement trees for a whole batch of registries in one
 level-synchronous array pass; ``build_ldt`` is the scalar single-sort
 kernel for one registry; the Fig-4 recursion both replaced is the parity
@@ -31,9 +31,9 @@ Writes
 * ``benchmarks/results/BENCH_ldt.txt`` — the human summary.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_ldt.py
-[--scale quick|full] [--sanitize]``.  ``--sanitize`` re-validates the
-forest columns after every batch build; timings degrade but counts do
-not change.
+[--scale quick|full] [--sanitize]``.  ``--sanitize`` runs
+``repro.sanitize.check_ldt`` on every materialised tree, outside the
+timed sections; counts do not change.
 """
 
 from __future__ import annotations
@@ -114,14 +114,15 @@ def bench_structure() -> Dict[str, object]:
     """Fixed workload: builders vs recursion parity plus structural checksums."""
     specs = make_specs(*STRUCT_PARAMS, seed=STRUCT_SEED)
     forest = build_ldt_forest(specs)
-    if sanitize.enabled():
-        sanitize.check_ldt_forest(forest)
     mismatches = 0
     for t, spec in enumerate(specs):
         args = (spec.root, spec.registry, spec.unit_cost)
         expected = recursive_ldt(*args, tie_break=spec.tie_break)
+        tree = forest.tree(t)
+        if sanitize.enabled():
+            sanitize.check_ldt(tree, spec.unit_cost)
         try:
-            assert_tree_matches(forest.tree(t), expected)
+            assert_tree_matches(tree, expected)
             assert_tree_matches(build_ldt(*args, tie_break=spec.tie_break), expected)
         except AssertionError:
             mismatches += 1
@@ -155,12 +156,12 @@ def bench_speedup(scale: str) -> Dict[str, object]:
         t0 = time.perf_counter()
         forest = build_ldt_forest(specs)
         forest_s = min(forest_s, time.perf_counter() - t0)
-    if sanitize.enabled():
-        sanitize.check_ldt_forest(forest)
     t0 = time.perf_counter()
-    for t in range(forest.num_trees):
-        forest.tree(t)
+    trees = [forest.tree(t) for t in range(forest.num_trees)]
     trees_s = time.perf_counter() - t0
+    if sanitize.enabled():
+        for tree, spec in zip(trees, specs):
+            sanitize.check_ldt(tree, spec.unit_cost)
 
     def per_spec(builder) -> float:
         t0 = time.perf_counter()
@@ -200,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--sanitize", action="store_true",
-        help="re-validate the forest columns after every batch build",
+        help="check every materialised tree with repro.sanitize.check_ldt",
     )
     args = parser.parse_args(argv)
     if args.sanitize:
@@ -225,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "speedup": speedup,
     }
     if args.sanitize:
-        payload["sanitize_checks"] = sanitize.counts().get("ldt_forest", 0)
+        payload["sanitize_checks"] = sanitize.counts().get("ldt", 0)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     json_path = RESULTS_DIR / "BENCH_ldt.json"
@@ -253,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.sanitize:
         lines.append("")
         lines.append(
-            f"  sanitizer: {payload['sanitize_checks']} forest checks, "
+            f"  sanitizer: {payload['sanitize_checks']} tree checks, "
             "0 violations"
         )
     text = "\n".join(lines)

@@ -63,14 +63,10 @@ class Gate:
 
 #: Gated metrics per benchmark family.  Only deterministic quantities:
 #: accuracy/structure of the quantile sketch and hotspot statistics
-#: (``obs``), message-count reductions (``batch``), the columnar
-#: engine's fixed-size serial-vs-sharded scenarios (``scale`` — exact
-#: event counts and the integer-folded snapshot checksums, for both the
-#: churn scenario and the Zipf traffic mix) and the LDT forest's
+#: (``obs``), message-count reductions (``batch``) and the LDT forest's
 #: fixed-size structure section (``ldt`` — oracle-parity counts and the
 #: canonical edge-order checksum).  Timing families (``churn``,
-#: ``sweep``), the ``scale`` throughput sections and the ``ldt``
-#: speedup section stay informational.
+#: ``sweep``) and the ``ldt`` speedup section stay informational.
 GATES: Dict[str, Tuple[Gate, ...]] = {
     "obs": (
         Gate("accuracy.*.rel_err_*", "lower", 0.10),
@@ -81,10 +77,6 @@ GATES: Dict[str, Tuple[Gate, ...]] = {
     "batch": (
         Gate("per_k.*.reduction", "higher", 0.25),
         Gate("per_k.*.batched_msgs", "lower", 0.25),
-    ),
-    "scale": (
-        Gate("determinism.*", "equal", 1e-9),
-        Gate("determinism_traffic.*", "equal", 1e-9),
     ),
     "ldt": (
         Gate("structure.*", "equal", 1e-9),

@@ -343,7 +343,7 @@ def build_ldt(
         The dissemination structure; every registry member appears exactly
         once (the algorithm's partitions are disjoint and exhaustive).
     """
-    if unit_cost <= 0:
+    if not unit_cost > 0:
         raise ValueError("unit_cost must be positive")
     seen = {m.key for m in registry}
     if len(seen) != len(registry):

@@ -1,13 +1,12 @@
 """Columnar LDT forest — batch construction of Fig-4 trees as flat arrays.
 
-:func:`repro.core.ldt.build_ldt` schedules one registry per call.  At the
-scales of the columnar state engine (§ "Columnar state & million-node
-scale" in docs/performance.md) the network advertises thousands of trees
-per round, so this module builds them as a struct-of-arrays **forest**:
-every registry in the batch is one slice of flat numpy columns, sorted by
-one ``np.lexsort``, and the whole batch advances level by level with array
-kernels.  It rests on the identity :mod:`repro.core.ldt`'s docstring
-proves — after the one stable sort, every pending set is an arithmetic
+:func:`repro.core.ldt.build_ldt` schedules one registry per call; this
+module builds a whole batch of registries as a struct-of-arrays
+**forest**: every registry in the batch is one slice of flat numpy
+columns, sorted by one ``np.lexsort``, and the whole batch advances level
+by level with array kernels.  It rests on the identity
+:mod:`repro.core.ldt`'s docstring proves — after the one stable sort,
+every pending set is an arithmetic
 progression of sort positions — so a "task" is three integers plus the
 sender's availability, and one level of the whole forest is a handful of
 ``repeat``/``cumsum`` operations over the task arrays, no per-member
@@ -60,7 +59,6 @@ __all__ = [
     "build_ldt_forest",
     "build_forest_columns",
     "forest_depths",
-    "forest_from_columns",
 ]
 
 _I64 = np.int64
@@ -89,16 +87,14 @@ def build_forest_columns(
     caller owns the lexsort); ``root_avail``/``unit_cost`` are per-tree.
     Returns ``(level, assigned, parent_row)`` — ``parent_row`` is the
     global row of the parent member, ``-1`` when the parent is the root.
-
-    This entry point is what the scale engine uses directly: it never
-    touches member objects, so a 10⁶-member forest costs a few array
-    passes per tree level.
+    It never touches member objects, so a forest costs a few array passes
+    per tree level.
     """
     tree_offsets = np.asarray(tree_offsets, dtype=_I64)
     avail = np.asarray(avail, dtype=_F64)
     root_avail = np.asarray(root_avail, dtype=_F64)
     unit_cost = np.asarray(unit_cost, dtype=_F64)
-    if np.any(unit_cost <= 0):
+    if not np.all(unit_cost > 0):
         raise ValueError("unit_cost must be positive")
 
     n_members = int(avail.size)
@@ -164,66 +160,6 @@ def forest_depths(tree_offsets: np.ndarray, level: np.ndarray) -> np.ndarray:
     if level.size and bool(live.any()):
         depths[live] = np.maximum.reduceat(level, tree_offsets[:-1][live])
     return depths
-
-
-def forest_from_columns(
-    tree_offsets: np.ndarray,
-    avail: np.ndarray,
-    root_avail: np.ndarray,
-    unit_cost: np.ndarray,
-    level: Optional[np.ndarray] = None,
-    assigned: Optional[np.ndarray] = None,
-    parent_row: Optional[np.ndarray] = None,
-    *,
-    key: Optional[np.ndarray] = None,
-    root_key: Optional[np.ndarray] = None,
-) -> "LDTForest":
-    """Assemble an :class:`LDTForest` from pure availability columns.
-
-    The scale engine builds trees without member objects or even member
-    keys; this helper synthesises keys (global row index; roots get
-    ``-(tree+1)`` so they never collide) unless the caller provides real
-    ones, and runs :func:`build_forest_columns` when the level columns
-    are not already built.  ``capacity`` is set to ``avail`` with
-    ``used = 0`` — equivalent for every Fig-4 decision.
-    """
-    tree_offsets = np.asarray(tree_offsets, dtype=_I64)
-    avail = np.asarray(avail, dtype=_F64)
-    root_avail = np.asarray(root_avail, dtype=_F64)
-    unit_cost = np.asarray(unit_cost, dtype=_F64)
-    if level is None or assigned is None or parent_row is None:
-        level, assigned, parent_row = build_forest_columns(
-            tree_offsets, avail, root_avail, unit_cost
-        )
-    n_trees = int(tree_offsets.size - 1)
-    n_members = int(avail.size)
-    if key is None:
-        key = np.arange(n_members, dtype=_I64)
-    else:
-        key = np.asarray(key).astype(_I64)
-    if root_key is None:
-        root_key = -(np.arange(n_trees, dtype=_I64) + 1)
-    else:
-        root_key = np.asarray(root_key).astype(_I64)
-    tree_id = np.repeat(np.arange(n_trees, dtype=_I64), np.diff(tree_offsets))
-    parent = np.where(
-        parent_row >= 0, key[np.maximum(parent_row, 0)], root_key[tree_id]
-    ).astype(_I64)
-    return LDTForest(
-        tree_offsets=tree_offsets,
-        tree_id=tree_id,
-        key=key,
-        capacity=avail,
-        used=np.zeros(n_members, dtype=_F64),
-        parent=parent,
-        parent_row=np.asarray(parent_row, dtype=_I64),
-        level=np.asarray(level, dtype=_I64),
-        assigned=np.asarray(assigned, dtype=_I64),
-        root_key=root_key,
-        root_capacity=root_avail,
-        root_used=np.zeros(n_trees, dtype=_F64),
-        unit_cost=unit_cost,
-    )
 
 
 @dataclasses.dataclass
@@ -308,76 +244,6 @@ class LDTForest:
         """Materialise every tree in batch order."""
         return (self.tree(t) for t in range(self.num_trees))
 
-    def validate(self) -> None:
-        """Vectorised structural invariants over the whole forest.
-
-        The forest-column counterpart of :meth:`LDTree.validate` plus the
-        Fig-4 capacity bound — used by ``repro.sanitize.check_ldt_forest``.
-        """
-        n = self.num_members
-        offsets = self.tree_offsets
-        assert offsets[0] == 0 and offsets[-1] == n, "tree_offsets must cover columns"
-        assert bool((np.diff(offsets) >= 0).all()), "tree_offsets must be monotonic"
-        expected_tree = np.repeat(np.arange(self.num_trees, dtype=_I64), self.sizes())
-        assert bool((self.tree_id == expected_tree).all()), "tree_id disagrees with offsets"
-        if n == 0:
-            return
-        assert bool((self.level >= 1).all()), "members start at level 1"
-        assert bool((self.assigned >= 1).all()), "every member heads a partition"
-
-        has_parent = self.parent_row >= 0
-        roots = ~has_parent
-        assert bool((self.level[roots] == 1).all()), "root children must be level 1"
-        root_of_tree = self.root_key[self.tree_id]
-        assert bool(
-            (self.parent[roots] == root_of_tree[roots]).all()
-        ), "first-tier parents must be the tree root"
-        prow = self.parent_row[has_parent]
-        assert bool(
-            (self.tree_id[prow] == self.tree_id[has_parent]).all()
-        ), "parents must live in the same tree"
-        assert bool(
-            (self.level[has_parent] == self.level[prow] + 1).all()
-        ), "edges must not skip levels"
-        assert bool(
-            (self.parent[has_parent] == self.key[prow]).all()
-        ), "parent key column disagrees with parent_row"
-
-        # Fig-4 fan-out bound per sender.
-        per_cost = self.unit_cost[self.tree_id]
-        child_count = np.bincount(prow, minlength=n)
-        avail = self.capacity - self.used
-        allowed = np.where(
-            avail - per_cost <= 0.0,
-            1,
-            np.maximum(np.floor(avail / per_cost).astype(_I64), 1),
-        )
-        assert bool((child_count <= allowed).all()), "member fan-out exceeds Avail/v"
-        root_children = np.bincount(
-            self.tree_id[roots], minlength=self.num_trees
-        )
-        root_avail = self.root_capacity - self.root_used
-        root_allowed = np.where(
-            root_avail - self.unit_cost <= 0.0,
-            1,
-            np.maximum(np.floor(root_avail / self.unit_cost).astype(_I64), 1),
-        )
-        np.minimum(root_allowed, np.maximum(self.sizes(), 1), out=root_allowed)
-        assert bool((root_children <= root_allowed).all()), "root fan-out exceeds Avail/v"
-
-        # Conservation: a head's partition is itself plus its children's
-        # partitions; the root's partitions cover the registry exactly.
-        child_sum = np.bincount(prow, weights=self.assigned[has_parent], minlength=n)
-        assert bool(
-            (child_sum.astype(_I64) == self.assigned - 1).all()
-        ), "partition sizes must telescope"
-        root_sum = np.bincount(
-            self.tree_id[roots], weights=self.assigned[roots], minlength=self.num_trees
-        )
-        assert bool(
-            (root_sum.astype(_I64) == self.sizes()).all()
-        ), "root partitions must cover the registry"
-
 
 def build_ldt_forest(specs: Sequence[ForestSpec]) -> LDTForest:
     """Build the Fig-4 trees for every spec in one vectorised pass.
@@ -399,7 +265,7 @@ def build_ldt_forest(specs: Sequence[ForestSpec]) -> LDTForest:
     )
     root_used = np.fromiter((s.root.used for s in specs), dtype=_F64, count=n_trees)
     unit_cost = np.fromiter((s.unit_cost for s in specs), dtype=_F64, count=n_trees)
-    if np.any(unit_cost <= 0):
+    if not np.all(unit_cost > 0):
         raise ValueError("unit_cost must be positive")
 
     # Object-model ingestion bridge: three chained attribute passes turn

@@ -10,6 +10,7 @@ interest *in*.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, NamedTuple, Optional, Set
 
 from ..net.address import NetworkAddress
@@ -31,6 +32,13 @@ class RegistryEntry(NamedTuple):
     key: int
     capacity: float
     registered_at: float = 0.0
+
+
+def _check_amount(amount: float) -> None:
+    if not (math.isfinite(amount) and amount >= 0):
+        raise ValueError(
+            f"workload amount must be finite and non-negative, got {amount}"
+        )
 
 
 class BristleNode:
@@ -57,8 +65,8 @@ class BristleNode:
         capacity: float,
         space: KeySpace,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+        if not (math.isfinite(capacity) and capacity > 0):
+            raise ValueError(f"capacity must be finite and positive, got {capacity}")
         self.key = space.validate(key)
         self.mobile = mobile
         self.capacity = float(capacity)
@@ -84,14 +92,12 @@ class BristleNode:
 
     def consume(self, amount: float) -> None:
         """Account ``amount`` of workload (may push the node to overload)."""
-        if amount < 0:
-            raise ValueError("workload amount must be non-negative")
+        _check_amount(amount)
         self.used += amount
 
     def release(self, amount: float) -> None:
         """Release previously-consumed workload."""
-        if amount < 0:
-            raise ValueError("workload amount must be non-negative")
+        _check_amount(amount)
         self.used -= min(amount, self.used)
 
     # ------------------------------------------------------------------

@@ -21,14 +21,7 @@ from .ext_overlay_choice import (
     run_overlay_choice,
 )
 from .ext_proximity import ProximityRoutingParams, run_proximity_routing
-from .ext_scaling import (
-    ColumnarScaleParams,
-    ScalingParams,
-    TrafficMixScaleParams,
-    run_columnar_scale,
-    run_scaling,
-    run_traffic_mix,
-)
+from .ext_scaling import ScaleMixParams, ScalingParams, run_scale_mix, run_scaling
 from .ext_binding import (
     BindingCostParams,
     StalenessParams,
@@ -81,12 +74,10 @@ __all__ = [
     "run_data_availability",
     "ProximityRoutingParams",
     "run_proximity_routing",
-    "ColumnarScaleParams",
+    "ScaleMixParams",
     "ScalingParams",
-    "TrafficMixScaleParams",
-    "run_columnar_scale",
+    "run_scale_mix",
     "run_scaling",
-    "run_traffic_mix",
     "BandPlacementParams",
     "run_band_placement",
     "Ipv6Params",

@@ -1,20 +1,26 @@
-"""Extension experiment: Bristle end-to-end scaling in N.
+"""Extension experiments: Bristle end-to-end scaling in N.
 
 The paper's §2.1 promise: with the clustered naming scheme, a
 stationary→stationary route costs ``O(log N)`` application-level hops
 even with address resolutions, versus ``O((log N)^2)`` in the naive
-design.  This sweep grows the population at a fixed mobile share and
-measures the full Fig-2 routing pipeline — if the architecture delivers,
-hops divided by ``log₂ N`` stay bounded for the clustered scheme while
-the scrambled scheme's normalised cost keeps creeping up (its per-route
-resolutions scale with the hop count itself).
+design.  :func:`run_scaling` grows the population at a fixed mobile share
+and measures the full Fig-2 routing pipeline — if the architecture
+delivers, hops divided by ``log₂ N`` stay bounded for the clustered
+scheme while the scrambled scheme's normalised cost keeps creeping up
+(its per-route resolutions scale with the hop count itself).
+
+:func:`run_scale_mix` drives one large network per seed through rounds
+of the whole public operation mix — lease expiry, moves with their LDT
+advertisements, leave/join pairs, discoveries under a Zipf (or uniform)
+popularity law and routed messages — so the scale runs report hops and
+path cost from the same engine every figure uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -24,25 +30,15 @@ from ..core.mobility import shuffle_all_mobile
 from ..core.routing import route_with_resolution
 from ..net.underlay import build_underlay, shared_underlay_cache
 from ..sim.rng import derive_seed
-from ..sim.columnar import (
-    ScaleShardParams,
-    ScaleShardResult,
-    TrafficMixParams,
-    merge_shard_results,
-    run_scale_shard,
-    run_traffic_shard,
-)
 from ..workloads.routes import sample_stationary_pairs
 from .common import ResultTable
 from .parallel import active_sweep, derive_point_seeds, sweep_map
 
 __all__ = [
-    "ColumnarScaleParams",
+    "ScaleMixParams",
     "ScalingParams",
-    "TrafficMixScaleParams",
-    "run_columnar_scale",
+    "run_scale_mix",
     "run_scaling",
-    "run_traffic_mix",
 ]
 
 
@@ -145,205 +141,165 @@ def run_scaling(params: Optional[ScalingParams] = None) -> ResultTable:
     return table
 
 
-@dataclasses.dataclass(frozen=True)
-class ColumnarScaleParams:
-    """Population and sharding for the columnar scale scenario.
 
-    The scenario itself (per-round expiry sweep, hashed movement /
-    departure schedules, the shared lookup stream) lives in
-    :func:`repro.sim.columnar.run_scale_shard`; this wrapper only decides
-    how big it is and into how many keyspace shards it fans out.
+
+@dataclasses.dataclass(frozen=True)
+class ScaleMixParams:
+    """Population and operation mix of the public-path scale runs.
+
+    ``lookups`` discoveries are spread evenly over ``rounds``;
+    ``churn_share`` of the mobile population leaves and rejoins every
+    round; lookup targets follow a Zipf law of exponent ``zipf_s`` over a
+    per-seed popularity ranking (``0`` is the uniform draw).
     """
 
     num_stationary: int = 20_000
     num_mobile: int = 8_000
     lookups: int = 10_000
     rounds: int = 8
-    shards: int = 4
+    seeds: int = 3
+    churn_share: float = 0.0
+    zipf_s: float = 0.0
     seed: int = 53
-    key_bits: int = 32
-    replication: int = 3
 
-    @classmethod
-    def quick_scale(cls) -> "ColumnarScaleParams":
-        """CI-sized population: a few thousand keys, still 4 shards."""
-        return cls(num_stationary=2_500, num_mobile=1_200, lookups=1_500, rounds=6)
+    def __post_init__(self) -> None:
+        if self.lookups < 1:
+            raise ValueError("lookups must be >= 1")
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
+        if not 0.0 <= self.churn_share < 1.0:
+            raise ValueError("churn_share must be in [0, 1)")
+        if not self.zipf_s >= 0.0:
+            raise ValueError("zipf_s must be >= 0")
 
 
-def _columnar_shard(pt: ScaleShardParams) -> ScaleShardResult:
-    """Module-level (picklable) per-shard worker for :func:`sweep_map`."""
-    return run_scale_shard(pt)
-
-
-def run_columnar_scale(params: Optional[ColumnarScaleParams] = None) -> ResultTable:
-    """Churn + lookup scenario on the columnar engine, keyspace-sharded.
-
-    One :class:`~repro.sim.columnar.ScaleShardParams` per shard fans out
-    through :func:`sweep_map`; each worker keeps only the mobile keys
-    whose ring position falls in its shard, so the merged outcome is
-    bit-identical to a serial run whatever the shard count or job count.
-    Every reported value is deterministic (the snapshot checksum is
-    folded to an integer so downstream numeric tooling can gate on it);
-    wall-clock throughput lives in ``benchmarks/bench_scale.py``, not
-    here.
-    """
-    p = params if params is not None else ColumnarScaleParams()
-    if p.shards < 1:
-        raise ValueError("shards must be >= 1")
-    points = [
-        ScaleShardParams(
-            num_stationary=p.num_stationary,
-            num_mobile=p.num_mobile,
-            lookups=p.lookups,
-            rounds=p.rounds,
-            shard=shard,
-            shards=p.shards,
-            seed=p.seed,
-            key_bits=p.key_bits,
-            replication=p.replication,
-        )
-        for shard in range(p.shards)
-    ]
-    results = sweep_map(_columnar_shard, points)
-    stats, rows, checksum = merge_shard_results(results)
-    table = ResultTable(
-        title="Extension — columnar engine scale scenario (keyspace-sharded)",
-        columns=[
-            "stationary",
-            "mobile",
-            "shards",
-            "published",
-            "expired",
-            "withdrawn",
-            "lookups",
-            "hits",
-            "live rows",
-            "checksum12",
-        ],
-        notes=[
-            f"{p.rounds} rounds, replication {p.replication}, seed {p.seed}; "
-            "checksum12 = first 12 hex digits of the merged snapshot "
-            "checksum (shard- and jobs-invariant)",
-        ],
-    )
-    table.add_row(
-        **{
-            "stationary": p.num_stationary,
-            "mobile": p.num_mobile,
-            "shards": p.shards,
-            "published": stats["published"],
-            "expired": stats["expired"],
-            "withdrawn": stats["withdrawn"],
-            "lookups": stats["lookups"],
-            "hits": stats["hits"],
-            "live rows": len(rows),
-            "checksum12": int(checksum[:12], 16),
-        }
-    )
-    return table
+#: Share of the mobile population that moves each round.
+_MOVE_SHARE = 1 / 8
+#: Every ``_ROUTE_EVERY``-th lookup pair is also routed end to end.
+_ROUTE_EVERY = 16
+#: Rounds per lease lifetime: a record not refreshed for this many
+#: rounds lapses at the next expiry sweep.
+_ROUNDS_PER_TTL = 4
 
 
 @dataclasses.dataclass(frozen=True)
-class TrafficMixScaleParams:
-    """Population and sharding for the Zipf traffic-mix scale scenario.
+class _MixPoint:
+    """One seed of a scale run."""
 
-    The scenario (popularity-ranked registry sizes, Zipf lookup stream,
-    columnar-forest advertisement waves) lives in
-    :func:`repro.sim.columnar.run_traffic_shard`; this wrapper sizes it
-    and fans it out over keyspace shards.
+    params: ScaleMixParams
+    seed: int
+
+
+def _scale_point(pt: _MixPoint) -> Dict[str, float]:
+    """Module-level (picklable) per-seed worker for :func:`sweep_map`."""
+    p = pt.params
+    net = BristleNetwork(BristleConfig(seed=pt.seed), p.num_stationary, p.num_mobile)
+    net.setup_random_registrations()
+    gen = net.rng.stream("scale.mix")
+    # Popularity ranks over the mobile keys, fixed for the run: leavers
+    # rejoin under their own key, so the population never changes.
+    ranked = [net.mobile_keys[i] for i in gen.permutation(p.num_mobile).tolist()]
+    cdf = np.cumsum(np.arange(1, p.num_mobile + 1, dtype=np.float64) ** -p.zipf_s)
+    cdf /= cdf[-1]
+    hot_ranks = max(1, p.num_mobile // 100)
+    dt = net.config.state_ttl / _ROUNDS_PER_TTL
+    movers = int(p.num_mobile * _MOVE_SHARE)
+    churn = int(round(p.churn_share * p.num_mobile))
+    stats = dict.fromkeys(
+        "moves expired churned ldt_messages ldt_depth trees hits hot "
+        "discover_hops routes app_hops path_cost".split(),
+        0.0,
+    )
+    for r in range(p.rounds):
+        net.advance_time(dt)
+        stats["expired"] += len(net.directory.expire_leases(net.now))
+        for key in gen.choice(net.mobile_keys, movers, replace=False).tolist():
+            report = net.move(key)
+            stats["moves"] += 1
+            if report.ldt is not None:
+                stats["trees"] += 1
+                stats["ldt_messages"] += report.ldt_messages
+                stats["ldt_depth"] += report.ldt_depth
+        for key in gen.choice(net.mobile_keys, churn, replace=False).tolist():
+            capacity = net.node(key).capacity
+            net.leave_mobile_node(key)
+            net.join_mobile_node(key, capacity)
+            stats["churned"] += 1
+        count = (r + 1) * p.lookups // p.rounds - r * p.lookups // p.rounds
+        sources = gen.integers(p.num_stationary, size=count).tolist()
+        ranks = np.searchsorted(cdf, gen.random(count), side="right").tolist()
+        for i, (si, rank) in enumerate(zip(sources, ranks)):
+            source, target = net.stationary_keys[si], ranked[rank]
+            found = net.discover(source, target)
+            stats["hits"] += found.found
+            stats["hot"] += rank < hot_ranks
+            stats["discover_hops"] += found.hop_count
+            if i % _ROUTE_EVERY == 0:
+                trace = route_with_resolution(net, source, target)
+                stats["routes"] += 1
+                stats["app_hops"] += trace.app_hops
+                stats["path_cost"] += trace.path_cost
+    return stats
+
+
+def run_scale_mix(params: Optional[ScaleMixParams] = None) -> ResultTable:
+    """The public operation mix at scale, one table row per seed.
+
+    Each seed is one :func:`sweep_map` point that builds its own
+    :class:`~repro.core.bristle.BristleNetwork` from a derived child seed,
+    so the table is identical whatever the job count.
     """
-
-    num_stationary: int = 20_000
-    num_mobile: int = 8_000
-    lookups: int = 10_000
-    rounds: int = 8
-    shards: int = 4
-    seed: int = 61
-    key_bits: int = 32
-    replication: int = 3
-    zipf_s: float = 1.1
-    min_registry: int = 4
-    max_registry: int = 64
-
-    @classmethod
-    def quick_scale(cls) -> "TrafficMixScaleParams":
-        """CI-sized population: a few thousand keys, still 4 shards."""
-        return cls(num_stationary=2_500, num_mobile=1_200, lookups=1_500, rounds=6)
-
-
-def _traffic_shard(pt: TrafficMixParams) -> ScaleShardResult:
-    """Module-level (picklable) per-shard worker for :func:`sweep_map`."""
-    return run_traffic_shard(pt)
-
-
-def run_traffic_mix(params: Optional[TrafficMixScaleParams] = None) -> ResultTable:
-    """Zipf-skewed advertisement/lookup mix on the columnar engine.
-
-    Same sharding contract as :func:`run_columnar_scale`: one
-    :class:`~repro.sim.columnar.TrafficMixParams` per shard through
-    :func:`sweep_map`, merged bit-identically whatever the shard or job
-    count.  The table reports the dissemination side of the mix — forest
-    builds, multicast deliveries, depth — plus the hot-set lookup share
-    that makes the Zipf skew visible.
-    """
-    p = params if params is not None else TrafficMixScaleParams()
-    if p.shards < 1:
-        raise ValueError("shards must be >= 1")
-    points = [
-        TrafficMixParams(
-            num_stationary=p.num_stationary,
-            num_mobile=p.num_mobile,
-            lookups=p.lookups,
-            rounds=p.rounds,
-            shard=shard,
-            shards=p.shards,
-            seed=p.seed,
-            key_bits=p.key_bits,
-            replication=p.replication,
-            zipf_s=p.zipf_s,
-            min_registry=p.min_registry,
-            max_registry=p.max_registry,
-        )
-        for shard in range(p.shards)
-    ]
-    results = sweep_map(_traffic_shard, points)
-    stats, rows, checksum = merge_shard_results(results)
+    p = params if params is not None else ScaleMixParams()
     table = ResultTable(
-        title="Extension — Zipf traffic mix on the columnar LDT forest",
+        title="Extension — the public operation mix at scale",
         columns=[
-            "stationary",
-            "mobile",
-            "shards",
-            "published",
-            "ldt trees",
-            "multicast deliveries",
+            "seed",
+            "N",
+            "moves",
+            "expired",
+            "leaves",
+            "joins",
+            "LDT deliveries",
             "mean depth",
             "lookups",
             "hit rate",
             "hot share",
-            "checksum12",
+            "discover hops",
+            "routes",
+            "app hops",
+            "path cost",
         ],
         notes=[
-            f"{p.rounds} rounds, Zipf s={p.zipf_s}, registries "
-            f"{p.min_registry}..{p.max_registry} by popularity rank, seed "
-            f"{p.seed}; hot share = lookups on the top 1% of ranks; "
-            "checksum12 = first 12 hex digits of the merged snapshot "
-            "checksum (shard- and jobs-invariant)",
+            f"{p.num_stationary}+{p.num_mobile} nodes; each of {p.rounds} rounds "
+            f"expires leases older than {_ROUNDS_PER_TTL} rounds, moves 1/"
+            f"{1 / _MOVE_SHARE:.0f} of the mobile nodes and makes a share "
+            f"{p.churn_share:.4g} leave and rejoin; {p.lookups} discoveries "
+            f"in all (Zipf s={p.zipf_s}), every {_ROUTE_EVERY}th also routed; "
+            "hot share = lookups on the top 1% of popularity ranks",
         ],
     )
-    table.add_row(
-        **{
-            "stationary": p.num_stationary,
-            "mobile": p.num_mobile,
-            "shards": p.shards,
-            "published": stats["published"],
-            "ldt trees": stats["ldt_trees"],
-            "multicast deliveries": stats["multicast_deliveries"],
-            "mean depth": stats["ldt_depth_sum"] / max(stats["ldt_trees"], 1),
-            "lookups": stats["lookups"],
-            "hit rate": stats["hits"] / max(stats["lookups"], 1),
-            "hot share": stats["hot_lookups"] / max(stats["lookups"], 1),
-            "checksum12": int(checksum[:12], 16),
-        }
-    )
+    seeds = derive_point_seeds(p.seed, list(range(p.seeds)))
+    points = [_MixPoint(params=p, seed=seeds[(i, "")]) for i in range(p.seeds)]
+    for i, s in enumerate(sweep_map(_scale_point, points)):
+        table.add_row(
+            **{
+                "seed": i,
+                "N": p.num_stationary + p.num_mobile,
+                "moves": int(s["moves"]),
+                "expired": int(s["expired"]),
+                "leaves": int(s["churned"]),
+                "joins": int(s["churned"]),
+                "LDT deliveries": int(s["ldt_messages"]),
+                "mean depth": s["ldt_depth"] / max(s["trees"], 1),
+                "lookups": p.lookups,
+                "hit rate": s["hits"] / p.lookups,
+                "hot share": s["hot"] / p.lookups,
+                "discover hops": s["discover_hops"] / p.lookups,
+                "routes": int(s["routes"]),
+                "app hops": s["app_hops"] / max(s["routes"], 1),
+                "path cost": s["path_cost"] / max(s["routes"], 1),
+            }
+        )
     return table

@@ -22,13 +22,7 @@ from .ext_hotspot import HotspotParams, run_hotspot_load
 from .ext_naming import run_band_placement
 from .ext_overlay_choice import run_ipv6_route_optimisation, run_overlay_choice
 from .ext_proximity import run_proximity_routing
-from .ext_scaling import (
-    ColumnarScaleParams,
-    TrafficMixScaleParams,
-    run_columnar_scale,
-    run_scaling,
-    run_traffic_mix,
-)
+from .ext_scaling import ScaleMixParams, run_scale_mix, run_scaling
 from .ext_reliability import run_adaptive_routing_reliability, run_replication_reliability
 from .fig3_responsibility import run_fig3, run_fig3_empirical, run_fig3_tree_sizes
 from .fig7_naming import Fig7Params, run_fig7
@@ -118,28 +112,29 @@ def _fig3_trees(scale: str) -> ResultTable:
     return run_fig3_tree_sizes(num_stationary=120 if scale == "quick" else 300)
 
 
-def _ext_scale_columnar(scale: str) -> ResultTable:
-    if scale == "paper":
-        return run_columnar_scale(
-            ColumnarScaleParams(
-                num_stationary=100_000, num_mobile=40_000, lookups=50_000, shards=8
-            )
-        )
-    if scale == "quick":
-        return run_columnar_scale(ColumnarScaleParams.quick_scale())
-    return run_columnar_scale()
+#: Population per scale of both scale-mix runs (``default`` is the
+#: :class:`ScaleMixParams` default).
+_SCALE_MIX_SIZES: Dict[str, Dict[str, int]] = {
+    "quick": dict(
+        num_stationary=2_500, num_mobile=1_200, lookups=1_500, rounds=6, seeds=2
+    ),
+    "default": {},
+    "paper": dict(
+        num_stationary=70_000, num_mobile=30_000, lookups=20_000, seeds=1
+    ),
+}
+
+
+def _ext_scale_churn(scale: str) -> ResultTable:
+    return run_scale_mix(
+        ScaleMixParams(churn_share=1 / 64, **_SCALE_MIX_SIZES[scale])
+    )
 
 
 def _ext_scale_traffic(scale: str) -> ResultTable:
-    if scale == "paper":
-        return run_traffic_mix(
-            TrafficMixScaleParams(
-                num_stationary=100_000, num_mobile=40_000, lookups=50_000, shards=8
-            )
-        )
-    if scale == "quick":
-        return run_traffic_mix(TrafficMixScaleParams.quick_scale())
-    return run_traffic_mix()
+    return run_scale_mix(
+        ScaleMixParams(zipf_s=1.1, seed=61, **_SCALE_MIX_SIZES[scale])
+    )
 
 
 def _ext_hotspot(scale: str) -> ResultTable:
@@ -230,12 +225,12 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[str], ResultTable]]] = {
         "Extension — hotspot load under Zipf-skewed discovery",
         _ext_hotspot,
     ),
-    "ext-scale-columnar": (
-        "Extension — columnar engine scale scenario, keyspace-sharded",
-        _ext_scale_columnar,
+    "ext-scale-churn": (
+        "Extension — the public operation mix at scale, with leave/join churn",
+        _ext_scale_churn,
     ),
     "ext-scale-traffic": (
-        "Extension — Zipf traffic mix on the columnar LDT forest",
+        "Extension — the public operation mix at scale, Zipf-skewed lookups",
         _ext_scale_traffic,
     ),
 }

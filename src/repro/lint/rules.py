@@ -570,10 +570,7 @@ class UnboundedSampleList(Rule):
 # ----------------------------------------------------------------------
 #: Modules that hold the struct-of-arrays kernels; per-row loops there
 #: defeat the engine's whole point.
-_COLUMNAR_KERNEL_MODULES = (
-    ("repro", "sim", "columnar"),
-    ("repro", "core", "ldt_forest"),
-)
+_COLUMNAR_KERNEL_MODULES = (("repro", "core", "ldt_forest"),)
 
 #: Iterable-name fragments that mean "one element per member": looping
 #: such an array in Python scales the interpreter cost with N.

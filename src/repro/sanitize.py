@@ -13,11 +13,7 @@ invariants the paper's results rest on, right where they can break:
 * **TTL-lease monotonicity** on every state-pair refresh
   (:func:`check_lease_refresh` — leases never refresh into the past);
 * **manifest round-trips** before a run manifest is written
-  (:func:`check_manifest_roundtrip` — strict-JSON stability);
-* **columnar-store column coherence** after every batch mutation
-  (:func:`check_columnar_store` — strictly sorted keys, ``expiry ==
-  published + ttl``, holder counts within the replica width and a
-  correctly sorted expiry ordering).
+  (:func:`check_manifest_roundtrip` — strict-JSON stability).
 
 Checks are read-only — they never draw from an RNG stream or mutate
 protocol state — so a sanitized run is bit-identical to an unsanitized
@@ -38,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .core.ldt import LDTree
-    from .core.ldt_forest import LDTForest
     from .overlay.base import Overlay
     from .overlay.state import StatePair
 
@@ -52,10 +47,8 @@ __all__ = [
     "summary_line",
     "check_overlay_consistency",
     "check_ldt",
-    "check_ldt_forest",
     "check_lease_refresh",
     "check_manifest_roundtrip",
-    "check_columnar_store",
 ]
 
 
@@ -227,23 +220,6 @@ def check_ldt(tree: "LDTree", unit_cost: float = 1.0) -> None:
             )
 
 
-def check_ldt_forest(forest: "LDTForest") -> None:
-    """Structural invariants of a whole columnar tree batch.
-
-    The forest-column variant of :func:`check_ldt`: one vectorised
-    :meth:`LDTForest.validate` pass covers level linkage, single-parent
-    acyclicity (levels strictly decrease along parent rows), the Fig-4
-    ``Avail/v`` fan-out bound and partition-size conservation for every
-    tree in the batch — O(M log M) in total members, so million-member
-    scale rounds stay usable under the sanitizer.
-    """
-    _record("ldt_forest")
-    try:
-        forest.validate()
-    except AssertionError as exc:
-        raise _violation(f"LDT forest invalid: {exc}") from None
-
-
 # ----------------------------------------------------------------------
 # TTL-lease monotonicity (state binding)
 # ----------------------------------------------------------------------
@@ -290,53 +266,6 @@ def check_manifest_roundtrip(payload: Mapping[str, Any]) -> None:
         raise _violation(
             f"manifest fails schema validation after round-trip: {exc}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# Columnar-store column coherence (after batch mutations)
-# ----------------------------------------------------------------------
-def check_columnar_store(store: Any) -> None:
-    """Cross-column invariants of a ``repro.sim.columnar.ColumnarStore``.
-
-    Runs after every batch rebuild (``_set``): the key column must be
-    strictly sorted and unique, every row's ``expiry`` must equal
-    ``published + ttl``, holder counts must fit the replica width, and the
-    precomputed expiry ordering must actually sort the expiry column —
-    the invariant the one-pass TTL sweep's prefix slice rests on.
-    """
-    _record("columnar")
-    import numpy as np
-
-    keys = store.keys
-    n = int(keys.size)
-    for name in ("router", "port", "epoch", "published", "ttl", "expiry",
-                 "holder_count"):
-        col = getattr(store, name)
-        if int(col.shape[0]) != n:
-            raise _violation(
-                f"columnar column {name!r} has {int(col.shape[0])} rows, "
-                f"key column has {n}"
-            )
-    if store.holders.shape != (n, store.replication):
-        raise _violation(
-            f"columnar holder matrix shape {store.holders.shape} != "
-            f"({n}, {store.replication})"
-        )
-    if n == 0:
-        return
-    if n > 1 and not bool((keys[1:] > keys[:-1]).all()):
-        raise _violation("columnar key column is not strictly sorted/unique")
-    if not bool(np.all(store.expiry == store.published + store.ttl)):
-        raise _violation("columnar expiry column diverged from published + ttl")
-    if not bool(
-        np.all((store.holder_count >= 1) & (store.holder_count <= store.replication))
-    ):
-        raise _violation(
-            f"columnar holder counts outside [1, {store.replication}]"
-        )
-    ordered = store.expiry[store._exp_order]
-    if n > 1 and not bool((ordered[1:] >= ordered[:-1]).all()):
-        raise _violation("columnar expiry ordering does not sort the expiry column")
 
 
 def _jsonify(value: Any) -> Any:

@@ -283,6 +283,11 @@ STREAMS: Dict[str, StreamSpec] = {
         owner="repro.experiments",
         purpose="Zipf-skewed lookup draws for the hotspot experiment",
     ),
+    "scale.mix": StreamSpec(
+        owner="repro.experiments",
+        purpose="popularity ranks, movers, churners and lookups of the "
+        "scale-mix experiments",
+    ),
     "binding.lookups": StreamSpec(
         owner="repro.experiments",
         purpose="lookup endpoints for the early-binding experiment",

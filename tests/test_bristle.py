@@ -1,9 +1,6 @@
 """Tests for repro.core.bristle — the two-layer network facade."""
 
 import math
-import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -12,24 +9,6 @@ from repro.core import BristleConfig, BristleNetwork
 from repro.net.underlay import build_underlay
 
 from .oracles.setup import pool_random_registrations
-
-
-def test_public_engine_does_not_load_columnar_module():
-    """The object directory is the only backend of the public API: the
-    array engine of the shard scenarios must not ride along on import."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    code = (
-        "import sys, repro.core.bristle\n"
-        "print('repro.sim.columnar' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert out.stdout.strip() == "False", out.stderr
 
 
 class TestBuild:
@@ -201,6 +180,21 @@ class TestJoinLeave:
     def test_join_duplicate_rejected(self, small_net):
         with pytest.raises(ValueError):
             small_net.join_mobile_node(small_net.mobile_keys[0])
+
+    def test_non_finite_capacity_rejected(self, small_net):
+        k = self._fresh_mobile_key(small_net)
+        for capacity in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="capacity"):
+                small_net.join_mobile_node(k, capacity=capacity)
+        # Rejected before any state changed: the key is still free.
+        assert k not in small_net.nodes and small_net.num_mobile == 40
+        small_net.join_mobile_node(k, capacity=2.0)
+        cfg = BristleConfig(seed=2)
+        probe = BristleNetwork(cfg, 10, 5, router_count=100)
+        with pytest.raises(ValueError, match="capacity"):
+            BristleNetwork(
+                cfg, 10, 5, router_count=100, capacities={probe.mobile_keys[0]: math.nan}
+            )
 
     def test_leave_removes_everything(self, small_net):
         k = self._fresh_mobile_key(small_net)

@@ -1,5 +1,7 @@
 """Tests for repro.core.ldt — the Fig-4 advertisement algorithm."""
 
+import math
+
 import pytest
 
 from repro.core import LDTMember, build_ldt, ldt_depth_bound
@@ -35,8 +37,9 @@ class TestBuildBasics:
             build_ldt(ROOT, [LDTMember(0, 2.0)])
 
     def test_non_positive_unit_cost_rejected(self):
-        with pytest.raises(ValueError):
-            build_ldt(ROOT, members([1]), unit_cost=0.0)
+        for unit_cost in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="unit_cost"):
+                build_ldt(ROOT, members([1]), unit_cost=unit_cost)
 
 
 class TestOverloadedChain:

@@ -1,4 +1,4 @@
-"""Tests for repro.core.ldt_forest — the columnar batch LDT builder.
+"""Tests for repro.core.ldt_forest — the batch LDT builder.
 
 The forest engine's contract is equality with the scalar builder
 (``build_ldt``): for every spec in a batch, ``forest.tree(i)`` must equal
@@ -6,6 +6,8 @@ its tree exactly — node insertion order, edge DFS pre-order, children
 order, levels and assigned counts included.  Both builders against the
 Fig-4 recursion itself: ``tests/test_ldt_parity.py``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,8 +22,6 @@ from repro.core import (
     build_ldt_forest,
     forest_depths,
 )
-from repro.core.ldt_forest import forest_from_columns
-from repro import sanitize
 
 
 def members(caps, used=0.0, start=1):
@@ -191,19 +191,19 @@ class TestForestErrors:
             build_ldt_forest([spec])
 
     def test_non_positive_unit_cost_rejected(self):
-        spec = ForestSpec(
-            root=LDTMember(key=0, capacity=4.0),
-            registry=members([2]),
-            unit_cost=0.0,
-        )
-        with pytest.raises(ValueError, match="unit_cost"):
-            build_ldt_forest([spec])
+        for unit_cost in (0.0, -1.0, math.nan):
+            spec = ForestSpec(
+                root=LDTMember(key=0, capacity=4.0),
+                registry=members([2]),
+                unit_cost=unit_cost,
+            )
+            with pytest.raises(ValueError, match="unit_cost"):
+                build_ldt_forest([spec])
 
     def test_empty_batch(self):
         forest = build_ldt_forest([])
         assert forest.num_trees == 0
         assert forest.num_members == 0
-        forest.validate()
 
 
 class TestForestColumns:
@@ -272,32 +272,6 @@ class TestForestColumns:
         assert sorted(level[:4].tolist()) == [1, 2, 3, 4]
         assert sorted(level[4:].tolist()) == [1, 2, 3]
         assert np.all(assigned >= 1)
-
-    def test_forest_from_columns_round_trip(self):
-        offsets = np.array([0, 5], dtype=np.int64)
-        avail = np.array([3.0, 1.0, 2.0, 1.0, 1.0])
-        roots = np.array([2.0])
-        unit = np.array([1.0])
-        forest = forest_from_columns(offsets, avail, roots, unit)
-        forest.validate()
-        assert forest.num_trees == 1
-        assert forest.num_members == 5
-        tree = forest.tree(0)
-        tree.validate()
-        assert tree.num_members == 5
-
-    def test_validate_catches_corruption(self):
-        _, forest = self._forest(seed=37)
-        forest.level[0] = 99
-        with pytest.raises(AssertionError):
-            forest.validate()
-
-    def test_sanitizer_wraps_validate(self):
-        _, forest = self._forest(seed=41)
-        sanitize.check_ldt_forest(forest)
-        forest.assigned[:] = 0
-        with pytest.raises(sanitize.SanitizerViolation):
-            sanitize.check_ldt_forest(forest)
 
 
 class TestNetworkBatchPaths:

@@ -370,7 +370,7 @@ class TestUnboundedSampleList:
 # BRS009 — per-row loops in columnar kernel modules
 # ----------------------------------------------------------------------
 class TestPerRowColumnarLoop:
-    COLUMNAR = "src/repro/sim/columnar.py"
+    COLUMNAR = "src/repro/core/ldt_forest.py"
 
     def test_range_len_walk_fires(self):
         found = lint(

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import BristleNode, LocationDirectory, RegistrationManager
-from repro.core.location import LocationRecord
+from repro.core.location import ExpiryHeap, LocationRecord
 from repro.net import NetworkAddress
-from repro.overlay import ChordOverlay
+from repro.overlay import ChordOverlay, make_overlay
 from repro.sim import RngStreams
 
 ADDR = NetworkAddress(router=5, port=9)
@@ -252,3 +252,37 @@ class TestRegistrationManager:
         assert len(nodes[100].registry) == 0
         assert len(nodes[400].registry) == 0
         assert len(nodes[200].registry) > 0
+
+
+class TestExpiryHeap:
+    def test_pops_overdue_prefix_in_order(self):
+        h = ExpiryHeap()
+        for t, k in [(30.0, 3), (10.0, 1), (20.0, 2), (40.0, 4)]:
+            h.push(t, k)
+        assert h.pop_expired(25.0) == [(10.0, 1), (20.0, 2)]
+        assert len(h) == 2
+        # Strictness: a lease expiring exactly at ``now`` is still fresh.
+        assert h.pop_expired(30.0) == []
+        assert h.pop_expired(30.1) == [(30.0, 3)]
+
+    def test_clear(self):
+        h = ExpiryHeap()
+        h.push(1.0, 1)
+        h.clear()
+        assert h.pop_expired(100.0) == []
+
+    def test_directory_lazy_deletion_on_republish(self, space):
+        ov = make_overlay("chord", space)
+        ov.build([100, 2000, 50000, 700000])
+        d = LocationDirectory(space, ov, replication=2)
+        a = NetworkAddress(router=1, port=2)
+        d.publish(42, a, now=0.0, ttl=10.0)
+        # Re-publish with a longer lease: the stale heap entry must not
+        # expire the fresh record.
+        d.publish(42, a, now=5.0, ttl=100.0)
+        assert d.expire_leases(20.0) == []
+        assert d.resolve(42, 20.0) is not None
+        # Withdrawal leaves a stale entry behind too.
+        d.publish(43, a, now=0.0, ttl=10.0)
+        d.withdraw(43)
+        assert d.expire_leases(50.0) == []

@@ -1,5 +1,7 @@
 """Tests for repro.core.node — BristleNode and registry bookkeeping."""
 
+import math
+
 import pytest
 
 from repro.core import BristleNode, RegistryEntry
@@ -26,14 +28,17 @@ class TestCapacity:
         assert node.used == 0.0
 
     def test_negative_amounts_rejected(self, node):
-        with pytest.raises(ValueError):
-            node.consume(-1.0)
-        with pytest.raises(ValueError):
-            node.release(-1.0)
+        for amount in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                node.consume(amount)
+            with pytest.raises(ValueError):
+                node.release(amount)
+        assert node.used == 0.0
 
     def test_non_positive_capacity_rejected(self, space):
-        with pytest.raises(ValueError):
-            BristleNode(key=1, mobile=False, capacity=0.0, space=space)
+        for capacity in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                BristleNode(key=1, mobile=False, capacity=capacity, space=space)
 
     def test_invalid_key_rejected(self, space):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from repro.experiments.manifest import (
     MANIFEST_KIND,
     ManifestError,
     build_manifest,
+    peak_rss_kb,
     validate_manifest,
 )
 from repro.experiments.report import resolve_experiment_name
@@ -343,3 +344,33 @@ class TestCliTelemetry:
 
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+class TestManifestV4:
+    def test_build_manifest_carries_peak_rss(self):
+        telemetry = Telemetry()
+        payload = build_manifest(
+            experiments=["ext-scale-churn"], scale="quick", telemetry=telemetry
+        )
+        assert payload["schema_version"] >= 4
+        validate_manifest(payload)
+        rss = payload["peak_rss_kb"]
+        assert rss is None or (isinstance(rss, int) and rss > 0)
+
+    def test_peak_rss_helper_positive_on_posix(self):
+        rss = peak_rss_kb()
+        assert rss is None or rss > 0
+
+    def test_validator_rejects_bad_rss(self):
+        telemetry = Telemetry()
+        payload = build_manifest(
+            experiments=["x"], scale="quick", telemetry=telemetry
+        )
+        payload["peak_rss_kb"] = -3
+        with pytest.raises(ManifestError, match="peak_rss_kb"):
+            validate_manifest(payload)
+        payload["peak_rss_kb"] = True
+        with pytest.raises(ManifestError, match="peak_rss_kb"):
+            validate_manifest(payload)
+        payload["peak_rss_kb"] = None
+        validate_manifest(payload)
