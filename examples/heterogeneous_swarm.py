@@ -20,7 +20,6 @@ from repro.core import (
     EarlyBinding,
     MobilityProcess,
 )
-from repro.sim import Engine
 
 
 def build(max_capacity: int, seed: int) -> BristleNetwork:
@@ -37,21 +36,18 @@ def build(max_capacity: int, seed: int) -> BristleNetwork:
 
 def run_swarm(max_capacity: int, seed: int = 7) -> dict:
     net = build(max_capacity, seed)
-    engine = Engine()
-    binding = EarlyBinding(net, engine)
+    binding = EarlyBinding(net)
     binding.start()
 
     depths = []
     mobility = MobilityProcess(
         net=net,
-        engine=engine,
         rate=0.03,
         advertise=True,
         on_move=lambda rep: depths.append(rep.ldt_depth),
     )
     mobility.start()
-    engine.run(until=60.0)
-    net.now = engine.now
+    net.advance_to(60.0)
 
     warm = total = 0
     for mk in net.mobile_keys:

@@ -40,7 +40,6 @@ from .node import BristleNode, RegistryEntry
 from .protocol import AdvertisementWave, BristleProtocol, DiscoveryExchange
 from .routing import HopRecord, RouteTrace, route_preferring_resolved, route_with_resolution
 from .storage import DataStore, GetResult, StoredItem
-from .simulation import LiveSimulation
 from .statebinding import BindingPolicy, BindingStats, EarlyBinding, LateBinding
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "DiscoveryExchange",
     "HopRecord",
     "RouteTrace",
-    "LiveSimulation",
     "DataStore",
     "GetResult",
     "StoredItem",

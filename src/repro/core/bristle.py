@@ -40,6 +40,7 @@ from ..net.underlay import UnderlayBundle
 from ..overlay.base import Overlay
 from ..overlay.factory import make_overlay
 from ..overlay.keyspace import KeySpace
+from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.telemetry import Telemetry, active_telemetry
 from .config import BristleConfig
@@ -219,7 +220,11 @@ class BristleNetwork:
         self.space = KeySpace(bits=config.key_bits, digit_bits=config.digit_bits)
         self.num_stationary = num_stationary
         self.num_mobile = num_mobile
-        self.now = 0.0  # simple virtual clock for lease bookkeeping
+        # The one clock: leases age against it and every event-world
+        # component (mobility, binding, protocol, failure detection)
+        # schedules on it.  ``now`` reads it; ``advance_to`` and
+        # ``advance_time`` move it, dispatching what falls due on the way.
+        self.engine = Engine()
 
         # --- naming -------------------------------------------------------
         # ``naming_scheme`` overrides the config-selected scheme (used by
@@ -912,13 +917,26 @@ class BristleNetwork:
         if sid:
             tel.tracer.span_end(self.now, sid, unregistrations=withdrawn)
 
+    @property
+    def now(self) -> float:
+        """Virtual time of the one clock (``engine.now``)."""
+        return self.engine.now
+
+    def advance_to(self, t: float) -> None:
+        """Move the clock to ``t``, dispatching every event due by then."""
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if t < self.now:
+            raise ValueError("time cannot go backwards")
+        self.engine.run(until=t)
+
     def advance_time(self, dt: float) -> None:
         """Advance the lease clock (directory records age against it)."""
         if not math.isfinite(dt):
             raise ValueError(f"dt must be finite, got {dt}")
         if dt < 0:
             raise ValueError("time cannot go backwards")
-        self.now += dt
+        self.advance_to(self.now + dt)
 
 
 @dataclasses.dataclass

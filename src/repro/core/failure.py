@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..sim.engine import Engine
 from ..sim.metrics import MetricsRegistry
 from .bristle import BristleNetwork
 
@@ -47,9 +46,7 @@ class FailureDetector:
     ----------
     net:
         The network whose mobile-layer neighbour relation defines who
-        monitors whom.
-    engine:
-        Event engine driving the heartbeat period.
+        monitors whom; heartbeat rounds run on its clock, ``net.engine``.
     period:
         Time between heartbeat rounds.
     miss_threshold:
@@ -68,7 +65,6 @@ class FailureDetector:
     def __init__(
         self,
         net: BristleNetwork,
-        engine: Engine,
         *,
         period: float = 10.0,
         miss_threshold: int = 2,
@@ -80,7 +76,6 @@ class FailureDetector:
         if miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.net = net
-        self.engine = engine
         self.period = period
         self.miss_threshold = miss_threshold
         self.on_suspect = on_suspect
@@ -100,7 +95,7 @@ class FailureDetector:
         """Node stops answering heartbeats from now on."""
         if node not in self.net.nodes:
             raise KeyError(f"{node} is not a member")
-        self._failed.setdefault(node, self.engine.now)
+        self._failed.setdefault(node, self.net.now)
 
     def recover(self, node: int) -> None:
         """Node answers again; standing suspicions against it clear."""
@@ -121,7 +116,7 @@ class FailureDetector:
         """Begin periodic heartbeat rounds."""
         if self._cancel is not None:
             raise RuntimeError("detector already started")
-        self._cancel = self.engine.schedule_every(
+        self._cancel = self.net.engine.schedule_every(
             self.period, self._round, label="failure-detector"
         )
 
@@ -133,7 +128,7 @@ class FailureDetector:
 
     def _round(self) -> None:
         overlay = self.net.mobile_layer
-        now = self.engine.now
+        now = self.net.now
         newly_detected: List[int] = []
         for key in overlay.keys:
             monitor = int(key)

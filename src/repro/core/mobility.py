@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
-from ..sim.engine import Engine
 from ..sim.events import EventKind
 from .bristle import BristleNetwork, MoveReport
 
@@ -26,9 +25,8 @@ class MobilityProcess:
     Parameters
     ----------
     net:
-        The Bristle network whose mobile nodes move.
-    engine:
-        Simulation engine driving virtual time.
+        The Bristle network whose mobile nodes move; moves are scheduled
+        on its clock, ``net.engine``.
     rate:
         Per-node moves per unit virtual time (λ of the exponential
         inter-move distribution).
@@ -40,7 +38,6 @@ class MobilityProcess:
     """
 
     net: BristleNetwork
-    engine: Engine
     rate: float
     on_move: Optional[Callable[[MoveReport], None]] = None
     advertise: bool = True
@@ -60,7 +57,7 @@ class MobilityProcess:
 
     def _schedule_next(self, key: int) -> None:
         delay = float(self.net.rng.stream("mobility.timing").exponential(1.0 / self.rate))
-        self.engine.schedule_in(
+        self.net.engine.schedule_in(
             delay,
             lambda k=key: self._fire(k),
             kind=EventKind.CONTROL,
@@ -70,7 +67,6 @@ class MobilityProcess:
     def _fire(self, key: int) -> None:
         if self._stopped or key not in self.net.nodes:
             return
-        self.net.now = self.engine.now
         report = self.net.move(key, advertise=self.advertise)
         self.moves_performed += 1
         if self.on_move is not None:

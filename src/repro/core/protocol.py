@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..sim.engine import Engine
 from ..sim.events import EventKind
 from ..sim.metrics import MetricsRegistry
 from ..sim.trace import NULL_TRACER, Tracer
@@ -114,9 +113,8 @@ class BristleProtocol:
     Parameters
     ----------
     net:
-        The network (topology, layers, directory already built).
-    engine:
-        The event engine supplying virtual time.
+        The network (topology, layers, directory already built); messages
+        are scheduled on its clock, ``net.engine``.
     latency_scale:
         Multiplier from underlay path weight to message latency.
     tracer:
@@ -130,7 +128,6 @@ class BristleProtocol:
     def __init__(
         self,
         net: BristleNetwork,
-        engine: Engine,
         *,
         latency_scale: float = 1.0,
         tracer: Optional[Tracer] = None,
@@ -139,7 +136,6 @@ class BristleProtocol:
         if latency_scale <= 0:
             raise ValueError("latency_scale must be positive")
         self.net = net
-        self.engine = engine
         self.latency_scale = latency_scale
         if tracer is not None:
             self.tracer = tracer
@@ -158,11 +154,11 @@ class BristleProtocol:
 
     def send(self, src: int, dst: int, kind: str, deliver: Callable[[], None]) -> float:
         """Schedule delivery of one message; returns its arrival time."""
-        arrival = self.engine.now + self.latency(src, dst)
+        arrival = self.net.now + self.latency(src, dst)
         self.metrics.counter(f"messages.{kind}").inc()
-        self.metrics.histogram("latency." + kind).observe(arrival - self.engine.now)
-        self.tracer.emit(self.engine.now, "send", kind=kind, src=src, dst=dst)
-        self.engine.schedule(
+        self.metrics.histogram("latency." + kind).observe(arrival - self.net.now)
+        self.tracer.emit(self.net.now, "send", kind=kind, src=src, dst=dst)
+        self.net.engine.schedule(
             arrival, deliver, kind=EventKind.MESSAGE, label=f"{kind}:{src:#x}->{dst:#x}"
         )
         return arrival
@@ -223,13 +219,13 @@ class BristleProtocol:
         root = tree.root_key
         wave = AdvertisementWave(
             root_key=root,
-            started_at=self.engine.now,
+            started_at=self.net.now,
             expected=tree.num_members,
             on_complete=on_complete,
         )
         span_id = (
             self.tracer.span_begin(
-                self.engine.now,
+                self.net.now,
                 span,
                 root=root,
                 **span_fields,
@@ -239,7 +235,7 @@ class BristleProtocol:
             else 0
         )
         if tree.num_members == 0:
-            self.tracer.span_end(self.engine.now, span_id, makespan=0.0)
+            self.tracer.span_end(self.net.now, span_id, makespan=0.0)
             if on_complete is not None:
                 on_complete(wave)
             return wave
@@ -264,7 +260,7 @@ class BristleProtocol:
             self.metrics.histogram("advertise.makespan").observe(wave.makespan)
             if span_id:
                 self.tracer.span_end(
-                    self.engine.now,
+                    self.net.now,
                     span_id,
                     makespan=wave.makespan,
                     path=_wave_path(wave),
@@ -273,7 +269,7 @@ class BristleProtocol:
                 wave.on_complete(wave)
 
         def arrive(node_key: int) -> None:
-            now = self.engine.now
+            now = self.net.now
             wave.arrival_times[node_key] = now
             self.tracer.emit(now, "advertised", root=root, node=node_key)
             registrant = nodes.get(node_key)
@@ -311,12 +307,12 @@ class BristleProtocol:
         exchange = DiscoveryExchange(
             requester=requester,
             target=target,
-            started_at=self.engine.now,
+            started_at=self.net.now,
             on_complete=on_complete,
         )
         span_id = (
             self.tracer.span_begin(
-                self.engine.now,
+                self.net.now,
                 "protocol.discover",
                 requester=requester,
                 target=target,
@@ -333,15 +329,15 @@ class BristleProtocol:
 
         def reply_from(holder: int) -> None:
             addr = self.net.directory.resolve_at(
-                holder, target, now=self.engine.now
-            ) or self.net.directory.resolve(target, now=self.engine.now)
+                holder, target, now=self.net.now
+            ) or self.net.directory.resolve(target, now=self.net.now)
 
             def deliver_reply() -> None:
-                exchange.resolved_at = self.engine.now
+                exchange.resolved_at = self.net.now
                 exchange.address = addr
                 self.metrics.histogram("discover.rtt").observe(exchange.rtt)
                 self.tracer.emit(
-                    self.engine.now,
+                    self.net.now,
                     "discovered",
                     requester=requester,
                     target=target,
@@ -349,7 +345,7 @@ class BristleProtocol:
                 )
                 if span_id:
                     self.tracer.span_end(
-                        self.engine.now,
+                        self.net.now,
                         span_id,
                         rtt=exchange.rtt,
                         hops=exchange.query_hops,

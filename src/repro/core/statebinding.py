@@ -7,7 +7,7 @@ periodically re-registers.  Under **late binding** a registry node that
 missed the periodic advertisement (because it was itself moving) resolves
 the address reactively with a discovery message.
 
-:class:`BindingPolicy` drives both behaviours against a simulation engine
+:class:`BindingPolicy` drives both behaviours on the network's clock
 and records how many refreshes/discoveries each policy costs — the
 trade-off the Table-1 "performance vs reliability" row captures.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional, Sequence, Set
 
-from ..sim.engine import Engine
 from .bristle import BristleNetwork, cohosted_group
 from .ldt import LDTree
 from .location import shared_multicast_hops
@@ -47,9 +46,8 @@ class BindingStats:
 class BindingPolicy:
     """Base: owns the stats and the refresh plumbing."""
 
-    def __init__(self, net: BristleNetwork, engine: Engine) -> None:
+    def __init__(self, net: BristleNetwork) -> None:
         self.net = net
-        self.engine = engine
         self.stats = BindingStats()
         self._cancels: List[Callable[[], None]] = []
 
@@ -98,12 +96,11 @@ class EarlyBinding(BindingPolicy):
     def __init__(
         self,
         net: BristleNetwork,
-        engine: Engine,
         *,
         host_groups: Optional[Sequence[Sequence[int]]] = None,
         shared_multicast: bool = False,
     ) -> None:
-        super().__init__(net, engine)
+        super().__init__(net)
         self.shared_multicast = bool(shared_multicast)
         self.host_groups: List[List[int]] = [
             list(cohosted_group(g)) for g in host_groups or ()
@@ -120,12 +117,11 @@ class EarlyBinding(BindingPolicy):
         """Install the periodic two-sided refresh."""
         period = self.net.config.refresh_period
         self._cancels.append(
-            self.engine.schedule_every(period, self._refresh_all, label="early-binding")
+            self.net.engine.schedule_every(period, self._refresh_all, label="early-binding")
         )
 
     def _refresh_all(self) -> None:
         net = self.net
-        net.now = self.engine.now
         for group in self.host_groups:
             # Departed members (leave_mobile_node) drop out of the group.
             live = [k for k in group if k in net.nodes]
@@ -142,7 +138,7 @@ class EarlyBinding(BindingPolicy):
         # "also publishes its state to the location management layer"
         # so reactive discovery never sees an expired record.
         holders = net.directory.publish(
-            mk, node.address, now=self.engine.now, ttl=net.config.state_ttl
+            mk, node.address, now=net.now, ttl=net.config.state_ttl
         )
         self.stats.publishes += len(holders)
         if node.registry:
@@ -152,7 +148,7 @@ class EarlyBinding(BindingPolicy):
         net = self.net
         result = net.directory.publish_many(
             {k: net.nodes[k].address for k in live},
-            now=self.engine.now,
+            now=net.now,
             ttl=net.config.state_ttl,
         )
         if self.shared_multicast:
@@ -174,7 +170,7 @@ class EarlyBinding(BindingPolicy):
         — a single key is a group of one — renews every registrant's cached
         state-pairs, and each registrant re-registers."""
         net = self.net
-        now, ttl = self.engine.now, net.config.state_ttl
+        now, ttl = net.now, net.config.state_ttl
         self.stats.advertisements += tree.message_count
         refreshers: Set[int] = set()
         for mk in live:
@@ -191,7 +187,7 @@ class EarlyBinding(BindingPolicy):
     def lookup(self, registrant: int, mobile_key: int) -> bool:
         """True when the proactively-refreshed cache is usable."""
         st = self.net.nodes[registrant].state.get(mobile_key)
-        return st is not None and st.is_resolved(self.engine.now)
+        return st is not None and st.is_resolved(self.net.now)
 
 
 class LateBinding(BindingPolicy):
@@ -209,12 +205,12 @@ class LateBinding(BindingPolicy):
         net = self.net
         node = net.nodes[registrant]
         st = node.state.get(mobile_key)
-        if st is not None and st.is_resolved(self.engine.now):
+        if st is not None and st.is_resolved(net.now):
             return True
         disc = net.discover(registrant, mobile_key)
         self.stats.discoveries += 1
         if disc.found:
             node.state.renew(
-                mobile_key, disc.address, self.engine.now, net.config.state_ttl
+                mobile_key, disc.address, net.now, net.config.state_ttl
             )
         return False

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from ..core.bristle import BristleNetwork
 from ..core.config import BristleConfig
 from ..core.protocol import BristleProtocol
-from ..sim.engine import Engine
 from ..sim.metrics import summarize
 from .common import ResultTable
 
@@ -66,15 +65,14 @@ def run_advertisement_latency(
             max_capacity=max_cap,
         )
         net.setup_random_registrations(registry_size=p.registry_size)
-        engine = Engine()
-        proto = BristleProtocol(net, engine)
+        proto = BristleProtocol(net)
         makespans = []
         depths = []
         messages = []
         for mk in net.mobile_keys:
             tree = net.build_ldt_for(mk)
             wave = proto.advertise(mk, tree=tree)
-            engine.run()
+            net.engine.run()
             assert wave.complete
             makespans.append(wave.makespan)
             depths.append(tree.depth)

@@ -26,7 +26,6 @@ from ..core.config import BristleConfig
 from ..core.mobility import shuffle_all_mobile
 from ..core.routing import route_with_resolution
 from ..core.statebinding import EarlyBinding, LateBinding
-from ..sim.engine import Engine
 from ..workloads.routes import sample_stationary_pairs
 from .common import ResultTable
 
@@ -142,12 +141,7 @@ def run_binding_cost(params: Optional[BindingCostParams] = None) -> ResultTable:
                 cfg, p.num_stationary, p.num_mobile, router_count=120
             )
             net.setup_random_registrations(registry_size=p.registry_size)
-            engine = Engine()
-            policy = (
-                EarlyBinding(net, engine)
-                if policy_name == "early"
-                else LateBinding(net, engine)
-            )
+            policy = EarlyBinding(net) if policy_name == "early" else LateBinding(net)
             policy.start()
             from ..core.mobility import MobilityProcess
             from ..core.protocol import BristleProtocol
@@ -158,7 +152,7 @@ def run_binding_cost(params: Optional[BindingCostParams] = None) -> ResultTable:
             # reactive discovery.
             # Latency scaled so a wave completes in ≪ the mean inter-move
             # gap (raw path weights are O(100) vs a horizon of O(100)).
-            proto = BristleProtocol(net, engine, latency_scale=1e-3)
+            proto = BristleProtocol(net, latency_scale=1e-3)
             # Counter registries may be shared across experiments (ambient
             # telemetry session), so measure advertisement traffic as a
             # delta from here rather than an absolute value.
@@ -167,8 +161,7 @@ def run_binding_cost(params: Optional[BindingCostParams] = None) -> ResultTable:
             if policy_name == "early":
                 on_move = lambda rep: proto.advertise(rep.key)  # noqa: E731
             mobility = MobilityProcess(
-                net=net, engine=engine, rate=p.move_rate, advertise=False,
-                on_move=on_move,
+                net=net, rate=p.move_rate, advertise=False, on_move=on_move
             )
             mobility.start()
             pairs = [
@@ -187,14 +180,13 @@ def run_binding_cost(params: Optional[BindingCostParams] = None) -> ResultTable:
             idx = gen.integers(0, len(pairs), size=n_lookups)
             current = 0
             for t, i in zip(times, idx):
-                engine.run(until=t)
-                net.now = engine.now
+                net.advance_to(t)
                 registrant, mk = pairs[int(i)]
                 policy.lookup(registrant, mk)
                 cached = net.nodes[registrant].state.get(mk)
                 if cached is not None and cached.addr == net.nodes[mk].address:
                     current += 1
-            engine.run(until=p.horizon)
+            net.advance_to(p.horizon)
             advert_msgs = (
                 proto.metrics.counter("messages.advertise").value - advert_base
             )

@@ -92,7 +92,7 @@ def run_churn_overhead(params: Optional[ChurnOverheadParams] = None) -> ResultTa
             if event.kind is not ChurnEventType.MOVE:
                 continue
             moves += 1
-            bristle.now = event.time
+            bristle.advance_to(event.time)
             report = bristle.move(event.host, advertise=True)
             bristle_msgs += report.total_messages
             type_a_msgs += scenario.type_a.move(event.host).join_messages

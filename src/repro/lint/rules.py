@@ -254,7 +254,7 @@ class WallClockInVirtualTime(Rule):
     code = "BRS002"
     name = "wall-clock-in-virtual-time"
     summary = (
-        "repro code must use virtual time (net.now / engine.now), not the "
+        "repro code must use virtual time (net.now), not the "
         "host clock; only repro.sim.trace and repro.sim.profile read it"
     )
 

@@ -22,6 +22,7 @@ is just a callback that reschedules itself via :meth:`Engine.schedule_every`.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from .events import Event, EventKind, Priority, kind_default_priority
@@ -38,16 +39,14 @@ class Engine:
 
     Parameters
     ----------
-    start_time:
-        Initial virtual time (default ``0.0``).
     max_events:
         Safety valve: :meth:`run` raises :class:`SimulationError` after
         dispatching this many events, catching accidental infinite
         self-rescheduling loops.  ``None`` disables the check.
     """
 
-    def __init__(self, start_time: float = 0.0, max_events: Optional[int] = None) -> None:
-        self._now = float(start_time)
+    def __init__(self, max_events: Optional[int] = None) -> None:
+        self._now = 0.0
         self._heap: List[Tuple[Tuple[float, int, int], Event]] = []
         self._seq = 0
         self._dispatched = 0
@@ -89,12 +88,15 @@ class Engine:
 
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method
         removes it (lazily) from the queue.  Scheduling strictly in the past
-        raises :class:`SimulationError`; scheduling *at* the current time is
-        allowed and fires after currently-dispatching same-time events.
+        or at a non-finite time raises :class:`SimulationError`; scheduling
+        *at* the current time is allowed and fires after
+        currently-dispatching same-time events.
         """
-        if time < self._now:
+        # Phrased so that NaN fails it (every comparison with NaN is false).
+        if not self._now <= time < math.inf:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time}: it must be finite and "
+                f"not before current time t={self._now}"
             )
         if priority is None:
             priority = kind_default_priority(kind)
@@ -114,8 +116,8 @@ class Engine:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < math.inf:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay}")
         return self.schedule(self._now + delay, callback, kind=kind, priority=priority, label=label)
 
     def schedule_every(
@@ -133,8 +135,8 @@ class Engine:
         firings.  The first firing happens after ``first_in`` (defaults to
         ``period``).
         """
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
+        if not 0 < period < math.inf:
+            raise SimulationError(f"period must be finite and positive, got {period}")
         state = {"cancelled": False, "event": None}
 
         def fire() -> None:
@@ -179,8 +181,11 @@ class Engine:
 
         Returns the final virtual time.  When ``until`` is given, events
         with ``time > until`` remain queued and the clock is advanced to
-        ``until`` exactly (so successive bounded runs compose).
+        ``until`` exactly (so successive bounded runs compose).  A
+        non-finite ``until`` raises :class:`SimulationError`.
         """
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"until must be finite, got {until}")
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True

@@ -18,7 +18,6 @@ from typing import Callable, Dict, Optional
 from repro.core.bristle import BristleNetwork
 from repro.core.join import figure5_join
 from repro.core.storage import DataStore
-from repro.sim.engine import Engine
 from repro.sim.events import EventKind
 from repro.workloads.churn import ChurnEvent, ChurnEventType, ChurnSchedule
 
@@ -31,8 +30,8 @@ class ChurnDriver:
 
     Parameters
     ----------
-    net / engine:
-        The live system.
+    net:
+        The live system; events are scheduled on its clock, ``net.engine``.
     schedule:
         The churn to replay (times are absolute virtual times).
     store:
@@ -48,7 +47,6 @@ class ChurnDriver:
     """
 
     net: BristleNetwork
-    engine: Engine
     schedule: ChurnSchedule
     store: Optional[DataStore] = None
     use_figure5_join: bool = True
@@ -63,9 +61,9 @@ class ChurnDriver:
     handoff_items: int = dataclasses.field(default=0)
 
     def start(self) -> None:
-        """Schedule every churn event (call once, then run the engine)."""
+        """Schedule every churn event (call once, then run ``net.engine``)."""
         for event in self.schedule:
-            self.engine.schedule(
+            self.net.engine.schedule(
                 event.time,
                 lambda e=event: self._apply(e),
                 kind=EventKind.CONTROL,
@@ -74,7 +72,6 @@ class ChurnDriver:
 
     # ------------------------------------------------------------------
     def _apply(self, event: ChurnEvent) -> None:
-        self.net.now = self.engine.now
         if event.kind is ChurnEventType.MOVE:
             if not self._is_live_mobile(event.host):
                 self.skipped += 1

@@ -146,14 +146,14 @@ class TestMoveMany:
 
 
 class TestAdvertiseMany:
-    def test_one_wave_renews_all_cohosted_subscriptions(self, net, engine):
+    def test_one_wave_renews_all_cohosted_subscriptions(self, net):
         net.setup_random_registrations(registry_size=4)
         group = _group(net)
-        proto = BristleProtocol(net, engine)
+        proto = BristleProtocol(net)
         net.move_many(group, advertise=False)
         before = net.telemetry.metrics.counter("messages.advertise").value
         wave = proto.advertise_many(group)
-        engine.run()
+        net.engine.run()
         assert wave.complete
         union = {
             r for k in group for r in net.nodes[k].registry if r not in set(group)
@@ -232,29 +232,29 @@ class TestEarlyBindingBatched:
         n = BristleNetwork(cfg, num_stationary=30, num_mobile=20, router_count=100)
         return n
 
-    def test_refresh_cost_sublinear_across_periods(self, engine):
+    def test_refresh_cost_sublinear_across_periods(self):
         """Satellite 4: an unchanged registry must not rebuild its tree
         every refresh period."""
         net = self._make()
         net.setup_random_registrations(registry_size=4)
-        policy = EarlyBinding(net, engine)
+        policy = EarlyBinding(net)
         policy.start()
         built = net.telemetry.metrics.counter("ldt.built")
-        engine.run(until=10.5)  # first refresh: trees built once
+        net.advance_to(10.5)  # first refresh: trees built once
         after_first = built.value
         assert after_first >= len(net.mobile_keys)
-        engine.run(until=30.5)  # two more refreshes: all served from cache
+        net.advance_to(30.5)  # two more refreshes: all served from cache
         assert built.value == after_first
         hits = net.telemetry.metrics.counter("ldt.cache_hits").value
         assert hits >= 2 * len(net.mobile_keys)
 
-    def test_grouped_refresh_accounting(self, engine):
+    def test_grouped_refresh_accounting(self):
         net = self._make()
         group = net.mobile_keys[:6]
         net.setup_random_registrations(registry_size=4, only_keys=group)
-        policy = EarlyBinding(net, engine, host_groups=[group])
+        policy = EarlyBinding(net, host_groups=[group])
         policy.start()
-        engine.run(until=10.5)  # exactly one refresh round
+        net.advance_to(10.5)  # exactly one refresh round
         union = {
             r for k in group for r in net.nodes[k].registry if r not in set(group)
         }
@@ -273,12 +273,12 @@ class TestEarlyBindingBatched:
         # Caches stay warm for the group too.
         built = net.telemetry.metrics.counter("ldt.built")
         after_first = built.value
-        engine.run(until=20.5)
+        net.advance_to(20.5)
         assert built.value == after_first
 
-    def test_group_validation(self, engine):
+    def test_group_validation(self):
         net = self._make()
         with pytest.raises(ValueError):
-            EarlyBinding(net, engine, host_groups=[[1, 2], [2, 3]])
+            EarlyBinding(net, host_groups=[[1, 2], [2, 3]])
         with pytest.raises(ValueError):
-            EarlyBinding(net, engine, host_groups=[[]])
+            EarlyBinding(net, host_groups=[[]])

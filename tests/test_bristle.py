@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from repro.core import BristleConfig, BristleNetwork
+from repro.core import BristleConfig, BristleNetwork, MobilityProcess
 from repro.net.underlay import build_underlay
+from repro.sim import SimulationError
 
 from .oracles.setup import pool_random_registrations
 
@@ -361,6 +362,80 @@ class TestClock:
         assert small_net.now == 5.0
         with pytest.raises(ValueError):
             small_net.advance_time(-1.0)
+
+    def test_event_world_runs_on_the_lease_clock(self, small_net):
+        # Events run on the lease clock, so no move can drag ``now`` back
+        # or publish a lease before a time the clock has already reached.
+        net = small_net
+        net.advance_time(100)
+        moved = set()
+        MobilityProcess(
+            net=net, rate=1.0, advertise=False, on_move=lambda rep: moved.add(rep.key)
+        ).start()
+        net.advance_to(103)
+        assert net.now == 103
+        assert moved
+        for key in moved:
+            for holder in net.directory.holders_for(key):
+                assert net.directory.records_at(holder)[key].published_at >= 100
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 4.0])
+    def test_advance_to_rejects_non_finite_and_past(self, small_net, t):
+        small_net.advance_to(5.0)
+        with pytest.raises(ValueError):
+            small_net.advance_to(t)
+        assert small_net.now == 5.0
+
+    def test_advance_to_now_is_a_no_op(self, small_net):
+        small_net.advance_to(5.0)
+        dispatched = small_net.engine.dispatched
+        small_net.advance_to(small_net.now)
+        assert small_net.now == 5.0
+        assert small_net.engine.dispatched == dispatched
+
+    def test_advance_to_dispatches_due_events(self, small_net):
+        net = small_net
+        seen = []
+        net.engine.schedule(2.0, lambda: seen.append(net.now))
+        net.engine.schedule(9.0, lambda: seen.append(net.now))
+        net.advance_to(5.0)
+        assert seen == [2.0] and net.now == 5.0
+        # Inside a callback the clock is already moving: no nested advance.
+        net.engine.schedule(6.0, lambda: net.advance_to(7.0))
+        with pytest.raises(SimulationError, match="re-entrant"):
+            net.advance_to(8.0)
+
+    def test_now_is_read_only(self, small_net):
+        with pytest.raises(AttributeError):
+            small_net.now = 1.0
+        assert small_net.now == 0.0
+
+    def test_lease_boundary_on_the_public_path(self, small_net):
+        # One rule, ``now <= published_at + ttl``, shared by the record,
+        # the expiry heap and a registrant's state-pair: all three hold
+        # at the boundary instant and all three lapse one ulp later.
+        net = small_net
+        net.setup_random_registrations(registry_size=4)
+        ttl = net.config.state_ttl
+        src = net.stationary_keys[0]
+        mk = next(k for k in net.mobile_keys if net.nodes[k].registry)
+        registrant = net.nodes[net.nodes[mk].registry_entries()[0].key]
+        net.advance_to(7.25)
+        net.move(mk)
+        pair = registrant.state.renew(mk, net.nodes[mk].address, net.now, ttl)
+        boundary = net.now + ttl
+
+        def live():
+            return (
+                net.discover(src, mk).address is not None,
+                mk not in net.directory.expire_leases(net.now),
+                pair.is_resolved(net.now),
+            )
+
+        net.advance_to(boundary)
+        assert live() == (True, True, True)
+        net.advance_to(math.nextafter(boundary, math.inf))
+        assert live() == (False, False, False)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, small_net, dt):

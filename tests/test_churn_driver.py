@@ -27,44 +27,41 @@ def make_schedule(events):
 
 
 class TestDriver:
-    def test_move_applied(self, net, engine):
+    def test_move_applied(self, net):
         mk = net.mobile_keys[0]
         driver = ChurnDriver(
             net=net,
-            engine=engine,
             schedule=make_schedule([ChurnEvent(1.0, ChurnEventType.MOVE, mk)]),
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert driver.applied[ChurnEventType.MOVE] == 1
         assert net.nodes[mk].moves == 1
 
-    def test_join_uses_figure5_by_default(self, net, engine):
+    def test_join_uses_figure5_by_default(self, net):
         k = fresh_key(net)
         driver = ChurnDriver(
             net=net,
-            engine=engine,
             schedule=make_schedule([ChurnEvent(1.0, ChurnEventType.JOIN, k)]),
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert net.mobile_layer.is_member(k)
         assert driver.join_messages > 0
 
-    def test_structural_join_mode(self, net, engine):
+    def test_structural_join_mode(self, net):
         k = fresh_key(net)
         driver = ChurnDriver(
             net=net,
-            engine=engine,
             schedule=make_schedule([ChurnEvent(1.0, ChurnEventType.JOIN, k)]),
             use_figure5_join=False,
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert net.mobile_layer.is_member(k)
         assert driver.join_messages == 0
 
-    def test_leave_with_store_handoff(self, net, engine):
+    def test_leave_with_store_handoff(self, net):
         store = DataStore(net, replication=2)
         leaver = net.mobile_keys[0]
         # Find a key owned by the leaver so handoff must move something.
@@ -77,16 +74,15 @@ class TestDriver:
         store.put(owned, "keep-me")
         driver = ChurnDriver(
             net=net,
-            engine=engine,
             schedule=make_schedule([ChurnEvent(1.0, ChurnEventType.LEAVE, leaver)]),
             store=store,
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert leaver not in net.nodes
         assert store.get(net.stationary_keys[0], owned).found
 
-    def test_events_on_dead_hosts_skipped(self, net, engine):
+    def test_events_on_dead_hosts_skipped(self, net):
         mk = net.mobile_keys[0]
         schedule = make_schedule(
             [
@@ -95,13 +91,13 @@ class TestDriver:
                 ChurnEvent(3.0, ChurnEventType.LEAVE, mk),  # double-leave
             ]
         )
-        driver = ChurnDriver(net=net, engine=engine, schedule=schedule)
+        driver = ChurnDriver(net=net, schedule=schedule)
         driver.start()
-        engine.run()
+        net.engine.run()
         assert driver.applied[ChurnEventType.LEAVE] == 1
         assert driver.skipped == 2
 
-    def test_duplicate_join_skipped(self, net, engine):
+    def test_duplicate_join_skipped(self, net):
         k = fresh_key(net)
         schedule = make_schedule(
             [
@@ -109,27 +105,26 @@ class TestDriver:
                 ChurnEvent(2.0, ChurnEventType.JOIN, k),
             ]
         )
-        driver = ChurnDriver(net=net, engine=engine, schedule=schedule)
+        driver = ChurnDriver(net=net, schedule=schedule)
         driver.start()
-        engine.run()
+        net.engine.run()
         assert driver.applied[ChurnEventType.JOIN] == 1
         assert driver.skipped == 1
 
-    def test_observer_invoked(self, net, engine):
+    def test_observer_invoked(self, net):
         seen = []
         mk = net.mobile_keys[1]
         driver = ChurnDriver(
             net=net,
-            engine=engine,
             schedule=make_schedule([ChurnEvent(1.0, ChurnEventType.MOVE, mk)]),
             on_event=seen.append,
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert len(seen) == 1
         assert seen[0].host == mk
 
-    def test_events_applied_in_time_order(self, net, engine):
+    def test_events_applied_in_time_order(self, net):
         order = []
         k = fresh_key(net)
         mk = net.mobile_keys[0]
@@ -140,9 +135,9 @@ class TestDriver:
             ]
         )
         driver = ChurnDriver(
-            net=net, engine=engine, schedule=schedule,
+            net=net, schedule=schedule,
             on_event=lambda e: order.append(e.kind),
         )
         driver.start()
-        engine.run()
+        net.engine.run()
         assert order == [ChurnEventType.JOIN, ChurnEventType.MOVE]

@@ -1,5 +1,7 @@
 """Tests for repro.sim.engine — the discrete-event scheduler."""
 
+import math
+
 import pytest
 
 from repro.sim import Engine, EventKind, SimulationError
@@ -41,6 +43,11 @@ class TestScheduling:
         engine.run()
         with pytest.raises(SimulationError):
             engine.schedule(1.0, lambda: None)
+        # NaN compares false against the clock; ±inf never falls due.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError):
+                engine.schedule(bad, lambda: None)
+        assert engine.pending == 0
 
     def test_schedule_at_now_allowed(self, engine):
         out = []
@@ -49,8 +56,10 @@ class TestScheduling:
         assert out == ["nested"]
 
     def test_negative_delay_raises(self, engine):
-        with pytest.raises(SimulationError):
-            engine.schedule_in(-0.1, lambda: None)
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError):
+                engine.schedule_in(bad, lambda: None)
+        assert engine.pending == 0
 
     def test_cancel_skips_event(self, engine):
         out = []
@@ -121,6 +130,16 @@ class TestRun:
         assert engine.pending == 0
         assert engine.run() == 0.0
 
+    def test_run_until_non_finite_raises(self, engine):
+        # NaN compares false against every event time: such a bound would
+        # drain the queue and leave the clock wherever the last event was.
+        out = []
+        engine.schedule(1.0, lambda: out.append(1))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError, match="finite"):
+                engine.run(until=bad)
+        assert out == [] and engine.now == 0.0 and engine.pending == 1
+
     def test_reentrant_run_rejected(self, engine):
         def inner():
             engine.run()
@@ -164,5 +183,7 @@ class TestPeriodic:
         assert ticks == [1.0, 2.0, 3.0]
 
     def test_non_positive_period_raises(self, engine):
-        with pytest.raises(SimulationError):
-            engine.schedule_every(0.0, lambda: None)
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(SimulationError):
+                engine.schedule_every(bad, lambda: None)
+        assert engine.pending == 0

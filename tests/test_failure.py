@@ -15,20 +15,25 @@ def net():
 
 
 @pytest.fixture
-def detector(net, engine):
-    return FailureDetector(net, engine, period=5.0, miss_threshold=2)
+def engine(net):
+    return net.engine
+
+
+@pytest.fixture
+def detector(net):
+    return FailureDetector(net, period=5.0, miss_threshold=2)
 
 
 class TestConfig:
-    def test_invalid_period(self, net, engine):
+    def test_invalid_period(self, net):
         with pytest.raises(ValueError):
-            FailureDetector(net, engine, period=0.0)
+            FailureDetector(net, period=0.0)
 
-    def test_invalid_threshold(self, net, engine):
+    def test_invalid_threshold(self, net):
         with pytest.raises(ValueError):
-            FailureDetector(net, engine, miss_threshold=0)
+            FailureDetector(net, miss_threshold=0)
 
-    def test_double_start_rejected(self, detector, engine):
+    def test_double_start_rejected(self, detector):
         detector.start()
         with pytest.raises(RuntimeError):
             detector.start()
@@ -73,7 +78,7 @@ class TestDetection:
 
     def test_threshold_delays_suspicion(self, net, engine):
         victim = net.mobile_keys[0]
-        strict = FailureDetector(net, engine, period=5.0, miss_threshold=4)
+        strict = FailureDetector(net, period=5.0, miss_threshold=4)
         strict.fail(victim)
         strict.start()
         engine.run(until=16.0)  # 3 rounds < threshold 4
@@ -121,7 +126,7 @@ class TestDetection:
     def test_on_suspect_callback(self, net, engine):
         seen = []
         det = FailureDetector(
-            net, engine, period=5.0, miss_threshold=1, on_suspect=seen.append
+            net, period=5.0, miss_threshold=1, on_suspect=seen.append
         )
         victim = net.mobile_keys[3]
         det.fail(victim)
@@ -141,7 +146,6 @@ class TestStorageIntegration:
 
         det = FailureDetector(
             net,
-            engine,
             period=5.0,
             miss_threshold=2,
             on_suspect=lambda s: store.drop_failed_node(s.suspect),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BristleConfig, BristleNetwork, BristleProtocol, EarlyBinding
-from repro.sim import Engine, MetricsRegistry
+from repro.sim import MetricsRegistry
 
 NETWORKS = st.fixed_dictionaries(
     {
@@ -71,10 +71,9 @@ def test_timed_wave(params):
         net = make_net(**params)
         waves = []
         for k in net.mobile_keys:
-            engine = Engine()
-            proto = BristleProtocol(net, engine, metrics=MetricsRegistry())
+            proto = BristleProtocol(net, metrics=MetricsRegistry())
             wave = proto.advertise(k) if start == "advertise" else proto.advertise_many([k])
-            engine.run()
+            net.engine.run()
             assert wave.complete
             waves.append((wave.root_key, wave.arrival_times, wave.makespan))
         runs.append(waves)
@@ -87,11 +86,10 @@ def test_periodic_refresh(params, picks):
     runs = []
     for singleton_groups in (False, True):
         net = make_net(**params)
-        engine = Engine()
         groups = [[k] for k in net.mobile_keys] if singleton_groups else None
-        binding = EarlyBinding(net, engine, host_groups=groups)
+        binding = EarlyBinding(net, host_groups=groups)
         binding.start()
-        engine.run(until=15.0)
+        net.advance_to(15.0)
         # Between two periods: a move (tree kept), a workload change (tree
         # re-derived) and a departure (tree evicted).
         mobile = net.mobile_keys
@@ -99,6 +97,6 @@ def test_periodic_refresh(params, picks):
         net.nodes[mobile[picks[1] % len(mobile)]].consume(1.5)
         if len(mobile) > 1:
             net.leave_mobile_node(mobile[picks[2] % len(mobile)])
-        engine.run(until=35.0)
+        net.advance_to(35.0)
         runs.append((binding.stats, net.directory.snapshot(), ldt_snapshot(net)))
     assert runs[0] == runs[1]

@@ -15,7 +15,6 @@ from repro.core import (
     route_with_resolution,
     shuffle_all_mobile,
 )
-from repro.sim import Engine
 from repro.workloads import poisson_churn, sample_key_lookups
 
 
@@ -63,7 +62,7 @@ class TestChurnScenario:
         from repro.workloads import ChurnEventType
 
         for event in sched:
-            net.now = event.time
+            net.advance_to(event.time)
             if event.kind is ChurnEventType.MOVE and net.is_mobile(event.host):
                 net.move(event.host, advertise=False)
             elif event.kind is ChurnEventType.LEAVE and net.is_mobile(event.host):
@@ -87,13 +86,11 @@ class TestLiveSimulation:
         )
         net = BristleNetwork(cfg, num_stationary=30, num_mobile=15, router_count=100)
         net.setup_random_registrations(registry_size=4)
-        engine = Engine()
-        binding = EarlyBinding(net, engine)
+        binding = EarlyBinding(net)
         binding.start()
-        mobility = MobilityProcess(net=net, engine=engine, rate=0.05, advertise=True)
+        mobility = MobilityProcess(net=net, rate=0.05, advertise=True)
         mobility.start()
-        engine.run(until=40.0)
-        net.now = engine.now
+        net.advance_to(40.0)
         # After several refresh rounds every registrant's cache is warm.
         warm = 0
         total = 0
@@ -138,7 +135,6 @@ class TestChurnDriver:
         """Joins (Fig 5), leaves, moves and data handoff interleaved on
         the engine: every invariant holds and no data is lost."""
         from repro.core.storage import DataStore
-        from repro.sim import Engine
         from repro.workloads import poisson_churn
 
         from .churn_driver import ChurnDriver
@@ -167,12 +163,9 @@ class TestChurnDriver:
             leave_rate=0.02,
             join_hosts=joiners,
         )
-        engine = Engine()
-        driver = ChurnDriver(
-            net=net, engine=engine, schedule=schedule, store=store
-        )
+        driver = ChurnDriver(net=net, schedule=schedule, store=store)
         driver.start()
-        engine.run()
+        net.engine.run()
 
         assert driver.total_applied + driver.skipped == len(schedule)
         # Membership bookkeeping is consistent.
@@ -200,20 +193,21 @@ class TestResilientSwarm:
         binding, replicated storage and heartbeat failure detection.
         Nodes fail mid-run; the detector sheds them, replicas keep the
         data served, and routing detours around the dead."""
-        from repro.core import LiveSimulation
+        from repro.core import BristleProtocol
         from repro.core.failure import FailureDetector
         from repro.core.storage import DataStore
 
-        sim = LiveSimulation.create(
-            num_stationary=40,
-            num_mobile=30,
-            seed=88,
-            router_count=100,
-            registry_size=5,
-            move_rate=0.02,
-            binding="early",
-        )
-        net = sim.net
+        cfg = BristleConfig(seed=88, naming="scrambled")
+        net = BristleNetwork(cfg, num_stationary=40, num_mobile=30, router_count=100)
+        net.setup_random_registrations(registry_size=5)
+        protocol = BristleProtocol(net, latency_scale=1e-3)
+        EarlyBinding(net).start()
+        MobilityProcess(
+            net=net,
+            rate=0.02,
+            advertise=False,
+            on_move=lambda rep: protocol.advertise(rep.key),
+        ).start()
         store = DataStore(net, replication=3)
         docs = [int(k) for k in net.space.random_keys(net.rng, "docs", 50, unique=False)]
         for k in docs:
@@ -221,18 +215,17 @@ class TestResilientSwarm:
 
         detector = FailureDetector(
             net,
-            sim.engine,
             period=5.0,
             miss_threshold=2,
             on_suspect=lambda s: store.drop_failed_node(s.suspect),
         )
         detector.start()
-        sim.run(until=20.0)
+        net.advance_to(20.0)
 
         victims = net.mobile_keys[:3]
         for v in victims:
             detector.fail(v)
-        sim.run(until=60.0)
+        net.advance_to(60.0)
 
         # Every victim was detected by all its monitors.
         for v in victims:

@@ -7,7 +7,7 @@ from repro.core import (
     BristleNetwork,
     BristleProtocol,
 )
-from repro.sim import Engine, Tracer
+from repro.sim import Tracer
 
 
 @pytest.fixture
@@ -19,8 +19,13 @@ def net():
 
 
 @pytest.fixture
-def proto(net, engine):
-    return BristleProtocol(net, engine, tracer=Tracer())
+def engine(net):
+    return net.engine
+
+
+@pytest.fixture
+def proto(net):
+    return BristleProtocol(net, tracer=Tracer())
 
 
 class TestAdvertisementWave:
@@ -72,7 +77,7 @@ class TestAdvertisementWave:
         assert len(done) == 1
         assert done[0].complete
 
-    def test_empty_registry_completes_immediately(self, net, engine, proto):
+    def test_empty_registry_completes_immediately(self, net, proto):
         lonely = net.mobile_keys[0]
         net.nodes[lonely].registry.clear()
         done = []
@@ -111,7 +116,7 @@ class TestAdvertisementWave:
         assert {k for k, n in net.nodes.items() if mk in n.state} == {first} - {gone}
 
     @pytest.mark.parametrize("level", [1, 2], ids=["copy in flight", "never sent"])
-    def test_wave_through_a_departed_registrant(self, engine, level):
+    def test_wave_through_a_departed_registrant(self, level):
         """Regression: a departed interior registrant made ``send`` raise
         ``KeyError`` (``latency`` -> ``router_of``).  A node that has left
         neither sends nor is sent to; the partitions it leaves unreached
@@ -121,7 +126,7 @@ class TestAdvertisementWave:
             BristleConfig(seed=5, naming="scrambled"), 60, 30, max_capacity=2
         )
         net.setup_random_registrations()
-        proto = BristleProtocol(net, engine)
+        proto = BristleProtocol(net)
         mk, tree, gone = next(
             (k, t, r)
             for k in net.mobile_keys
@@ -132,7 +137,7 @@ class TestAdvertisementWave:
         done = []
         wave = proto.advertise(mk, tree=tree, on_complete=done.append)
         net.leave_mobile_node(gone)
-        engine.run()
+        net.engine.run()
         # The root's copies were sent before ``gone`` left, so a copy to it
         # is in flight; below that, every copy goes through a live sender.
         reached, frontier = set(), [(c, True) for c in tree.children_of(mk)]
@@ -166,7 +171,7 @@ class TestAdvertisementWave:
         assert done == [wave] and not wave.arrival_times
         assert proto.metrics.counter("messages.advertise").value == 0
 
-    def test_flat_tree_faster_than_chain(self, engine):
+    def test_flat_tree_faster_than_chain(self):
         """Timed counterpart of Fig 8: a capacity-rich registry floods in
         ~1 level; homogeneous capacity-1 nodes relay sequentially."""
         import numpy as np
@@ -178,12 +183,11 @@ class TestAdvertisementWave:
                 max_capacity=max_capacity,
             )
             n.setup_random_registrations(registry_size=10)
-            eng = Engine()
-            p = BristleProtocol(n, eng)
+            p = BristleProtocol(n)
             spans = []
             for mk in n.mobile_keys:
                 wave = p.advertise(mk)
-                eng.run()
+                n.engine.run()
                 spans.append(wave.makespan)
             return float(np.mean(spans))
 
@@ -200,7 +204,7 @@ class TestDiscoveryExchange:
         assert ex.address == net.nodes[mk].address
         assert ex.rtt > 0.0
 
-    def test_rtt_in_flight_raises(self, net, engine, proto):
+    def test_rtt_in_flight_raises(self, net, proto):
         ex = proto.discover(net.stationary_keys[0], net.mobile_keys[0])
         with pytest.raises(RuntimeError):
             _ = ex.rtt
@@ -232,12 +236,12 @@ class TestDiscoveryExchange:
 
 
 class TestProtocolConfig:
-    def test_latency_scale_validated(self, net, engine):
+    def test_latency_scale_validated(self, net):
         with pytest.raises(ValueError):
-            BristleProtocol(net, engine, latency_scale=0.0)
+            BristleProtocol(net, latency_scale=0.0)
 
-    def test_latency_scales_linearly(self, net, engine):
-        p1 = BristleProtocol(net, engine, latency_scale=1.0)
-        p2 = BristleProtocol(net, engine, latency_scale=2.0)
+    def test_latency_scales_linearly(self, net):
+        p1 = BristleProtocol(net, latency_scale=1.0)
+        p2 = BristleProtocol(net, latency_scale=2.0)
         a, b = net.stationary_keys[0], net.stationary_keys[1]
         assert p2.latency(a, b) == pytest.approx(2 * p1.latency(a, b))

@@ -1,10 +1,16 @@
-"""Tests for the LiveSimulation facade and table serialization."""
+"""Tests for a directly wired live simulation and table serialization."""
 
 import json
 
 import pytest
 
-from repro.core import LiveSimulation
+from repro.core import (
+    BristleConfig,
+    BristleNetwork,
+    BristleProtocol,
+    EarlyBinding,
+    MobilityProcess,
+)
 from repro.experiments import (
     ResultTable,
     table_from_json,
@@ -12,84 +18,65 @@ from repro.experiments import (
     table_to_json,
     write_table,
 )
+from repro.sim import Tracer
+
+
+def live(num_stationary, num_mobile, *, move_rate, early=True, tracer=None, seed=1):
+    """Network, timed protocol, mobility advertising through the protocol
+    and (optionally) early binding, all on the network's clock."""
+    net = BristleNetwork(
+        BristleConfig(seed=seed, naming="scrambled"),
+        num_stationary,
+        num_mobile,
+        router_count=100,
+    )
+    net.setup_random_registrations(registry_size=4)
+    protocol = BristleProtocol(net, latency_scale=1e-3, tracer=tracer)
+    binding = EarlyBinding(net) if early else None
+    if binding is not None:
+        binding.start()
+    mobility = MobilityProcess(
+        net=net,
+        rate=move_rate,
+        advertise=False,
+        on_move=lambda rep: protocol.advertise(rep.key),
+    )
+    mobility.start()
+    return net, mobility, binding
 
 
 class TestLiveSimulation:
     @pytest.fixture
     def sim(self):
-        return LiveSimulation.create(
-            num_stationary=30,
-            num_mobile=20,
-            seed=44,
-            router_count=100,
-            registry_size=4,
-            move_rate=0.05,
-            binding="early",
-        )
-
-    def test_create_wires_everything(self, sim):
-        assert sim.net.num_nodes == 50
-        assert sim.mobility is not None
-        assert sim.binding is not None
-
-    def test_run_advances_time(self, sim):
-        sim.run(until=20.0)
-        assert sim.engine.now == 20.0
-        assert sim.net.now == 20.0
-        assert sim.engine.dispatched > 0
+        return live(30, 20, move_rate=0.05, seed=44)
 
     def test_moves_happen_and_caches_stay_warm(self, sim):
-        sim.run(until=60.0)
-        assert sim.mobility.moves_performed > 10
-        assert sim.cache_warmness() > 0.8
-
-    def test_summary_fields(self, sim):
-        sim.run(until=15.0)
-        s = sim.summary()
-        assert s["virtual_time"] == 15.0
-        assert s["nodes"] == 50.0
-        assert s["moves"] >= 0.0
-        assert 0.0 <= s["cache_warmness"] <= 1.0
-        assert "binding_messages" in s
+        net, mobility, _ = sim
+        net.advance_to(60.0)
+        assert mobility.moves_performed > 10
+        pairs = [
+            (net.nodes[entry.key].state.get(mk), net.nodes[mk].address)
+            for mk in net.mobile_keys
+            for entry in net.nodes[mk].registry_entries()
+        ]
+        warm = sum(1 for st, addr in pairs if st is not None and st.addr == addr)
+        assert warm / len(pairs) > 0.8
 
     def test_stop_silences_processes(self, sim):
-        sim.run(until=10.0)
-        sim.stop()
-        moves = sim.mobility.moves_performed
-        sim.run(until=100.0)
-        assert sim.mobility.moves_performed == moves
-
-    def test_no_mobility_mode(self):
-        sim = LiveSimulation.create(
-            num_stationary=20, num_mobile=10, move_rate=0.0, binding="none",
-            router_count=100,
-        )
-        assert sim.mobility is None
-        assert sim.binding is None
-        sim.run(until=10.0)
-        assert sim.summary()["moves"] == 0.0
-
-    def test_late_binding_mode(self):
-        sim = LiveSimulation.create(
-            num_stationary=20, num_mobile=10, binding="late", router_count=100
-        )
-        from repro.core.statebinding import LateBinding
-
-        assert isinstance(sim.binding, LateBinding)
-
-    def test_invalid_binding_rejected(self):
-        with pytest.raises(ValueError):
-            LiveSimulation.create(
-                num_stationary=20, num_mobile=10, binding="psychic", router_count=100
-            )
+        net, mobility, binding = sim
+        net.advance_to(10.0)
+        mobility.stop()
+        binding.stop()
+        moves, messages = mobility.moves_performed, binding.stats.total_messages
+        net.advance_to(100.0)
+        assert mobility.moves_performed == moves
+        assert binding.stats.total_messages == messages
 
     def test_trace_enabled(self):
-        sim = LiveSimulation.create(
-            num_stationary=20, num_mobile=10, move_rate=0.2, binding="none",
-            router_count=100, trace=True,
-        )
-        sim.run(until=30.0)
-        assert len(sim.tracer) > 0
+        tracer = Tracer()
+        net, _, _ = live(20, 10, move_rate=0.2, early=False, tracer=tracer)
+        net.advance_to(30.0)
+        assert len(tracer) > 0
 
 
 class TestTableIO:

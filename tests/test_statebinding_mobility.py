@@ -20,9 +20,14 @@ def net():
     return n
 
 
+@pytest.fixture
+def engine(net):
+    return net.engine
+
+
 class TestEarlyBinding:
     def test_refresh_keeps_caches_warm(self, net, engine):
-        policy = EarlyBinding(net, engine)
+        policy = EarlyBinding(net)
         policy.start()
         engine.run(until=25.0)
         mk = net.mobile_keys[0]
@@ -33,7 +38,7 @@ class TestEarlyBinding:
         assert policy.stats.discoveries == 0
 
     def test_no_refresh_before_first_period(self, net, engine):
-        policy = EarlyBinding(net, engine)
+        policy = EarlyBinding(net)
         policy.start()
         engine.run(until=5.0)  # refresh period is 10
         mk = net.mobile_keys[0]
@@ -41,7 +46,7 @@ class TestEarlyBinding:
         assert not policy.lookup(registrant, mk)
 
     def test_stop_halts_refreshes(self, net, engine):
-        policy = EarlyBinding(net, engine)
+        policy = EarlyBinding(net)
         policy.start()
         engine.run(until=10.5)
         count = policy.stats.advertisements
@@ -50,7 +55,7 @@ class TestEarlyBinding:
         assert policy.stats.advertisements == count
 
     def test_advertisements_follow_ldt_size(self, net, engine):
-        policy = EarlyBinding(net, engine)
+        policy = EarlyBinding(net)
         policy.start()
         engine.run(until=10.5)  # exactly one refresh round
         expected = sum(
@@ -60,8 +65,8 @@ class TestEarlyBinding:
 
 
 class TestLateBinding:
-    def test_miss_triggers_discovery_and_caches(self, net, engine):
-        policy = LateBinding(net, engine)
+    def test_miss_triggers_discovery_and_caches(self, net):
+        policy = LateBinding(net)
         policy.start()
         mk = net.mobile_keys[0]
         registrant = net.nodes[mk].registry_entries()[0].key
@@ -72,30 +77,28 @@ class TestLateBinding:
         assert policy.lookup(registrant, mk) is True
         assert policy.stats.discoveries == 1
 
-    def test_cache_expires_and_rediscovers(self, net, engine):
-        policy = LateBinding(net, engine)
+    def test_cache_expires_and_rediscovers(self, net):
+        policy = LateBinding(net)
         mk = net.mobile_keys[0]
         registrant = net.nodes[mk].registry_entries()[0].key
         policy.lookup(registrant, mk)
         # Advance past the TTL; the mobile node republished at move time
         # so the directory stays fresh but the local cache lapses.
         net.move(mk)
-        engine.schedule(net.config.state_ttl + 1, lambda: None)
-        engine.run()  # advances the virtual clock past the TTL
-        net.now = engine.now
+        net.advance_to(net.config.state_ttl + 1)  # past the cached lease
         net.directory.publish(mk, net.nodes[mk].address, now=net.now, ttl=net.config.state_ttl)
         assert policy.lookup(registrant, mk) is False
         assert policy.stats.discoveries == 2
 
     def test_no_periodic_work(self, net, engine):
-        policy = LateBinding(net, engine)
+        policy = LateBinding(net)
         policy.start()
         assert engine.pending == 0
 
 
 class TestMobilityProcess:
     def test_moves_happen_at_rate(self, net, engine):
-        proc = MobilityProcess(net=net, engine=engine, rate=0.5, advertise=False)
+        proc = MobilityProcess(net=net, rate=0.5, advertise=False)
         proc.start()
         engine.run(until=20.0)
         # 20 mobile nodes × rate 0.5 × 20 time units ≈ 200 expected moves;
@@ -106,7 +109,7 @@ class TestMobilityProcess:
     def test_observer_called(self, net, engine):
         seen = []
         proc = MobilityProcess(
-            net=net, engine=engine, rate=1.0, on_move=seen.append, advertise=False
+            net=net, rate=1.0, on_move=seen.append, advertise=False
         )
         proc.start()
         engine.run(until=3.0)
@@ -114,7 +117,7 @@ class TestMobilityProcess:
         assert all(r.new_address is not None for r in seen)
 
     def test_stop(self, net, engine):
-        proc = MobilityProcess(net=net, engine=engine, rate=1.0, advertise=False)
+        proc = MobilityProcess(net=net, rate=1.0, advertise=False)
         proc.start()
         engine.run(until=2.0)
         count = proc.moves_performed
@@ -122,16 +125,15 @@ class TestMobilityProcess:
         engine.run(until=10.0)
         assert proc.moves_performed == count
 
-    def test_invalid_rate(self, net, engine):
-        proc = MobilityProcess(net=net, engine=engine, rate=0.0)
+    def test_invalid_rate(self, net):
+        proc = MobilityProcess(net=net, rate=0.0)
         with pytest.raises(ValueError):
             proc.start()
 
     def test_directory_stays_fresh_under_mobility(self, net, engine):
-        proc = MobilityProcess(net=net, engine=engine, rate=0.3, advertise=False)
+        proc = MobilityProcess(net=net, rate=0.3, advertise=False)
         proc.start()
         engine.run(until=10.0)
-        net.now = engine.now
         for mk in net.mobile_keys:
             assert net.directory.resolve(mk, now=net.now) == net.nodes[mk].address
 

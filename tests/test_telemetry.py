@@ -20,7 +20,6 @@ from repro.experiments.manifest import (
 )
 from repro.experiments.report import resolve_experiment_name
 from repro.sim import (
-    Engine,
     PhaseProfiler,
     Telemetry,
     Tracer,
@@ -159,8 +158,7 @@ class TestTracedOperations:
         with telemetry_session(tel):
             net = _tiny_net()
             net.setup_random_registrations()
-            engine = Engine()
-            proto = BristleProtocol(net, engine)
+            proto = BristleProtocol(net)
             mobile, stationary = net.mobile_keys, net.stationary_keys
             newcomer = next(k for k in range(3, 1 << 16) if k not in net.nodes)
             ops = [
@@ -178,7 +176,7 @@ class TestTracedOperations:
             for name, op in ops:
                 before = len(tracer.spans(name))
                 op()
-                engine.run()
+                net.engine.run()
                 assert tracer.open_span_count() == 0, name
                 assert len(tracer.spans(name)) == before + 1, name
         assert len(tracer.spans("route")) == 2
