@@ -149,6 +149,16 @@ def _address_is_stale(
     )
 
 
+def _checked_p_stale(net: BristleNetwork, p_stale: Optional[float]) -> float:
+    """A call's ``p_stale`` override, held to the config's own range check
+    (NaN fails it too); the config's value when there is none."""
+    if p_stale is None:
+        return net.config.p_stale
+    if not 0.0 <= p_stale <= 1.0:
+        raise ValueError("p_stale must be in [0, 1]")
+    return p_stale
+
+
 def _detour(net: BristleNetwork, records: List["HopRecord"], a: int, b: int) -> None:
     """Append the discovery detour for the stale hop ``a → b``:
     a → entry → ... → holder Z → b  (Fig 2's ``_discovery`` plus Z
@@ -205,8 +215,7 @@ def route_with_resolution(
         its updated location to the stationary layer", so en-route caches
         are cold).
     """
-    if p_stale is None:
-        p_stale = net.config.p_stale
+    p_stale = _checked_p_stale(net, p_stale)
     tracer = net.telemetry.tracer
     span_id = (
         tracer.span_begin(net.now, "route", src=source, target=target_key)
@@ -259,8 +268,7 @@ def route_preferring_resolved(
     RNG stream) as :func:`route_with_resolution`, so the two policies are
     comparable at any staleness level, not just the cold-cache extreme.
     """
-    if p_stale is None:
-        p_stale = net.config.p_stale
+    p_stale = _checked_p_stale(net, p_stale)
     tracer = net.telemetry.tracer
     span_id = (
         tracer.span_begin(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -91,11 +91,12 @@ class Overlay(abc.ABC):
     #: well under 100 hops.
     MAX_ROUTE_HOPS = 512
 
-    #: Cap on the owner-resolution memo (cleared wholesale when full).
-    #: Ownership is a pure function of the member set and lookups repeat
-    #: targets (every node key is one); membership changes evict only the
-    #: entries the change can actually divert (:meth:`_invalidate_owner_memo_add`
-    #: / :meth:`_invalidate_owner_memo_remove`).
+    #: Cap on each routing memo — owner-resolution entries, next-hop
+    #: entries and once-routed targets — each cleared wholesale when full.
+    #: Every memo is a pure function of the routing state, so one rule keeps
+    #: them exact: whatever changes that state (``build``, ``add_node``,
+    #: ``remove_node``, a test's row write) calls :meth:`_routing_changed`,
+    #: which drops them all.
     OWNER_MEMO_MAX = 1 << 17
 
     def __init__(self, space: KeySpace, proximity: Optional[ProximityFn] = None) -> None:
@@ -113,9 +114,11 @@ class Overlay(abc.ABC):
         self._key_count: int = 0
         self._member_set: set = set()
         self._owner_memo: Dict[int, int] = {}
-        #: reverse index owner -> memoised targets, enabling targeted
-        #: eviction of exactly the entries a membership change can divert.
-        self._memo_owners: Dict[int, List[int]] = {}
+        #: target -> {node: next hop toward it}, for targets routed twice
+        self._hop_memo: Dict[int, Dict[int, int]] = {}
+        self._hop_memo_size = 0
+        #: targets routed once since the last change (admission to the above)
+        self._routed_once: Set[int] = set()
         self._metrics: Optional["MetricsRegistry"] = None
 
     # ------------------------------------------------------------------
@@ -165,10 +168,17 @@ class Overlay(abc.ABC):
         self._key_buf = np.asarray(key_list, dtype=np.uint64)
         self._key_count = len(key_list)
         self._member_set = set(key_list)
-        self._owner_memo.clear()
-        self._memo_owners.clear()
         self._reset_state()
         self._build_all(key_list)
+        self._routing_changed()
+
+    def _routing_changed(self) -> None:
+        """Drop every memo derived from the routing state.  The one
+        invalidation rule: called after each change to that state."""
+        self._owner_memo.clear()
+        self._hop_memo.clear()
+        self._hop_memo_size = 0
+        self._routed_once.clear()
 
     def _insert_key(self, key: int) -> int:
         """Insert ``key`` into the sorted buffer; return its index."""
@@ -197,10 +207,10 @@ class Overlay(abc.ABC):
         if key in self._member_set:
             raise ValueError(f"key {key} is already a member")
         self._member_set.add(key)
-        # The key's index is resolved once and handed to every hook.
+        # The key's index is resolved once and handed to the repair hook.
         idx = self._insert_key(key)
-        self._invalidate_owner_memo_add(key, idx)
         self._on_add(key, idx)
+        self._routing_changed()
         if _sanitize.ACTIVE:
             _sanitize.check_overlay_consistency(self, key)
 
@@ -212,8 +222,8 @@ class Overlay(abc.ABC):
             raise ValueError("cannot remove the last member")
         self._member_set.remove(key)
         idx = self._delete_key(key)
-        self._invalidate_owner_memo_remove(key)
         self._on_remove(key, idx)
+        self._routing_changed()
         if _sanitize.ACTIVE:
             _sanitize.check_overlay_consistency(self, key)
 
@@ -226,8 +236,7 @@ class Overlay(abc.ABC):
         The paper's storage rule (§1): "store a data item with a hash key k
         in a peer node whose hash key is the closest to k."  Ownership is a
         pure function of the member set, so the answer is memoized here
-        (membership changes evict exactly the entries they can divert,
-        keeping the memo warm across churn); subclasses override
+        until the next :meth:`_routing_changed`; subclasses override
         :meth:`_compute_owner` with their storage rule instead of this.
         """
         cached = self._owner_memo.get(key)
@@ -239,52 +248,8 @@ class Overlay(abc.ABC):
         owner = self._compute_owner(key)
         if len(self._owner_memo) >= self.OWNER_MEMO_MAX:
             self._owner_memo.clear()
-            self._memo_owners.clear()
         self._owner_memo[key] = owner
-        self._memo_owners.setdefault(owner, []).append(key)
         return owner
-
-    def _evict_owner_group(self, owner: int) -> None:
-        """Drop every memo entry currently resolving to ``owner``."""
-        group = self._memo_owners.pop(owner, None)
-        if not group:
-            return
-        memo = self._owner_memo
-        for target in group:
-            if memo.get(target) == owner:
-                del memo[target]
-
-    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
-        """Evict memo entries an admission of ``key`` can divert.
-
-        Under the default ring-nearest storage rule a new member only steals
-        keys from its two ring neighbours, so those two owner groups are the
-        only stale entries (Chord's successor rule is covered too: the old
-        owner of any diverted key is the new key's successor).  Overlays
-        with a non-local :meth:`_compute_owner` (e.g. CAN's zones, Tapestry's
-        surrogate descent) must override this alongside it.
-
-        Called with the membership already updated (``key`` sits at
-        ``keys[idx]``).
-        """
-        keys = self._keys
-        n = int(keys.size)
-        if n <= 1:
-            self._owner_memo.clear()
-            self._memo_owners.clear()
-            return
-        self._evict_owner_group(int(keys[idx - 1]))
-        self._evict_owner_group(int(keys[(idx + 1) % n]))
-
-    def _invalidate_owner_memo_remove(self, key: int) -> None:
-        """Evict memo entries a departure of ``key`` can divert.
-
-        Removing a member can only re-home the keys that member owned: for
-        every storage rule in this package, an owner other than ``key``
-        keeps winning over any subset of the membership that still contains
-        it.  Evicting ``key``'s own group is therefore exact.
-        """
-        self._evict_owner_group(key)
 
     def _compute_owner(self, key: int) -> int:
         """The storage rule: ring-nearest by default; Chord uses successor,
@@ -319,43 +284,80 @@ class Overlay(abc.ABC):
         and a violation raises :class:`RoutingError` / ``KeyError`` — it
         indicates a bug in the overlay's state, greedy routing on correct
         state always terminates at the owner.
+
+        From a target's second route on, each checked hop is memoised per
+        (node, target) — routes to one target share their tails.  A memo
+        hit skips the kernel and the progress check, which ran on the same
+        state when the hop was stored; the loop check and the hop limit
+        still run on every route.
         """
         if source not in self._member_set:
             raise ValueError(f"source {source} is not a member")
         self.space.validate(target)
         owner = self.owner_of(target)
+        memo = self._hop_memo.get(target)
+        if memo is None:
+            memo = self._admit(target)
         hops = [source]
-        hop, progress = self._hop, self._progress
-        ring_distance = self.space.ring_distance
-        current = source
-        current_pk = progress(source, target, owner)
+        if source == owner:
+            return RouteResult(target, hops, True)
+        current, current_pk = source, None
         seen = {source}
         while current != owner:
-            nxt = hop(current, target, owner)
-            if nxt is None:
-                # A dead end short of the owner (a gap in the routing
-                # state): the route ends here, unsuccessfully.
-                return RouteResult(target=target, hops=hops, success=False)
+            nxt = memo.get(current) if memo is not None else None
+            stored = nxt is not None
+            if stored:
+                if _sanitize.ACTIVE:
+                    _sanitize.check_memo_hop(self, current, target, owner, nxt)
+            else:
+                nxt = self._hop(current, target, owner)
+                if nxt is None:
+                    # A dead end short of the owner (a gap in the routing
+                    # state): the route ends here, unsuccessfully.
+                    return RouteResult(target, hops, False)
             if nxt in seen:
                 raise RoutingError(
                     f"routing loop at node {nxt} while targeting {target}"
                 )
-            # A hop must make progress: either by the overlay's own measure
-            # (prefix/clockwise) or by ring distance toward the owner (the
-            # leaf-set delivery mode of prefix overlays).
-            nxt_pk = progress(nxt, target, owner)
-            if not nxt_pk < current_pk and not ring_distance(
-                nxt, owner
-            ) < ring_distance(current, owner):
-                raise RoutingError(
-                    f"non-monotone hop {current}->{nxt} targeting {target}"
-                )
+            nxt_pk = None
+            if not stored:
+                # A hop must make progress: either by the overlay's own
+                # measure (prefix/clockwise) or by ring distance toward the
+                # owner (the leaf-set delivery mode of prefix overlays).
+                if current_pk is None:
+                    current_pk = self._progress(current, target, owner)
+                nxt_pk = self._progress(nxt, target, owner)
+                ring_distance = self.space.ring_distance
+                if not nxt_pk < current_pk and not ring_distance(
+                    nxt, owner
+                ) < ring_distance(current, owner):
+                    raise RoutingError(
+                        f"non-monotone hop {current}->{nxt} targeting {target}"
+                    )
+                if memo is not None:
+                    memo[current] = nxt
+                    self._hop_memo_size += 1
             hops.append(nxt)
             seen.add(nxt)
             current, current_pk = nxt, nxt_pk
             if len(hops) > self.MAX_ROUTE_HOPS:
                 raise RoutingError(f"route exceeded {self.MAX_ROUTE_HOPS} hops")
-        return RouteResult(target=target, hops=hops, success=True)
+        return RouteResult(target, hops, True)
+
+    def _admit(self, target: int) -> Optional[Dict[int, int]]:
+        """A fresh hop memo for ``target`` on its second route, ``None`` on
+        its first: routes that never repeat a target store nothing."""
+        if target not in self._routed_once:
+            if len(self._routed_once) >= self.OWNER_MEMO_MAX:
+                self._routed_once.clear()
+            self._routed_once.add(target)
+            return None
+        if self._hop_memo_size >= self.OWNER_MEMO_MAX:
+            self._hop_memo.clear()
+            self._hop_memo_size = 0
+        memo: Dict[int, int] = {}
+        self._hop_memo[target] = memo
+        return memo
 
     # ------------------------------------------------------------------
     # Subclass interface

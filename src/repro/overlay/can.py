@@ -434,11 +434,6 @@ class CANOverlay(Overlay):
         point = self.point_of(key)
         changed: Set[int] = set()
         self._root = self._trie_add(self._root, key, point, changed)
-        # Owners that lost territory to the newcomer may hold stale memo
-        # entries (the ring-neighbour rule of the base class does not apply
-        # to zone ownership).
-        for owner in changed:
-            self._evict_owner_group(owner)
         self._repair_neighbors(changed)
         self._record_repair(len(changed))
 
@@ -450,13 +445,6 @@ class CANOverlay(Overlay):
         changed.discard(key)
         self._repair_neighbors(changed, removed=key)
         self._record_repair(len(changed))
-
-    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
-        # Zone ownership is not ring-local; eviction happens in _on_add
-        # once the set of owners losing territory is known.  (Departures
-        # only re-home keys the departed member owned, so the base rule
-        # stands for _invalidate_owner_memo_remove.)
-        return
 
     # ------------------------------------------------------------------
     # Ownership & routing

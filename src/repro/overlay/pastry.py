@@ -24,7 +24,7 @@ without a proximity callback and at any key width up to 64 bits.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -67,6 +67,8 @@ class PastryOverlay(Overlay):
         self._table: Dict[int, SlotRow] = {}
         #: member -> its leaf set, ascending
         self._leaves: Dict[int, array] = {}
+        #: member -> leaves ∪ table entries, ascending; built on first use
+        self._known: Dict[int, array] = {}
 
     # ------------------------------------------------------------------
     # State construction
@@ -74,6 +76,10 @@ class PastryOverlay(Overlay):
     def _reset_state(self) -> None:
         self._table.clear()
         self._leaves.clear()
+
+    def _routing_changed(self) -> None:
+        super()._routing_changed()
+        self._known.clear()
 
     def _build_all(self, members: List[int]) -> None:
         self._build_leaves(np.arange(self._key_count), members)
@@ -310,12 +316,11 @@ class PastryOverlay(Overlay):
         # Lexicographic: each Pastry step grows the shared prefix or
         # shrinks numeric distance.  The depth is the number of trailing
         # digits from the first mismatch on: ceil(bit_length(xor) / b).
-        b = self.space.digit_bits
-        return (
-            ((node ^ target).bit_length() + b - 1) // b,
-            self.space.ring_distance(node, target),
-            node,
-        )
+        b, size = self.space.digit_bits, self.space.size
+        dist = (node - target) % size
+        if dist > size >> 1:
+            dist = size - dist
+        return (((node ^ target).bit_length() + b - 1) // b, dist, node)
 
     def _slot_toward(self, current: int, key: int) -> int:
         """The slot of ``current``'s table for members sharing one more
@@ -339,7 +344,8 @@ class PastryOverlay(Overlay):
            digits with the target — how most routes end (the population
            only fills about ``log_{2^b} N`` digits) and most hops toward a
            key outside the populated range: the known node closest by
-           (prefix, ring distance, key), if one beats ``current``.
+           (prefix, ring distance, key), if one beats ``current`` — one
+           bisect (:meth:`_closest_known`).
         4. Leaf-set delivery mode: walk the ring toward the owner through
            the leaf set.  Exact state never gets here — members between
            ``current`` and the target win step 2 or 3, and once they run
@@ -360,31 +366,11 @@ class PastryOverlay(Overlay):
         if filled & bit:
             return table.members[popcount(filled & (bit - 1))]
 
-        space = self.space
-        b, size = space.digit_bits, space.size
-        mask, half, round_up = size - 1, size >> 1, b - 1
-        best = current
-        best_depth = space.num_digits - (slot >> b)
-        best_dist = space.ring_distance(current, target)
-        # Only the slot's own row and the ones below it can hold a
-        # candidate: an entry of row q < slot's row shares exactly q digits
-        # with ``current``, hence with the target — deeper than best_depth.
-        below = popcount(filled & ((1 << (slot & -space.digit_base)) - 1))
-        for cand in chain(leaves, table.members[below:]):
-            depth = ((cand ^ target).bit_length() + round_up) // b
-            if depth > best_depth:
-                continue
-            dist = (cand - target) & mask
-            if dist > half:
-                dist = size - dist
-            if depth == best_depth and (
-                dist > best_dist or (dist == best_dist and cand >= best)
-            ):
-                continue
-            best, best_depth, best_dist = cand, depth, dist
-        if best != current:
+        best = self._closest_known(current, target)
+        if best is not None:
             return best
 
+        space = self.space
         nearer: Optional[int] = None
         best_dist = space.ring_distance(current, owner)
         for leaf in leaves:
@@ -392,6 +378,32 @@ class PastryOverlay(Overlay):
             if dist < best_dist:
                 nearer, best_dist = leaf, dist
         return nearer
+
+    def _closest_known(self, current: int, key: int) -> Optional[int]:
+        """The member ``current`` knows (leaf or table entry) least by
+        (digit mismatch depth, ring distance, key) toward ``key``, when it
+        beats ``current`` itself; else ``None``.
+
+        The keys sharing at least ``r`` digits with ``key`` form one
+        interval around it, and so do those within any ring distance of
+        it, so that minimum is one of ``key``'s two circular neighbours in
+        the sorted known set: a bisect, not a scan.  The set is built on
+        first use and dropped by :meth:`_routing_changed`.
+        """
+        known = self._known.get(current)
+        if known is None:
+            members = set(self._leaves[current]).union(self._table[current].members)
+            known = self._known[current] = array("Q", sorted(members))
+        if not known:
+            return None
+        i = bisect_right(known, key)
+        rank = PastryOverlay._progress  # toward ``key`` itself, also under Tapestry
+        best = min(
+            rank(self, current, key, key),
+            rank(self, known[i - 1], key, key),
+            rank(self, known[i % len(known)], key, key),
+        )[2]
+        return None if best == current else best
 
     def neighbors_of(self, key: int) -> List[int]:
         """Leaf set plus routing-table entries, deduplicated."""

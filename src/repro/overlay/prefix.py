@@ -27,41 +27,10 @@ import numpy as np
 from .keyspace import KeySpace
 
 __all__ = [
-    "shared_prefix_lengths",
-    "digits_at",
     "level_blocks",
     "prefix_block_range",
     "within_runs",
 ]
-
-
-def shared_prefix_lengths(space: KeySpace, keys: np.ndarray, key: int) -> np.ndarray:
-    """``shared_prefix_length(key, keys[i])`` for every element (int64).
-
-    Elements equal to ``key`` get ``space.num_digits``.
-    """
-    b = space.digit_bits
-    bits = space.bits
-    digit_mask = np.uint64(space.digit_base - 1)
-    k = np.uint64(key)
-    matched = np.ones(keys.shape, dtype=bool)
-    spl = np.zeros(keys.shape, dtype=np.int64)
-    for level in range(space.num_digits):
-        shift = np.uint64(bits - b * (level + 1))
-        matched &= ((keys >> shift) & digit_mask) == ((k >> shift) & digit_mask)
-        spl += matched
-    return spl
-
-
-def digits_at(space: KeySpace, keys: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``digit(keys[i], levels[i])`` for every element (uint64).
-
-    ``keys`` may be a scalar-broadcastable array; ``levels`` must hold
-    valid digit indices (``0 <= level < num_digits``).
-    """
-    b = space.digit_bits
-    shifts = (space.bits - b * (levels.astype(np.int64) + 1)).astype(np.uint64)
-    return (keys >> shifts) & np.uint64(space.digit_base - 1)
 
 
 def level_blocks(

@@ -19,12 +19,10 @@ lookups take at most ``bits / digit_bits`` hops.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Optional
 
 import numpy as np
 
-from . import prefix as _prefix
 from .pastry import PastryOverlay
 
 __all__ = ["TapestryOverlay"]
@@ -75,47 +73,6 @@ class TapestryOverlay(PastryOverlay):
         return int(keys[lo_idx])
 
     # ------------------------------------------------------------------
-    # Owner-memo invalidation under churn
-    # ------------------------------------------------------------------
-    def _invalidate_owner_memo_add(self, key: int, idx: int) -> None:
-        """Evict exactly the memo entries a join diverts to ``key``.
-
-        The surrogate descent for a target ``t`` follows its owner ``o``'s
-        digit expansion; a new member ``k`` can only change the choice at
-        level ``L = spl(k, o)`` (above it ``k`` sits in the already-chosen
-        block, below it ``k`` left the path).  It wins there iff its digit
-        needs fewer upward bumps from ``t``'s wanted digit than ``o``'s —
-        and then the block ``k`` populates was previously empty, so the
-        descent terminates at ``k`` itself.  Entries failing that test are
-        untouched by the join.
-        """
-        memo = self._owner_memo
-        if not memo:
-            return
-        targets = np.fromiter(memo.keys(), dtype=np.uint64, count=len(memo))
-        owners = np.fromiter(memo.values(), dtype=np.uint64, count=len(memo))
-        spl = _prefix.shared_prefix_lengths(self.space, owners, key)
-        d_key = _prefix.digits_at(self.space, np.uint64(key), spl)
-        d_own = _prefix.digits_at(self.space, owners, spl)
-        d_tgt = _prefix.digits_at(self.space, targets, spl)
-        base = np.uint64(self.space.digit_base)
-        # uint64 wrap-around subtraction is exact mod base (base | 2**64)
-        stolen = ((d_key - d_tgt) % base) < ((d_own - d_tgt) % base)
-        diverted = targets[stolen].tolist()
-        if not diverted:
-            return
-        owners_list = owners[stolen].tolist()
-        for t, o in zip(diverted, owners_list):
-            if memo.get(t) == o:
-                del memo[t]
-                group = self._memo_owners.get(o)
-                if group is not None:
-                    try:
-                        group.remove(t)
-                    except ValueError:  # pragma: no cover - index drift guard
-                        pass
-
-    # ------------------------------------------------------------------
     # Routing: prefix-walk toward the surrogate root
     # ------------------------------------------------------------------
     def _progress(self, node: int, target: int, owner: int):
@@ -131,15 +88,9 @@ class TapestryOverlay(PastryOverlay):
         if entry is not None:
             return entry
         # The owner itself matches (row, col); the slot can only be empty
-        # if the table predates a membership change — fall back to any
-        # known node sharing a longer prefix with the owner.
-        best: Optional[int] = None
-        best_pk = self._progress(current, target, owner)
-        for cand in chain(self._leaves[current], table.members):
-            pk = self._progress(cand, target, owner)
-            if pk < best_pk:
-                best, best_pk = cand, pk
-        return best
+        # if the table predates a membership change — fall back to the
+        # known node closest to the owner, if it beats ``current``.
+        return self._closest_known(current, owner)
 
     def surrogate_path(self, key: int) -> List[int]:
         """The per-level digits actually fixed while resolving ``key`` —

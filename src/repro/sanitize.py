@@ -5,8 +5,11 @@ the CLI (``repro run``/``all``), the sanitizer verifies the protocol
 invariants the paper's results rest on, right where they can break:
 
 * **ring/prefix-table consistency** after every mobile-layer join/leave
-  (:func:`check_overlay_consistency` — sorted unique membership, the
-  changed key's ownership and neighbour closure);
+  (:func:`check_overlay_consistency` — sorted unique membership, an
+  emptied next-hop memo, the changed key's ownership and neighbour
+  closure);
+* **next-hop memo exactness** on every memo hit of ``Overlay.route``
+  (:func:`check_memo_hop` — the hop kernel, re-run, agrees);
 * **LDT well-formedness** after every build (:func:`check_ldt` —
   single-parent acyclicity plus the Fig-4 capacity bound
   ``children ≤ max(1, ⌊Avail/v⌋)``);
@@ -46,6 +49,7 @@ __all__ = [
     "reset_counts",
     "summary_line",
     "check_overlay_consistency",
+    "check_memo_hop",
     "check_ldt",
     "check_lease_refresh",
     "check_manifest_roundtrip",
@@ -137,6 +141,8 @@ def check_overlay_consistency(
     churn loops stay usable under the sanitizer.
     """
     _record("overlay")
+    if overlay._hop_memo or overlay._routed_once:
+        raise _violation("next-hop memo survived a membership change")
     keys = overlay.keys
     if keys.size != len(overlay._member_set):
         raise _violation(
@@ -171,6 +177,20 @@ def check_overlay_consistency(
                 raise _violation(
                     f"member {member} routes to non-member neighbour {nb}"
                 )
+
+
+def check_memo_hop(
+    overlay: "Overlay", current: int, target: int, owner: int, memoised: int
+) -> None:
+    """A memoised next hop equals what the overlay's hop kernel derives
+    from its routing state now."""
+    _record("hop_memo")
+    derived = overlay._hop(current, target, owner)
+    if derived != memoised:
+        raise _violation(
+            f"memoised hop {current}->{memoised} toward {target} is stale "
+            f"(the hop kernel gives {derived})"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "reference_next_hop",
     "reference_progress_key",
     "reference_route",
+    "route_outcome",
 ]
 
 
@@ -273,3 +274,14 @@ def reference_route(ov: Overlay, source: int, target: int) -> Tuple[List[int], b
         if len(hops) > ov.MAX_ROUTE_HOPS:
             raise RoutingError(f"route exceeded {ov.MAX_ROUTE_HOPS} hops")
     return hops, True
+
+
+def route_outcome(route: Callable, ov: Overlay, source: int, target: int):
+    """``(hops, success)`` of ``route(ov, source, target)`` — ``Overlay.route``
+    or :func:`reference_route` — or the name of the error it raised, so a
+    route over stale rows compares with the reference however it ends."""
+    try:
+        result = route(ov, source, target)
+    except (KeyError, RoutingError) as exc:
+        return type(exc).__name__
+    return result if isinstance(result, tuple) else (result.hops, result.success)

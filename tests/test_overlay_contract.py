@@ -12,14 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay import ChordOverlay, KeySpace, make_overlay
+from repro.overlay import CANOverlay, ChordOverlay, KeySpace, Overlay, make_overlay
 from repro.overlay.factory import OVERLAY_NAMES
 from repro.sim import RngStreams
 from repro.sim.metrics import MetricsRegistry
 
 from .oracles.build import reference_build
-from .oracles.routing import chord_fingers, chord_successors
-from .oracles.rows import chord_row, prefix_state
+from .oracles.routing import chord_fingers, chord_successors, reference_route, route_outcome
+from .oracles.rows import (
+    chord_row,
+    clear_slot,
+    prefix_state,
+    set_can_neighbors,
+    set_chord_row,
+    set_leaves,
+    set_table,
+    slot_table,
+)
 
 
 @pytest.fixture(params=OVERLAY_NAMES)
@@ -286,6 +295,91 @@ class TestChurnSequenceParity:
                 assert ov.owner_of(t) == fresh.owner_of(t), (
                     f"stale memoised owner for target {t} after event {i}"
                 )
+
+
+def _drop(ov, member, dropped):
+    """Delete ``dropped`` from ``member``'s rows through
+    ``tests/oracles/rows.py`` (its leaf set and table slots, finger row or
+    neighbour list); return the write that restores them."""
+    if isinstance(ov, CANOverlay):
+        nbrs = ov.neighbors_of(member)
+        set_can_neighbors(ov, member, [n for n in nbrs if n != dropped])
+        return lambda: set_can_neighbors(ov, member, nbrs)
+    if isinstance(ov, ChordOverlay):
+        row = chord_row(ov, member)
+        offset = (dropped - member) % ov.space.size
+        set_chord_row(ov, member, [o for o in row if o != offset])
+        return lambda: set_chord_row(ov, member, row)
+    leaves, table = ov.leaf_set(member), slot_table(ov, member)
+    set_leaves(ov, member, [k for k in leaves if k != dropped])
+    for slot in [s for s, k in table.items() if k == dropped]:
+        clear_slot(ov, member, slot)
+    return lambda: (set_leaves(ov, member, leaves), set_table(ov, member, table))
+
+
+class TestHopMemoParity:
+    """``Overlay.route`` memoises next hops per (node, target) from a
+    target's second route on.  Interleaving routes to a few repeated
+    targets with joins, leaves and row writes — each deleting a hop the
+    memo holds — every route must equal the memo-less reference loop of
+    ``tests/oracles/routing.py`` at every step.  Chord's reference derives
+    fingers from the member array, not from the rows, so its routes are
+    compared once the written row is restored (the hops memoised in
+    between must go with the restoring write)."""
+
+    def test_routes_equal_the_reference_after_every_change(self, overlay_name, space):
+        gen = np.random.default_rng(39)
+        pool = sorted({int(k) for k in gen.integers(0, space.size, 140, dtype=np.uint64)})
+        gen.shuffle(pool)
+        members, spare = set(pool[:100]), pool[100:]
+        ov = build(overlay_name, space, members)
+        targets = pool[:4] + [int(k) for k in gen.integers(0, space.size, 8, dtype=np.uint64)]
+        memoised = 0
+
+        def check(pairs=(), compare=True):
+            nonlocal memoised
+            order = sorted(members)
+            pairs = list(pairs) + [
+                (order[int(gen.integers(len(order)))], targets[int(gen.integers(len(targets)))])
+                for _ in range(40)
+            ]
+            for source, target in pairs:
+                got = route_outcome(Overlay.route, ov, source, target)
+                if compare:
+                    assert got == route_outcome(reference_route, ov, source, target), (
+                        overlay_name, source, target,
+                    )
+            memoised = max(memoised, ov._hop_memo_size)
+
+        check()
+        for step in range(24):
+            order = sorted(members)
+            if step % 3 == 0 and spare:
+                key = spare.pop()
+                ov.add_node(key)
+                members.add(key)
+            elif step % 3 == 1:
+                key = order[int(gen.integers(len(order)))]
+                ov.remove_node(key)
+                members.discard(key)
+                spare.insert(0, key)
+            else:
+                # a multi-hop pair routed twice, so the memo holds its first
+                # hop; then that hop deleted from the source's rows
+                source, target = next(
+                    (s, t)
+                    for s, t in zip(gen.permutation(order).tolist(), targets * 20)
+                    if ov.route(s, t).hop_count
+                )
+                ov.route(source, target)
+                dropped = ov._hop_memo[target][source]
+                restore = _drop(ov, source, dropped)
+                check([(source, target)] * 2, compare=overlay_name != "chord")
+                assert ov.route(source, target).hops[1:2] != [dropped]
+                restore()
+                check([(source, target)])
+            check()
+        assert memoised > 0
 
 
 class TestWideKeyChurnRepair:

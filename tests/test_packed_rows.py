@@ -1,7 +1,8 @@
 """Routing state as packed rows (issue 24): the ``SlotRow`` container
 against a plain dict, the bytes a member costs, the rows a join or a
-leave edits against a fresh build's, and Pastry's step 3 reading only the
-suffix of a row against the full scan of ``tests/oracles/routing.py``."""
+leave edits against a fresh build's, and Pastry's step 3 — a bisect over
+each member's sorted known set — against the full scan of
+``tests/oracles/routing.py``."""
 
 from __future__ import annotations
 
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay import KeySpace, make_overlay
+from repro.overlay import KeySpace, Overlay, make_overlay
 from repro.overlay.rows import SlotRow
 
 from .oracles.build import reference_build
-from .oracles.routing import reference_next_hop
+from .oracles.routing import reference_next_hop, reference_route, route_outcome
 from .oracles.rows import clear_slot, prefix_state, set_leaves, slot_table
 
 PREFIX_OVERLAYS = ("pastry", "tornado", "tapestry")
@@ -118,7 +119,9 @@ def test_block_range_repair_equals_fresh_and_scalar_builds(name, bits, digit_bit
 
 
 # ----------------------------------------------------------------------
-# (c) step 3 scans leaves + the suffix of the row; the oracle scans it all
+# (c) step 3 bisects the sorted known set; the oracle scans it all.  The
+# overlay is routed before each kind of stale write, so the known sets and
+# the next-hop memo are warm when the writes land: the writes must drop them.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bits,digit_bits", WIDTHS)
 @pytest.mark.parametrize("name", ["pastry", "tornado"])
@@ -128,13 +131,23 @@ def test_suffix_scan_equals_full_scan_on_stale_state(name, bits, digit_bits):
     founders = sorted({int(k) for k in gen.integers(0, space.size, 140, dtype=np.uint64)})
     ov = make_overlay(name, space, capacity=_capacity)
     ov.build(founders)
+
+    def warm():  # fill the known sets and the memo: three routes a pair
+        targets = gen.integers(0, space.size, 60, dtype=np.uint64).tolist()
+        for source, target in zip(founders[::2] * 3, targets * 3):
+            route_outcome(Overlay.route, ov, source, target)
+        assert ov._known and ov._hop_memo
+
     stale_leaves = {k: ov.leaf_set(k) for k in founders}
     for key in gen.integers(0, space.size, 40, dtype=np.uint64).tolist():
         if not ov.is_member(key):
             ov.add_node(key)
+    warm()
     for k in founders:  # leaf sets that predate the joins ...
         set_leaves(ov, k, stale_leaves[k][: int(gen.integers(1, 9))])
-        for slot in list(slot_table(ov, k)):  # ... and tables with holes
+    warm()
+    for k in founders:  # ... and tables with holes
+        for slot in list(slot_table(ov, k)):
             if gen.random() < 0.4:
                 clear_slot(ov, k, slot)
     members = ov.keys.tolist()
@@ -145,6 +158,10 @@ def test_suffix_scan_equals_full_scan_on_stale_state(name, bits, digit_bits):
         if source == owner:
             continue
         assert ov.next_hop(source, target) == reference_next_hop(ov, source, target)
+        for _ in range(3):  # the second route stores hops, the third reads them
+            assert route_outcome(Overlay.route, ov, source, target) == route_outcome(
+                reference_route, ov, source, target
+            )
         step3 += (
             owner not in ov.leaf_set(source)
             and ov._slot_toward(source, target) not in slot_table(ov, source)

@@ -187,3 +187,15 @@ class TestFractionalStaleness:
         for t in net.mobile_keys[:5]:
             assert route_preferring_resolved(net, net.stationary_keys[0], t).resolutions == 0
             assert route_with_resolution(net, net.stationary_keys[0], t).resolutions == 0
+
+    @pytest.mark.parametrize(
+        "route_fn", [route_with_resolution, route_preferring_resolved]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5, 1.5])
+    def test_out_of_range_override_is_rejected(self, net, route_fn, bad):
+        """A per-call ``p_stale`` is held to the config's own check: NaN and
+        -0.5 used to draw no resolution at all, 1.5 to act as 1.0."""
+        with pytest.raises(ValueError, match=r"p_stale must be in \[0, 1\]"):
+            BristleConfig(p_stale=bad)
+        with pytest.raises(ValueError, match=r"p_stale must be in \[0, 1\]"):
+            route_fn(net, net.stationary_keys[0], net.mobile_keys[0], p_stale=bad)

@@ -131,6 +131,29 @@ class TestOverlayChecks:
         sanitize.check_overlay_consistency(overlay, key)
         assert sanitizer.counts()["overlay"] == 1
 
+    def _memoised(self):
+        """An overlay whose next-hop memo holds a route's hops (a
+        target's second route stores them)."""
+        overlay = self.build()
+        source, target = int(overlay.keys[0]), int(overlay.keys[20])
+        for _ in range(2):
+            overlay.route(source, target)
+        assert overlay._hop_memo[target][source] == int(overlay.keys[16])
+        return overlay, source, target
+
+    def test_memo_surviving_a_membership_change_raises(self, sanitizer):
+        overlay, _, _ = self._memoised()
+        with pytest.raises(SanitizerViolation, match="next-hop memo survived"):
+            sanitize.check_overlay_consistency(overlay)
+
+    def test_stale_memo_hit_raises(self, sanitizer):
+        overlay, source, target = self._memoised()
+        overlay.route(source, target)  # every hit agrees with the kernel
+        assert sanitizer.counts()["hop_memo"] >= 1
+        overlay._hop_memo[target][source] = int(overlay.keys[1])
+        with pytest.raises(SanitizerViolation, match="memoised hop .* is stale"):
+            overlay.route(source, target)
+
     def test_member_array_set_mismatch_raises(self, sanitizer):
         overlay = self.build()
         overlay._member_set.add(999_999)  # simulated corruption
