@@ -23,7 +23,8 @@ import dataclasses
 import math
 from bisect import bisect_left, insort
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.telemetry import Telemetry, active_telemetry
 from .config import BristleConfig
-from .ldt import LDTMember, LDTree, build_ldt
+from .ldt import LDTree, Member, build_ldt
 from .ldt_forest import ForestSpec, build_ldt_forest
 from .location import (
     BatchPublishResult,
@@ -56,6 +57,10 @@ from .naming import make_naming
 from .node import BristleNode
 
 __all__ = ["BristleNetwork", "MoveReport", "BatchMoveReport", "cohosted_group"]
+
+#: One read of a wave's Fig-4 inputs (:meth:`BristleNetwork._gather`):
+#: registrant keys, then capacities and workloads of group + registrants.
+_Gather = Tuple[List[int], List[float], List[float]]
 
 
 @dataclasses.dataclass
@@ -325,10 +330,10 @@ class BristleNetwork:
         self.resolution_load: Dict[int, int] = {}
         # Dissemination trees kept across waves (see :meth:`_current_ldt`):
         # sorted co-hosted key group — a single key is the group ``(k,)`` —
-        # to the fingerprint the tree was built under plus the tree; a
-        # fingerprint mismatch triggers a rebuild.  Moves never invalidate:
+        # to the gather the tree was built from plus the tree; a gather
+        # that differs triggers a rebuild.  Moves never invalidate:
         # trees depend on registries, capacities and workloads, not addresses.
-        self._ldt_cache: Dict[Tuple[int, ...], Tuple[tuple, LDTree]] = {}
+        self._ldt_cache: Dict[Tuple[int, ...], Tuple[_Gather, LDTree]] = {}
         #: member key → cached groups containing it, so a leave evicts its
         #: groups without scanning the whole cache.
         self._groups_of: Dict[int, List[Tuple[int, ...]]] = {}
@@ -569,9 +574,10 @@ class BristleNetwork:
         Always a fresh derivation by the scalar kernel; :meth:`move` and
         :meth:`ldt_for` keep the tree while its inputs stand.
         """
-        tree = self._build_ldt(
-            self._ldt_spec((key,), locality_tie_break=locality_tie_break)
+        root, registry, unit_cost, tie = self._ldt_spec(
+            (key,), locality_tie_break=locality_tie_break
         )
+        tree = build_ldt(root, registry, unit_cost, tie_break=tie)
         self._ldt_metrics(tree)
         return tree
 
@@ -589,25 +595,36 @@ class BristleNetwork:
         group = cohosted_group(keys)
         # A forest of one: equal to build_ldt on the same inputs, and
         # what bench_e2e's core.ldt_forest.* spans measure on this path.
-        forest = build_ldt_forest(
-            [self._ldt_spec(group, locality_tie_break=locality_tie_break)]
-        )
-        tree = forest.tree(0)
+        spec = ForestSpec(*self._ldt_spec(group, locality_tie_break=locality_tie_break))
+        tree = build_ldt_forest([spec]).tree(0)
         self._ldt_metrics(tree)
         return tree.root_key, tree
 
-    @staticmethod
-    def _build_ldt(spec: ForestSpec) -> LDTree:
-        return build_ldt(
-            spec.root, spec.registry, unit_cost=spec.unit_cost, tie_break=spec.tie_break
-        )
+    def _gather(self, group: Tuple[int, ...]) -> _Gather:
+        """One read of everything ``group``'s Fig-4 tree is derived from:
+        the group's registries concatenated in dict order, then capacity
+        and workload of every member and registrant.  Not addresses or
+        leases, so a move or a refresh leaves it equal; and the values,
+        not a change counter that a direct attribute write would miss.
+        """
+        nodes = self.nodes
+        audience: List[int] = []
+        for k in group:
+            audience += nodes[k].registry
+        members = [nodes[k] for k in chain(group, audience)]
+        return audience, [n.capacity for n in members], [n.used for n in members]
 
     def _ldt_spec(
-        self, group: Sequence[int], *, locality_tie_break: bool = False
-    ) -> ForestSpec:
+        self,
+        group: Tuple[int, ...],
+        gathered: Optional[_Gather] = None,
+        *,
+        locality_tie_break: bool = False,
+    ) -> Tuple[Member, List[Member], float, Optional[Callable[[Member], float]]]:
         """The Fig-4 inputs of one wave for the co-hosted keys ``group`` —
-        a single key is the group ``(k,)`` — read from the nodes' live
-        capacities and workloads.
+        a single key is the group ``(k,)`` — as :class:`ForestSpec`'s
+        fields, participants as ``(key, capacity, used)`` rows of one
+        gather (read now unless given).
 
         The root is the member with the most available capacity (ties
         broken by key, deterministically).  The audience is the union of
@@ -615,21 +632,18 @@ class BristleNetwork:
         several co-hosted resources is visited once, and the group's own
         members are left out since they share the host.
         """
-        nodes = self.nodes
-        root = max(group, key=lambda k: (nodes[k].available, -k))
-        registries = [nodes[k].registry for k in group]
-        audience = sorted(set().union(*registries).difference(group))
+        audience, capacities, used = gathered or self._gather(group)
+        rows = list(zip(chain(group, audience), capacities, used))
+        size = len(group)
+        root = max(rows[:size], key=lambda m: (m[1] - m[2], -m[0]))
+        unique = dict(zip(audience, rows[size:]))
+        for k in group:
+            unique.pop(k, None)
+        registry = sorted(unique.values(), key=itemgetter(0))
         tie = None
         if locality_tie_break:
-            tie = lambda m: self.network_distance_between_keys(root, m.key)  # noqa: E731
-        return ForestSpec(
-            root=LDTMember(root, nodes[root].capacity, nodes[root].used),
-            registry=[
-                LDTMember(r, nodes[r].capacity, nodes[r].used) for r in audience
-            ],
-            unit_cost=self.config.unit_advertise_cost,
-            tie_break=tie,
-        )
+            tie = lambda m: self.network_distance_between_keys(root[0], m[0])  # noqa: E731
+        return root, registry, self.config.unit_advertise_cost, tie
 
     def _ldt_metrics(self, tree: LDTree) -> None:
         """Account one advertisement wave over ``tree`` — depth, messages,
@@ -646,40 +660,20 @@ class BristleNetwork:
             _sanitize.check_ldt(tree, self.config.unit_advertise_cost)
 
     # -- trees kept across waves ----------------------------------------
-    def _ldt_fingerprint(self, group: Tuple[int, ...]) -> tuple:
-        """Everything ``group``'s Fig-4 tree is derived from — who is
-        registered to each member, every participant's capacity and
-        workload — as one comparable value.  Addresses and lease timestamps
-        are not in it, so a move or a refresh leaves it equal.
-
-        The values themselves, not a change counter beside them:
-        ``capacity`` and ``used`` are plain attributes that callers assign
-        directly, and a counter is only as good as every writer's
-        discipline.  The price is three ``|R|``-tuples per kept tree.
-        """
-        nodes = self.nodes
-        audience: List[int] = []
-        for k in group:
-            audience += nodes[k].registry
-        members = [nodes[k] for k in chain(group, audience)]
-        return (
-            tuple(audience),
-            tuple([n.capacity for n in members]),
-            tuple([n.used for n in members]),
-        )
-
     def _current_ldt(self, group: Tuple[int, ...]) -> Tuple[LDTree, bool]:
-        """``group``'s tree, re-derived only when its fingerprint moved;
-        returns ``(tree, rebuilt)``."""
-        fp = self._ldt_fingerprint(group)
+        """``group``'s tree, re-derived only when its inputs moved; returns
+        ``(tree, rebuilt)``.  The gather is both the fingerprint the kept
+        tree is checked against and, on a miss, the rebuild's input."""
+        gathered = self._gather(group)
         kept = self._ldt_cache.get(group)
-        if kept is not None and kept[0] == fp:
+        if kept is not None and kept[0] == gathered:
             return kept[1], False
-        tree = self._build_ldt(self._ldt_spec(group))
+        root, registry, unit_cost, _ = self._ldt_spec(group, gathered)
+        tree = build_ldt(root, registry, unit_cost)
         if kept is None:
             for k in group:
                 self._groups_of.setdefault(k, []).append(group)
-        self._ldt_cache[group] = (fp, tree)
+        self._ldt_cache[group] = (gathered, tree)
         return tree, True
 
     def ldt_for_group(self, keys: Sequence[int]) -> Tuple[int, LDTree]:

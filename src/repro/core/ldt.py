@@ -30,10 +30,12 @@ identity, and the pending set handed to any sender is an arithmetic
 progression of positions in that order: round-robin partition ``j`` of the
 progression ``(start a, stride s, count c)`` split ``k`` ways is the
 progression ``(a + j·s, k·s, ⌊(c−j−1)/k⌋ + 1)``, and the overloaded
-delegation is the ``k = 1`` case.  :func:`build_ldt` walks the sorted
-positions once on that identity, :mod:`repro.core.ldt_forest` a whole
-batch of registries one level per array pass; the literal recursion is
-the reference in ``tests/oracles/ldt.py``.
+delegation is the ``k = 1`` case.  A partition's subtree is exactly its
+members, so a head's send-order row is its sender's row plus the sizes of
+the partitions before it.  :func:`build_ldt` pops such progressions off a
+stack and writes each head straight into its row;
+:mod:`repro.core.ldt_forest` runs a whole batch one level per array pass;
+the literal recursion is the reference in ``tests/oracles/ldt.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +57,10 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class LDTMember:
+class LDTMember(NamedTuple):
     """Input descriptor for one participant in an advertisement wave.
+
+    Read by position: any ``(key, capacity, used)`` tuple serves as well.
 
     Attributes
     ----------
@@ -71,6 +75,10 @@ class LDTMember:
     key: int
     capacity: float
     used: float = 0.0
+
+
+#: What the Fig-4 builders read of a participant: ``(key, capacity, used)``.
+Member = Tuple[int, float, float]
 
 
 @dataclasses.dataclass
@@ -143,38 +151,6 @@ class LDTree:
         self.interior_keys = tuple([k for k, c in zip(self.keys, sent) if c])
         self.fanouts = tuple([c for c in sent if c])
         self._nodes: Optional[Dict[int, LDTNode]] = None
-
-    @classmethod
-    def from_sorted(
-        cls,
-        keys: Sequence[int],
-        parents: Sequence[int],
-        levels: Sequence[int],
-        assigned: Sequence[int],
-        capacities: Sequence[float],
-        used: Sequence[float],
-    ) -> "LDTree":
-        """The tree whose columns are given in *capacity-sort* order:
-        index 0 the root, index ``p + 1`` the member at sort position
-        ``p``, ``parents`` the sender indices in the same numbering.
-
-        A sender precedes the heads it reaches and reaches them in
-        ascending index, and ``assigned`` is a head's subtree size, so one
-        ascending pass numbers the rows in DFS pre-order: a head takes its
-        sender's next free row, which then skips the head's partition.
-        """
-        size = len(keys)
-        rows = [0] * size
-        free = [1] * size  # next unnumbered row under each sender
-        for i in range(1, size):
-            sender = parents[i]
-            rows[i] = row = free[sender]
-            free[sender] = row + assigned[i]
-            free[i] = row + 1
-        order = sorted(range(size), key=rows.__getitem__)
-        senders = [-1] + [rows[p] for p in parents[1:]]
-        columns = (keys, senders, levels, assigned, capacities, used)
-        return cls(*[[column[i] for i in order] for column in columns])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LDTree):
@@ -273,54 +249,19 @@ class LDTree:
             )
 
 
-def _fig4_columns(
-    avail: Sequence[float], unit_cost: float
-) -> Tuple[List[int], List[int], List[int]]:
-    """The Fig-4 schedule over capacity-sorted availabilities (root at
-    index 0, sort position ``p`` at ``p + 1``) as ``(parents, levels,
-    assigned)`` — the scalar twin of ``ldt_forest.build_forest_columns``.
-
-    A sender at index ``i`` with stride ``s`` still has to reach the
-    ``pending[i]`` members at ``i + s, i + 2s, ...`` (module docstring);
-    it precedes them all, so one ascending walk meets every sender after
-    whoever reached it.
-    """
-    size = len(avail)
-    parents = [-1] * size
-    levels = [0] * size
-    assigned = [0] * size
-    pending = [0] * size
-    strides = [1] * size
-    pending[0] = size - 1
-    for i in range(size):
-        count = pending[i]
-        if not count:
-            continue
-        a = avail[i]
-        if a - unit_cost <= 0:
-            k = 1  # overloaded: delegate everything to the strongest node
-        else:
-            k = max(1, min(int(math.floor(a / unit_cost)), count))
-        stride = strides[i]
-        level = levels[i] + 1
-        head = i
-        for j in range(k):
-            head += stride
-            part = (count - j - 1) // k + 1
-            parents[head] = i
-            levels[head] = level
-            assigned[head] = part
-            pending[head] = part - 1
-            strides[head] = k * stride
-    return parents, levels, assigned
+def check_finite(key: int, capacity: float, used: float) -> None:
+    """Fig 4 sorts by capacity and divides ``capacity − used``."""
+    if not (math.isfinite(capacity) and math.isfinite(used)):
+        raise ValueError(f"capacity and used must be finite, got {capacity} "
+                         f"and {used} for key {key}")
 
 
 def build_ldt(
-    root: LDTMember,
-    registry: Sequence[LDTMember],
+    root: Member,
+    registry: Sequence[Member],
     unit_cost: float = 1.0,
     *,
-    tie_break: Optional[Callable[[LDTMember], float]] = None,
+    tie_break: Optional[Callable[[Member], float]] = None,
 ) -> LDTree:
     """Schedule one Fig-4 advertisement and return its tree.
 
@@ -334,8 +275,8 @@ def build_ldt(
         ``v``, "the unit cost to send an update message".
     tie_break:
         Optional secondary sort key for equal capacities (e.g. network
-        proximity to the advertiser); defaults to the node key, which keeps
-        construction deterministic.
+        proximity to the advertiser); defaults to ``float(key)``, which
+        keeps construction deterministic.
 
     Returns
     -------
@@ -345,19 +286,57 @@ def build_ldt(
     """
     if not unit_cost > 0:
         raise ValueError("unit_cost must be positive")
-    seen = {m.key for m in registry}
-    if len(seen) != len(registry):
+    keys = [m[0] for m in registry]
+    seen = set(keys)
+    if len(seen) != len(keys):
         raise ValueError("registry contains duplicate keys")
-    if root.key in seen:
+    if root[0] in seen:
         raise ValueError("the root must not appear in its own registry")
 
-    secondary = tie_break or (lambda m: float(m.key))
-    ordered = sorted(registry, key=lambda m: (-m.capacity, secondary(m)))
+    # One stable sort by (−capacity, secondary): by the secondary key
+    # first, then by capacity descending (``reverse`` keeps ties in order).
+    ordered = sorted(registry, key=tie_break or (lambda m: float(m[0])))
+    ordered.sort(key=itemgetter(1), reverse=True)
     ordered.insert(0, root)
-    capacities = [m.capacity for m in ordered]
-    used = [m.used for m in ordered]
-    schedule = _fig4_columns([c - u for c, u in zip(capacities, used)], unit_cost)
-    return LDTree.from_sorted([m.key for m in ordered], *schedule, capacities, used)
+    avail = [m[1] - m[2] for m in ordered]
+    # Any NaN or infinity among the inputs makes the sum non-finite.
+    if not math.isfinite(sum(avail)):
+        for member in ordered:
+            check_finite(*member)
+
+    # Send-order row → index in ``ordered``; a task is one sender's pending
+    # progression (row, first index, stride, count), popped in row order.
+    size = len(ordered)
+    order = [0] * size
+    parents = [-1] * size
+    levels = [0] * size
+    assigned = [0] * size
+    stack = [(0, 1, 1, size - 1)] if size > 1 else []
+    while stack:
+        sender, start, stride, count = stack.pop()
+        a = avail[order[sender]]
+        if a - unit_cost <= 0:
+            k = 1  # overloaded: delegate everything to the strongest node
+        else:
+            q = a / unit_cost
+            k = count if q >= count else math.floor(q)
+        level = levels[sender] + 1
+        step = k * stride
+        # Heads in reverse, so the first partition's subtree pops first;
+        # partition j takes the rows after partitions 0..j−1.
+        row = sender + 1 + count
+        for j in range(k - 1, -1, -1):
+            part = (count - j - 1) // k + 1
+            row -= part
+            head = start + j * stride
+            order[row] = head
+            parents[row] = sender
+            levels[row] = level
+            assigned[row] = part
+            if part > 1:
+                stack.append((row, head + step, step, part - 1))
+    keys_out, capacities, used = zip(*[ordered[i] for i in order])
+    return LDTree(keys_out, parents, levels, assigned, capacities, used)
 
 
 def ldt_depth_bound(registry_size: int, branching: int) -> float:

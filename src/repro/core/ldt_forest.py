@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ldt import LDTMember, LDTree
+from .ldt import LDTree, Member, check_finite
 
 __all__ = [
     "ForestSpec",
@@ -69,10 +69,10 @@ _F64 = np.float64
 class ForestSpec:
     """One tree's worth of input: the Fig-4 arguments of ``build_ldt``."""
 
-    root: LDTMember
-    registry: Sequence[LDTMember]
+    root: Member
+    registry: Sequence[Member]
     unit_cost: float = 1.0
-    tie_break: Optional[Callable[[LDTMember], float]] = None
+    tie_break: Optional[Callable[[Member], float]] = None
 
 
 def build_forest_columns(
@@ -226,19 +226,36 @@ class LDTForest:
 
     def tree(self, index: int) -> LDTree:
         """Tree ``index`` as an :class:`~repro.core.ldt.LDTree`, equal to
-        ``build_ldt`` on the same spec: the tree's column slices, handed
-        to the one pre-order pass both builders share."""
+        ``build_ldt`` on the same spec: the tree's column slices (index 0
+        the root, ``p + 1`` sort position ``p``) renumbered into send order.
+
+        A sender precedes the heads it reaches and reaches them in
+        ascending index, and ``assigned`` is a head's subtree size, so one
+        ascending pass numbers the rows in DFS pre-order: a head takes its
+        sender's next free row, which then skips the head's partition.
+        """
         lo, hi = self.tree_offsets[index : index + 2].tolist()
         # Global parent rows → indices local to the tree, root at 0.
-        parents = np.maximum(self.parent_row[lo:hi] - (lo - 1), 0)
-        return LDTree.from_sorted(
+        parents = [-1] + np.maximum(self.parent_row[lo:hi] - (lo - 1), 0).tolist()
+        assigned = [0] + self.assigned[lo:hi].tolist()
+        size = len(parents)
+        rows = [0] * size
+        free = [1] * size  # next unnumbered row under each sender
+        for i in range(1, size):
+            sender = parents[i]
+            rows[i] = row = free[sender]
+            free[sender] = row + assigned[i]
+            free[i] = row + 1
+        order = sorted(range(size), key=rows.__getitem__)
+        columns = (
             [int(self.root_key[index])] + self.key[lo:hi].tolist(),
-            [-1] + parents.tolist(),
+            [-1] + [rows[p] for p in parents[1:]],
             [0] + self.level[lo:hi].tolist(),
-            [0] + self.assigned[lo:hi].tolist(),
+            assigned,
             [float(self.root_capacity[index])] + self.capacity[lo:hi].tolist(),
             [float(self.root_used[index])] + self.used[lo:hi].tolist(),
         )
+        return LDTree(*[[column[i] for i in order] for column in columns])
 
     def trees(self) -> Iterator[LDTree]:
         """Materialise every tree in batch order."""
@@ -259,24 +276,29 @@ def build_ldt_forest(specs: Sequence[ForestSpec]) -> LDTForest:
     np.cumsum(sizes, out=tree_offsets[1:])
     n_members = int(tree_offsets[-1])
 
-    root_key = np.fromiter((s.root.key for s in specs), dtype=_I64, count=n_trees)
-    root_capacity = np.fromiter(
-        (s.root.capacity for s in specs), dtype=_F64, count=n_trees
-    )
-    root_used = np.fromiter((s.root.used for s in specs), dtype=_F64, count=n_trees)
+    root_key = np.fromiter((s.root[0] for s in specs), dtype=_I64, count=n_trees)
+    root_capacity = np.fromiter((s.root[1] for s in specs), dtype=_F64, count=n_trees)
+    root_used = np.fromiter((s.root[2] for s in specs), dtype=_F64, count=n_trees)
     unit_cost = np.fromiter((s.unit_cost for s in specs), dtype=_F64, count=n_trees)
     if not np.all(unit_cost > 0):
         raise ValueError("unit_cost must be positive")
 
-    # Object-model ingestion bridge: three chained attribute passes turn
-    # the LDTMember rows into columns; everything after is array kernels.
-    def _column(attr: str, dtype) -> np.ndarray:
+    # Ingestion bridge: three chained positional passes turn the member
+    # rows into columns; everything after is array kernels.
+    def _column(field: int, dtype) -> np.ndarray:
         rows = chain.from_iterable(s.registry for s in specs)
-        return np.fromiter(map(attrgetter(attr), rows), dtype=dtype, count=n_members)
+        return np.fromiter(map(itemgetter(field), rows), dtype=dtype, count=n_members)
 
-    key = _column("key", _I64)
-    capacity = _column("capacity", _F64)
-    used = _column("used", _F64)
+    key = _column(0, _I64)
+    capacity = _column(1, _F64)
+    used = _column(2, _F64)
+    # build_ldt's finiteness check: name the first participant at fault.
+    for keys, caps, loads in (
+        (root_key, root_capacity, root_used),
+        (key, capacity, used),
+    ):
+        for i in np.flatnonzero(~(np.isfinite(caps) & np.isfinite(loads)))[:1]:
+            check_finite(int(keys[i]), float(caps[i]), float(loads[i]))
     # The default secondary sort key is float(member.key) — vectorised;
     # only specs with a custom tie_break pay a per-member Python call.
     secondary = key.astype(_F64)

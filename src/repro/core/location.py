@@ -341,19 +341,12 @@ class LocationDirectory:
         index maintained by publish/rebalance), not ``holders_for(key)``
         recomputed at withdrawal time: stationary churn between publish and
         withdraw can re-home ownership, and recomputing would leave the
-        record alive on its former holders forever.  Returns the number of
-        replicas removed.
+        record alive on its former holders forever.  Every writer keeps
+        the index exact: a key it does not name is in no store.  Returns
+        the number of replicas removed.
         """
         removed = 0
-        holders = self._holders_by_key.pop(key, None)
-        if holders is None:
-            # Not published through this directory (or already withdrawn):
-            # sweep every store so no replica can survive regardless.
-            for recs in self._stores.values():
-                if recs.pop(key, None) is not None:
-                    removed += 1
-            return removed
-        for h in holders:
+        for h in self._holders_by_key.pop(key, ()):
             if self._stores.get(h, {}).pop(key, None) is not None:
                 removed += 1
         return removed

@@ -41,6 +41,30 @@ class TestBuildBasics:
             with pytest.raises(ValueError, match="unit_cost"):
                 build_ldt(ROOT, members([1]), unit_cost=unit_cost)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["capacity", "used"])
+    @pytest.mark.parametrize("who", [0, 3])
+    def test_non_finite_capacity_or_used_rejected(self, who, field, bad):
+        """A NaN capacity made the capacity sort depend on input order; a
+        NaN or infinite sender died converting ``floor(Avail / v)``."""
+        root, regs = ROOT, members([3, 1, 4, 1, 5])
+        if who == 0:
+            root = root._replace(**{field: bad})
+        else:
+            regs[who - 1] = regs[who - 1]._replace(**{field: bad})
+        with pytest.raises(ValueError, match=f"must be finite.* for key {who}$"):
+            build_ldt(root, regs)
+
+    def test_fan_out_is_the_floor_of_the_quotient(self):
+        """``k = ⌊Avail / v⌋`` as Fig 4 states it: 1.0 / 0.1 is 10.0, while
+        floor division would give 1.0 // 0.1 == 9.0."""
+        tree = build_ldt(LDTMember(0, 1.0), members([1] * 12), unit_cost=0.1)
+        assert tree.fanouts[0] == 10
+
+    def test_plain_tuples_are_members(self):
+        regs = members([3, 1, 4, 1, 5], used=0.5)
+        assert build_ldt(tuple(ROOT), [tuple(m) for m in regs]) == build_ldt(ROOT, regs)
+
 
 class TestOverloadedChain:
     def test_unit_capacity_degenerates_to_chain(self):

@@ -7,6 +7,7 @@ order, levels and assigned counts included.  Both builders against the
 Fig-4 recursion itself: ``tests/test_ldt_parity.py``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -161,6 +162,29 @@ class TestForestParity:
 
 
 class TestForestErrors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["capacity", "used"])
+    @pytest.mark.parametrize("who", [-2, 3])
+    def test_non_finite_capacity_or_used_rejected(self, who, field, bad):
+        """One ValueError naming the participant, as ``build_ldt`` raises —
+        not a tree whose capacity sort depends on input order."""
+        specs = [
+            ForestSpec(
+                root=LDTMember(key=-(t + 1), capacity=4.0), registry=members([2, 3, 4])
+            )
+            for t in range(2)
+        ]
+        if who < 0:
+            specs[1] = dataclasses.replace(
+                specs[1], root=specs[1].root._replace(**{field: bad})
+            )
+        else:
+            registry = list(specs[1].registry)
+            registry[who - 1] = registry[who - 1]._replace(**{field: bad})
+            specs[1] = dataclasses.replace(specs[1], registry=registry)
+        with pytest.raises(ValueError, match=f"must be finite.* for key {who}$"):
+            build_ldt_forest(specs)
+
     def test_duplicate_keys_rejected(self):
         spec = ForestSpec(
             root=LDTMember(key=0, capacity=4.0),

@@ -120,6 +120,59 @@ class TestBuildersMatchTheRecursion:
         assert_tree_matches(build_ldt_forest([spec]).tree(0), expected)
 
 
+#: Few distinct capacities (ties) next to arbitrary ones.
+CAPACITIES = st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.5, 12.0)
+#: Workloads at, near and past capacity: senders with Avail − v ≤ 0.
+WORKLOADS = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 12.0)
+#: Fractional v, where ⌊Avail / v⌋ and Avail // v part ways (1.0 // 0.1 = 9).
+UNIT_COSTS = st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5]) | st.floats(0.05, 4.0)
+#: Above 2**53 the keys of one 2**8-wide bucket share a float, so the
+#: default ``float(key)`` secondary ties and registry order decides.
+WIDE_KEYS = st.integers(2**60, 2**60 + 2**9)
+
+
+@st.composite
+def waves(draw) -> ForestSpec:
+    keys = draw(st.sampled_from([st.integers(0, 2**32 - 1), WIDE_KEYS]))
+    size = draw(st.integers(0, 40))  # uniform: wide fan-outs need long lists
+    rows = draw(
+        st.lists(
+            st.tuples(keys, CAPACITIES, WORKLOADS),
+            min_size=size,
+            max_size=size,
+            unique_by=lambda r: r[0],
+        )
+    )
+    root_key = draw(keys.filter(lambda k: all(k != r[0] for r in rows)))
+    return ForestSpec(
+        root=LDTMember(root_key, draw(CAPACITIES), draw(WORKLOADS)),
+        registry=[LDTMember(*r) for r in rows],
+        unit_cost=draw(UNIT_COSTS),
+    )
+
+
+class TestKernelProperty:
+    """The send-order kernel on drawn waves — empty registries, tied
+    capacities, overloaded senders, fractional ``v`` and float-colliding
+    keys — against the recursion, and the forest against the kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=waves())
+    def test_build_ldt_is_the_recursion(self, spec):
+        tree = build_ldt(spec.root, spec.registry, spec.unit_cost)
+        assert_tree_matches(tree, reference(spec))
+        tree.validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=st.lists(waves(), min_size=1, max_size=5))
+    def test_forest_tree_is_build_ldt(self, specs):
+        forest = build_ldt_forest(specs)
+        for index, spec in enumerate(specs):
+            assert forest.tree(index) == build_ldt(
+                spec.root, spec.registry, spec.unit_cost
+            )
+
+
 class TestLongDelegationChains:
     """Root + 3 000 registrants of capacity 1.0: every sender delegates to
     one head.  The recursion needed one Python frame per level and died

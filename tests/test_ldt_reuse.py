@@ -153,6 +153,18 @@ class TestEveryFig4InputIsFingerprinted:
         assert report.ldt != stale
         assert net.ldt_for(key) == net.build_ldt_for(key)
 
+    @pytest.mark.parametrize("attribute", ["capacity", "used"])
+    def test_direct_non_finite_write_then_move(self, attribute):
+        """A write the node's own checks never see: the next wave rejects
+        it by name instead of building a tree on a NaN sort."""
+        net = make_net(5)
+        key = next(k for k in net.mobile_keys if len(net.nodes[k].registry) > 2)
+        net.move(key)
+        written = sorted(net.nodes[key].registry)[1]
+        setattr(net.nodes[written], attribute, math.nan)
+        with pytest.raises(ValueError, match=f"must be finite.* for key {written}$"):
+            net.move(key)
+
     def test_a_lease_refresh_keeps_the_tree(self):
         net = make_net(5)
         key = next(k for k in net.mobile_keys if net.nodes[k].registry)

@@ -1,11 +1,13 @@
 """Tests for repro.core.location — directory and registrations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BristleNode, LocationDirectory, RegistrationManager
 from repro.core.location import ExpiryHeap, LocationRecord
 from repro.net import NetworkAddress
-from repro.overlay import ChordOverlay, make_overlay
+from repro.overlay import ChordOverlay, KeySpace, make_overlay
 from repro.sim import RngStreams
 
 ADDR = NetworkAddress(router=5, port=9)
@@ -183,6 +185,68 @@ class TestPublishResolve:
         assert directory.resolve(4242, now=50.0) is None
         assert all(4242 not in store for store in directory._stores.values())
         assert directory.resolve(5353, now=50.0) == ADDR2
+
+
+#: Mobile keys the index test publishes, spread around the 32-bit ring.
+INDEXED_KEYS = [4242, 5353, 2**31 + 7, 2**32 - 99, 123_456_789, 77, 3_000_000_001, 9]
+INDEX_OPS = ("publish", "publish_many", "expire", "join", "leave", "withdraw")
+
+
+class TestHolderIndexIsExact:
+    """``withdraw`` consults only the holder index, so the index must name
+    every store a key is in, and no other: a key is in some store iff it
+    is indexed.  Driven through the public paths only — publish, batched
+    publish, lease expiry, stationary churn with its rebalance, withdraw."""
+
+    @staticmethod
+    def stored(directory):
+        where = {}
+        for holder in directory.holder_load():
+            for key in directory.records_at(holder):
+                where.setdefault(key, set()).add(holder)
+        return where
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(INDEX_OPS), st.integers(0, 7), st.integers(0, 2**32 - 1)
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_a_key_is_stored_iff_indexed(self, steps):
+        space = KeySpace(bits=32, digit_bits=4)
+        layer = ChordOverlay(space)
+        layer.build([int(k) for k in space.random_keys(RngStreams(61), "keys", 12)])
+        directory = LocationDirectory(space, layer, replication=3)
+        now = 0.0
+        for op, a, b in steps:
+            key = INDEXED_KEYS[a]
+            if op == "publish":
+                directory.publish(key, ADDR, now=now, ttl=float(1 + b % 20))
+            elif op == "publish_many":
+                batch = {INDEXED_KEYS[(a + i) % 8]: ADDR2 for i in range(1 + b % 4)}
+                directory.publish_many(batch, now=now, ttl=float(1 + b % 20))
+            elif op == "expire":
+                now += float(b % 15)
+                directory.expire_leases(now)
+            elif op in ("join", "leave"):
+                if op == "join" and not layer.is_member(b):
+                    layer.add_node(b)
+                elif op == "leave" and layer.keys.size > 4:
+                    layer.remove_node(int(layer.keys[b % layer.keys.size]))
+                # Not every change rebalances at once: a republish in between
+                # moves a record off holders that no longer own its key.
+                if b % 3:
+                    live = None if b % 2 else INDEXED_KEYS[: 1 + a]
+                    directory.rebalance_after_membership_change(live, now=now)
+            else:
+                directory.withdraw(key)
+                assert key not in self.stored(directory)
+            indexed = {k: set(h) for k, h in directory._holders_by_key.items()}
+            assert self.stored(directory) == indexed
 
 
 class TestRegistrationManager:
