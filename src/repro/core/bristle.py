@@ -45,7 +45,7 @@ from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.telemetry import Telemetry, active_telemetry
 from .config import BristleConfig
-from .ldt import LDTree, Member, build_ldt
+from .ldt import LDTree, Member, build_ldt, check_finite
 from .ldt_forest import ForestSpec, build_ldt_forest
 from .location import (
     BatchPublishResult,
@@ -506,6 +506,8 @@ class BristleNetwork:
         node = self.nodes[key]
         if not node.mobile:
             raise ValueError(f"node {key} is stationary; only mobile nodes move")
+        # The wave's inputs are read, and checked, before anything is written.
+        gathered = self._gather((key,)) if advertise and node.registry else None
         tel = self.telemetry
         sid = (
             tel.tracer.span_begin(self.now, "op.update", key=key)
@@ -529,10 +531,10 @@ class BristleNetwork:
             publish_hops = 1
 
         ldt: Optional[LDTree] = None
-        if advertise and node.registry:
+        if gathered is not None:
             # The address never enters Fig 4: the wave reuses the node's
             # tree while its inputs stand, and is counted all the same.
-            ldt = self._current_ldt((key,))[0]
+            ldt = self._current_ldt((key,), gathered)[0]
             self._ldt_metrics(ldt)
         report = MoveReport(
             key=key,
@@ -582,20 +584,26 @@ class BristleNetwork:
         return tree
 
     def build_ldt_for_group(
-        self, keys: Sequence[int], *, locality_tie_break: bool = False
+        self,
+        keys: Sequence[int],
+        *,
+        locality_tie_break: bool = False,
+        gathered: Optional[_Gather] = None,
     ) -> Tuple[int, LDTree]:
         """One coalesced advertisement tree for co-hosted mobile keys,
         freshly derived and counted as one wave.
 
         The batched update multicasts the host's new address once: from
         the member with the most available capacity, over the union of the
-        group's registries (see :meth:`_ldt_spec`).  Returns
-        ``(root_key, tree)``.
+        group's registries (see :meth:`_ldt_spec`, handed ``gathered``
+        when the caller has read it already).  Returns ``(root_key, tree)``.
         """
         group = cohosted_group(keys)
         # A forest of one: equal to build_ldt on the same inputs, and
         # what bench_e2e's core.ldt_forest.* spans measure on this path.
-        spec = ForestSpec(*self._ldt_spec(group, locality_tie_break=locality_tie_break))
+        spec = ForestSpec(
+            *self._ldt_spec(group, gathered, locality_tie_break=locality_tie_break)
+        )
         tree = build_ldt_forest([spec]).tree(0)
         self._ldt_metrics(tree)
         return tree.root_key, tree
@@ -606,13 +614,20 @@ class BristleNetwork:
         and workload of every member and registrant.  Not addresses or
         leases, so a move or a refresh leaves it equal; and the values,
         not a change counter that a direct attribute write would miss.
+        A NaN or infinite value raises here, before the wave is sent.
         """
         nodes = self.nodes
         audience: List[int] = []
         for k in group:
             audience += nodes[k].registry
         members = [nodes[k] for k in chain(group, audience)]
-        return audience, [n.capacity for n in members], [n.used for n in members]
+        capacities = [n.capacity for n in members]
+        used = [n.used for n in members]
+        # Any NaN or infinity among the inputs makes the sum non-finite.
+        if not math.isfinite(sum(capacities) + sum(used)):
+            for k, c, u in zip(chain(group, audience), capacities, used):
+                check_finite(k, c, u)
+        return audience, capacities, used
 
     def _ldt_spec(
         self,
@@ -660,11 +675,12 @@ class BristleNetwork:
             _sanitize.check_ldt(tree, self.config.unit_advertise_cost)
 
     # -- trees kept across waves ----------------------------------------
-    def _current_ldt(self, group: Tuple[int, ...]) -> Tuple[LDTree, bool]:
+    def _current_ldt(
+        self, group: Tuple[int, ...], gathered: _Gather
+    ) -> Tuple[LDTree, bool]:
         """``group``'s tree, re-derived only when its inputs moved; returns
-        ``(tree, rebuilt)``.  The gather is both the fingerprint the kept
-        tree is checked against and, on a miss, the rebuild's input."""
-        gathered = self._gather(group)
+        ``(tree, rebuilt)``.  The group's gather is both the fingerprint the
+        kept tree is checked against and, on a miss, the rebuild's input."""
         kept = self._ldt_cache.get(group)
         if kept is not None and kept[0] == gathered:
             return kept[1], False
@@ -683,7 +699,8 @@ class BristleNetwork:
         period over a tree that rarely changes, so unlike :meth:`move` —
         which shares the cache but accounts every wave — a hit here only
         bumps ``ldt.cache_hits``."""
-        tree, rebuilt = self._current_ldt(cohosted_group(keys))
+        group = cohosted_group(keys)
+        tree, rebuilt = self._current_ldt(group, self._gather(group))
         if rebuilt:
             self.telemetry.metrics.counter("ldt.cache_misses").inc()
             self._ldt_metrics(tree)
@@ -722,6 +739,10 @@ class BristleNetwork:
         for k in group:
             if not self.nodes[k].mobile:
                 raise ValueError(f"node {k} is stationary; only mobile nodes move")
+        # The wave's inputs are read, and checked, before anything is written.
+        gathered = None
+        if advertise and any(self.nodes[k].registry for k in group):
+            gathered = self._gather(tuple(group))
         tel = self.telemetry
         sid = (
             tel.tracer.span_begin(self.now, "op.update_many", batch=len(group))
@@ -755,8 +776,8 @@ class BristleNetwork:
 
         ldt_root: Optional[int] = None
         ldt: Optional[LDTree] = None
-        if advertise and any(self.nodes[k].registry for k in group):
-            ldt_root, ldt = self.build_ldt_for_group(group)
+        if gathered is not None:
+            ldt_root, ldt = self.build_ldt_for_group(group, gathered=gathered)
         report = BatchMoveReport(
             keys=group,
             new_addresses=new_addresses,

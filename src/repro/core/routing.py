@@ -13,79 +13,25 @@ The module accounts both quantities Figure 7 reports:
   including the stationary hops of each discovery detour;
 * **path cost** — per §4.1, the sum over application-level hops of the
   shortest-path weight between the two endpoints' attachment points.
+
+Both routing policies differ only in how they pick the mobile-layer path.
+One walk, :func:`_walk`, then sends the packet along it: in a single pass
+it flips each hop's stale coin, appends the direct hop or the detour's
+records, prices each record as it is appended, and collects what the
+telemetry charges (ledger, detour breakdown, span).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bristle import BristleNetwork
 
-__all__ = ["HopRecord", "RouteTrace", "route_with_resolution"]
+__all__ = ["HopRecord", "RouteTrace", "route_preferring_resolved", "route_with_resolution"]
 
 
-def _record_route_telemetry(
-    net: BristleNetwork, trace: "RouteTrace", span_id: int
-) -> "RouteTrace":
-    """Account one finished route in the network's telemetry.
-
-    Per-route histograms (``route.app_hops``, ``route.path_cost``,
-    ``route.resolutions``) always record — cheap O(1) appends; the
-    discovery-detour breakdown (``discovery.detour_cost`` /
-    ``discovery.detour_hops``, the stationary-layer share of the route)
-    records whenever resolutions happened.  The per-node ledger charges
-    every forwarding node one ``routed`` unit, the final node one
-    ``terminated`` unit on success, and each resolving record holder
-    (Fig 2's Z, the source of a ``deliver`` hop) one ``detour`` unit —
-    pure integer counting, always on.  When a span is open it is closed
-    with the route's aggregates plus the causal hop path (per-hop
-    ``[src, dst, kind, cost]`` records), so one lookup can be traced
-    end-to-end through stationary routing → detour → delivery.
-    """
-    m = net.telemetry.metrics
-    path_cost = trace.path_cost
-    m.counter("route.count").inc()
-    m.histogram("route.app_hops").observe(trace.app_hops)
-    m.histogram("route.path_cost").observe(path_cost)
-    m.histogram("route.resolutions").observe(trace.resolutions)
-    if not trace.success:
-        m.counter("route.failures").inc()
-    # One pass over the hops feeds the detour breakdown and the ledger.
-    detour_cost = 0.0
-    detour_hops = 0
-    forwarders: List[int] = []
-    holders: List[int] = []
-    for r in trace.records:
-        forwarders.append(r.src)
-        if r.kind != "direct":
-            detour_cost += r.cost
-            detour_hops += 1
-            if r.kind == "deliver":
-                holders.append(r.src)
-    if trace.resolutions:
-        m.histogram("discovery.detour_cost").observe(detour_cost)
-        m.histogram("discovery.detour_hops").observe(detour_hops)
-    ledger = net.telemetry.nodeload
-    ledger.add_many("routed", forwarders)
-    if trace.success:
-        ledger.add("terminated", trace.records[-1].dst if forwarders else trace.source)
-    ledger.add_many("detour", holders)
-    if span_id:
-        net.telemetry.tracer.span_end(
-            net.now,
-            span_id,
-            hops=trace.app_hops,
-            cost=path_cost,
-            resolutions=trace.resolutions,
-            success=trace.success,
-            path=trace.hop_path,
-        )
-    return trace
-
-
-@dataclasses.dataclass(frozen=True)
-class HopRecord:
+class HopRecord(NamedTuple):
     """One application-level hop of a routed packet.
 
     ``kind`` is ``"direct"`` for a plain mobile-layer hop, ``"inject"``
@@ -128,64 +74,130 @@ class RouteTrace:
             return [self.source]
         return [self.records[0].src] + [r.dst for r in self.records]
 
-    @property
-    def hop_path(self) -> List[List[object]]:
-        """Causal per-hop records for span attachment: one
-        ``[src, dst, kind, cost]`` entry per application-level hop, in
-        traversal order — the end-to-end story of this packet."""
-        return [[r.src, r.dst, r.kind, r.cost] for r in self.records]
 
-
-def _address_is_stale(
-    net: BristleNetwork, key: int, p_stale: float, stale_stream: str
-) -> bool:
-    """Whether the cached address of next hop ``key`` needs resolution:
-    never for a stationary node, else with probability ``p_stale`` (one
-    draw from ``stale_stream`` unless the answer is certain)."""
-    return (
-        net.is_mobile(key)
-        and p_stale > 0.0
-        and (p_stale >= 1.0 or net.rng.random(stale_stream) < p_stale)
-    )
-
-
-def _checked_p_stale(net: BristleNetwork, p_stale: Optional[float]) -> float:
-    """A call's ``p_stale`` override, held to the config's own range check
-    (NaN fails it too); the config's value when there is none."""
+def _begin(
+    net: BristleNetwork, p_stale: Optional[float], source: int, target: int, **policy: str
+) -> Tuple[float, int]:
+    """A route's ``p_stale`` — the call's override, held to the config's own
+    range check (NaN fails it too), else the config's — and its span id
+    (0 when the tracer is off)."""
     if p_stale is None:
-        return net.config.p_stale
-    if not 0.0 <= p_stale <= 1.0:
+        p_stale = net.config.p_stale
+    elif not 0.0 <= p_stale <= 1.0:
         raise ValueError("p_stale must be in [0, 1]")
-    return p_stale
-
-
-def _detour(net: BristleNetwork, records: List["HopRecord"], a: int, b: int) -> None:
-    """Append the discovery detour for the stale hop ``a → b``:
-    a → entry → ... → holder Z → b  (Fig 2's ``_discovery`` plus Z
-    forwarding the packet to the destination, §2.2: "Once Z determines the
-    network address of k ... it forwards the message to the destination
-    node Y")."""
-    dist = net.network_distance_between_keys
-    stationary = net.stationary_layer
-    entry = net.stationary_entry(a)
-    if entry != a:
-        records.append(HopRecord(a, entry, "inject", dist(a, entry)))
-    stat_hops = stationary.route(entry, b).hops
-    for sa, sb in zip(stat_hops, stat_hops[1:]):
-        records.append(HopRecord(sa, sb, "stationary", dist(sa, sb)))
-    holder = stat_hops[-1]
-    net.resolution_load[holder] = net.resolution_load.get(holder, 0) + 1
-    records.append(HopRecord(holder, b, "deliver", dist(holder, b)))
     tracer = net.telemetry.tracer
-    if tracer.enabled:
-        tracer.emit(
+    if not tracer.enabled:
+        return p_stale, 0
+    return p_stale, tracer.span_begin(net.now, "route", src=source, target=target, **policy)
+
+
+def _walk(
+    net: BristleNetwork,
+    source: int,
+    target: int,
+    hops: Sequence[int],
+    success: bool,
+    p_stale: float,
+    stale_stream: str,
+    span_id: int,
+) -> RouteTrace:
+    """Send a packet along the mobile-layer path ``hops`` and account it.
+
+    A hop ``a → b`` is stale, and becomes Fig 2's discovery detour, when
+    ``b`` is mobile and the coin says so (one draw from ``stale_stream``
+    unless ``p_stale`` is 0 or 1).  The detour injects the discovery at
+    ``a``'s stationary entry, routes it to the record holder Z, and Z
+    forwards the packet to ``b`` (§2.2).  Each record is priced as it is
+    appended.  The ledger charges every forwarding node one ``routed``
+    unit, the final node one ``terminated`` unit on success and each
+    holder Z one ``detour`` unit; a span ``span_id`` is closed with the
+    route's aggregates and its per-hop ``[src, dst, kind, cost]`` path.
+    """
+    router = net.placement.router_of
+    distance = net.oracle.distance  # the instance attribute: spans wrap it
+    is_mobile = net.is_mobile
+    draw = net.rng.random
+    stationary = net.stationary_layer
+    resolution_load = net.resolution_load
+    tracer = net.telemetry.tracer
+    records: List[HopRecord] = []
+    holders: List[int] = []
+    detour_cost = 0.0
+    detour_hops = 0
+    # Records chain node to node, so each node's router is read once.
+    a = hops[0]
+    a_router = router(a)
+    for b in hops[1:]:
+        b_router = router(b)
+        if not (
+            is_mobile(b)
+            and p_stale > 0.0
+            and (p_stale >= 1.0 or draw(stale_stream) < p_stale)
+        ):
+            cost = 0.0 if a == b else distance(a_router, b_router)
+            records.append(HopRecord(a, b, "direct", cost))
+            a, a_router = b, b_router
+            continue
+        here, here_router = a, a_router
+        entry = net.stationary_entry(a)
+        if entry != a:
+            here_router = router(entry)
+            cost = distance(a_router, here_router)
+            records.append(HopRecord(a, entry, "inject", cost))
+            detour_cost += cost
+            here = entry
+        path = stationary.route(entry, b).hops
+        for nxt in path[1:]:
+            nxt_router = router(nxt)
+            cost = 0.0 if here == nxt else distance(here_router, nxt_router)
+            records.append(HopRecord(here, nxt, "stationary", cost))
+            detour_cost += cost
+            here, here_router = nxt, nxt_router
+        resolution_load[here] = resolution_load.get(here, 0) + 1
+        cost = 0.0 if here == b else distance(here_router, b_router)
+        records.append(HopRecord(here, b, "deliver", cost))
+        detour_cost += cost
+        detour_hops += len(path) + (entry != a)
+        holders.append(here)
+        if tracer.enabled:
+            tracer.emit(
+                net.now,
+                "discovery.detour",
+                at=a,
+                next_hop=b,
+                holder=here,
+                stationary_hops=len(path) - 1,
+            )
+        a, a_router = b, b_router
+
+    trace = RouteTrace(source, target, records, len(holders), success)
+    path_cost = trace.path_cost
+    m = net.telemetry.metrics
+    m.counter("route.count").inc()
+    m.histogram("route.app_hops").observe(len(records))
+    m.histogram("route.path_cost").observe(path_cost)
+    m.histogram("route.resolutions").observe(len(holders))
+    if not success:
+        m.counter("route.failures").inc()
+    if holders:
+        m.histogram("discovery.detour_cost").observe(detour_cost)
+        m.histogram("discovery.detour_hops").observe(detour_hops)
+    ledger = net.telemetry.nodeload
+    ledger.add_many("routed", [r.src for r in records])
+    if success:
+        ledger.add("terminated", records[-1].dst if records else source)
+    ledger.add_many("detour", holders)
+    if span_id:
+        tracer.span_end(
             net.now,
-            "discovery.detour",
-            at=a,
-            next_hop=b,
-            holder=holder,
-            stationary_hops=len(stat_hops) - 1,
+            span_id,
+            hops=len(records),
+            cost=path_cost,
+            resolutions=len(holders),
+            success=success,
+            path=[list(r) for r in records],
         )
+    return trace
 
 
 def route_with_resolution(
@@ -215,35 +227,10 @@ def route_with_resolution(
         its updated location to the stationary layer", so en-route caches
         are cold).
     """
-    p_stale = _checked_p_stale(net, p_stale)
-    tracer = net.telemetry.tracer
-    span_id = (
-        tracer.span_begin(net.now, "route", src=source, target=target_key)
-        if tracer.enabled
-        else 0
-    )
-    overlay_route = net.mobile_layer.route(source, target_key)
-    records: List[HopRecord] = []
-    resolutions = 0
-    dist = net.network_distance_between_keys
-    hops = overlay_route.hops
-    for a, b in zip(hops, hops[1:]):
-        if _address_is_stale(net, b, p_stale, stale_stream):
-            resolutions += 1
-            _detour(net, records, a, b)
-        else:
-            records.append(HopRecord(a, b, "direct", dist(a, b)))
-
-    return _record_route_telemetry(
-        net,
-        RouteTrace(
-            source=source,
-            target=target_key,
-            records=records,
-            resolutions=resolutions,
-            success=overlay_route.success,
-        ),
-        span_id,
+    p_stale, span_id = _begin(net, p_stale, source, target_key)
+    route = net.mobile_layer.route(source, target_key)
+    return _walk(
+        net, source, target_key, route.hops, route.success, p_stale, stale_stream, span_id
     )
 
 
@@ -268,37 +255,25 @@ def route_preferring_resolved(
     RNG stream) as :func:`route_with_resolution`, so the two policies are
     comparable at any staleness level, not just the cold-cache extreme.
     """
-    p_stale = _checked_p_stale(net, p_stale)
-    tracer = net.telemetry.tracer
-    span_id = (
-        tracer.span_begin(
-            net.now, "route", src=source, target=target_key, policy="prefer_resolved"
-        )
-        if tracer.enabled
-        else 0
-    )
+    p_stale, span_id = _begin(net, p_stale, source, target_key, policy="prefer_resolved")
+    # Path choice draws no coin, so choosing the whole path first leaves
+    # the stale draws in the order the walk makes them.
     overlay = net.mobile_layer
     owner = overlay.owner_of(target_key)
-    dist = net.network_distance_between_keys
-    records: List[HopRecord] = []
-    resolutions = 0
+    hops = [source]
     current = source
     seen = {source}
     while current != owner:
         cur_pk = overlay.progress_key(current, target_key)
-        best_stationary: Optional[int] = None
-        best_stationary_pk = cur_pk
-        best_any: Optional[int] = None
-        best_any_pk = cur_pk
-        for cand in overlay.neighbors_of(current):
-            if cand in seen:
-                continue
-            pk = overlay.progress_key(cand, target_key)
-            if pk < best_any_pk:
-                best_any, best_any_pk = cand, pk
-            if not net.is_mobile(cand) and pk < best_stationary_pk:
-                best_stationary, best_stationary_pk = cand, pk
-        nxt = best_stationary if best_stationary is not None else best_any
+        progress = {
+            c: overlay.progress_key(c, target_key)
+            for c in overlay.neighbors_of(current)
+            if c not in seen
+        }
+        closer = [c for c, pk in progress.items() if pk < cur_pk]
+        resolved = [c for c in closer if not net.is_mobile(c)]
+        # min keeps the first of equal keys: neighbour order breaks ties.
+        nxt = min(resolved or closer, key=progress.__getitem__, default=None)
         if nxt is None:
             nxt = overlay.next_hop(current, target_key)
             if nxt is None or nxt in seen:
@@ -307,36 +282,17 @@ def route_preferring_resolved(
                 # ``Overlay.route_avoiding`` uses, so the two policies
                 # report comparable failures instead of this one silently
                 # giving up first.
-                nxt = None
-                cur_ring = overlay.space.ring_distance(current, owner)
-                for cand in overlay.neighbors_of(current):
-                    if cand in seen:
-                        continue
-                    if overlay.space.ring_distance(cand, owner) < cur_ring:
-                        nxt = cand
-                        break
+                ring = overlay.space.ring_distance
+                nxt = next(
+                    (c for c in progress if ring(c, owner) < ring(current, owner)), None
+                )
                 if nxt is None:
                     break
-        if _address_is_stale(net, nxt, p_stale, stale_stream):
-            resolutions += 1
-            _detour(net, records, current, nxt)
-        else:
-            records.append(HopRecord(current, nxt, "direct", dist(current, nxt)))
+        hops.append(nxt)
         seen.add(nxt)
         current = nxt
         if len(seen) > overlay.MAX_ROUTE_HOPS:
             break
-    return _record_route_telemetry(
-        net,
-        RouteTrace(
-            source=source,
-            target=target_key,
-            records=records,
-            resolutions=resolutions,
-            success=current == owner,
-        ),
-        span_id,
+    return _walk(
+        net, source, target_key, hops, current == owner, p_stale, stale_stream, span_id
     )
-
-
-__all__.append("route_preferring_resolved")

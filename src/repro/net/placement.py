@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Sequence
 
 from ..sim.rng import RngStreams
@@ -58,7 +59,8 @@ class Placement:
         Without ``routers`` every host gets a random stub router, all drawn
         in one call on stream ``"placement"`` — the draws one :meth:`attach`
         per host makes.  A host that is attached already, or listed twice,
-        raises before anything is attached; use :meth:`move`.
+        raises before anything is attached; use :meth:`move`.  So does a
+        router that is not one of the topology's.
         """
         hosts = list(host_ids)
         if len(set(hosts)) < len(hosts) or not self._current.keys().isdisjoint(hosts):
@@ -68,6 +70,8 @@ class Placement:
             routers = [self._points[i] for i in draws.tolist()]
         elif len(routers) != len(hosts):
             raise ValueError("need one router per host")
+        else:
+            routers = [self._checked(r) for r in routers]
         port = self._next_port
         addrs = [NetworkAddress(router=r, port=port + i, epoch=0) for i, r in enumerate(routers)]
         self._next_port += len(hosts)
@@ -79,20 +83,13 @@ class Placement:
 
         When ``router`` is omitted a random stub router *different from the
         current one* is chosen (when more than one exists), modelling a real
-        change of attachment point.
+        change of attachment point.  A ``router`` that is not one of the
+        topology's raises before anything changes.
         """
         addr = self._current.get(host_id)
         if addr is None:
             raise KeyError(f"host {host_id} is not attached")
-        if router is None:
-            if len(self._points) == 1:
-                router = self._points[0]
-            else:
-                while True:
-                    router = self._points[self._rng.randint("mobility", 0, len(self._points))]
-                    if router != addr.router:
-                        break
-        new_addr = addr.moved(router)
+        new_addr = addr.moved(self._destination(router, addr.router))
         self._current[host_id] = new_addr
         self.move_count += 1
         return new_addr
@@ -114,15 +111,7 @@ class Placement:
         missing = [h for h in host_ids if h not in self._current]
         if missing:
             raise KeyError(f"hosts not attached: {missing}")
-        if router is None:
-            anchor = self._current[host_ids[0]].router
-            if len(self._points) == 1:
-                router = self._points[0]
-            else:
-                while True:
-                    router = self._points[self._rng.randint("mobility", 0, len(self._points))]
-                    if router != anchor:
-                        break
+        router = self._destination(router, self._current[host_ids[0]].router)
         out: Dict[int, NetworkAddress] = {}
         for host_id in host_ids:
             new_addr = self._current[host_id].moved(router)
@@ -130,6 +119,29 @@ class Placement:
             out[host_id] = new_addr
             self.move_count += 1
         return out
+
+    def _destination(self, router: Optional[int], current: int) -> int:
+        """Where a move goes: ``router`` if given (checked), else a random
+        stub router other than ``current`` when more than one exists."""
+        if router is not None:
+            return self._checked(router)
+        if len(self._points) == 1:
+            return self._points[0]
+        while True:
+            router = self._points[self._rng.randint("mobility", 0, len(self._points))]
+            if router != current:
+                return router
+
+    def _checked(self, router: object) -> int:
+        """``router`` as an ``int``, or ``ValueError`` unless it is an
+        integer naming one of the topology's routers."""
+        try:
+            r = operator.index(router)
+        except TypeError:
+            raise ValueError(f"router must be an integer, got {router!r}") from None
+        if not 0 <= r < self.topology.num_routers:
+            raise ValueError(f"router {r} is outside [0, {self.topology.num_routers})")
+        return r
 
     def detach(self, host_id: int) -> None:
         """Remove ``host_id`` from the placement (host left the system)."""

@@ -1,5 +1,6 @@
 """Tests for repro.net.address and repro.net.placement."""
 
+import numpy as np
 import pytest
 
 from repro.net import NetworkAddress, Placement
@@ -90,3 +91,59 @@ class TestPlacement:
         placement.attach(1, router=topology.stub_routers[0])
         placement.attach(2, router=topology.stub_routers[-1])
         assert placement.network_distance(oracle, 1, 2) > 0.0
+
+
+BAD_ROUTERS = [-1, 10**9, 1.5, "3"]
+
+
+class TestBadRouters:
+    """A router outside the topology, or not an integer, is refused before
+    anything is written — it used to be published and crash the first
+    path-cost read."""
+
+    @pytest.fixture
+    def placement(self, topology):
+        placement = Placement(topology, RngStreams(77))
+        placement.attach_many([1, 2])
+        return placement
+
+    @pytest.mark.parametrize("router", BAD_ROUTERS)
+    def test_placement_refuses(self, placement, router):
+        before = {h: placement.address_of(h) for h in (1, 2)}
+        with pytest.raises(ValueError, match="router"):
+            placement.attach_many([3, 4], [0, router])
+        with pytest.raises(ValueError, match="router"):
+            placement.move(1, router)
+        with pytest.raises(ValueError, match="router"):
+            placement.move_group([1, 2], router)
+        assert {h: placement.address_of(h) for h in (1, 2)} == before
+        assert placement.hosts() == [1, 2]
+        assert placement.move_count == 0
+
+    def test_integer_likes_are_accepted(self, placement, topology):
+        r = topology.stub_routers[0]
+        assert placement.move(1, np.int64(r)).router == r
+        assert type(placement.address_of(1).router) is int
+
+    @pytest.mark.parametrize("router", BAD_ROUTERS)
+    @pytest.mark.parametrize("op", ["move", "move_many"])
+    def test_network_refuses_and_is_unchanged(self, small_net, router, op):
+        net = small_net
+        net.setup_random_registrations()
+        keys = net.mobile_keys[:3]
+
+        def state():
+            return (
+                [net.nodes[k].address for k in keys],
+                [net.placement.address_of(k) for k in keys],
+                [net.nodes[k].moves for k in keys],
+                net.directory.snapshot(),
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="router"):
+            if op == "move":
+                net.move(keys[0], router)
+            else:
+                net.move_many(keys, router)
+        assert state() == before

@@ -153,17 +153,39 @@ class TestEveryFig4InputIsFingerprinted:
         assert report.ldt != stale
         assert net.ldt_for(key) == net.build_ldt_for(key)
 
-    @pytest.mark.parametrize("attribute", ["capacity", "used"])
-    def test_direct_non_finite_write_then_move(self, attribute):
+    @staticmethod
+    def _non_finite_write_then(op, attribute):
         """A write the node's own checks never see: the next wave rejects
-        it by name instead of building a tree on a NaN sort."""
+        it by name instead of building a tree on a NaN sort — before the
+        mover is re-attached or published, so nothing half-applies."""
         net = make_net(5)
         key = next(k for k in net.mobile_keys if len(net.nodes[k].registry) > 2)
+        group = [key, next(k for k in net.mobile_keys if k != key)]
         net.move(key)
         written = sorted(net.nodes[key].registry)[1]
         setattr(net.nodes[written], attribute, math.nan)
+
+        def state():
+            return (
+                [net.nodes[k].address for k in group],
+                [net.placement.address_of(k) for k in group],
+                [net.nodes[k].moves for k in group],
+                net.directory.snapshot(),
+                net.telemetry.metrics.counter("ldt.built").value,
+            )
+
+        before = state()
         with pytest.raises(ValueError, match=f"must be finite.* for key {written}$"):
-            net.move(key)
+            net.move(key) if op == "move" else net.move_many(group)
+        assert state() == before
+
+    @pytest.mark.parametrize("attribute", ["capacity", "used"])
+    def test_direct_non_finite_write_then_move(self, attribute):
+        self._non_finite_write_then("move", attribute)
+
+    @pytest.mark.parametrize("attribute", ["capacity", "used"])
+    def test_direct_non_finite_write_then_move_many(self, attribute):
+        self._non_finite_write_then("move_many", attribute)
 
     def test_a_lease_refresh_keeps_the_tree(self):
         net = make_net(5)

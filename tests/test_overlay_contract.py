@@ -6,6 +6,7 @@ bounds, state-size bounds, membership churn consistency.
 
 import math
 import time
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.overlay.factory import OVERLAY_NAMES
 from repro.sim import RngStreams
 from repro.sim.metrics import MetricsRegistry
 
+from .fresh import in_fresh_process
 from .oracles.build import reference_build
 from .oracles.routing import chord_fingers, chord_successors, reference_route, route_outcome
 from .oracles.rows import (
@@ -716,12 +718,17 @@ def _per_event_seconds(name: str, count: int, events: int = 100) -> float:
     return best / events
 
 
+def repair_seconds(name: str) -> Tuple[float, float]:
+    """Per-event repair time at 512 and at 4096 members, one process."""
+    return _per_event_seconds(name, 512), _per_event_seconds(name, 4096)
+
+
 class TestRepairScaling:
     """A join or leave repairs only the members it affects, so eight times
     the membership may cost at most twice the time per event.  This
     catches an O(N) pass hidden anywhere in a repair hook; a ratio of
     best-of-three CPU times on one machine, so it holds on a slow or busy
-    one too."""
+    one too, taken in a fresh process (see ``tests/fresh.py``)."""
 
     @pytest.mark.parametrize(
         "name",
@@ -740,6 +747,5 @@ class TestRepairScaling:
         ],
     )
     def test_per_event_time_does_not_grow_with_membership(self, name):
-        small = _per_event_seconds(name, 512)
-        large = _per_event_seconds(name, 4096)
+        small, large = in_fresh_process("test_overlay_contract", "repair_seconds", name)
         assert large / small < 2, f"{small * 1e3:.3f} -> {large * 1e3:.3f} ms per event"
