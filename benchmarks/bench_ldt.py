@@ -1,29 +1,22 @@
-"""LDT forest benchmark: vectorised batch tree construction vs sequential.
+"""LDT kernel benchmark: Fig-4 tree structure and build time.
 
-The forest builder (``repro.core.ldt_forest``) constructs the
-Fig-4 advertisement trees for a whole batch of registries in one
-level-synchronous array pass; ``build_ldt`` is the scalar single-sort
-kernel for one registry; the Fig-4 recursion both replaced is the parity
-reference in ``tests/oracles/ldt.py``.  This harness measures them two
-ways:
+``build_ldt`` (``repro.core.ldt``) is the one Fig-4 kernel; the
+recursion it replaced is the parity reference in ``tests/oracles/ldt.py``.
+This harness measures it two ways:
 
 * **structure** — a fixed-size workload (identical at every ``--scale``)
-  built with the forest engine, cross-checked tree-by-tree (forest tree
-  and scalar kernel) against the recursion, and summarised with
-  deterministic counts and checksums (members, messages, depth sum,
-  level histogram, the canonical level-major edge order).  The
-  bench-report gate checks every ``structure.*`` leaf for exact equality
-  against the committed baseline.
-* **speedup** — the scale-keyed workload timed four ways: forest columns,
-  forest columns plus ``tree(i)`` for every tree, the scalar kernel, and
+  built with ``build_ldt``, cross-checked tree-by-tree against the
+  recursion, and summarised with deterministic counts and checksums
+  (members, messages, depth sum, level histogram, the canonical
+  level-major edge order).  The bench-report gate checks every
+  ``structure.*`` leaf for exact equality against the committed baseline.
+* **speedup** — the scale-keyed workload timed two ways: the kernel and
   the recursion.  The mix covers the two regimes that matter: *fan-out*
-  trees (capacities 1..15, fractional ``used`` noise) where the forest's
-  win is the single batched lexsort, and *delegation chains* (every
-  capacity 1.0, so each sender delegates to exactly one head) where the
-  recursion re-sorts the remaining registry at every level and goes
-  quadratic while both kernels stay linear.  CI asserts the headline
-  ``speedup`` — recursion ÷ forest columns, the pair the gate was written
-  about — stays >= 10x; timings are informational to bench-report.
+  trees (capacities 1..15, fractional ``used`` noise) and *delegation
+  chains* (every capacity 1.0, so each sender delegates to exactly one
+  head), where the recursion re-sorts the remaining registry at every
+  level and goes quadratic while the kernel stays linear.  Both timings
+  are informational to bench-report.
 
 Writes
 
@@ -32,8 +25,8 @@ Writes
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_ldt.py
 [--scale quick|full] [--sanitize]``.  ``--sanitize`` runs
-``repro.sanitize.check_ldt`` on every materialised tree, outside the
-timed sections; counts do not change.
+``repro.sanitize.check_ldt`` on every built tree, outside the timed
+sections; counts do not change.
 """
 
 from __future__ import annotations
@@ -44,6 +37,7 @@ import json
 import pathlib
 import sys
 import time
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,8 +47,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro import sanitize  # noqa: E402
-from repro.core.ldt import LDTMember, build_ldt  # noqa: E402
-from repro.core.ldt_forest import ForestSpec, build_ldt_forest  # noqa: E402
+from repro.core.ldt import LDTMember, LDTree, build_ldt  # noqa: E402
+from repro.core.ldt_forest import ForestSpec  # noqa: E402
 from tests.oracles.ldt import assert_tree_matches, recursive_ldt  # noqa: E402
 
 #: (fan-out trees, members each, chain trees, members each) per scale.
@@ -110,58 +104,59 @@ def _fold(digest_input: Tuple[np.ndarray, ...]) -> int:
     return int(h.hexdigest()[:12], 16)
 
 
+def level_major_edges(spec: ForestSpec, tree: LDTree) -> List[Tuple[int, int]]:
+    """``tree``'s edges in canonical level-major order: by child level,
+    then by the child's position in the kernel's one stable
+    ``(-capacity, secondary)`` sort."""
+    ordered = sorted(spec.registry, key=spec.tie_break or (lambda m: float(m[0])))
+    ordered.sort(key=itemgetter(1), reverse=True)
+    position = {m[0]: i for i, m in enumerate(ordered)}
+    keys = tree.keys
+    rows = sorted(
+        range(1, len(keys)), key=lambda r: (tree.levels[r], position[keys[r]])
+    )
+    return [(keys[tree.parent_rows[r]], keys[r]) for r in rows]
+
+
 def bench_structure() -> Dict[str, object]:
-    """Fixed workload: builders vs recursion parity plus structural checksums."""
+    """Fixed workload: kernel vs recursion parity plus structural checksums."""
     specs = make_specs(*STRUCT_PARAMS, seed=STRUCT_SEED)
-    forest = build_ldt_forest(specs)
     mismatches = 0
-    for t, spec in enumerate(specs):
+    levels: List[int] = []
+    edges: List[Tuple[int, int]] = []
+    depths: List[int] = []
+    for spec in specs:
         args = (spec.root, spec.registry, spec.unit_cost)
-        expected = recursive_ldt(*args, tie_break=spec.tie_break)
-        tree = forest.tree(t)
+        tree = build_ldt(*args, tie_break=spec.tie_break)
         if sanitize.enabled():
             sanitize.check_ldt(tree, spec.unit_cost)
         try:
-            assert_tree_matches(tree, expected)
-            assert_tree_matches(build_ldt(*args, tie_break=spec.tie_break), expected)
+            assert_tree_matches(tree, recursive_ldt(*args, tie_break=spec.tie_break))
         except AssertionError:
             mismatches += 1
-    parents, children = forest.edge_arrays()
-    hist = forest.level_histogram()
+        levels += tree.levels[1:]
+        edges += level_major_edges(spec, tree)
+        depths.append(tree.depth)
+    parents, children = zip(*edges)
     return {
-        "trees": forest.num_trees,
-        "members": forest.num_members,
-        "messages": int(forest.message_counts().sum()),
-        "depth_sum": int(forest.depths().sum()),
-        "max_depth": int(forest.depths().max()),
-        "level_checksum": _fold((hist,)),
-        "edges_checksum": _fold((parents, children)),
+        "trees": len(specs),
+        "members": len(levels),
+        "messages": len(edges),
+        "depth_sum": sum(depths),
+        "max_depth": max(depths),
+        "level_checksum": _fold((np.bincount(np.array(levels, dtype=np.int64)),)),
+        "edges_checksum": _fold((np.array(parents), np.array(children))),
         "oracle_mismatches": mismatches,
         "parity_matches_oracle": int(mismatches == 0),
     }
 
 
 def bench_speedup(scale: str) -> Dict[str, object]:
-    """Timed forest / scalar kernel / recursion builds on the scale-keyed workload."""
+    """Timed kernel and recursion builds on the scale-keyed workload."""
     n_fanout, fanout_members, n_chain, chain_members = SCALES[scale]
     specs = make_specs(
         n_fanout, fanout_members, n_chain, chain_members, seed=SPEEDUP_SEED
     )
-    # Warm the array kernels once, then keep the best of three builds:
-    # the first numpy pass pays one-off allocator/page-fault costs the
-    # sequential side (running per-tree) never sees in one lump.
-    build_ldt_forest(specs[:2])
-    forest_s = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        forest = build_ldt_forest(specs)
-        forest_s = min(forest_s, time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    trees = [forest.tree(t) for t in range(forest.num_trees)]
-    trees_s = time.perf_counter() - t0
-    if sanitize.enabled():
-        for tree, spec in zip(trees, specs):
-            sanitize.check_ldt(tree, spec.unit_cost)
 
     def per_spec(builder) -> float:
         t0 = time.perf_counter()
@@ -173,22 +168,19 @@ def bench_speedup(scale: str) -> Dict[str, object]:
 
     kernel_s = per_spec(build_ldt)
     seq_s = per_spec(recursive_ldt)
+    if sanitize.enabled():
+        for spec in specs:
+            tree = build_ldt(
+                spec.root, spec.registry, spec.unit_cost, tie_break=spec.tie_break
+            )
+            sanitize.check_ldt(tree, spec.unit_cost)
     return {
-        "trees": forest.num_trees,
-        "members": forest.num_members,
+        "trees": len(specs),
+        "members": sum(len(spec.registry) for spec in specs),
         "fanout_trees": n_fanout,
         "chain_trees": n_chain,
         "sequential_s": round(seq_s, 4),
         "kernel_s": round(kernel_s, 4),
-        "forest_s": round(forest_s, 4),
-        "forest_trees_s": round(forest_s + trees_s, 4),
-        "speedup": round(seq_s / forest_s, 2) if forest_s else None,
-        "trees_per_sec": round(forest.num_trees / forest_s, 1)
-        if forest_s
-        else None,
-        "members_per_sec": round(forest.num_members / forest_s, 1)
-        if forest_s
-        else None,
     }
 
 
@@ -201,17 +193,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--sanitize", action="store_true",
-        help="check every materialised tree with repro.sanitize.check_ldt",
+        help="check every built tree with repro.sanitize.check_ldt",
     )
     args = parser.parse_args(argv)
     if args.sanitize:
         sanitize.set_enabled(True)
 
-    print("structure: fixed workload, both builders vs the recursion ...", flush=True)
+    print("structure: fixed workload, the kernel vs the recursion ...", flush=True)
     structure = bench_structure()
     if structure["oracle_mismatches"]:
         raise AssertionError(
-            f"a builder diverged from the Fig-4 recursion on "
+            f"build_ldt diverged from the Fig-4 recursion on "
             f"{structure['oracle_mismatches']} tree(s)"
         )
     print(f"speedup: --scale {args.scale} workload ...", flush=True)
@@ -234,22 +226,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     s = speedup
     lines = [
-        f"LDT forest benchmark — vectorised batch construction "
-        f"(scale={args.scale})",
+        f"LDT kernel benchmark — build_ldt (scale={args.scale})",
         "",
         f"  structure: {structure['trees']} trees / "
         f"{structure['members']} members bit-identical to the Fig-4 "
         f"recursion (edges checksum {structure['edges_checksum']})",
         "",
-        f"  {'trees':>7} {'members':>9} {'recursion s':>12} {'kernel s':>9} "
-        f"{'forest s':>9} {'+tree() s':>10} {'speedup':>8} {'trees/s':>9}",
+        f"  {'trees':>7} {'members':>9} {'recursion s':>12} {'kernel s':>9}",
         f"  {s['trees']:>7} {s['members']:>9} {s['sequential_s']:>12.3f} "
-        f"{s['kernel_s']:>9.3f} {s['forest_s']:>9.3f} "
-        f"{s['forest_trees_s']:>10.3f} {s['speedup']:>7.1f}x "
-        f"{s['trees_per_sec']:>9.0f}",
+        f"{s['kernel_s']:>9.3f}",
         "",
-        "  speedup = recursion (tests/oracles/ldt.py) / forest columns; "
-        "kernel = scalar build_ldt per registry",
+        "  recursion = tests/oracles/ldt.py; kernel = build_ldt per registry",
     ]
     if args.sanitize:
         lines.append("")

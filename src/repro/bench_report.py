@@ -63,7 +63,7 @@ class Gate:
 
 #: Gated metrics per benchmark family.  Only deterministic quantities:
 #: accuracy/structure of the quantile sketch and hotspot statistics
-#: (``obs``), message-count reductions (``batch``) and the LDT forest's
+#: (``obs``), message-count reductions (``batch``) and the LDT kernel's
 #: fixed-size structure section (``ldt`` — oracle-parity counts and the
 #: canonical edge-order checksum).  Timing families (``churn``,
 #: ``sweep``) and the ``ldt`` speedup section stay informational.

@@ -25,13 +25,7 @@ from .config import BristleConfig
 from .failure import FailureDetector, Suspicion
 from .join import JoinReport, figure5_join
 from .ldt import LDTMember, LDTNode, LDTree, build_ldt, ldt_depth_bound
-from .ldt_forest import (
-    ForestSpec,
-    LDTForest,
-    build_forest_columns,
-    build_ldt_forest,
-    forest_depths,
-)
+from .ldt_forest import ForestSpec, LDTForest, build_ldt_forest
 from .ldt_nonmember import NonMemberTree, build_non_member_tree
 from .location import LocationDirectory, LocationRecord, RegistrationManager
 from .mobility import MobilityProcess, shuffle_all_mobile
@@ -69,9 +63,7 @@ __all__ = [
     "ldt_depth_bound",
     "ForestSpec",
     "LDTForest",
-    "build_forest_columns",
     "build_ldt_forest",
-    "forest_depths",
     "NonMemberTree",
     "build_non_member_tree",
     "LocationDirectory",

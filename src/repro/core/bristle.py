@@ -599,7 +599,7 @@ class BristleNetwork:
         when the caller has read it already).  Returns ``(root_key, tree)``.
         """
         group = cohosted_group(keys)
-        # A forest of one: equal to build_ldt on the same inputs, and
+        # A forest of one is build_ldt on the same inputs; the name is
         # what bench_e2e's core.ldt_forest.* spans measure on this path.
         spec = ForestSpec(
             *self._ldt_spec(group, gathered, locality_tie_break=locality_tie_break)
@@ -733,7 +733,9 @@ class BristleNetwork:
         group's registries.  A K-resource movement therefore costs
         O(K + log N) messages where K per-key :meth:`move` calls cost
         O(K · log N).  Directory state afterwards is identical to K
-        sequential publishes at the same virtual time.
+        sequential publishes at the same virtual time.  A repeated key
+        counts once (:func:`cohosted_group`): ``move_many([k, k])`` is
+        ``move_many([k])``.
         """
         group = list(cohosted_group(keys))
         for k in group:

@@ -33,8 +33,8 @@ progression ``(a + j·s, k·s, ⌊(c−j−1)/k⌋ + 1)``, and the overloaded
 delegation is the ``k = 1`` case.  A partition's subtree is exactly its
 members, so a head's send-order row is its sender's row plus the sizes of
 the partitions before it.  :func:`build_ldt` pops such progressions off a
-stack and writes each head straight into its row;
-:mod:`repro.core.ldt_forest` runs a whole batch one level per array pass;
+stack and writes each head straight into its row.  It is the one Fig-4
+kernel: :mod:`repro.core.ldt_forest` only names a batch of its trees, and
 the literal recursion is the reference in ``tests/oracles/ldt.py``.
 """
 

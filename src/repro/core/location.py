@@ -24,6 +24,7 @@ import numpy as np
 from ..net.address import NetworkAddress
 from ..overlay.base import Overlay
 from ..overlay.keyspace import KeySpace
+from ..overlay.state import lease_live
 from ..sim.metrics import MetricsRegistry
 from ..sim.nodestats import NodeLoadLedger
 from .node import BristleNode, RegistryEntry
@@ -103,7 +104,7 @@ class LocationRecord:
 
     def fresh(self, now: float) -> bool:
         """Lease still valid at ``now``."""
-        return now <= self.published_at + self.ttl
+        return lease_live(now, self.published_at + self.ttl)
 
 
 @dataclasses.dataclass
@@ -168,11 +169,11 @@ class ExpiryHeap:
         self._heap.clear()
 
     def pop_expired(self, now: float) -> List[Tuple[float, int]]:
-        """Pop every entry with ``expires_at < now`` (stale ones included;
-        the caller validates against its own record table)."""
+        """Pop every entry whose lease is no longer live at ``now`` (stale
+        ones included; the caller validates against its own record table)."""
         out: List[Tuple[float, int]] = []
         heap = self._heap
-        while heap and heap[0][0] < now:
+        while heap and not lease_live(now, heap[0][0]):
             out.append(heapq.heappop(heap))
         return out
 

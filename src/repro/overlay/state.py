@@ -22,7 +22,13 @@ from .. import sanitize as _sanitize
 from ..net.address import NetworkAddress
 from .keyspace import KeySpace
 
-__all__ = ["StatePair", "StateTable"]
+__all__ = ["StatePair", "StateTable", "lease_live"]
+
+
+def lease_live(now: float, expires_at: float) -> bool:
+    """The one lease rule: a lease is in force up to and including the
+    instant it expires (§2.3.2's TTL contract)."""
+    return now <= expires_at
 
 
 @dataclasses.dataclass
@@ -58,7 +64,7 @@ class StatePair:
 
     def is_fresh(self, now: float) -> bool:
         """Lease still in force at ``now``."""
-        return now <= self.expires_at
+        return lease_live(now, self.expires_at)
 
     def is_resolved(self, now: float) -> bool:
         """Address known *and* lease fresh — usable for direct forwarding."""

@@ -1,15 +1,11 @@
-"""Fig 4 as the paper states it, and the forest's DFS replay (parent of
-issue 17).
+"""Fig 4 as the paper states it.
 
 ``recursive_ldt`` is the advertisement recursion ``build_ldt`` ran before
 it became an iterative single-sort kernel: one ``sorted`` per step, one
 round-robin split per sender, one Python frame per tree level (so chains
 longer than the interpreter's recursion limit are out of its reach).
-``replay_forest_tree`` is what ``LDTForest.tree`` did with the forest
-columns: group children by parent row and replay the recursion's DFS with
-two ``searchsorted`` calls per member.
 
-Both return ``(nodes, edges)`` built from plain :class:`LDTNode` objects —
+It returns ``(nodes, edges)`` built from plain :class:`LDTNode` objects —
 key → node in attach order, and the ``(parent, child)`` send list — which
 is what the columnar :class:`~repro.core.ldt.LDTree` must materialise.
 """
@@ -19,12 +15,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.ldt import LDTMember, LDTNode, LDTree
-from repro.core.ldt_forest import LDTForest
 
-__all__ = ["recursive_ldt", "replay_forest_tree", "assert_tree_matches"]
+__all__ = ["recursive_ldt", "assert_tree_matches"]
 
 Nodes = Dict[int, LDTNode]
 Edges = List[Tuple[int, int]]
@@ -92,52 +85,6 @@ def recursive_ldt(
             advertise(head, sender_level + 1, rest)
 
     advertise(root, 0, list(registry))
-    return nodes, edges
-
-
-def replay_forest_tree(forest: LDTForest, index: int) -> Tuple[Nodes, Edges]:
-    """Tree ``index`` of ``forest`` by replaying the recursion's DFS
-    pre-order over the columns (children in ascending capacity-sort
-    position)."""
-    lo = int(forest.tree_offsets[index])
-    hi = int(forest.tree_offsets[index + 1])
-    root = LDTMember(
-        key=int(forest.root_key[index]),
-        capacity=float(forest.root_capacity[index]),
-        used=float(forest.root_used[index]),
-    )
-    nodes: Nodes = {root.key: LDTNode(member=root, level=0, parent=None)}
-    edges: Edges = []
-    if hi > lo:
-        parents = forest.parent_row[lo:hi]
-        # Stable argsort keeps siblings in ascending row order, which is
-        # ascending partition index.
-        order = np.argsort(parents, kind="stable")
-        grouped = parents[order]
-
-        def child_rows(sender_row: int) -> np.ndarray:
-            i0 = int(np.searchsorted(grouped, sender_row, side="left"))
-            i1 = int(np.searchsorted(grouped, sender_row, side="right"))
-            return order[i0:i1]
-
-        stack = list(child_rows(-1)[::-1])
-        while stack:
-            row = lo + int(stack.pop())
-            key = int(forest.key[row])
-            parent_key = int(forest.parent[row])
-            nodes[key] = LDTNode(
-                member=LDTMember(
-                    key=key,
-                    capacity=float(forest.capacity[row]),
-                    used=float(forest.used[row]),
-                ),
-                level=int(forest.level[row]),
-                parent=parent_key,
-                assigned=int(forest.assigned[row]),
-            )
-            nodes[parent_key].children.append(key)
-            edges.append((parent_key, key))
-            stack.extend(child_rows(row)[::-1])
     return nodes, edges
 
 

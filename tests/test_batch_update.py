@@ -137,6 +137,27 @@ class TestMoveMany:
         with pytest.raises(ValueError):
             net.move_many([])
 
+    def test_repeated_key_counts_once(self):
+        """``move_many([k, k])`` on one twin and ``move_many([k])`` on the
+        other leave equal reports, addresses, directories and metrics."""
+        twins = []
+        for _ in range(2):
+            cfg = BristleConfig(seed=11, naming="scrambled")
+            twin = BristleNetwork(cfg, num_stationary=30, num_mobile=20, router_count=100)
+            twin.setup_random_registrations(registry_size=5)
+            twins.append(twin)
+        k = twins[0].mobile_keys[0]
+        assert twins[0].nodes[k].registry  # so the wave is really sent
+        doubled, single = twins[0].move_many([k, k]), twins[1].move_many([k])
+        assert doubled == single and doubled.keys == [k]
+        assert doubled.ldt is not None
+        a, b = twins
+        assert a.directory.snapshot() == b.directory.snapshot()
+        assert {n: a.nodes[n].address for n in a.nodes} == {
+            n: b.nodes[n].address for n in b.nodes
+        }
+        assert a.telemetry.metrics.snapshot() == b.telemetry.metrics.snapshot()
+
     def test_single_key_batch_matches_move_semantics(self, net):
         k = net.mobile_keys[0]
         report = net.move_many([k], advertise=False)

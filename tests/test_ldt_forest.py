@@ -1,10 +1,10 @@
-"""Tests for repro.core.ldt_forest — the batch LDT builder.
+"""Tests for repro.core.ldt_forest — a batch of ``build_ldt`` trees.
 
-The forest engine's contract is equality with the scalar builder
-(``build_ldt``): for every spec in a batch, ``forest.tree(i)`` must equal
-its tree exactly — node insertion order, edge DFS pre-order, children
-order, levels and assigned counts included.  Both builders against the
-Fig-4 recursion itself: ``tests/test_ldt_parity.py``.
+For every spec in a batch, ``forest.tree(i)`` must equal the scalar
+builder's tree exactly — node insertion order, edge DFS pre-order,
+children order, levels and assigned counts included — and a bad spec
+must raise ``build_ldt``'s error.  The kernel against the Fig-4 recursion
+itself: ``tests/test_ldt_parity.py``.
 """
 
 import dataclasses
@@ -18,10 +18,8 @@ from repro.core import (
     BristleNetwork,
     ForestSpec,
     LDTMember,
-    build_forest_columns,
     build_ldt,
     build_ldt_forest,
-    forest_depths,
 )
 
 
@@ -228,74 +226,6 @@ class TestForestErrors:
         forest = build_ldt_forest([])
         assert forest.num_trees == 0
         assert forest.num_members == 0
-
-
-class TestForestColumns:
-    def _forest(self, seed=23, n=12):
-        rng = np.random.default_rng(seed)
-        specs = [
-            random_spec(rng, int(rng.integers(1, 30)), "mixed", -(t + 1))
-            for t in range(n)
-        ]
-        return specs, build_ldt_forest(specs)
-
-    def test_column_stats_match_trees(self):
-        specs, forest = self._forest()
-        depths = forest.depths()
-        msgs = forest.message_counts()
-        for t, spec in enumerate(specs):
-            tree = build_ldt(spec.root, spec.registry)
-            assert int(depths[t]) == tree.depth
-            assert int(msgs[t]) == tree.message_count
-
-    def test_level_histogram_matches_trees(self):
-        specs, forest = self._forest(seed=29)
-        hist = forest.level_histogram()
-        expected = {}
-        for spec in specs:
-            for lvl, n in build_ldt(spec.root, spec.registry).level_histogram().items():
-                expected[lvl] = expected.get(lvl, 0) + n
-        got = {i: int(c) for i, c in enumerate(hist) if i > 0 and c > 0}
-        assert got == expected
-
-    def test_edge_arrays_level_major_order(self):
-        _, forest = self._forest(seed=31)
-        parents, children = forest.edge_arrays()
-        assert parents.size == forest.num_members
-        # Canonical order: grouped by tree, level non-decreasing within.
-        child_rows = np.searchsorted(
-            np.sort(forest.key), children
-        )  # children is a permutation of key
-        tree_of = forest.tree_id[
-            np.lexsort((np.arange(forest.level.size), forest.level, forest.tree_id))
-        ]
-        assert np.all(np.diff(tree_of) >= 0)
-        levels = forest.level[
-            np.lexsort((np.arange(forest.level.size), forest.level, forest.tree_id))
-        ]
-        for t in range(forest.num_trees):
-            mask = tree_of == t
-            assert np.all(np.diff(levels[mask]) >= 0)
-        # Every edge links a parent exactly one level up.
-        del child_rows
-
-    def test_forest_depths_kernel(self):
-        offsets = np.array([0, 0, 3, 5], dtype=np.int64)
-        level = np.array([1, 2, 2, 1, 1], dtype=np.int64)
-        assert forest_depths(offsets, level).tolist() == [0, 2, 1]
-
-    def test_build_forest_columns_direct(self):
-        # Three chains of unit capacity: levels must be 1..n per tree.
-        offsets = np.array([0, 4, 7], dtype=np.int64)
-        avail = np.ones(7)
-        roots = np.ones(2)
-        unit = np.ones(2)
-        level, assigned, parent_row = build_forest_columns(
-            offsets, avail, roots, unit
-        )
-        assert sorted(level[:4].tolist()) == [1, 2, 3, 4]
-        assert sorted(level[4:].tolist()) == [1, 2, 3]
-        assert np.all(assigned >= 1)
 
 
 class TestNetworkBatchPaths:

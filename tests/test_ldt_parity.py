@@ -1,8 +1,8 @@
-"""Both production LDT builders against the Fig-4 recursion.
+"""The Fig-4 kernel against the Fig-4 recursion.
 
-``build_ldt`` (the scalar single-sort kernel) and ``LDTForest.tree`` (the
-level-synchronous array kernel plus the shared pre-order pass) must each
-materialise exactly what ``tests/oracles/ldt.py::recursive_ldt`` attaches:
+``build_ldt`` (the scalar single-sort kernel), alone and through
+``LDTForest.tree`` (a batch of its trees), must materialise exactly what
+``tests/oracles/ldt.py::recursive_ldt`` attaches:
 row order, ``nodes`` insertion order, ``edges``, ``children``, ``assigned``
 and ``level`` — on registries drawn to hit what the identity "one stable
 sort, then arithmetic progressions" could get wrong: capacity ties,
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import ForestSpec, LDTMember, build_ldt, build_ldt_forest
 
-from .oracles.ldt import assert_tree_matches, recursive_ldt, replay_forest_tree
+from .oracles.ldt import assert_tree_matches, recursive_ldt
 
 REGIMES = ("ties", "fractional", "overloaded", "chain", "wide")
 
@@ -102,9 +102,6 @@ class TestBuildersMatchTheRecursion:
         forest = build_ldt_forest(specs)
         for index, spec in enumerate(specs):
             assert_tree_matches(forest.tree(index), reference(spec))
-            assert_tree_matches(
-                forest.tree(index), replay_forest_tree(forest, index)
-            )
 
     @pytest.mark.parametrize("bits", (60, 63))
     def test_keys_that_collide_as_floats_keep_registry_order(self, bits):
@@ -193,7 +190,7 @@ class TestLongDelegationChains:
     def test_forest(self):
         root, registry = self.chain()
         forest = build_ldt_forest([ForestSpec(root=root, registry=registry)])
-        assert int(forest.depths()[0]) == 3000
+        assert forest.tree(0).depth == 3000
         assert forest.tree(0) == build_ldt(root, registry)
 
     def test_the_recursion_cannot(self):

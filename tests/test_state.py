@@ -1,10 +1,13 @@
 """Tests for repro.overlay.state — state-pairs and state tables."""
 
+import math
 
 import pytest
 
+from repro.core.location import ExpiryHeap, LocationRecord
 from repro.net import NetworkAddress
 from repro.overlay import StatePair, StateTable
+from repro.overlay.state import lease_live
 
 
 @pytest.fixture
@@ -43,6 +46,32 @@ class TestStatePair:
         assert p.refreshed_at == 7.0
         assert p.ttl == 3.0
         assert p.expires_at == 10.0
+
+
+#: Every place a lease is judged, as ``live(now)`` for a lease granted at
+#: 7.0 for 3.5 — it expires at exactly 10.5.
+LEASE_SITES = {
+    "StatePair.is_fresh": lambda now: StatePair(
+        key=5, addr=ADDR, ttl=3.5, refreshed_at=7.0
+    ).is_fresh(now),
+    "LocationRecord.fresh": lambda now: LocationRecord(5, ADDR, 7.0, 3.5).fresh(now),
+    "ExpiryHeap.pop_expired": lambda now: not _pushed(10.5).pop_expired(now),
+}
+
+
+def _pushed(expires_at):
+    heap = ExpiryHeap()
+    heap.push(expires_at, 5)
+    return heap
+
+
+@pytest.mark.parametrize("site", sorted(LEASE_SITES))
+def test_every_site_reads_the_one_lease_rule(site):
+    """Live at the expiry instant itself, lapsed at the next float."""
+    live = LEASE_SITES[site]
+    assert live(10.5) and lease_live(10.5, 10.5)
+    after = math.nextafter(10.5, math.inf)
+    assert not live(after) and not lease_live(after, 10.5)
 
 
 class TestStateTableMutation:
