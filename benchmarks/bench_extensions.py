@@ -129,12 +129,14 @@ def test_band_placement_ablation(benchmark, record_table):
 
 
 def test_overlay_choice(benchmark, record_table):
-    from repro.experiments import run_overlay_choice
+    from repro.experiments.report import run_one
 
-    table = benchmark.pedantic(run_overlay_choice, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        lambda: run_one("ext-overlays", "default"), rounds=1, iterations=1
+    )
     record_table("ext_overlay_choice", table)
-    chord = table.row_where("overlay", "chord")["mean discovery hops"]
-    assert table.row_where("overlay", "pastry")["mean discovery hops"] < chord
+    chord = table.row_where("overlay", "chord")["discover hops"]
+    assert table.row_where("overlay", "pastry")["discover hops"] < chord
 
 
 def test_ipv6_route_optimisation(benchmark, record_table):

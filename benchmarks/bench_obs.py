@@ -36,7 +36,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import sanitize  # noqa: E402
-from repro.experiments.ext_hotspot import HotspotParams, run_hotspot_load  # noqa: E402
+from repro.experiments.report import run_one  # noqa: E402
 from repro.sim.metrics import QuantileSketch  # noqa: E402
 from repro.sim.nodestats import NodeLoadLedger  # noqa: E402
 from repro.sim.rng import derive_seed  # noqa: E402
@@ -106,7 +106,7 @@ def bench_accuracy(seed: int = 61) -> Dict[str, Dict[str, object]]:
 
 def bench_hotspot() -> Dict[str, Dict[str, float]]:
     """Deterministic per-overlay hotspot stats from ``ext-hotspot``."""
-    table = run_hotspot_load(HotspotParams.quick_scale())
+    table = run_one("ext-hotspot", "quick")
     out: Dict[str, Dict[str, float]] = {}
     for row in table.rows:
         out[str(row["overlay"])] = {

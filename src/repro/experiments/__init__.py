@@ -14,12 +14,7 @@ from .ext_batch import BatchUpdateParams, run_batch_update
 from .ext_churn import ChurnOverheadParams, run_churn_overhead
 from .ext_data import DataAvailabilityParams, run_data_availability
 from .ext_naming import BandPlacementParams, run_band_placement
-from .ext_overlay_choice import (
-    Ipv6Params,
-    OverlayChoiceParams,
-    run_ipv6_route_optimisation,
-    run_overlay_choice,
-)
+from .ext_overlay_choice import Ipv6Params, run_ipv6_route_optimisation
 from .ext_proximity import ProximityRoutingParams, run_proximity_routing
 from .ext_scaling import ScaleMixParams, ScalingParams, run_scale_mix, run_scaling
 from .ext_binding import (
@@ -81,9 +76,7 @@ __all__ = [
     "BandPlacementParams",
     "run_band_placement",
     "Ipv6Params",
-    "OverlayChoiceParams",
     "run_ipv6_route_optimisation",
-    "run_overlay_choice",
     "BindingCostParams",
     "StalenessParams",
     "run_binding_cost",

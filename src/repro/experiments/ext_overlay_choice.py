@@ -1,16 +1,11 @@
-"""Extension experiments: substrate choice and Mobile IPv6 route
-optimisation.
+"""Extension experiment: Mobile IPv6 route optimisation.
 
-* **Stationary-layer choice** — §2.1 says the location-management layer
-  "can be any HS-P2P".  This sweep runs the same discovery workload over
-  every implemented substrate (Chord / Pastry / Tapestry / Tornado / CAN)
-  and reports hops, path cost and per-node state — the trade-off a
-  deployment actually picks between.
-* **IPv6 route optimisation** — §1 notes mobile IPv6 removes the
-  triangular route but "requires that the correspondent host be
-  mobile-IPv6 capable" and still depends on the home agent for first
-  contact.  The sweep varies the capable fraction and measures the
-  residual triangular traffic.
+§1 notes mobile IPv6 removes the triangular route but "requires that the
+correspondent host be mobile-IPv6 capable" and still depends on the home
+agent for first contact.  The sweep varies the capable fraction and
+measures the residual triangular traffic.  (The stationary-layer
+substrate comparison, ``ext-overlays``, runs on
+:func:`repro.experiments.ext_scaling.run_scale_mix`.)
 """
 
 from __future__ import annotations
@@ -20,79 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.bristle import BristleNetwork
-from ..core.config import BristleConfig
-from ..overlay.factory import OVERLAY_NAMES
 from ..workloads.scenarios import build_comparison_scenario
 from .common import ResultTable
 
-__all__ = [
-    "OverlayChoiceParams",
-    "run_overlay_choice",
-    "Ipv6Params",
-    "run_ipv6_route_optimisation",
-]
-
-
-@dataclasses.dataclass(frozen=True)
-class OverlayChoiceParams:
-    num_stationary: int = 200
-    num_mobile: int = 100
-    discoveries: int = 300
-    router_count: int = 250
-    seed: int = 43
-
-
-def run_overlay_choice(params: Optional[OverlayChoiceParams] = None) -> ResultTable:
-    """Discovery performance per stationary-layer substrate."""
-    p = params if params is not None else OverlayChoiceParams()
-    table = ResultTable(
-        title="Extension — stationary-layer substrate comparison",
-        columns=[
-            "overlay",
-            "mean discovery hops",
-            "mean discovery cost",
-            "mean state/node",
-        ],
-        notes=[
-            f"{p.num_stationary}+{p.num_mobile} nodes, {p.discoveries} "
-            "discoveries of moved mobile nodes per substrate; same seed — "
-            "identical keys, placement and workload",
-        ],
-    )
-    for overlay in OVERLAY_NAMES:
-        cfg = BristleConfig(
-            seed=p.seed, naming="scrambled", stationary_layer_overlay=overlay
-        )
-        net = BristleNetwork(
-            cfg, p.num_stationary, p.num_mobile, router_count=p.router_count
-        )
-        for mk in net.mobile_keys:
-            net.move(mk, advertise=False)
-        gen = net.rng.stream("overlay_choice")
-        hops, costs = [], []
-        for _ in range(p.discoveries):
-            src = net.stationary_keys[int(gen.integers(p.num_stationary))]
-            tgt = net.mobile_keys[int(gen.integers(p.num_mobile))]
-            d = net.discover(src, tgt)
-            assert d.found
-            hops.append(d.hop_count)
-            costs.append(
-                sum(
-                    net.network_distance_between_keys(a, b)
-                    for a, b in zip(d.hops, d.hops[1:])
-                )
-            )
-        state = net.stationary_layer.state_size_stats()
-        table.add_row(
-            **{
-                "overlay": overlay,
-                "mean discovery hops": float(np.mean(hops)),
-                "mean discovery cost": float(np.mean(costs)),
-                "mean state/node": state["mean"],
-            }
-        )
-    return table
+__all__ = ["Ipv6Params", "run_ipv6_route_optimisation"]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,9 +18,8 @@ from .ext_batch import BatchUpdateParams, run_batch_update
 from .ext_binding import run_binding_cost, run_staleness_sweep
 from .ext_churn import run_churn_overhead, run_membership_churn
 from .ext_data import run_data_availability
-from .ext_hotspot import HotspotParams, run_hotspot_load
 from .ext_naming import run_band_placement
-from .ext_overlay_choice import run_ipv6_route_optimisation, run_overlay_choice
+from .ext_overlay_choice import run_ipv6_route_optimisation
 from .ext_proximity import run_proximity_routing
 from .ext_scaling import ScaleMixParams, run_scale_mix, run_scaling
 from .ext_reliability import run_adaptive_routing_reliability, run_replication_reliability
@@ -29,6 +28,7 @@ from .fig7_naming import Fig7Params, run_fig7
 from .fig8_ldt import Fig8Params, run_fig8a, run_fig8b, run_fig8_workload
 from .fig9_locality import Fig9Params, run_fig9
 from .table1_comparison import Table1Params, run_table1
+from ..overlay.factory import OVERLAY_NAMES
 from ..sim.telemetry import active_telemetry
 
 __all__ = [
@@ -137,14 +137,36 @@ def _ext_scale_traffic(scale: str) -> ResultTable:
     )
 
 
-def _ext_hotspot(scale: str) -> ResultTable:
-    if scale == "paper":
-        return run_hotspot_load(
-            HotspotParams(num_stationary=512, num_mobile=256, lookups=5000)
-        )
-    if scale == "quick":
-        return run_hotspot_load(HotspotParams.quick_scale())
-    return run_hotspot_load()
+#: The record-holder hotspot study per scale: Zipf lookups against
+#: every stationary substrate under scrambled naming.
+_HOTSPOT_MIX: Dict[str, ScaleMixParams] = {
+    scale: ScaleMixParams(
+        num_stationary=stationary,
+        num_mobile=mobile,
+        lookups=lookups,
+        seeds=1,
+        zipf_s=1.1,
+        seed=47,
+        overlays=OVERLAY_NAMES,
+        naming="scrambled",
+    )
+    for scale, (stationary, mobile, lookups) in {
+        "quick": (64, 32, 300),
+        "default": (192, 96, 1_200),
+        "paper": (512, 256, 5_000),
+    }.items()
+}
+
+#: The substrate comparison (every scale): uniform lookups.
+_OVERLAYS_MIX = ScaleMixParams(
+    num_stationary=200,
+    num_mobile=100,
+    lookups=300,
+    seeds=1,
+    seed=43,
+    overlays=OVERLAY_NAMES,
+    naming="scrambled",
+)
 
 
 #: name → (description, runner).  Runner takes scale in
@@ -211,7 +233,7 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[str], ResultTable]]] = {
     ),
     "ext-overlays": (
         "Extension — stationary-layer substrate comparison",
-        lambda s: run_overlay_choice(),
+        lambda s: run_scale_mix(_OVERLAYS_MIX),
     ),
     "ext-ipv6": (
         "Extension — Mobile IPv6 route optimisation (Type B)",
@@ -223,7 +245,7 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[str], ResultTable]]] = {
     ),
     "ext-hotspot": (
         "Extension — hotspot load under Zipf-skewed discovery",
-        _ext_hotspot,
+        lambda s: run_scale_mix(_HOTSPOT_MIX[s]),
     ),
     "ext-scale-churn": (
         "Extension — the public operation mix at scale, with leave/join churn",

@@ -470,8 +470,8 @@ _RECORD_METHODS = {"observe", "observe_many", "record", "add_sample", "sample"}
 
 #: The one allow-listed accumulator: ``Histogram``'s exact-percentile
 #: oracle in :mod:`repro.sim.metrics` (kept deliberately, as the parity
-#: reference for the O(1)-memory quantile sketch).
-_SAMPLE_LIST_ALLOWED_MODULES = (("repro", "sim", "metrics"),)
+#: reference for the O(1)-memory quantile sketch), as (module, class).
+_SAMPLE_LIST_ALLOWED = (("repro", "sim", "metrics"), "Histogram")
 
 
 def _empty_list_attrs(cls: ast.ClassDef) -> Set[str]:
@@ -515,7 +515,7 @@ class UnboundedSampleList(Rule):
     """BRS008: metric-style classes must not grow a per-sample list inside
     their recording methods — memory then scales with the event count.
     Use the fixed-memory :class:`repro.sim.metrics.QuantileSketch` (or a
-    bounded ``deque(maxlen=...)``); the exact-oracle ``Histogram`` path in
+    bounded ``deque(maxlen=...)``); the exact-oracle ``Histogram`` class in
     ``repro.sim.metrics`` is the single allow-listed exception."""
 
     code = "BRS008"
@@ -523,15 +523,15 @@ class UnboundedSampleList(Rule):
     summary = (
         "per-sample list.append/extend inside observe/record methods grows "
         "without bound: use QuantileSketch or a bounded deque "
-        "(repro/sim/metrics.py exact oracle only)"
+        "(Histogram's exact oracle in repro/sim/metrics.py only)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         """Flag ``self.<list-attr>.append/extend`` in recording methods."""
-        if any(ctx.is_module(*m) for m in _SAMPLE_LIST_ALLOWED_MODULES):
-            return
+        module, allowed = _SAMPLE_LIST_ALLOWED
+        in_module = ctx.is_module(*module)
         for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
+            if not isinstance(cls, ast.ClassDef) or (in_module and cls.name == allowed):
                 continue
             list_attrs = _empty_list_attrs(cls)
             if not list_attrs:

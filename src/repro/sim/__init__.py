@@ -14,7 +14,6 @@ from .metrics import (
     MetricsRegistry,
     QuantileSketch,
     Summary,
-    TimeSeries,
     record_cache_stats,
     summarize,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "QuantileSketch",
     "record_cache_stats",
     "Summary",
-    "TimeSeries",
     "summarize",
     "KINDS",
     "NodeLoadLedger",

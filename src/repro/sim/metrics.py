@@ -1,4 +1,4 @@
-"""Metric collection: counters, gauges, histograms, and time series.
+"""Metric collection: counters, gauges and histograms.
 
 Experiments record everything through a :class:`MetricsRegistry`; the
 benchmark harness then formats the registry into the tables/series that the
@@ -28,7 +28,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
     cast,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "Histogram",
     "QuantileSketch",
     "TAIL_QUANTILES",
-    "TimeSeries",
     "MetricsRegistry",
     "RATIO_SUFFIXES",
     "record_cache_stats",
@@ -470,50 +468,12 @@ class Histogram:
             sketch.merge(QuantileSketch.from_state(sketch_state))
 
 
-class TimeSeries:
-    """(time, value) pairs, e.g. load over virtual time."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one point; times need not be distinct but must not regress."""
-        if self._times and time < self._times[-1]:
-            raise ValueError(f"time regression in series {self.name!r}: {time} < {self._times[-1]}")
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (times, values) as NumPy arrays."""
-        return (
-            np.asarray(self._times, dtype=np.float64),
-            np.asarray(self._values, dtype=np.float64),
-        )
-
-    def last(self) -> Tuple[float, float]:
-        """Most recent (time, value); raises when empty."""
-        if not self._times:
-            raise IndexError(f"series {self.name!r} is empty")
-        return self._times[-1], self._values[-1]
-
-    def reset(self) -> None:
-        """Drop every point."""
-        self._times.clear()
-        self._values.clear()
-
-
 class MetricsRegistry:
-    """Named collection of counters, histograms and time series."""
+    """Named collection of counters and histograms."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
         """Get (or create) the counter ``name``."""
@@ -531,14 +491,6 @@ class MetricsRegistry:
             self._histograms[name] = h
         return h
 
-    def series(self, name: str) -> TimeSeries:
-        """Get (or create) the time series ``name``."""
-        s = self._series.get(name)
-        if s is None:
-            s = TimeSeries(name)
-            self._series[name] = s
-        return s
-
     @property
     def counters(self) -> Mapping[str, Counter]:
         return self._counters
@@ -547,18 +499,13 @@ class MetricsRegistry:
     def histograms(self) -> Mapping[str, Histogram]:
         return self._histograms
 
-    @property
-    def series_map(self) -> Mapping[str, TimeSeries]:
-        return self._series
-
     def snapshot(self) -> Dict[str, float]:
         """Flat {name: value} view of every accumulator.
 
         Counters contribute their value, histograms ``<name>.mean`` and
         ``<name>.count`` plus the :data:`TAIL_QUANTILES` sketch estimates
-        (``<name>.p50`` … ``<name>.p999``), and time series
-        ``<name>.last`` (NaN when empty) and ``<name>.count`` — no
-        accumulator kind is silently omitted.
+        (``<name>.p50`` … ``<name>.p999``) — no accumulator kind is
+        silently omitted.
         """
         out: Dict[str, float] = {}
         for name, c in self._counters.items():
@@ -568,9 +515,6 @@ class MetricsRegistry:
             out[name + ".count"] = float(len(h))
             for suffix, q in TAIL_QUANTILES:
                 out[f"{name}.{suffix}"] = h.sketch_quantile(q)
-        for name, s in self._series.items():
-            out[name + ".last"] = s.last()[1] if len(s) else math.nan
-            out[name + ".count"] = float(len(s))
         return out
 
     def tail_latency_section(self) -> Dict[str, Dict[str, Optional[float]]]:
@@ -591,8 +535,6 @@ class MetricsRegistry:
             c.reset()
         for h in self._histograms.values():
             h.reset()
-        for s in self._series.values():
-            s.reset()
 
     # ------------------------------------------------------------------
     # Cross-process merge (sweep workers → parent session)
@@ -608,38 +550,20 @@ class MetricsRegistry:
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
             "histograms": {n: h.export_state() for n, h in self._histograms.items()},
-            "series": {
-                n: (list(s._times), list(s._values)) for n, s in self._series.items()
-            },
         }
 
     def merge_state(self, state: Mapping[str, object]) -> None:
         """Fold a worker's :meth:`export_state` into this registry.
 
         Counters are summed; histogram samples are extended and sketch
-        buckets added (each independently — no double counting); series
-        points are appended with times clamped to this registry's last
-        recorded time (worker clocks are process-local and may sit behind
-        the parent's; clamping preserves every point without violating
-        monotonicity).  A plain sample list (the pre-sketch export
-        format) is still accepted and re-observed.
+        buckets added (each independently — no double counting).
         """
         for name, value in state.get("counters", {}).items():  # type: ignore[union-attr]
             self.counter(name).inc(int(value))
-        histograms: Mapping[str, Union[Mapping[str, object], Sequence[float]]]
+        histograms: Mapping[str, Mapping[str, object]]
         histograms = state.get("histograms", {})  # type: ignore[assignment]
         for name, payload in histograms.items():
-            h = self.histogram(name)
-            if isinstance(payload, Mapping):
-                h.merge_exported(payload)
-            else:
-                h.observe_many(payload)
-        for name, (times, values) in state.get("series", {}).items():  # type: ignore[union-attr]
-            s = self.series(name)
-            floor = s._times[-1] if s._times else float("-inf")
-            for t, v in zip(times, values):
-                floor = max(floor, float(t))
-                s.record(floor, v)
+            self.histogram(name).merge_exported(payload)
 
 
 #: Name suffixes treated as ratio-valued by default: these stats stay

@@ -279,10 +279,6 @@ STREAMS: Dict[str, StreamSpec] = {
         owner="repro.experiments",
         purpose="joiner keys for the membership-churn experiment",
     ),
-    "hotspot.lookups": StreamSpec(
-        owner="repro.experiments",
-        purpose="Zipf-skewed lookup draws for the hotspot experiment",
-    ),
     "scale.mix": StreamSpec(
         owner="repro.experiments",
         purpose="popularity ranks, movers, churners and lookups of the "
@@ -311,10 +307,6 @@ STREAMS: Dict[str, StreamSpec] = {
     "routes.*": StreamSpec(
         owner="repro.experiments",
         purpose="per-fraction route draws for the reliability sweep",
-    ),
-    "overlay_choice": StreamSpec(
-        owner="repro.experiments",
-        purpose="route endpoints for the overlay-choice comparison",
     ),
     "ipv6.lookups": StreamSpec(
         owner="repro.experiments",

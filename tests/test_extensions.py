@@ -264,11 +264,9 @@ class TestBandPlacement:
 class TestOverlayChoice:
     @pytest.fixture(scope="class")
     def table(self):
-        from repro.experiments import OverlayChoiceParams, run_overlay_choice
+        from repro.experiments.report import run_one
 
-        return run_overlay_choice(
-            OverlayChoiceParams(num_stationary=100, num_mobile=50, discoveries=100)
-        )
+        return run_one("ext-overlays", "quick")
 
     def test_all_substrates_present(self, table):
         from repro.overlay.factory import OVERLAY_NAMES
@@ -276,17 +274,15 @@ class TestOverlayChoice:
         assert set(table.column("overlay")) == set(OVERLAY_NAMES)
 
     def test_prefix_overlays_fewer_hops_than_chord(self, table):
-        chord = table.row_where("overlay", "chord")["mean discovery hops"]
+        chord = table.row_where("overlay", "chord")["discover hops"]
         for name in ("pastry", "tornado", "tapestry"):
-            assert table.row_where("overlay", name)["mean discovery hops"] < chord
+            assert table.row_where("overlay", name)["discover hops"] < chord
 
     def test_can_smallest_state_most_hops(self, table):
         can = table.row_where("overlay", "can")
         others = [r for r in table.rows if r["overlay"] != "can"]
         assert can["mean state/node"] < min(r["mean state/node"] for r in others)
-        assert can["mean discovery hops"] > max(
-            r["mean discovery hops"] for r in others
-        )
+        assert can["discover hops"] > max(r["discover hops"] for r in others)
 
 
 class TestIpv6RouteOptimisation:
@@ -383,11 +379,8 @@ class TestExtensionParamValidation:
             p.routes = 1  # type: ignore[misc]
 
     def test_overlay_choice_deterministic(self):
-        from repro.experiments import OverlayChoiceParams, run_overlay_choice
+        from repro.experiments.report import run_one
 
-        params = OverlayChoiceParams(
-            num_stationary=60, num_mobile=30, discoveries=40
-        )
-        t1 = run_overlay_choice(params)
-        t2 = run_overlay_choice(params)
+        t1 = run_one("ext-overlays", "quick")
+        t2 = run_one("ext-overlays", "quick")
         assert t1.rows == t2.rows

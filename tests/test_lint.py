@@ -321,6 +321,29 @@ class TestUnboundedSampleList:
         )
         assert found == []
 
+    def test_other_class_in_oracle_module_fires(self):
+        # The exemption names Histogram, not the whole metrics module.
+        found = lint(
+            """
+            class Histogram:
+                def __init__(self):
+                    self._samples = []
+
+                def observe(self, value):
+                    self._samples.append(float(value))
+
+            class Trail:
+                def __init__(self):
+                    self._points = []
+
+                def observe(self, value):
+                    self._points.append(value)
+            """,
+            path="repro/sim/metrics.py",
+        )
+        assert codes(found) == ["BRS008"]
+        assert len(found) == 1 and "Trail.observe()" in found[0].message
+
     def test_bounded_deque_clean(self):
         found = lint(
             """

@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.sim import Counter, Histogram, MetricsRegistry, TimeSeries, summarize
+from repro.sim import Counter, Histogram, MetricsRegistry, summarize
 
 
 class TestCounter:
@@ -66,41 +65,11 @@ class TestHistogram:
         assert len(h) == 0
 
 
-class TestTimeSeries:
-    def test_record_and_arrays(self):
-        s = TimeSeries("s")
-        s.record(0.0, 1.0)
-        s.record(1.0, 2.0)
-        t, v = s.arrays()
-        assert np.array_equal(t, [0.0, 1.0])
-        assert np.array_equal(v, [1.0, 2.0])
-
-    def test_time_regression_rejected(self):
-        s = TimeSeries("s")
-        s.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            s.record(4.0, 1.0)
-
-    def test_equal_times_allowed(self):
-        s = TimeSeries("s")
-        s.record(5.0, 1.0)
-        s.record(5.0, 2.0)
-        assert len(s) == 2
-
-    def test_last(self):
-        s = TimeSeries("s")
-        with pytest.raises(IndexError):
-            s.last()
-        s.record(1.0, 10.0)
-        assert s.last() == (1.0, 10.0)
-
-
 class TestRegistry:
     def test_get_or_create_identity(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("b") is reg.histogram("b")
-        assert reg.series("c") is reg.series("c")
 
     def test_snapshot(self):
         reg = MetricsRegistry()
@@ -111,28 +80,6 @@ class TestRegistry:
         assert snap["hops.mean"] == 3.0
         assert snap["hops.count"] == 2.0
 
-    def test_snapshot_series_last_and_count(self):
-        reg = MetricsRegistry()
-        s = reg.series("load")
-        s.record(0.0, 5.0)
-        s.record(2.0, 9.0)
-        snap = reg.snapshot()
-        assert snap["load.last"] == 9.0
-        assert snap["load.count"] == 2.0
-
-    def test_snapshot_empty_series_last_is_nan(self):
-        reg = MetricsRegistry()
-        reg.series("idle")
-        snap = reg.snapshot()
-        assert math.isnan(snap["idle.last"])
-        assert snap["idle.count"] == 0.0
-
-    def test_series_map_property(self):
-        reg = MetricsRegistry()
-        s = reg.series("a")
-        assert reg.series_map["a"] is s
-        assert set(reg.series_map) == {"a"}
-
     def test_reset_keeps_names(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()
@@ -142,21 +89,15 @@ class TestRegistry:
         assert len(reg.histogram("h")) == 0
 
     def test_handles_held_across_reset_keep_recording(self):
-        # A series held across reset() used to record into an orphan the
-        # snapshot never showed; counters and histograms always survived.
         reg = MetricsRegistry()
-        c, h, s = reg.counter("c"), reg.histogram("h"), reg.series("s")
+        c, h = reg.counter("c"), reg.histogram("h")
         c.inc(3)
         h.observe(1.0)
-        s.record(1.0, 5.0)
         reg.reset()
         c.inc()
         h.observe(2.0)
-        s.record(0.5, 7.0)
-        assert reg.series("s") is s
         snap = reg.snapshot()
         assert (snap["c"], snap["h.count"], snap["h.mean"]) == (1.0, 1.0, 2.0)
-        assert (snap["s.count"], snap["s.last"]) == (1.0, 7.0)
 
 
 class TestSummarize:

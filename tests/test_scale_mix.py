@@ -17,6 +17,8 @@ import pytest
 from repro import sanitize
 from repro.experiments.ext_scaling import ScaleMixParams, run_scale_mix
 from repro.experiments.parallel import SweepConfig, sweep_session
+from repro.overlay.factory import OVERLAY_NAMES
+from repro.sim.telemetry import telemetry_session
 
 SMALL = ScaleMixParams(
     num_stationary=300, num_mobile=150, lookups=400, rounds=5, seeds=2, seed=29
@@ -25,6 +27,11 @@ SMALL = ScaleMixParams(
 #: at test size.
 CHURN = dataclasses.replace(SMALL, churn_share=1 / 64)
 TRAFFIC = dataclasses.replace(SMALL, zipf_s=1.1)
+#: Every substrate under scrambled naming, as ``ext-hotspot`` and
+#: ``ext-overlays`` run them, with churn so leaves count too.
+SUBSTRATES = dataclasses.replace(
+    CHURN, overlays=OVERLAY_NAMES, naming="scrambled", zipf_s=1.1
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +99,46 @@ class TestScaleMix:
             dict(churn_share=math.nan),
             dict(zipf_s=-0.5),
             dict(zipf_s=math.nan),
+            dict(num_mobile=0),
+            dict(num_stationary=1),
+            dict(overlays=()),
+            dict(overlays=("chord", "kademlia")),
+            dict(naming="hashed"),
         ],
     )
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
             ScaleMixParams(**bad)
+
+
+class TestSubstrateAxis:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_scale_mix(SUBSTRATES)
+
+    def test_one_row_per_seed_and_overlay(self, table):
+        cells = [(row["seed"], row["overlay"]) for row in table.rows]
+        assert cells == [(i, o) for i in (0, 1) for o in OVERLAY_NAMES]
+        assert {row["naming"] for row in table.rows} == {"scrambled"}
+
+    def test_overlays_of_one_seed_share_the_operation_stream(self, table):
+        # The child seed depends on the seed index alone, so every
+        # substrate of one seed faces the same moves, expiries, churn
+        # and lookup targets: a paired comparison.
+        for seed in (0, 1):
+            rows = [row for row in table.rows if row["seed"] == seed]
+            for col in ("moves", "expired", "leaves", "hit rate", "hot share"):
+                assert len({row[col] for row in rows}) == 1, (seed, col)
+
+    def test_holder_load_spreads_under_scrambled_naming(self, table):
+        for row in table.rows:
+            assert row["detours"] >= row["lookups"]
+            assert 0.0 < row["gini"] < 1.0
+            assert 1.0 < row["max/mean"] < row["N"]
+            assert row["hops p50"] <= row["hops p99"]
+            assert row["discover cost"] > 0 and row["mean state/node"] > 0
+
+    def test_detours_column_sums_to_the_session_ledger(self):
+        with sweep_session(SweepConfig(jobs=1)), telemetry_session() as tel:
+            table = run_scale_mix(dataclasses.replace(SUBSTRATES, seeds=1))
+        assert sum(table.column("detours")) == tel.nodeload.total("detour")
