@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from bisect import bisect_left, insort
 from itertools import chain
 from operator import itemgetter
@@ -169,6 +170,14 @@ def cohosted_group(keys: Iterable[int]) -> Tuple[int, ...]:
     if not group:
         raise ValueError("a co-hosted group needs at least one key")
     return group
+
+
+def _integral_key(key: int) -> int:
+    """``key`` as a plain ``int``; ``ValueError`` unless it is integral."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        raise ValueError(f"key must be an integer, got {key!r}") from None
 
 
 class BristleNetwork:
@@ -863,15 +872,11 @@ class BristleNetwork:
         """Admit a new mobile node: place it, add it to the mobile layer,
         publish its location, and register it to its new neighbours'
         mobile peers (Fig 5's reciprocal registrations)."""
-        self.space.validate(key)
+        key = self.space.validate(_integral_key(key))
         if key in self.nodes:
             raise ValueError(f"key {key} already present")
         tel = self.telemetry
-        sid = (
-            tel.tracer.span_begin(self.now, "op.join", key=key)
-            if tel.tracer.enabled
-            else 0
-        )
+        sid = tel.tracer.span_begin(self.now, "op.join", key=key) if tel.tracer.enabled else 0
         node = BristleNode(key=key, mobile=True, capacity=capacity, space=self.space)
         node.address = self.placement.attach(key)
         self.nodes[key] = node
@@ -882,17 +887,13 @@ class BristleNetwork:
         tel.metrics.counter("overlay.mobile.add_node").inc()
         self.directory.publish(key, node.address, now=self.now, ttl=self.config.state_ttl)
         # Reciprocal registrations with the new neighbourhood (Fig 5).
-        issued = 0
-        for nb in self.mobile_layer.neighbors_of(key):
-            if self.is_mobile(nb):
-                self.registrations.register(key, nb, now=self.now)
-                issued += 1
-            self.registrations.register(nb, key, now=self.now)
-            issued += 1
+        neighbours = self.mobile_layer.neighbors_of(key)
+        mobile = [nb for nb in neighbours if nb in self._mobile_set]
+        self.registrations.subscribe(key, mobile, now=self.now)
+        self.registrations.register_many(neighbours, key, now=self.now)
+        issued = len(neighbours) + len(mobile)
         tel.metrics.counter("op.join.count").inc()
         tel.metrics.histogram("op.join.registrations").observe(issued)
-        if _sanitize.ACTIVE:
-            _sanitize.check_overlay_consistency(self.mobile_layer, key)
         if sid:
             tel.tracer.span_end(self.now, sid, registrations=issued)
         return node
@@ -900,21 +901,14 @@ class BristleNetwork:
     def leave_mobile_node(self, key: int) -> None:
         """Remove a mobile node: withdraw its records, unregister it
         everywhere, drop it from the mobile layer and the underlay."""
+        key = _integral_key(key)
         node = self.nodes.get(key)
         if node is None or not node.mobile:
             raise ValueError(f"{key} is not a mobile member")
         tel = self.telemetry
-        sid = (
-            tel.tracer.span_begin(self.now, "op.leave", key=key)
-            if tel.tracer.enabled
-            else 0
-        )
+        sid = tel.tracer.span_begin(self.now, "op.leave", key=key) if tel.tracer.enabled else 0
         self.directory.withdraw(key)
-        withdrawn = len(node.subscriptions) + len(node.registry)
-        for target in list(node.subscriptions):
-            self.registrations.unregister(key, target)
-        for registrant in list(node.registry):
-            self.registrations.unregister(registrant, key)
+        withdrawn = self.registrations.unregister_all(key)
         for g in self._groups_of.pop(key, ()):
             del self._ldt_cache[g]
             for other in g:
@@ -929,8 +923,6 @@ class BristleNetwork:
         tel.metrics.counter("op.leave.count").inc()
         tel.metrics.counter("overlay.mobile.remove_node").inc()
         tel.metrics.histogram("op.leave.unregistrations").observe(withdrawn)
-        if _sanitize.ACTIVE:
-            _sanitize.check_overlay_consistency(self.mobile_layer, key)
         if sid:
             tel.tracer.span_end(self.now, sid, unregistrations=withdrawn)
 

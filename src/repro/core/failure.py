@@ -105,10 +105,6 @@ class FailureDetector:
             self._suspected.discard(pair)
             self._misses.pop(pair, None)
 
-    def is_failed(self, node: int) -> bool:
-        """Ground truth: is ``node`` currently failed?"""
-        return node in self._failed
-
     # ------------------------------------------------------------------
     # Monitoring
     # ------------------------------------------------------------------
@@ -171,10 +167,6 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def suspects_of(self, monitor: int) -> List[int]:
-        """Peers ``monitor`` currently suspects."""
-        return sorted(s for m, s in self._suspected if m == monitor)
-
     def detected_by_anyone(self, node: int) -> bool:
         """True once at least one monitor suspects ``node``."""
         return any(s == node for _, s in self._suspected)

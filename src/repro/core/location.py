@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..net.address import NetworkAddress
 from ..overlay.base import Overlay
@@ -62,7 +61,7 @@ def shared_multicast_hops(
     if not hs:
         return 0
     start = int(entry) if entry is not None else hs[0]
-    pos = int(np.searchsorted(np.asarray(hs, dtype=np.uint64), np.uint64(start)))
+    pos = bisect_left(hs, start)
     ordered = [hs[(pos + j) % len(hs)] for j in range(len(hs))]
     hops = 0
     if ordered[0] != start:
@@ -72,21 +71,20 @@ def shared_multicast_hops(
     return hops
 
 
-def holders_near(keys: np.ndarray, owner: int, idx: int, replication: int) -> List[int]:
-    """§2.3.2's replica walk: ``owner`` (at sorted index ``idx`` of the
-    member array ``keys``) plus its ring neighbours, alternately right and
-    left, ``replication`` holders total (bounded by the member count)."""
-    n = int(keys.size)
-    count = min(replication, n)
-    holders = [owner]
-    step = 1
+def holders_near(overlay: Overlay, owner: int, replication: int) -> List[int]:
+    """§2.3.2's replica walk: member ``owner`` plus its ring neighbours,
+    alternately right and left, ``replication`` holders total (bounded by
+    the member count), read off the overlay's member ``ring``."""
+    ring, n = overlay.ring, overlay.num_nodes
+    idx = bisect_left(ring, owner, 0, n)
+    count, holders, step = min(replication, n), [owner], 1
     while len(holders) < count:
-        right = int(keys[(idx + step) % n])
+        right = ring[(idx + step) % n]
         if right not in holders:
             holders.append(right)
         if len(holders) >= count:
             break
-        left = int(keys[(idx - step) % n])
+        left = ring[(idx - step) % n]
         if left not in holders:
             holders.append(left)
         step += 1
@@ -228,31 +226,22 @@ class LocationDirectory:
         The owner plus its ring neighbours, ``replication`` holders total
         (bounded by the layer size).
         """
-        owner = self.overlay.owner_of(key)
-        idx = int(np.searchsorted(self.overlay.keys, np.uint64(owner)))
-        return holders_near(self.overlay.keys, owner, idx, self.replication)
+        return holders_near(self.overlay, self.overlay.owner_of(key), self.replication)
 
     def holders_for_many(self, keys: Iterable[int]) -> Dict[int, List[int]]:
         """Holder sets for many keys at once (batched counterpart of
         :meth:`holders_for`).
 
         Keys are grouped by responsible owner — the owner lookup rides the
-        overlay's warm ``owner_of`` memo, the owner indices are resolved
-        with a single vectorised ``searchsorted``, and the replica
-        expansion runs once per *distinct* owner rather than once per key.
-        Co-hosted keys with a shared owner therefore cost O(distinct
-        owners), not O(K).
+        overlay's warm ``owner_of`` memo — and the replica walk runs once
+        per *distinct* owner rather than once per key.  Co-hosted keys with
+        a shared owner therefore cost O(distinct owners), not O(K).
         """
         key_list = [int(k) for k in keys]
         owner_of = self.overlay.owner_of
         owners = {k: owner_of(k) for k in key_list}
-        distinct = sorted(set(owners.values()))
-        if not distinct:
-            return {}
-        idxs = np.searchsorted(self.overlay.keys, np.asarray(distinct, dtype=np.uint64))
         per_owner = {
-            o: holders_near(self.overlay.keys, o, int(i), self.replication)
-            for o, i in zip(distinct, idxs)
+            o: holders_near(self.overlay, o, self.replication) for o in set(owners.values())
         }
         return {k: list(per_owner[owners[k]]) for k in key_list}
 
@@ -473,9 +462,7 @@ class RegistrationManager:
         """
         return self.register_many([registrant], target, now) == 1
 
-    def register_many(
-        self, registrants: Sequence[int], target: int, now: float = 0.0
-    ) -> int:
+    def register_many(self, registrants: Sequence[int], target: int, now: float = 0.0) -> int:
         """Every one of ``registrants`` declares interest in ``target``, in
         order — what one :meth:`register` per registrant does, with
         ``op.register.count`` and ``op.register.refreshed`` bumped once
@@ -489,13 +476,29 @@ class RegistrationManager:
             reg = nodes[key]
             registry[key] = RegistryEntry(key, reg.capacity, now)
             reg.subscriptions.add(target)
-        new = len(registry) - before
+        return self._count(len(registry) - before, len(registrants))
+
+    def subscribe(self, registrant: int, targets: Sequence[int], now: float = 0.0) -> int:
+        """``registrant`` declares interest in every one of ``targets`` —
+        :meth:`register_many`'s mirror image, counted the same way."""
+        if registrant in targets:
+            raise ValueError("a node does not register to itself")
+        nodes, reg, new = self._nodes, self._nodes[registrant], 0
+        for target in targets:
+            registry = nodes[target].registry
+            new += registrant not in registry
+            registry[registrant] = RegistryEntry(registrant, reg.capacity, now)
+        reg.subscriptions.update(targets)
+        return self._count(new, len(targets))
+
+    def _count(self, new: int, issued: int) -> int:
+        """Account ``issued`` registrations of which ``new`` are new."""
         self.registration_count += new
         if self._metrics is not None:
             if new:
                 self._metrics.counter("op.register.count").inc(new)
-            if new < len(registrants):
-                self._metrics.counter("op.register.refreshed").inc(len(registrants) - new)
+            if new < issued:
+                self._metrics.counter("op.register.refreshed").inc(issued - new)
         return new
 
     def unregister(self, registrant: int, target: int) -> None:
@@ -504,6 +507,22 @@ class RegistrationManager:
         self._nodes[registrant].subscriptions.discard(target)
         if self._metrics is not None:
             self._metrics.counter("op.unregister.count").inc()
+
+    def unregister_all(self, key: int) -> int:
+        """Withdraw every registration ``key`` takes part in, both ways —
+        what one :meth:`unregister` per pair does, with
+        ``op.unregister.count`` bumped once.  Returns the number withdrawn."""
+        nodes, node = self._nodes, self._nodes[key]
+        for target in node.subscriptions:
+            nodes[target].registry.pop(key, None)
+        for registrant in node.registry:
+            nodes[registrant].subscriptions.discard(key)
+        withdrawn = len(node.subscriptions) + len(node.registry)
+        node.subscriptions.clear()
+        node.registry.clear()
+        if withdrawn and self._metrics is not None:
+            self._metrics.counter("op.unregister.count").inc(withdrawn)
+        return withdrawn
 
     def register_from_overlay(self, overlay: Overlay, *, mobile_only: bool = True) -> int:
         """Derive registrations from overlay state replication.
@@ -514,17 +533,12 @@ class RegistrationManager:
         number of *new* registrations issued — re-running after churn
         repair refreshes existing interests without double-counting them.
         """
-        issued = 0
-        for key in overlay.keys:
-            x = int(key)
-            for y in overlay.neighbors_of(x):
-                tgt = self._nodes.get(y)
-                if tgt is None:
-                    continue
-                if mobile_only and not tgt.mobile:
-                    continue
-                if self.register(x, y):
-                    issued += 1
+        nodes, issued = self._nodes, 0
+        wanted = (lambda y: y in nodes and nodes[y].mobile) if mobile_only else nodes.__contains__
+        for x in overlay.keys.tolist():
+            targets = [y for y in overlay.neighbors_of(x) if wanted(y)]
+            if targets:
+                issued += self.subscribe(x, targets)
         return issued
 
     def registry_sizes(self, *, mobile_only: bool = True) -> List[int]:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Set
 
-import numpy as np
-
 from .bristle import BristleNetwork
 from .location import holders_near
 from .routing import RouteTrace, route_with_resolution
@@ -100,9 +98,7 @@ class DataStore:
     def holders_for(self, key: int) -> List[int]:
         """Owner plus ring-adjacent replicas among *mobile-layer* members."""
         overlay = self.net.mobile_layer
-        owner = overlay.owner_of(key)
-        idx = int(np.searchsorted(overlay.keys, np.uint64(owner)))
-        return holders_near(overlay.keys, owner, idx, self.replication)
+        return holders_near(overlay, overlay.owner_of(key), self.replication)
 
     # ------------------------------------------------------------------
     # Operations

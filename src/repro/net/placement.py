@@ -66,8 +66,10 @@ class Placement:
         if len(set(hosts)) < len(hosts) or not self._current.keys().isdisjoint(hosts):
             raise ValueError(f"hosts {hosts} repeat or include an attached one; use move()")
         if routers is None:
-            draws = self._rng.stream("placement").integers(0, len(self._points), size=len(hosts))
-            routers = [self._points[i] for i in draws.tolist()]
+            gen, count, k = self._rng.stream("placement"), len(self._points), len(hosts)
+            # One host draws a scalar: the value ``size=1`` draws, minus the array.
+            draws = [gen.integers(0, count)] if k == 1 else gen.integers(0, count, size=k).tolist()
+            routers = [self._points[i] for i in draws]
         elif len(routers) != len(hosts):
             raise ValueError("need one router per host")
         else:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
@@ -110,8 +111,9 @@ class Overlay(abc.ABC):
         # Membership is a sorted uint64 array held in an amortised
         # capacity-doubling buffer so per-event add/remove is a memmove of
         # the tail, not a fresh O(N) allocation (np.insert/np.delete).
-        self._key_buf: np.ndarray = np.empty(0, dtype=np.uint64)
-        self._key_count: int = 0
+        # Bulk builds read it as numpy, scalar reads through ``ring`` (a
+        # zero-copy memoryview of it: ``bisect`` with ``hi=num_nodes``).
+        self._set_buffer(np.empty(0, dtype=np.uint64), 0)
         self._member_set: set = set()
         self._owner_memo: Dict[int, int] = {}
         #: target -> {node: next hop toward it}, for targets routed twice
@@ -124,15 +126,16 @@ class Overlay(abc.ABC):
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    @property
-    def _keys(self) -> np.ndarray:
-        """Sorted member keys (a view into the amortised buffer)."""
-        return self._key_buf[: self._key_count]
+    def _set_buffer(self, buf: np.ndarray, count: int) -> None:
+        """Rebind the member buffer (the first ``count`` entries are the
+        members) and its ``ring`` view together."""
+        self._key_buf, self._key_count = buf, count
+        self.ring = memoryview(buf).cast("B").cast("Q")
 
     @property
     def keys(self) -> np.ndarray:
-        """Sorted array of member keys."""
-        return self._keys
+        """Sorted member keys (a numpy view into the amortised buffer)."""
+        return self._key_buf[: self._key_count]
 
     @property
     def num_nodes(self) -> int:
@@ -165,8 +168,7 @@ class Overlay(abc.ABC):
         key_list = sorted({self.space.validate(int(k)) for k in keys})
         if not key_list:
             raise ValueError("cannot build an overlay with no members")
-        self._key_buf = np.asarray(key_list, dtype=np.uint64)
-        self._key_count = len(key_list)
+        self._set_buffer(np.asarray(key_list, dtype=np.uint64), len(key_list))
         self._member_set = set(key_list)
         self._reset_state()
         self._build_all(key_list)
@@ -184,20 +186,22 @@ class Overlay(abc.ABC):
         """Insert ``key`` into the sorted buffer; return its index."""
         n = self._key_count
         if n == self._key_buf.size:
-            grown = np.empty(max(16, 2 * self._key_buf.size), dtype=np.uint64)
+            grown = np.empty(max(16, 2 * n), dtype=np.uint64)
             grown[:n] = self._key_buf[:n]
-            self._key_buf = grown
-        idx = int(np.searchsorted(self._key_buf[:n], np.uint64(key)))
-        self._key_buf[idx + 1 : n + 1] = self._key_buf[idx:n]
-        self._key_buf[idx] = np.uint64(key)
+            self._set_buffer(grown, n)
+        ring = self.ring
+        idx = bisect_left(ring, key, 0, n)
+        ring[idx + 1 : n + 1] = ring[idx:n]
+        ring[idx] = key
         self._key_count = n + 1
         return idx
 
     def _delete_key(self, key: int) -> int:
         """Delete ``key`` from the sorted buffer; return its old index."""
         n = self._key_count
-        idx = int(np.searchsorted(self._key_buf[:n], np.uint64(key)))
-        self._key_buf[idx : n - 1] = self._key_buf[idx + 1 : n]
+        ring = self.ring
+        idx = bisect_left(ring, key, 0, n)
+        ring[idx : n - 1] = ring[idx + 1 : n]
         self._key_count = n - 1
         return idx
 
@@ -254,7 +258,7 @@ class Overlay(abc.ABC):
     def _compute_owner(self, key: int) -> int:
         """The storage rule: ring-nearest by default; Chord uses successor,
         Tapestry the surrogate root, CAN the zone tessellation."""
-        return self.space.nearest_key(self._keys, key)
+        return self.space.nearest_key(self.ring, key, self._key_count)
 
     def progress_key(self, node: int, target: int):
         """Totally-ordered progress measure; strictly decreases per hop
@@ -463,7 +467,7 @@ class Overlay(abc.ABC):
     def state_size_stats(self) -> Dict[str, float]:
         """Mean/max routing-state size across members (the §2.3.2 claim of
         ``O(log N)`` memory overhead per node)."""
-        sizes = [len(self.neighbors_of(int(k))) for k in self._keys]
+        sizes = [len(self.neighbors_of(int(k))) for k in self.keys]
         arr = np.asarray(sizes, dtype=np.float64)
         return {
             "mean": float(arr.mean()),

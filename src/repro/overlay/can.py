@@ -157,9 +157,9 @@ class CANOverlay(Overlay):
         self._zone_boxes.clear()
         self._neighbors.clear()
         self._root = None
-        if self._keys.size == 0:
+        if self.keys.size == 0:
             return
-        members = [(int(k), self.point_of(int(k))) for k in self._keys]
+        members = [(int(k), self.point_of(int(k))) for k in self.keys]
         full = Zone(start=(0,) * self.dims, size=(self.axis_extent,) * self.dims)
         self._zone_boxes = {k: [] for k, _ in members}
         self._root = self._build_trie(full, members, depth=0)

@@ -18,9 +18,11 @@ question is then one ``bisect``.
 from ``n``.  A member ``m`` is in ``row(n)`` iff it is among ``n``'s ``r``
 nearest successors, or some finger start ``2**i`` lies in
 ``(off_n(pred(m)), off_n(m)]`` — i.e. ``off_n(m) >> off_n(pred(m)).bit_length()``
-is non-zero.  ``_build_rows`` is the only code that constructs a row from
-the member array; a join or leave finds the members that hold the key and
-edits their rows in place under this predicate, at most three entries each.
+is non-zero.  ``_build_all`` builds every row at once from the member
+array; under churn nothing is rebuilt: a joiner's own row is read off the
+ring by ``bisect`` (``_joiner_row``), and a join or leave finds the members
+that hold the key and edits their rows in place under this predicate, at
+most three entries each.
 """
 
 from __future__ import annotations
@@ -61,16 +63,13 @@ class ChordOverlay(Overlay):
         #: ``>= 2**i`` — both are views of the row, not separate state.
         self._rows: Dict[int, array] = {}
         self._mask = space.size - 1
-        # Finger-start offsets 2**i.  ``key ± 2**i`` wraps mod 2**64 in
-        # uint64, which the mask reduces exactly mod 2**bits (bits <= 64).
-        self._finger_steps = np.array([1 << i for i in range(space.bits)], dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Ownership: Chord stores k at successor(k)
     # ------------------------------------------------------------------
     def _compute_owner(self, key: int) -> int:
         """Chord stores key k at successor(k)."""
-        return self.space.successor_key(self._keys, key)
+        return self.space.successor_key(self.ring, key, self._key_count)
 
     def _progress(self, node: int, target: int, owner: int):
         """(clockwise distance to the owner, key)."""
@@ -87,36 +86,26 @@ class ChordOverlay(Overlay):
     def _reset_state(self) -> None:
         self._rows.clear()
 
-    def _ring_points(self, own: np.ndarray, sign: int) -> np.ndarray:
-        """``own[j] + sign * 2**i`` on the ring, one line per entry of
-        ``own``, ``i`` ascending."""
-        steps = self._finger_steps
-        points = own[:, None] + steps if sign > 0 else own[:, None] - steps
-        return points & np.uint64(self._mask)
-
-    def _build_rows(
-        self, positions: np.ndarray, members: Optional[List[int]] = None
-    ) -> None:
-        """(Re)build the rows of the members at sorted ``positions``, all
-        at once: one 2-D ``searchsorted`` for the fingers (``n`` where a
-        start lies past the last member, i.e. wraps to the first), index
-        arithmetic for the successor lists, one line-wise sort and one
-        filter."""
-        keys = self._keys
+    def _build_all(self, members: List[int]) -> None:
+        """Every row at once — the bulk builder: one 2-D ``searchsorted``
+        for the fingers (``n`` where a start lies past the last member,
+        i.e. wraps to the first), index arithmetic for the successor
+        lists, one line-wise sort and one filter."""
+        keys = self.keys
         n = keys.size
-        own = keys[positions]
+        mask = np.uint64(self._mask)
+        # Finger starts ``key + 2**i``: uint64 wraps mod 2**64, which the
+        # mask reduces exactly mod 2**bits (bits <= 64).
+        steps = np.array([1 << i for i in range(self.space.bits)], dtype=np.uint64)
         ranks = np.arange(1, min(self.successor_list_size, n - 1) + 1)
         neighbours = np.concatenate(
-            [
-                np.searchsorted(keys, self._ring_points(own, 1)),
-                positions[:, None] + ranks,
-            ],
+            [np.searchsorted(keys, (keys[:, None] + steps) & mask), np.arange(n)[:, None] + ranks],
             axis=1,
         )
         neighbours %= n
         offsets = keys[neighbours]
-        offsets -= own[:, None]
-        offsets &= np.uint64(self._mask)
+        offsets -= keys[:, None]
+        offsets &= mask
         offsets.sort(axis=1)
         # Drop repeats, and the 0 of a finger start that wraps all the way
         # round to the member itself.
@@ -124,46 +113,67 @@ class ChordOverlay(Overlay):
         keep[:, 1:] &= offsets[:, 1:] != offsets[:, :-1]
         flat = array("Q", offsets[keep].tobytes())
         begin = 0
-        for key, end in zip(members or own.tolist(), np.cumsum(keep.sum(axis=1)).tolist()):
+        for key, end in zip(members, np.cumsum(keep.sum(axis=1)).tolist()):
             self._rows[key] = flat[begin:end]  # (a slice has no slack)
             begin = end
 
-    def _build_all(self, members: List[int]) -> None:
-        self._build_rows(np.arange(self._key_count), members)
-
     # ------------------------------------------------------------------
-    # Churn repair: edit the affected rows under the row predicate (see
-    # the module docstring)
+    # Churn repair: read the ring by ``bisect`` and edit the affected rows
+    # under the row predicate (see the module docstring)
     # ------------------------------------------------------------------
     def _affected_positions(self, key: int, idx: int) -> Set[int]:
         """Positions of the members whose row a join/leave of ``key`` at
-        ``keys[idx]`` changes — exactly those that hold (or held) ``key``.
-
-        ``key`` is ``finger[i]`` of ``n`` iff ``n + 2**i`` lies in
-        ``(pred(key), key]``, i.e. ``n ∈ (pred − 2**i, key − 2**i]``: one
-        ``searchsorted`` over the 2·m interval ends; it is in the successor
-        list of the ``r`` members before it.  Called with the membership
-        already updated (a joiner's own position may be among them).
-        """
-        keys = self._keys
-        n = keys.size
-        ends = self._ring_points(np.array([keys[idx - 1], key], dtype=np.uint64), -1)
-        first, last = np.searchsorted(keys, ends, side="right")
-        last += n * (ends[0] > ends[1])  # the interval wraps past zero
-        found = set(range(idx - self.successor_list_size, idx))
-        for a, b in zip(first.tolist(), last.tolist()):
-            found.update(range(a, b))
+        ``ring[idx]`` changes — exactly those that hold (or held) ``key``:
+        the ``r`` members before it (successor lists), and per level ``i``
+        those in ``(pred − 2**i, key − 2**i]`` (``finger[i]``), one
+        ``bisect`` each.  While ``2**i`` is at most ``pred`` less the
+        ``r + 1``-th member before ``key``, that interval holds only members
+        of the first range, so those levels are skipped.  Called with the
+        membership already updated (a joiner's own position may be among
+        them)."""
+        ring, n, mask, r = self.ring, self._key_count, self._mask, self.successor_list_size
+        pred = ring[(idx - 1) % n]
+        span = (key - pred) & mask
+        found = set(range(idx - r, idx))
+        reach = (pred - ring[(idx - r - 1) % n]) & mask
+        for i in range(reach.bit_length(), self.space.bits):
+            # The members in (start, start + span], from the first past start.
+            start = (pred - (1 << i)) & mask
+            p = bisect_right(ring, start, 0, n)
+            while p < n and ring[p] - start <= span:
+                found.add(p)
+                p += 1
+            if p == n:  # the interval wraps past zero
+                p = 0
+                while p < n and (ring[p] - start - 1) & mask < span:
+                    found.add(p)
+                    p += 1
         return {p % n for p in found}
 
+    def _joiner_row(self, key: int, idx: int) -> array:
+        """The row of the member at ``ring[idx]`` from its definition: the
+        successor list, then one ``bisect`` per finger start past its last
+        entry (every start up to that names a member of the list)."""
+        ring, n, mask = self.ring, self._key_count, self._mask
+        r = min(self.successor_list_size, n - 1)
+        offsets = {(ring[(idx + j) % n] - key) & mask for j in range(1, r + 1)}
+        reach = (ring[(idx + r) % n] - key) & mask
+        for i in range(reach.bit_length(), self.space.bits):
+            finger = bisect_left(ring, (key + (1 << i)) & mask, 0, n)
+            offsets.add((ring[finger % n] - key) & mask)
+        offsets.discard(0)  # a start that wraps round to the member itself
+        return array("Q", sorted(offsets))
+
     def _on_add(self, key: int, idx: int) -> None:
-        keys, r, mask, rows = self._keys, self.successor_list_size, self._mask, self._rows
+        ring, r, mask, rows = self.ring, self.successor_list_size, self._mask, self._rows
         affected = self._affected_positions(key, idx)
         affected.discard(idx)
-        self._build_rows(np.array([idx]))
+        rows[key] = self._joiner_row(key, idx)
         # The newcomer enters the row; the one entry whose standing it can
         # change is its successor (predecessor now the newcomer) or, from
         # inside the successor list, the member pushed to rank r+1.
-        for member in keys[list(affected)].tolist():
+        for p in affected:
+            member = ring[p]
             row = rows[member]
             offset = (key - member) & mask
             j = bisect_right(row, offset)
@@ -174,23 +184,22 @@ class ChordOverlay(Overlay):
         self._record_repair(len(affected) + 1)
 
     def _on_remove(self, key: int, idx: int) -> None:
-        keys, r, mask, rows = self._keys, self.successor_list_size, self._mask, self._rows
+        ring, n, mask, rows = self.ring, self._key_count, self._mask, self._rows
+        r = self.successor_list_size
         del rows[key]
-        n = keys.size
-        affected = np.array(list(self._affected_positions(key, idx)), dtype=np.int64)
-        pred, succ = int(keys[idx - 1]), int(keys[idx % n])
+        affected = self._affected_positions(key, idx)
+        pred, succ = ring[(idx - 1) % n], ring[idx % n]
         # The leaver goes; the member now at rank r (if the ring still has
         # one) enters if the leaver sat in the successor list, and the
         # leaver's successor inherits any finger start between the
         # predecessor and the leaver.
-        for member, rank_r in zip(
-            keys[affected].tolist(), keys[(affected + r) % n].tolist()
-        ):
+        for p in affected:
+            member = ring[p]
             row = rows[member]
             offset = (key - member) & mask
             j = bisect_left(row, offset)
             del row[j]
-            fill = (rank_r - member) & mask
+            fill = (ring[(p + r) % n] - member) & mask
             if j < r < n and (len(row) < r or row[r - 1] != fill):
                 row.insert(r - 1, fill)
             if member != succ and offset >> ((pred - member) & mask).bit_length():

@@ -11,9 +11,8 @@ of "closeness" the overlays need:
 * **prefix digits** — Pastry/Tornado route by longest shared prefix of the
   base-``2^b`` digit expansion.
 
-Vectorised helpers (NumPy) back the bulk operations used by experiments
-(drawing thousands of uniform keys, nearest-key queries over sorted key
-arrays).
+Vectorised helpers (NumPy) draw thousands of uniform keys at once; the
+nearest- and successor-key queries ``bisect`` an ascending key sequence.
 
 The scalar arithmetic here is exact up to 160 bits, but member arrays are
 ``uint64`` and routing rows ``array('Q')``: :data:`MAX_OVERLAY_BITS` = 64 is
@@ -23,7 +22,8 @@ the structural limit of every overlay and of ``BristleConfig.key_bits``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from bisect import bisect_left
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,30 +181,27 @@ class KeySpace:
         gen.shuffle(keys)
         return keys[:count]
 
-    def nearest_key(self, sorted_keys: np.ndarray, target: int) -> int:
-        """Key in ``sorted_keys`` with minimal ring distance to ``target``.
+    def nearest_key(self, sorted_keys: Sequence[int], target: int, hi: Optional[int] = None) -> int:
+        """Key among ``sorted_keys[:hi]`` (default: all) with minimal ring
+        distance to ``target``; ties break toward the smaller key.
 
-        ``sorted_keys`` must be an ascending array of valid keys.  Ties
-        break toward the numerically smaller key, deterministically.
+        ``sorted_keys`` must be ascending valid keys, read by ``bisect`` —
+        an overlay passes its member ``ring`` and ``hi=num_nodes``.
         """
-        n = sorted_keys.size
+        n = len(sorted_keys) if hi is None else hi
         if n == 0:
             raise ValueError("empty key array")
-        idx = int(np.searchsorted(sorted_keys, np.uint64(target)))
-        above = int(sorted_keys[idx % n])
-        below = int(sorted_keys[idx - 1])
-        d_above = self.ring_distance(above, target)
-        d_below = self.ring_distance(below, target)
-        if d_above != d_below:
-            return above if d_above < d_below else below
-        return min(above, below)
+        idx = bisect_left(sorted_keys, target, 0, n)
+        above, below = int(sorted_keys[idx % n]), int(sorted_keys[(idx - 1) % n])
+        return min(above, below, key=lambda k: (self.ring_distance(k, target), k))
 
-    def successor_key(self, sorted_keys: np.ndarray, target: int) -> int:
-        """First key clockwise at-or-after ``target`` (Chord's successor)."""
-        if sorted_keys.size == 0:
+    def successor_key(self, sorted_keys: Sequence[int], target: int, hi: Optional[int] = None) -> int:
+        """First key of ``sorted_keys[:hi]`` clockwise at-or-after
+        ``target`` (Chord's successor)."""
+        n = len(sorted_keys) if hi is None else hi
+        if n == 0:
             raise ValueError("empty key array")
-        idx = int(np.searchsorted(sorted_keys, np.uint64(target)))
-        return int(sorted_keys[idx % sorted_keys.size])
+        return int(sorted_keys[bisect_left(sorted_keys, target, 0, n) % n])
 
     def is_closer(self, candidate: int, incumbent: int, target: int) -> bool:
         """True when ``candidate`` is strictly closer to ``target`` (ring

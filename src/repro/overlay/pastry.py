@@ -90,7 +90,7 @@ class PastryOverlay(Overlay):
     ) -> None:
         """(Re)build the leaf sets of the members at sorted ``positions``:
         the ``l/2`` members on each side, one window gather for all."""
-        keys = self._keys
+        keys = self.keys
         n = int(keys.size)
         w = min(self.leaf_set_size // 2, n - 1)
         window = keys[(positions[:, None] + np.arange(-w, w + 1)) % n]
@@ -155,7 +155,7 @@ class PastryOverlay(Overlay):
         entry in ``(node, slot)`` order without a per-node scan; only the
         winners outlive their level.
         """
-        space, keys = self.space, self._keys
+        space, keys = self.space, self.keys
         n = int(keys.size)
         filled = np.zeros((n, space.num_digits * space.digit_base), dtype=bool)
         levels: List[Tuple[np.ndarray, np.ndarray]] = []  # (entries per node, winners)
@@ -217,7 +217,7 @@ class PastryOverlay(Overlay):
         w = min(self.leaf_set_size // 2, n - 1)
         positions = np.unique((idx + np.arange(-w, w + 1)) % n)
         self._build_leaves(positions)
-        return set(self._keys[positions].tolist())
+        return set(self.keys[positions].tolist())
 
     def _key_levels(
         self, keys: np.ndarray, key: int
@@ -252,7 +252,7 @@ class PastryOverlay(Overlay):
         return facing[self._facing_winners(keys, facing, lo, hi) == np.uint64(key)]
 
     def _on_add(self, key: int, idx: int) -> None:
-        space, keys = self.space, self._keys
+        space, keys = self.space, self.keys
         # 1. Leaf sets: only the windows around the insertion point move
         #    (the newcomer's own among them).
         repaired = self._repair_leaf_window(idx)
@@ -284,7 +284,7 @@ class PastryOverlay(Overlay):
 
     def _on_remove(self, key: int, idx: int) -> None:
         del self._leaves[key], self._table[key]
-        space, keys = self.space, self._keys
+        space, keys = self.space, self.keys
         # 1. Leaf sets around the departure position.
         repaired = self._repair_leaf_window(idx)
         # 2. Tables: the members that referenced the departed key are those

@@ -19,9 +19,8 @@ lookups take at most ``bits / digit_bits`` hops.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Optional
-
-import numpy as np
 
 from .pastry import PastryOverlay
 
@@ -45,32 +44,25 @@ class TapestryOverlay(PastryOverlay):
         when some member continues under it, otherwise the digit is bumped
         upward (mod base) to the nearest populated value.
         """
-        keys = self._keys
-        bits = self.space.bits
-        b = self.space.digit_bits
-        base = self.space.digit_base
+        ring, space = self.ring, self.space
+        b, base = space.digit_bits, space.digit_base
         prefix = 0  # fixed digits so far, left-aligned value
-        lo_idx, hi_idx = 0, int(keys.size)
-        for level in range(self.space.num_digits):
-            shift = bits - b * (level + 1)
+        lo_idx, hi_idx = 0, self._key_count
+        for level in range(space.num_digits):
+            shift = space.bits - b * (level + 1)
             want = (key >> shift) & (base - 1)
             for bump in range(base):
-                digit = (want + bump) % base
-                cand_prefix = (prefix << b) | digit
-                window = keys[lo_idx:hi_idx]
-                first = np.uint64(cand_prefix << shift)
-                last = np.uint64(((cand_prefix + 1) << shift) - 1)
-                lo = int(np.searchsorted(window, first)) + lo_idx
-                hi = int(np.searchsorted(window, last, side="right")) + lo_idx
+                cand_prefix = (prefix << b) | ((want + bump) % base)
+                lo = bisect_left(ring, cand_prefix << shift, lo_idx, hi_idx)
+                hi = bisect_right(ring, ((cand_prefix + 1) << shift) - 1, lo_idx, hi_idx)
                 if hi > lo:
-                    prefix = cand_prefix
-                    lo_idx, hi_idx = lo, hi
+                    prefix, lo_idx, hi_idx = cand_prefix, lo, hi
                     break
             else:  # pragma: no cover - membership non-empty ⇒ some digit populated
                 raise RuntimeError("surrogate descent found no populated digit")
             if hi_idx - lo_idx == 1:
-                return int(keys[lo_idx])
-        return int(keys[lo_idx])
+                break
+        return ring[lo_idx]
 
     # ------------------------------------------------------------------
     # Routing: prefix-walk toward the surrogate root

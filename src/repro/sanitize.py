@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
@@ -165,12 +166,11 @@ def check_overlay_consistency(
         # After a leave the key must be fully forgotten: by the member
         # array, and by its ring predecessor and successor (the ring
         # overlays' surest holders of it).
-        if key in set(int(k) for k in keys):
-            raise _violation(
-                f"departed key {key} still present in the member array"
-            )
-        idx = int(keys.searchsorted(keys.dtype.type(key)))
-        checked = {int(keys[idx - 1]), int(keys[idx % keys.size])}
+        ring, n = overlay.ring, overlay.num_nodes
+        idx = bisect_left(ring, key, 0, n)
+        if idx < n and ring[idx] == key:
+            raise _violation(f"departed key {key} still present in the member array")
+        checked = {ring[(idx - 1) % n], ring[idx % n]}
     for member in checked:
         for nb in overlay.neighbors_of(member):
             if not overlay.is_member(nb):

@@ -19,6 +19,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.overlay import CANOverlay, ChordOverlay, PastryOverlay, TapestryOverlay
 from repro.overlay.base import Overlay, RoutingError
 
+from .ring import successor
+
 __all__ = [
     "can_plateau_route",
     "chord_fingers",
@@ -39,7 +41,7 @@ def chord_fingers(ov: ChordOverlay, key: int) -> List[int]:
     fingers: List[int] = []
     last = None
     for i in range(ov.space.bits):
-        f = ov.space.successor_key(ov.keys, (key + (1 << i)) % ov.space.size)
+        f = successor(ov.keys, (key + (1 << i)) % ov.space.size)
         if f != key and f != last:
             fingers.append(f)
             last = f
