@@ -166,7 +166,7 @@ class BatchMoveReport:
 
 def cohosted_group(keys: Iterable[int]) -> Tuple[int, ...]:
     """``keys`` as a co-hosted group: distinct, sorted, at least one."""
-    group = tuple(sorted({int(k) for k in keys}))
+    group = tuple(sorted({_integral_key(k) for k in keys}))
     if not group:
         raise ValueError("a co-hosted group needs at least one key")
     return group
@@ -512,6 +512,7 @@ class BristleNetwork:
         The node updates the stationary layer ("publish") and multicasts
         the new address down its LDT ("advertise"), per §2.1/§2.3.1.
         """
+        key = _integral_key(key)
         node = self.nodes[key]
         if not node.mobile:
             raise ValueError(f"node {key} is stationary; only mobile nodes move")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Optional
 
-from ..overlay.keyspace import MAX_OVERLAY_BITS
+from ..overlay.factory import overlay_name
+from ..overlay.keyspace import MAX_OVERLAY_BITS, KeySpace
 
 __all__ = ["BristleConfig"]
 
@@ -72,11 +74,19 @@ class BristleConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        # Integer fields take integers, NumPy's too (``TypeError`` for 1.5).
+        for value in (self.key_bits, self.digit_bits, self.replication, self.seed):
+            operator.index(value)
+        if self.registry_size is not None:
+            operator.index(self.registry_size)
         if self.key_bits > MAX_OVERLAY_BITS:
             raise ValueError(
                 f"key_bits must be <= {MAX_OVERLAY_BITS} (keys are 64-bit "
                 f"words), got {self.key_bits}"
             )
+        KeySpace(self.key_bits, self.digit_bits)  # raises on a ring no overlay can build
+        overlay_name(self.mobile_layer_overlay)
+        overlay_name(self.stationary_layer_overlay)
         if self.naming not in ("clustered", "scrambled"):
             raise ValueError(f"naming must be 'clustered' or 'scrambled', got {self.naming!r}")
         # Phrased so that NaN fails them (every comparison with NaN is

@@ -13,7 +13,6 @@ from .ext_advertisement import AdvertisementLatencyParams, run_advertisement_lat
 from .ext_batch import BatchUpdateParams, run_batch_update
 from .ext_churn import ChurnOverheadParams, run_churn_overhead
 from .ext_data import DataAvailabilityParams, run_data_availability
-from .ext_naming import BandPlacementParams, run_band_placement
 from .ext_overlay_choice import Ipv6Params, run_ipv6_route_optimisation
 from .ext_proximity import ProximityRoutingParams, run_proximity_routing
 from .ext_scaling import ScaleMixParams, ScalingParams, run_scale_mix, run_scaling
@@ -30,7 +29,13 @@ from .ext_reliability import (
     run_replication_reliability,
 )
 from .fig3_responsibility import run_fig3, run_fig3_empirical, run_fig3_tree_sizes
-from .fig7_naming import Fig7Params, measure_naming_scheme, run_fig7
+from .fig7_naming import (
+    BandPlacementParams,
+    Fig7Params,
+    measure_naming_scheme,
+    run_band_placement,
+    run_fig7,
+)
 from .fig8_ldt import (
     Fig8Params,
     build_random_ldt,

@@ -18,19 +18,14 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..core.analysis import advertisement_hops, clustered_route_is_stationary
-from ..core.bristle import BristleNetwork
-from ..core.config import BristleConfig
+from ..core.analysis import advertisement_hops
 from ..core.ldt import LDTMember, build_ldt
-from ..core.mobility import shuffle_all_mobile
-from ..core.routing import route_preferring_resolved
-from ..net.underlay import build_underlay, shared_underlay_cache
 from ..overlay.factory import make_overlay
 from ..overlay.keyspace import KeySpace
 from ..sim.rng import RngStreams, derive_seed
-from ..workloads.routes import sample_stationary_pairs
 from .common import ResultTable
-from .parallel import active_sweep, derive_point_seeds, sweep_map
+from .fig7_naming import RoutePoint, measure_routes, mobile_for
+from .parallel import derive_point_seeds, sweep_map, warm_shared_underlay
 
 __all__ = ["run_hop_scaling", "run_ldt_depth_scaling", "run_eq1_check"]
 
@@ -167,44 +162,6 @@ def run_ldt_depth_scaling(
 _EQ1_ROUTER_COUNT = 200
 
 
-@dataclasses.dataclass(frozen=True)
-class _Eq1Point:
-    """One mobility fraction of the eq. (1) resolution check."""
-
-    fraction: float
-    num_stationary: int
-    num_mobile: int
-    routes: int
-    underlay_seed: int
-    seed: int
-    reuse_underlay: bool
-
-
-def _eq1_point(pt: _Eq1Point) -> Dict[str, int]:
-    """Module-level (picklable) per-fraction worker for :func:`sweep_map`."""
-    bundle = (
-        shared_underlay_cache().get(pt.underlay_seed, _EQ1_ROUTER_COUNT)
-        if pt.reuse_underlay
-        else build_underlay(pt.underlay_seed, _EQ1_ROUTER_COUNT)
-    )
-    cfg = BristleConfig(seed=pt.seed, naming="clustered", p_stale=1.0)
-    net = BristleNetwork(cfg, pt.num_stationary, pt.num_mobile, underlay=bundle)
-    shuffle_all_mobile(net)
-    pairs = sample_stationary_pairs(net.stationary_keys, pt.routes, net.rng)
-    with_res = 0
-    predicted_unsafe = 0
-    naming = net.naming
-    for s, t in pairs:
-        trace = route_preferring_resolved(net, s, t)
-        if trace.resolutions > 0:
-            with_res += 1
-        if not clustered_route_is_stationary(
-            s, t, naming.low, naming.high, net.space.size
-        ):
-            predicted_unsafe += 1
-    return {"with_res": with_res, "predicted_unsafe": predicted_unsafe}
-
-
 def run_eq1_check(
     num_stationary: int = 300,
     fractions: Sequence[float] = (0.1, 0.3, 0.5, 0.6, 0.8),
@@ -231,29 +188,29 @@ def run_eq1_check(
         ],
         notes=[f"{num_stationary} stationary nodes, {routes} routes per point"],
     )
-    sweep = active_sweep()
     underlay_seed = derive_seed(seed, "underlay")
+    warm_shared_underlay(underlay_seed, _EQ1_ROUTER_COUNT)
     seeds = derive_point_seeds(seed, list(fractions))
     points = [
-        _Eq1Point(
-            fraction=frac,
-            num_stationary=num_stationary,
-            num_mobile=int(round(num_stationary * frac / (1 - frac))),
-            routes=routes,
-            underlay_seed=underlay_seed,
-            seed=seeds[(frac, "")],
-            reuse_underlay=sweep.reuse_underlay,
+        RoutePoint(
+            "clustered",
+            num_stationary,
+            mobile_for(num_stationary, frac),
+            routes,
+            seeds[(frac, "")],
+            _EQ1_ROUTER_COUNT,
+            underlay_seed,
+            "prefer_resolved",
         )
         for frac in fractions
     ]
-    results = sweep_map(_eq1_point, points)
-    for pt, res in zip(points, results):
+    for frac, pt, res in zip(fractions, points, sweep_map(measure_routes, points)):
         table.add_row(
             **{
-                "M/N (%)": round(100 * pt.fraction, 1),
+                "M/N (%)": round(100 * frac, 1),
                 "nabla": pt.num_stationary / (pt.num_stationary + pt.num_mobile),
-                "routes w/ resolution (%)": 100.0 * res["with_res"] / pt.routes,
-                "predicted unsafe (%)": 100.0 * res["predicted_unsafe"] / pt.routes,
+                "routes w/ resolution (%)": 100.0 * res["levels"][0]["with_res"] / routes,
+                "predicted unsafe (%)": 100.0 * res["unsafe"] / routes,
             }
         )
     return table

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
+from ..sim.metrics import record_cache_stats
 from ..sim.nodestats import KINDS
 from ..sim.profile import PhaseProfiler
 from ..sim.telemetry import active_telemetry
@@ -27,6 +28,7 @@ __all__ = [
     "driver_profiler",
     "maybe_add_phase_footer",
     "maybe_add_nodeload_footer",
+    "add_sweep_cache_footer",
 ]
 
 #: Shared disabled profiler handed to drivers outside a telemetry session
@@ -48,9 +50,12 @@ def driver_profiler() -> PhaseProfiler:
 
 
 def maybe_add_phase_footer(
-    table: "ResultTable", phases: Optional[Iterable[str]] = None
+    table: "ResultTable",
+    phases: Optional[Iterable[str]] = None,
+    since: Optional[Dict[str, float]] = None,
 ) -> None:
-    """Append the session's phase wall-times as a table footer.
+    """Append the session's phase wall-times as a table footer — only
+    those gained after ``since``, an earlier ``profiler.wall_times()``.
 
     Only acts when a telemetry session is active *and* asked for footers
     (the CLI's ``--profile``); silent otherwise so drivers call it
@@ -58,7 +63,7 @@ def maybe_add_phase_footer(
     """
     tel = active_telemetry()
     if tel is not None and tel.show_phase_footers:
-        table.add_footer(tel.profiler.footer_line(phases))
+        table.add_footer(tel.profiler.footer_line(phases, since=since))
 
 
 def maybe_add_nodeload_footer(
@@ -88,6 +93,26 @@ def maybe_add_nodeload_footer(
             f"{int(stats['nodes'])} nodes, max/mean {stats['max_mean']:.1f}x, "
             f"gini {stats['gini']:.2f}, top [{top}]"
         )
+
+
+#: The oracle counters a sweep's cache footer sums over its points.
+_CACHE_TALLIES = ("hits", "misses", "evictions", "dijkstra_runs", "batch_calls")
+
+
+def add_sweep_cache_footer(
+    table: "ResultTable", deltas: Iterable[Mapping[str, float]]
+) -> None:
+    """Sum a sweep's oracle-counter deltas (its points' and the shared
+    warm-up's) into ``table``'s ``oracle cache (all points)`` footer, and
+    mirror the totals into the active session for the run manifest."""
+    deltas = list(deltas)
+    totals = {k: sum((d.get(k, 0) for d in deltas), 0.0) for k in _CACHE_TALLIES}
+    lookups = totals["hits"] + totals["misses"]
+    totals["hit_rate"] = totals["hits"] / lookups if lookups else float("nan")
+    table.add_cache_footer(totals, label="oracle cache (all points)")
+    tel = active_telemetry()
+    if tel is not None:
+        record_cache_stats(tel.metrics, totals, ratios=("hit_rate",))
 
 
 def format_float(x: Any, precision: int = 3) -> str:

@@ -19,15 +19,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..core.bristle import BristleNetwork
 from ..core.config import BristleConfig
-from ..core.mobility import shuffle_all_mobile
-from ..core.routing import route_with_resolution
 from ..core.statebinding import EarlyBinding, LateBinding
-from ..workloads.routes import sample_stationary_pairs
 from .common import ResultTable
+from .fig7_naming import RoutePoint, measure_routes
+from .parallel import sweep_map
 
 __all__ = [
     "StalenessParams",
@@ -50,12 +47,6 @@ class StalenessParams:
 def run_staleness_sweep(params: Optional[StalenessParams] = None) -> ResultTable:
     """Route hops/cost as a function of cache staleness probability."""
     p = params if params is not None else StalenessParams()
-    cfg = BristleConfig(seed=p.seed, naming="scrambled")
-    net = BristleNetwork(
-        cfg, p.num_stationary, p.num_mobile, router_count=p.router_count
-    )
-    shuffle_all_mobile(net)
-    pairs = sample_stationary_pairs(net.stationary_keys, p.routes, net.rng)
     table = ResultTable(
         title="Extension — route cost vs cache staleness (early-binding payoff)",
         columns=["p_stale", "mean hops", "mean cost", "mean resolutions", "cost vs warm (x)"],
@@ -64,26 +55,27 @@ def run_staleness_sweep(params: Optional[StalenessParams] = None) -> ResultTable
             "stationary→stationary routes per point",
         ],
     )
-    warm_cost = None
-    for p_stale in p.p_stale_values:
-        hops, costs, res = [], [], []
-        for i, (s, t) in enumerate(pairs):
-            trace = route_with_resolution(
-                net, s, t, p_stale=p_stale, stale_stream=f"stale.{p_stale}"
-            )
-            hops.append(trace.app_hops)
-            costs.append(trace.path_cost)
-            res.append(trace.resolutions)
-        mean_cost = float(np.mean(costs))
-        if warm_cost is None:
-            warm_cost = mean_cost
+    # One network and one pair sample for every level: the curve moves
+    # only with p_stale.
+    point = RoutePoint(
+        "scrambled",
+        p.num_stationary,
+        p.num_mobile,
+        p.routes,
+        p.seed,
+        p.router_count,
+        p_stale=tuple(p.p_stale_values),
+    )
+    levels = sweep_map(measure_routes, [point])[0]["levels"]
+    for p_stale, level in zip(p.p_stale_values, levels):
+        warm_cost = levels[0]["cost"]  # the first level's, as listed
         table.add_row(
             **{
                 "p_stale": p_stale,
-                "mean hops": float(np.mean(hops)),
-                "mean cost": mean_cost,
-                "mean resolutions": float(np.mean(res)),
-                "cost vs warm (x)": mean_cost / warm_cost if warm_cost else float("nan"),
+                "mean hops": level["hops"],
+                "mean cost": level["cost"],
+                "mean resolutions": level["resolutions"],
+                "cost vs warm (x)": level["cost"] / warm_cost if warm_cost else float("nan"),
             }
         )
     return table

@@ -29,21 +29,19 @@ import numpy as np
 
 from ..core.bristle import BristleNetwork
 from ..core.config import BristleConfig
-from ..core.mobility import shuffle_all_mobile
 from ..core.routing import route_with_resolution
-from ..net.underlay import build_underlay, shared_underlay_cache
 from ..overlay.factory import OVERLAY_NAMES
 from ..sim.metrics import QuantileSketch
 from ..sim.nodestats import imbalance_stats
 from ..sim.rng import derive_seed
-from ..workloads.routes import sample_stationary_pairs
 from .common import (
     ResultTable,
     driver_profiler,
     maybe_add_nodeload_footer,
     maybe_add_phase_footer,
 )
-from .parallel import active_sweep, derive_point_seeds, sweep_map
+from .fig7_naming import RoutePoint, measure_routes
+from .parallel import derive_point_seeds, sweep_map, warm_shared_underlay
 
 __all__ = [
     "ScaleMixParams",
@@ -59,36 +57,6 @@ class ScalingParams:
     mobile_share: float = 0.5
     routes: int = 400
     seed: int = 47
-
-
-@dataclasses.dataclass(frozen=True)
-class _ScalingPoint:
-    """One (population size, naming scheme) cell of the scaling sweep."""
-
-    naming: str
-    n: int
-    num_stationary: int
-    num_mobile: int
-    routes: int
-    router_count: int
-    underlay_seed: int
-    seed: int
-    reuse_underlay: bool
-
-
-def _scaling_point(pt: _ScalingPoint) -> float:
-    """Module-level (picklable) per-cell worker for :func:`sweep_map`."""
-    bundle = (
-        shared_underlay_cache().get(pt.underlay_seed, pt.router_count)
-        if pt.reuse_underlay
-        else build_underlay(pt.underlay_seed, pt.router_count)
-    )
-    cfg = BristleConfig(seed=pt.seed, naming=pt.naming, p_stale=1.0)
-    net = BristleNetwork(cfg, pt.num_stationary, pt.num_mobile, underlay=bundle)
-    shuffle_all_mobile(net)
-    pairs = sample_stationary_pairs(net.stationary_keys, pt.routes, net.rng)
-    hops = [route_with_resolution(net, s, t).app_hops for s, t in pairs]
-    return float(np.mean(hops))
 
 
 def run_scaling(params: Optional[ScalingParams] = None) -> ResultTable:
@@ -116,27 +84,26 @@ def run_scaling(params: Optional[ScalingParams] = None) -> ResultTable:
             "cold caches (p_stale = 1)",
         ],
     )
-    sweep = active_sweep()
     underlay_seed = derive_seed(p.seed, "underlay")
+    for routers in sorted({max(150, n // 3) for n in p.sizes}):
+        warm_shared_underlay(underlay_seed, routers)
     seeds = derive_point_seeds(
         p.seed, list(p.sizes), variants=("scrambled", "clustered")
     )
     points = [
-        _ScalingPoint(
-            naming=naming,
-            n=n,
-            num_stationary=n - int(round(n * p.mobile_share)),
-            num_mobile=int(round(n * p.mobile_share)),
-            routes=p.routes,
-            router_count=max(150, n // 3),
-            underlay_seed=underlay_seed,
-            seed=seeds[(n, naming)],
-            reuse_underlay=sweep.reuse_underlay,
+        RoutePoint(
+            naming,
+            n - int(round(n * p.mobile_share)),
+            int(round(n * p.mobile_share)),
+            p.routes,
+            seeds[(n, naming)],
+            max(150, n // 3),
+            underlay_seed,
         )
         for n in p.sizes
         for naming in ("scrambled", "clustered")
     ]
-    results = sweep_map(_scaling_point, points)
+    results = [res["levels"][0]["hops"] for res in sweep_map(measure_routes, points)]
     for n, scr, clu in zip(p.sizes, results[0::2], results[1::2]):
         log_n = math.log2(n)
         table.add_row(

@@ -8,38 +8,48 @@ For each naming scheme the experiment reports the mean application-level
 hops (Fig 7a) and the mean path cost; Fig 7(b)'s RDP is the
 scrambled/clustered ratio of each, with the knee expected at M/N = 50%
 (the ∇ ≥ 1/2 bound of §3 eq. 1).
+
+That measurement, :func:`measure_routes` over a :class:`RoutePoint`, is
+the one cold-cache route worker: the eq. (1) check, the staleness and
+scaling sweeps and the band-placement ablation (kept here) build their
+tables from it too.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.analysis import clustered_route_is_stationary
 from ..core.bristle import BristleNetwork
 from ..core.config import BristleConfig
 from ..core.mobility import shuffle_all_mobile
+from ..core.naming import ClusteredNaming
 from ..core.routing import route_preferring_resolved, route_with_resolution
-from ..net.underlay import (
-    UnderlayBundle,
-    build_underlay,
-    cache_stats_delta,
-    shared_underlay_cache,
-)
-from ..sim.metrics import record_cache_stats
+from ..net.underlay import UnderlayBundle, cache_stats_delta
+from ..overlay.keyspace import KeySpace
 from ..sim.rng import derive_seed
-from ..sim.telemetry import active_telemetry
 from ..workloads.routes import sample_stationary_pairs
 from .common import (
     ResultTable,
+    add_sweep_cache_footer,
     driver_profiler,
     maybe_add_nodeload_footer,
     maybe_add_phase_footer,
 )
-from .parallel import active_sweep, derive_point_seeds, sweep_map
+from .parallel import derive_point_seeds, sweep_map, sweep_underlay, warm_shared_underlay
 
-__all__ = ["Fig7Params", "measure_naming_scheme", "run_fig7"]
+__all__ = [
+    "BandPlacementParams",
+    "Fig7Params",
+    "RoutePoint",
+    "measure_naming_scheme",
+    "measure_routes",
+    "run_band_placement",
+    "run_fig7",
+]
 
 #: The paper's M/N sweep: 0%..80% in 10% steps.
 DEFAULT_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -71,6 +81,110 @@ class Fig7Params:
         return Fig7Params(num_stationary=2000, routes=10000, router_count=2600)
 
 
+@dataclasses.dataclass(frozen=True)
+class RoutePoint:
+    """One cold-cache route measurement, §4.1's Fig-7 method.
+
+    ``num_stationary`` + ``num_mobile`` nodes take keys under ``naming``
+    (``band_low`` moves a clustered band's lower edge ``L`` off its centred
+    default) and sit on the shared underlay bundle of ``(underlay_seed,
+    router_count)`` or, with no ``underlay_seed``, on one the network draws
+    itself from ``router_count``.  ``routes`` stationary → stationary pairs
+    are routed under ``routing_policy`` once per value of ``p_stale``.
+    """
+
+    naming: str
+    num_stationary: int
+    num_mobile: int
+    routes: int
+    seed: int
+    router_count: int
+    underlay_seed: Optional[int] = None
+    routing_policy: str = "greedy"
+    p_stale: Tuple[float, ...] = (1.0,)
+    band_low: Optional[int] = None
+
+
+#: Fig 2's greedy rule and §3's prefer-resolved policy, by name.
+_POLICIES = {"greedy": route_with_resolution, "prefer_resolved": route_preferring_resolved}
+
+
+def mobile_for(num_stationary: int, fraction: float) -> int:
+    """Mobile nodes beside ``num_stationary`` stationary ones at M/N = ``fraction``."""
+    return int(round(num_stationary * fraction / (1.0 - fraction)))
+
+
+def measure_routes(pt: RoutePoint, underlay: Optional[UnderlayBundle] = None) -> Dict[str, Any]:
+    """Build ``pt``'s network, move every mobile node once (so every cache
+    is cold), sample its routes and route each pair once per ``p_stale``,
+    drawing that value's coins from its own ``stale.{p_stale}`` stream.
+
+    Returns ``"levels"`` — per ``p_stale`` the mean ``hops``, ``cost`` and
+    ``resolutions``, and ``with_res``, the routes that needed a resolution
+    — ``"unsafe"``, the routes eq. (1) predicts need one (clustered naming;
+    0 otherwise), and ``"cache_stats"``, the oracle's counters over the
+    point: a delta when the underlay outlives it.  The oracle is pre-warmed
+    with the attachment routers of every member, the exact source set the
+    hop costs can touch, so the per-hop distance reads hit a batch-computed
+    cache.  An explicit ``underlay`` replaces the point's.
+    """
+    if underlay is None and pt.underlay_seed is not None:
+        underlay = sweep_underlay(pt.underlay_seed, pt.router_count)
+    prof = driver_profiler()
+    cfg = BristleConfig(seed=pt.seed, naming=pt.naming, p_stale=1.0)
+    scheme = None
+    if pt.band_low is not None:
+        nabla = pt.num_stationary / (pt.num_stationary + pt.num_mobile)
+        scheme = ClusteredNaming(KeySpace(cfg.key_bits, cfg.digit_bits), nabla, pt.band_low)
+    stats_before = underlay.oracle.cache_stats() if underlay is not None else None
+    with prof.phase("build"):
+        net = BristleNetwork(
+            cfg,
+            pt.num_stationary,
+            pt.num_mobile,
+            underlay=underlay,
+            router_count=None if underlay is not None else pt.router_count,
+            naming_scheme=scheme,
+        )
+        shuffle_all_mobile(net)
+    with prof.phase("warmup"):
+        # One batched pass over the post-move routers.
+        # repro-lint: disable=BRS004 the point's own oracle, or a shared one warm_shared_underlay filled before the fork (all hits)
+        net.prewarm_oracle()
+    route = _POLICIES[pt.routing_policy]
+    pairs = sample_stationary_pairs(net.stationary_keys, pt.routes, net.rng)
+    levels = []
+    with prof.phase("route"):
+        for p_stale in pt.p_stale:
+            hops, costs, res = [], [], []
+            for s, t in pairs:
+                trace = route(net, s, t, p_stale=p_stale, stale_stream=f"stale.{p_stale}")
+                hops.append(trace.app_hops)
+                costs.append(trace.path_cost)
+                res.append(trace.resolutions)
+            levels.append({
+                "hops": float(np.mean(hops)),
+                "cost": float(np.mean(costs)),
+                "resolutions": float(np.mean(res)),
+                "with_res": int(np.count_nonzero(res)),
+            })
+    naming = net.naming
+    unsafe = 0
+    if isinstance(naming, ClusteredNaming):
+        unsafe = sum(
+            not clustered_route_is_stationary(s, t, naming.low, naming.high, net.space.size)
+            for s, t in pairs
+        )
+    after = net.oracle.cache_stats()
+    return {
+        "levels": levels,
+        "unsafe": unsafe,
+        "cache_stats": (
+            cache_stats_delta(stats_before, after) if stats_before is not None else after
+        ),
+    }
+
+
 def measure_naming_scheme(
     naming: str,
     num_stationary: int,
@@ -81,87 +195,15 @@ def measure_naming_scheme(
     routing_policy: str = "greedy",
     underlay: Optional[UnderlayBundle] = None,
 ) -> Dict[str, float]:
-    """Build one network, shuffle every mobile node once (cold caches),
-    sample routes, and return the Figure-7 aggregates.
-
-    The oracle is pre-warmed with the attachment routers of every member
-    (the exact source set the sweep's hop costs can touch) so the 10,000
-    per-hop distance reads hit a batch-computed cache; the oracle's
-    counters ride along under ``"cache_stats"``.  When a prebuilt
-    ``underlay`` bundle is supplied its (possibly shared, already warm)
-    oracle is used and the reported stats are this point's *delta* —
-    totals then agree with the per-point-oracle path.
-    """
-    prof = driver_profiler()
-    cfg = BristleConfig(seed=seed, naming=naming, p_stale=1.0)
-    stats_before = underlay.oracle.cache_stats() if underlay is not None else None
-    with prof.phase("build"):
-        if underlay is not None:
-            net = BristleNetwork(cfg, num_stationary, num_mobile, underlay=underlay)
-        else:
-            net = BristleNetwork(
-                cfg, num_stationary, num_mobile, router_count=router_count
-            )
-        shuffle_all_mobile(net)
-    with prof.phase("warmup"):
-        net.prewarm_oracle()  # one batched pass over the post-move routers
-    route_fn = (
-        route_preferring_resolved if routing_policy == "prefer_resolved" else route_with_resolution
+    """One Figure-7 cell: the ``p_stale = 1`` level of :func:`measure_routes`
+    (mean ``hops``, ``cost`` and ``resolutions``; ``with_res``) with its
+    ``cache_stats``."""
+    point = RoutePoint(
+        naming, num_stationary, num_mobile, routes, seed, router_count,
+        routing_policy=routing_policy,
     )
-    pairs = sample_stationary_pairs(net.stationary_keys, routes, net.rng)
-    hops = np.empty(len(pairs), dtype=np.float64)
-    costs = np.empty(len(pairs), dtype=np.float64)
-    resolutions = np.empty(len(pairs), dtype=np.float64)
-    with prof.phase("route"):
-        for i, (s, t) in enumerate(pairs):
-            trace = route_fn(net, s, t)
-            hops[i] = trace.app_hops
-            costs[i] = trace.path_cost
-            resolutions[i] = trace.resolutions
-    after = net.oracle.cache_stats()
-    return {
-        "hops": float(hops.mean()),
-        "cost": float(costs.mean()),
-        "resolutions": float(resolutions.mean()),
-        "cache_stats": (
-            cache_stats_delta(stats_before, after) if stats_before is not None else after
-        ),
-    }
-
-
-@dataclasses.dataclass(frozen=True)
-class _Fig7Point:
-    """One (mobility fraction, naming scheme) cell of the Fig-7 grid."""
-
-    naming: str
-    fraction: float
-    num_stationary: int
-    num_mobile: int
-    routes: int
-    router_count: int
-    underlay_seed: int
-    seed: int
-    routing_policy: str
-    reuse_underlay: bool
-
-
-def _fig7_point(pt: _Fig7Point) -> Dict[str, float]:
-    """Module-level (picklable) per-point worker for :func:`sweep_map`."""
-    bundle = (
-        shared_underlay_cache().get(pt.underlay_seed, pt.router_count)
-        if pt.reuse_underlay
-        else build_underlay(pt.underlay_seed, pt.router_count)
-    )
-    return measure_naming_scheme(
-        pt.naming,
-        pt.num_stationary,
-        pt.num_mobile,
-        pt.routes,
-        pt.router_count,
-        pt.seed,
-        pt.routing_policy,
-        underlay=bundle,
-    )
+    res = measure_routes(point, underlay)
+    return {**res["levels"][0], "cache_stats": res["cache_stats"]}
 
 
 def run_fig7(params: Optional[Fig7Params] = None) -> ResultTable:
@@ -197,50 +239,32 @@ def run_fig7(params: Optional[Fig7Params] = None) -> ResultTable:
             "(paper: 2,000 stationary / 10,000 routes)",
         ],
     )
-    cache_totals = {
-        "hits": 0.0, "misses": 0.0, "evictions": 0.0,
-        "dijkstra_runs": 0.0, "batch_calls": 0.0,
-    }
     for frac in p.fractions:
         if frac >= 1.0:
             raise ValueError("mobile fraction must be < 1")
-    sweep = active_sweep()
+    phases_before = driver_profiler().wall_times()
     underlay_seed = derive_seed(p.seed, "underlay")
     seeds = derive_point_seeds(
         p.seed, list(p.fractions), variants=("scrambled", "clustered")
     )
-    if sweep.reuse_underlay:
-        # Build + fully warm the shared oracle once, before any fork: every
-        # attachment point is covered, so each grid cell sees an identical
-        # (all-hits) cache regardless of job count or point order.
-        bundle = shared_underlay_cache().get(underlay_seed, p.router_count)
-        before = bundle.oracle.cache_stats()
-        with driver_profiler().phase("warmup"):
-            bundle.oracle.prewarm(bundle.topology.attachment_points())
-        for k, v in cache_stats_delta(before, bundle.oracle.cache_stats()).items():
-            if k in cache_totals:
-                cache_totals[k] += v
+    warmed = warm_shared_underlay(underlay_seed, p.router_count)
     points = [
-        _Fig7Point(
-            naming=naming,
-            fraction=frac,
-            num_stationary=p.num_stationary,
-            num_mobile=int(round(p.num_stationary * frac / (1.0 - frac))),
-            routes=p.routes,
-            router_count=p.router_count,
-            underlay_seed=underlay_seed,
-            seed=seeds[(frac, naming)],
-            routing_policy=p.routing_policy,
-            reuse_underlay=sweep.reuse_underlay,
+        RoutePoint(
+            naming,
+            p.num_stationary,
+            mobile_for(p.num_stationary, frac),
+            p.routes,
+            seeds[(frac, naming)],
+            p.router_count,
+            underlay_seed,
+            p.routing_policy,
         )
         for frac in p.fractions
         for naming in ("scrambled", "clustered")
     ]
-    results = sweep_map(_fig7_point, points)
-    for frac, scr, clu in zip(p.fractions, results[0::2], results[1::2]):
-        for stats in (scr["cache_stats"], clu["cache_stats"]):
-            for k in cache_totals:
-                cache_totals[k] += stats[k]
+    results = sweep_map(measure_routes, points)
+    for frac, scr_res, clu_res in zip(p.fractions, results[0::2], results[1::2]):
+        scr, clu = scr_res["levels"][0], clu_res["levels"][0]
         table.add_row(
             **{
                 "M/N (%)": round(100 * frac, 1),
@@ -254,16 +278,70 @@ def run_fig7(params: Optional[Fig7Params] = None) -> ResultTable:
                 "res clustered": clu["resolutions"],
             }
         )
-    lookups = cache_totals["hits"] + cache_totals["misses"]
-    cache_totals["hit_rate"] = (
-        cache_totals["hits"] / lookups if lookups else float("nan")
-    )
-    table.add_cache_footer(cache_totals, label="oracle cache (all points)")
-    tel = active_telemetry()
-    if tel is not None:
-        # Mirror the sweep-wide cache totals into the session registry so
-        # the run manifest's cache_stats section covers this experiment.
-        record_cache_stats(tel.metrics, cache_totals, ratios=("hit_rate",))
-    maybe_add_phase_footer(table, ("build", "warmup", "route"))
+    add_sweep_cache_footer(table, [warmed] + [res["cache_stats"] for res in results])
+    maybe_add_phase_footer(table, ("build", "warmup", "route"), since=phases_before)
     maybe_add_nodeload_footer(table, ("routed", "detour"))
+    return table
+
+
+@dataclasses.dataclass(frozen=True)
+class BandPlacementParams:
+    num_stationary: int = 250
+    fractions: Sequence[float] = (0.3, 0.5, 0.7)
+    routes: int = 400
+    router_count: int = 300
+    seed: int = 41
+
+
+def run_band_placement(params: Optional[BandPlacementParams] = None) -> ResultTable:
+    """Centred vs origin-anchored stationary bands under clustered naming.
+
+    The paper fixes only the band *width* (``U − L = ∇·ρ``) and leaves its
+    position open ("L and U are the pre-defined system parameters").
+    Greedy ring routing wraps past key 0, so a band pushed against the ring
+    origin (L = 1, every mobile key above U) meets a different wrap
+    geometry than a centred one (mobile keys at both ends).  Every point
+    uses ``p.seed`` itself and draws its own underlay.
+    """
+    p = params if params is not None else BandPlacementParams()
+    table = ResultTable(
+        title="Extension — clustered-band placement ablation",
+        columns=[
+            "M/N (%)",
+            "centred hops",
+            "origin hops",
+            "centred res",
+            "origin res",
+        ],
+        notes=[
+            f"{p.num_stationary} stationary nodes, {p.routes} routes per "
+            "point; 'centred' puts the band mid-ring (mobile keys at both "
+            "ends), 'origin' anchors L ≈ 1 (all mobile keys above U)",
+        ],
+    )
+    points = [
+        RoutePoint(
+            "clustered",
+            p.num_stationary,
+            mobile_for(p.num_stationary, frac),
+            p.routes,
+            p.seed,
+            p.router_count,
+            band_low=low,
+        )
+        for frac in p.fractions
+        for low in (None, 1)
+    ]
+    results = sweep_map(measure_routes, points)
+    for frac, centred, origin in zip(p.fractions, results[0::2], results[1::2]):
+        c, o = centred["levels"][0], origin["levels"][0]
+        table.add_row(
+            **{
+                "M/N (%)": round(100 * frac, 1),
+                "centred hops": c["hops"],
+                "origin hops": o["hops"],
+                "centred res": c["resolutions"],
+                "origin res": o["resolutions"],
+            }
+        )
     return table

@@ -20,16 +20,16 @@ import numpy as np
 
 from ..core.bristle import BristleNetwork
 from ..core.config import BristleConfig
-from ..net.underlay import (
-    build_underlay,
-    cache_stats_delta,
-    shared_underlay_cache,
-)
-from ..sim.metrics import record_cache_stats
+from ..net.underlay import cache_stats_delta
 from ..sim.rng import derive_seed
-from ..sim.telemetry import active_telemetry
-from .common import ResultTable, driver_profiler, maybe_add_phase_footer
-from .parallel import active_sweep, derive_point_seeds, sweep_map
+from .common import (
+    ResultTable,
+    add_sweep_cache_footer,
+    driver_profiler,
+    maybe_add_phase_footer,
+)
+from .fig7_naming import mobile_for
+from .parallel import derive_point_seeds, sweep_map, sweep_underlay, warm_shared_underlay
 
 __all__ = ["Fig9Params", "measure_ldt_costs", "run_fig9"]
 
@@ -126,16 +126,11 @@ class _Fig9Point:
     trees_sampled: Optional[int]
     underlay_seed: int
     seed: int
-    reuse_underlay: bool
 
 
 def _fig9_point(pt: _Fig9Point) -> Dict[str, object]:
     """Module-level (picklable) per-point worker for :func:`sweep_map`."""
-    bundle = (
-        shared_underlay_cache().get(pt.underlay_seed, pt.router_count)
-        if pt.reuse_underlay
-        else build_underlay(pt.underlay_seed, pt.router_count)
-    )
+    bundle = sweep_underlay(pt.underlay_seed, pt.router_count)
     before = bundle.oracle.cache_stats()
     prof = driver_profiler()
     cfg = BristleConfig(seed=pt.seed, naming="scrambled")
@@ -184,26 +179,12 @@ def run_fig9(params: Optional[Fig9Params] = None) -> ResultTable:
             "over trees",
         ],
     )
-    cache_totals = {
-        "hits": 0.0, "misses": 0.0, "evictions": 0.0,
-        "dijkstra_runs": 0.0, "batch_calls": 0.0,
-    }
     for frac in p.fractions:
         if not 0.0 < frac < 1.0:
             raise ValueError("fractions must lie in (0, 1)")
-    sweep = active_sweep()
     underlay_seed = derive_seed(p.seed, "underlay")
     seeds = derive_point_seeds(p.seed, list(p.fractions))
-    if sweep.reuse_underlay:
-        # Warm the shared oracle over every attachment point before any
-        # fork, so each fraction sees an identical all-hits cache.
-        bundle = shared_underlay_cache().get(underlay_seed, p.router_count)
-        before = bundle.oracle.cache_stats()
-        with driver_profiler().phase("warmup"):
-            bundle.oracle.prewarm(bundle.topology.attachment_points())
-        for k, v in cache_stats_delta(before, bundle.oracle.cache_stats()).items():
-            if k in cache_totals:
-                cache_totals[k] += v
+    warmed = warm_shared_underlay(underlay_seed, p.router_count)
     points = [
         _Fig9Point(
             fraction=frac,
@@ -214,16 +195,13 @@ def run_fig9(params: Optional[Fig9Params] = None) -> ResultTable:
             trees_sampled=p.trees_sampled,
             underlay_seed=underlay_seed,
             seed=seeds[(frac, "")],
-            reuse_underlay=sweep.reuse_underlay,
         )
         for frac in p.fractions
-        if (num_mobile := int(round(p.num_stationary * frac / (1.0 - frac)))) >= 1
+        if (num_mobile := mobile_for(p.num_stationary, frac)) >= 1
     ]
     results = sweep_map(_fig9_point, points)
     for pt, res in zip(points, results):
         loc, rand = res["loc"], res["rand"]
-        for k in cache_totals:
-            cache_totals[k] += res["cache_stats"][k]
         cost_loc = loc["per_tree_per_edge_cost"]
         cost_rand = rand["per_tree_per_edge_cost"]
         table.add_row(
@@ -236,13 +214,6 @@ def run_fig9(params: Optional[Fig9Params] = None) -> ResultTable:
                 "trees measured": loc["trees"],
             }
         )
-    lookups = cache_totals["hits"] + cache_totals["misses"]
-    cache_totals["hit_rate"] = (
-        cache_totals["hits"] / lookups if lookups else float("nan")
-    )
-    table.add_cache_footer(cache_totals, label="oracle cache (all points)")
-    tel = active_telemetry()
-    if tel is not None:
-        record_cache_stats(tel.metrics, cache_totals, ratios=("hit_rate",))
+    add_sweep_cache_footer(table, [warmed] + [res["cache_stats"] for res in results])
     maybe_add_phase_footer(table, ("build", "warmup", "measure"))
     return table

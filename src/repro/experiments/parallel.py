@@ -41,9 +41,16 @@ import multiprocessing
 import os
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..net.underlay import (
+    UnderlayBundle,
+    build_underlay,
+    cache_stats_delta,
+    shared_underlay_cache,
+)
 from ..sim.rng import derive_seed
 from ..sim.telemetry import Telemetry, active_telemetry, telemetry_session
 from ..sim.trace import Tracer
+from .common import driver_profiler
 
 __all__ = [
     "SweepConfig",
@@ -53,6 +60,8 @@ __all__ = [
     "derive_point_seed",
     "derive_point_seeds",
     "sweep_map",
+    "sweep_underlay",
+    "warm_shared_underlay",
 ]
 
 
@@ -108,6 +117,32 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
+
+
+def sweep_underlay(underlay_seed: int, routers: int) -> UnderlayBundle:
+    """A point's ``(underlay_seed, routers)`` bundle: the shared one when
+    the sweep reuses underlays, else a build of its own."""
+    if active_sweep().reuse_underlay:
+        return shared_underlay_cache().get(underlay_seed, routers)
+    return build_underlay(underlay_seed, routers)
+
+
+def warm_shared_underlay(underlay_seed: int, routers: int) -> Dict[str, float]:
+    """Build and fully warm the shared ``(underlay_seed, routers)`` bundle
+    once, before any fork, when the sweep reuses underlays.
+
+    Every attachment point is covered, so a point's own pre-warm is all
+    hits and every point sees an identical cache whatever the job count or
+    point order.  Returns the oracle's counters over the warm-up (empty
+    without reuse: each point then builds its own bundle).
+    """
+    if not active_sweep().reuse_underlay:
+        return {}
+    bundle = shared_underlay_cache().get(underlay_seed, routers)
+    before = bundle.oracle.cache_stats()
+    with driver_profiler().phase("warmup"):
+        bundle.oracle.prewarm(bundle.topology.attachment_points())
+    return cache_stats_delta(before, bundle.oracle.cache_stats())
 
 
 # ----------------------------------------------------------------------

@@ -18,13 +18,12 @@ from .ext_batch import BatchUpdateParams, run_batch_update
 from .ext_binding import run_binding_cost, run_staleness_sweep
 from .ext_churn import run_churn_overhead, run_membership_churn
 from .ext_data import run_data_availability
-from .ext_naming import run_band_placement
 from .ext_overlay_choice import run_ipv6_route_optimisation
 from .ext_proximity import run_proximity_routing
 from .ext_scaling import ScaleMixParams, run_scale_mix, run_scaling
 from .ext_reliability import run_adaptive_routing_reliability, run_replication_reliability
 from .fig3_responsibility import run_fig3, run_fig3_empirical, run_fig3_tree_sizes
-from .fig7_naming import Fig7Params, run_fig7
+from .fig7_naming import Fig7Params, run_band_placement, run_fig7
 from .fig8_ldt import Fig8Params, run_fig8a, run_fig8b, run_fig8_workload
 from .fig9_locality import Fig9Params, run_fig9
 from .table1_comparison import Table1Params, run_table1

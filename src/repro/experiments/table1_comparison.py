@@ -202,7 +202,6 @@ class _Table1Point:
     arch: str
     params: Table1Params
     router_count: int
-    reuse_underlay: bool
 
 
 def _table1_point(pt: _Table1Point) -> Dict[str, float]:
@@ -216,7 +215,7 @@ def _table1_point(pt: _Table1Point) -> Dict[str, float]:
     # produce byte-identical worlds.
     underlay = (
         shared_underlay_cache().get(p.seed, pt.router_count)
-        if pt.reuse_underlay
+        if active_sweep().reuse_underlay
         else None
     )
     with prof.phase("build"):
@@ -234,15 +233,9 @@ def _table1_point(pt: _Table1Point) -> Dict[str, float]:
 def run_table1(params: Optional[Table1Params] = None) -> ResultTable:
     """Measure all three architectures (a 3-point sweep over one world)."""
     p = params if params is not None else Table1Params()
-    sweep = active_sweep()
     router_count = max(100, (p.num_stationary + p.num_mobile) // 2)
     points = [
-        _Table1Point(
-            arch=name,
-            params=p,
-            router_count=router_count,
-            reuse_underlay=sweep.reuse_underlay,
-        )
+        _Table1Point(arch=name, params=p, router_count=router_count)
         for name in _ARCHITECTURES
     ]
     results = sweep_map(_table1_point, points)

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set
 import numpy as np
 
 from .. import sanitize as _sanitize
+from ..sim.telemetry import active_telemetry
 from .keyspace import MAX_OVERLAY_BITS, KeySpace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -154,8 +155,6 @@ class Overlay(abc.ABC):
         """Count one churn-repair event touching ``repaired_nodes`` members."""
         m = self._metrics
         if m is None:
-            from ..sim.telemetry import active_telemetry
-
             tel = active_telemetry()
             if tel is None:
                 return

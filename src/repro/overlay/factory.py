@@ -22,6 +22,14 @@ __all__ = ["make_overlay", "OVERLAY_NAMES"]
 OVERLAY_NAMES = ("chord", "pastry", "tornado", "tapestry", "can")
 
 
+def overlay_name(name: str) -> str:
+    """``name`` lower-cased, or ``ValueError`` unless it names an overlay."""
+    lowered = name.lower()
+    if lowered not in OVERLAY_NAMES:
+        raise ValueError(f"unknown overlay {name!r}; expected one of {OVERLAY_NAMES}")
+    return lowered
+
+
 def make_overlay(
     name: str,
     space: KeySpace,
@@ -38,7 +46,7 @@ def make_overlay(
     takes no proximity callback — mobility-unaware substrates simply do not
     use it).
     """
-    lowered = name.lower()
+    lowered = overlay_name(name)
     if lowered == "chord":
         return ChordOverlay(space, successor_list_size=successor_list_size)
     if lowered == "pastry":
@@ -51,6 +59,4 @@ def make_overlay(
         return TapestryOverlay(
             space, leaf_set_size=leaf_set_size, proximity=proximity
         )
-    if lowered == "can":
-        return CANOverlay(space, dims=can_dims)
-    raise ValueError(f"unknown overlay {name!r}; expected one of {OVERLAY_NAMES}")
+    return CANOverlay(space, dims=can_dims)

@@ -69,19 +69,21 @@ class PhaseProfiler:
         names: Optional[Iterable[str]] = None,
         label: str = "phases",
         precision: int = 3,
+        since: Optional[Dict[str, float]] = None,
     ) -> str:
         """One table-footer line, e.g. ``phases: build 0.41s, route 1.2s``.
 
         ``names`` restricts (and orders) the reported phases; unknown
         names are skipped so drivers can name phases optimistically.
+        ``since``, an earlier :meth:`wall_times`, reports only the time
+        each phase gained after it.
         """
-        if names is None:
-            selected = list(self._totals)
-        else:
-            selected = [n for n in names if n in self._totals]
+        base = since if since is not None else {}
+        totals = {n: t - base.get(n, 0.0) for n, t in self._totals.items() if t != base.get(n)}
+        selected = list(totals) if names is None else [n for n in names if n in totals]
         if not selected:
             return f"{label}: (none recorded)"
-        parts = [f"{n} {self._totals[n]:.{precision}f}s" for n in selected]
+        parts = [f"{n} {totals[n]:.{precision}f}s" for n in selected]
         return f"{label}: " + ", ".join(parts)
 
     def reset(self) -> None:

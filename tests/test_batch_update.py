@@ -8,6 +8,7 @@ renewing every co-hosted subscription), and the epoch-fingerprinted LDT
 caches that keep :class:`EarlyBinding` refreshes sublinear.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -303,3 +304,61 @@ class TestEarlyBindingBatched:
             EarlyBinding(net, host_groups=[[1, 2], [2, 3]])
         with pytest.raises(ValueError):
             EarlyBinding(net, host_groups=[[]])
+
+
+# ----------------------------------------------------------------------
+# Keys: integral or refused before the first write
+# ----------------------------------------------------------------------
+def _forty_twenty():
+    n = BristleNetwork(BristleConfig(seed=3), num_stationary=40, num_mobile=20)
+    n.setup_random_registrations()
+    n.move(n.mobile_keys[1])  # one kept tree, so the LDT cache is not empty
+    return n
+
+
+def _written(n):
+    """What a refused key must leave as it found it."""
+    return (
+        n.directory.snapshot(),
+        {k: node.address for k, node in n.nodes.items()},
+        {group: tree for group, (_, tree) in n._ldt_cache.items()},
+        n.rng.stream("placement").bit_generator.state,
+    )
+
+
+class TestIntegralKeys:
+    """A fractional key used to name the node it truncates to."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, k: n.move_many([k + 0.5]),
+            lambda n, k: n.move_many([k, np.float64(k) + 0.9]),
+            lambda n, k: n.ldt_for_group([k + 0.75]),
+            lambda n, k: BristleProtocol(n).advertise_many([k + 0.25]),
+            lambda n, k: n.move(float(k)),
+        ],
+        ids=["move_many", "move_many-np.float64", "ldt_for_group", "advertise_many", "move"],
+    )
+    def test_fractional_key_is_refused_with_nothing_written(self, call):
+        net, twin = _forty_twenty(), _forty_twenty()
+        before = _written(net)
+        with pytest.raises(ValueError, match="integer"):
+            call(net, net.mobile_keys[0])
+        assert _written(net) == before
+        assert net.directory.snapshot() == twin.directory.snapshot()
+
+    def test_numpy_keys_equal_the_int_run(self):
+        net, twin = _forty_twenty(), _forty_twenty()
+        a, b = net.mobile_keys[0], net.mobile_keys[2]
+        report = net.move(np.int64(a))
+        twin.move(a)
+        batch = net.move_many([np.int64(b), np.int64(a)])
+        twin.move_many([b, a])
+        assert type(report.key) is int
+        assert all(type(k) is int for k in batch.keys)
+        assert net.directory.snapshot() == twin.directory.snapshot()
+        assert {k: n.address for k, n in net.nodes.items()} == {
+            k: n.address for k, n in twin.nodes.items()
+        }
+        assert list(net._ldt_cache) == list(twin._ldt_cache)

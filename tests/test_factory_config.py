@@ -88,6 +88,30 @@ class TestBristleConfig:
         with pytest.raises(ValueError):
             BristleConfig(registry_size=0)
 
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("replication", 1.5, TypeError),  # ran as 2 holders
+            ("registry_size", 2.5, TypeError),  # numpy TypeError at set-up
+            ("key_bits", 0, ValueError),
+            ("digit_bits", 3, ValueError),  # does not divide 32
+            ("seed", 1.5, TypeError),
+            ("mobile_layer_overlay", "nope", ValueError),
+            ("stationary_layer_overlay", "nope", ValueError),
+        ],
+    )
+    def test_values_no_network_can_run_are_refused(self, field, value, error):
+        """Each used to pass the config and fail (or run wrongly) only
+        once a network was built on it."""
+        with pytest.raises(error):
+            BristleConfig(**{field: value})
+
+    def test_numpy_integers_and_any_case_overlay_accepted(self):
+        import numpy as np
+
+        BristleConfig(seed=np.int64(3), replication=np.int32(2), registry_size=np.uint8(4),
+                      key_bits=np.int64(16), mobile_layer_overlay="Pastry")
+
     def test_registry_size_default_log(self):
         cfg = BristleConfig()
         assert cfg.effective_registry_size(25000) == math.ceil(math.log2(25000)) == 15

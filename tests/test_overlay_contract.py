@@ -525,6 +525,29 @@ class TestProximityChurnParity:
         assert repaired.value / 40 < len(members) / 2
 
 
+def test_unbound_overlay_counts_repairs_into_the_ambient_session(space):
+    """An overlay built outside a session, with no registry bound, counts
+    the repairs made inside one there, and none made outside; a bound
+    registry takes them instead."""
+    from repro.sim.telemetry import Telemetry, telemetry_session
+
+    ov = make_overlay("chord", space)
+    ov.build(range(100, 10_000, 97))
+    ov.add_node(5)
+    tel = Telemetry()
+    with telemetry_session(tel):
+        ov.add_node(7)
+        ov.remove_node(5)
+    ov.remove_node(7)
+    assert tel.metrics.counter("overlay.repairs").value == 2
+    bound = MetricsRegistry()
+    ov.bind_metrics(bound)
+    with telemetry_session(tel):
+        ov.add_node(9)
+    assert tel.metrics.counter("overlay.repairs").value == 2
+    assert bound.counter("overlay.repairs").value == 1
+
+
 # ----------------------------------------------------------------------
 # Chord: churn repair edits rows in place — compare the rows themselves
 # ----------------------------------------------------------------------

@@ -228,6 +228,18 @@ class TestPhaseProfiler:
     def test_footer_line_empty(self):
         assert PhaseProfiler().footer_line() == "phases: (none recorded)"
 
+    def test_footer_line_since_reports_the_gain(self):
+        """Phases untouched after ``since`` drop out; the rest report the
+        time they gained."""
+        p = PhaseProfiler()
+        p.add("build", 0.5)
+        p.add("measure", 2.0)
+        since = p.wall_times()
+        p.add("build", 0.25)
+        p.add("route", 1.0)
+        assert p.footer_line(since=since) == "phases: build 0.250s, route 1.000s"
+        assert p.footer_line(("measure",), since=since) == "phases: (none recorded)"
+
     def test_disabled_profiler_is_noop(self):
         p = PhaseProfiler(enabled=False)
         with p.phase("x"):
